@@ -36,12 +36,7 @@ from .groups import (
     verify_sl2f5_fixture,
 )
 from .lens import LensDims, lens_dims, p3_closed, p3_dp, weight_map, weight_rank
-from .oracle import (
-    RationalMatrix,
-    build_module_actions,
-    dim_invariants_orbit,
-    dim_invariants_reynolds,
-)
+from .oracle import build_module_actions, dim_invariants_orbit, dim_invariants_reynolds
 from .perm import (
     CosetElement,
     act,
@@ -58,7 +53,6 @@ __all__ = [
     "GroupTable",
     "LensDims",
     "QuadValue",
-    "RationalMatrix",
     "Sl2Fixture",
     "act",
     "battery_groups",

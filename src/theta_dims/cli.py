@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,8 +24,6 @@ USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
 METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
 
-LENS_CSV_HEADER = "n,odd_group_algebra,even_group_algebra,odd_aug_kernel,even_aug_kernel"
-
 
 class UsageError(Exception):
     pass
@@ -35,12 +33,17 @@ def _to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("THETA_DIMS_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise UsageError(f"THETA_DIMS_THREADS must be an integer, got {raw!r}")
+def _write(fmt: str, payload, keys, rows, text_lines) -> int:
+    """Print one result: payload as canonical JSON, rows as CSV under the
+    header keys, or the text lines."""
+    if fmt == "json":
+        sys.stdout.write(_to_json(payload))
+        return 0
+    if fmt == "csv":
+        text_lines = [",".join(keys)] + [",".join(str(row[k]) for k in keys) for row in rows]
+    for line in text_lines:
+        print(line)
+    return 0
 
 
 def parse_group_spec(spec: str) -> groups.GroupTable:
@@ -99,9 +102,7 @@ def _compute_dims(args) -> int:
     else:
         G = parse_group_spec(args.group)
         if method == "perm":
-            value = perm.dim_invariants_perm(
-                G, args.module, args.parity, symmetry, workers=_workers_from_env()
-            )
+            value = perm.dim_invariants_perm(G, args.module, args.parity, symmetry)
         elif method == "orbit":
             if args.module != perm.GROUP_ALGEBRA:
                 raise UsageError("method orbit supports the group algebra only")
@@ -135,55 +136,25 @@ def _compute_dims(args) -> int:
         "convention": convention,
         "dimension": value,
     }
-    if args.format == "json":
-        sys.stdout.write(_to_json(record))
-    elif args.format == "csv":
-        keys = ["group", "module", "parity", "symmetry", "method", "convention", "dimension"]
-        print(",".join(keys))
-        print(",".join(str(record[k]) for k in keys))
-    else:
-        print(
-            f"group={args.group} module={args.module} parity={args.parity} "
-            f"symmetry={symmetry} method={method} convention={convention}"
-        )
-        print(f"dimension: {value}")
-        print(f"elapsed: {elapsed:.3f}s")
-    return 0
+    text = [
+        f"group={args.group} module={args.module} parity={args.parity} "
+        f"symmetry={symmetry} method={method} convention={convention}",
+        f"dimension: {value}",
+        f"elapsed: {elapsed:.3f}s",
+    ]
+    return _write(args.format, record, list(record), [record], text)
 
 
 def _cmd_lens_table(args) -> int:
-    rows = [lens.lens_dims(n) for n in range(1, args.max_n + 1)]
-    if args.format == "json":
-        sys.stdout.write(
-            _to_json(
-                [
-                    {
-                        "n": r.n,
-                        "odd_group_algebra": r.odd_group_algebra,
-                        "even_group_algebra": r.even_group_algebra,
-                        "odd_aug_kernel": r.odd_aug_kernel,
-                        "even_aug_kernel": r.even_aug_kernel,
-                    }
-                    for r in rows
-                ]
-            )
-        )
-        return 0
-    if args.format == "csv":
-        print(LENS_CSV_HEADER)
-        for r in rows:
-            print(
-                f"{r.n},{r.odd_group_algebra},{r.even_group_algebra},"
-                f"{r.odd_aug_kernel},{r.even_aug_kernel}"
-            )
-        return 0
-    print(f"{'n':>3} {'odd C[pi]':>10} {'even C[pi]':>11} {'odd Ker':>8} {'even Ker':>9}")
-    for r in rows:
-        print(
-            f"{r.n:>3} {r.odd_group_algebra:>10} {r.even_group_algebra:>11} "
-            f"{r.odd_aug_kernel:>8} {r.even_aug_kernel:>9}"
-        )
-    return 0
+    rows = [dataclasses.asdict(lens.lens_dims(n)) for n in range(1, args.max_n + 1)]
+    keys = [f.name for f in dataclasses.fields(lens.LensDims)]
+    text = [f"{'n':>3} {'odd C[pi]':>10} {'even C[pi]':>11} {'odd Ker':>8} {'even Ker':>9}"]
+    text += [
+        f"{r['n']:>3} {r['odd_group_algebra']:>10} {r['even_group_algebra']:>11} "
+        f"{r['odd_aug_kernel']:>8} {r['even_aug_kernel']:>9}"
+        for r in rows
+    ]
+    return _write(args.format, rows, keys, rows, text)
 
 
 def _cmd_classes(args) -> int:
@@ -203,25 +174,15 @@ def _cmd_classes(args) -> int:
         }
         for c in range(cd.num_classes)
     ]
-    if args.format == "json":
-        sys.stdout.write(
-            _to_json({"group": args.group, "classes": rows, "inversion_orbits": orbit_count})
-        )
-        return 0
-    if args.format == "csv":
-        keys = ["class", "representative", "size", "square_class", "cube_class", "inverse_class"]
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in keys))
-        return 0
-    print(f"group={args.group} classes={cd.num_classes} inversion_orbits={orbit_count}")
-    for row in rows:
-        print(
-            f"class {row['class']}: rep {row['representative']} size {row['size']} "
-            f"square->{row['square_class']} cube->{row['cube_class']} "
-            f"inverse->{row['inverse_class']}"
-        )
-    return 0
+    payload = {"group": args.group, "classes": rows, "inversion_orbits": orbit_count}
+    text = [f"group={args.group} classes={cd.num_classes} inversion_orbits={orbit_count}"]
+    text += [
+        f"class {row['class']}: rep {row['representative']} size {row['size']} "
+        f"square->{row['square_class']} cube->{row['cube_class']} "
+        f"inverse->{row['inverse_class']}"
+        for row in rows
+    ]
+    return _write(args.format, payload, list(rows[0]), rows, text)
 
 
 def _cmd_verify(args) -> int:

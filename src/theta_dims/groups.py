@@ -310,29 +310,32 @@ def inversion_on_classes(G: GroupTable, cd: ConjugacyData) -> tuple[tuple[int, .
     return perm, orbit_count
 
 
+def _closure(G: GroupTable, gens: list[int]) -> set[int]:
+    """The subgroup generated by gens, by breadth-first right multiplication."""
+    reached = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = G.mul(x, s)
+                if y not in reached:
+                    reached.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return reached
+
+
 def generating_set(G: GroupTable) -> list[int]:
     """A small generating set, chosen greedily by ascending element index."""
-    n = G.order
     gens: list[int] = []
     closure = {G.identity}
-    for g in range(n):
-        if len(closure) == n:
+    for g in range(G.order):
+        if len(closure) == G.order:
             break
-        if g in closure:
-            continue
-        gens.append(g)
-        frontier = list(closure)
-        closure.add(g)
-        frontier.append(g)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    for y in (G.mul(x, s), G.mul(s, x)):
-                        if y not in closure:
-                            closure.add(y)
-                            nxt.append(y)
-            frontier = nxt
+        if g not in closure:
+            gens.append(g)
+            closure = _closure(G, gens)
     return gens
 
 

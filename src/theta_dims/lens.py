@@ -8,10 +8,10 @@ ranks of explicitly computed vectors, giving yet another route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import HalfwayPoint
+from .oracle import _monomials, _rank_of_rows, sym_canonical, wedge_canonical
 from .perm import EVEN, PARITIES, _check_choice
 
 # incremental tables for partitions into parts of size <= 2 and <= 3
@@ -73,23 +73,6 @@ class WeightVector:
         return not self.coeffs
 
 
-def _canonical_term(triple, parity: str):
-    """(sign, sorted triple), or None when a repeated wedge index kills it."""
-    x, y, z = triple
-    if parity == EVEN:
-        if x == y or y == z or x == z:
-            return None
-        sign = 1
-        if x > y:
-            x, y, sign = y, x, -sign
-        if y > z:
-            y, z, sign = z, y, -sign
-        if x > y:
-            x, y, sign = y, x, -sign
-        return sign, (x, y, z)
-    return 1, tuple(sorted(triple))
-
-
 def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
     """The two-term difference pattern of a cubic monomial, canonicalized.
 
@@ -104,41 +87,16 @@ def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
         ((b - a) % n, (c - b) % n, (a - c) % n),
         ((a - b) % n, (b - c) % n, (c - a) % n),
     ):
-        term = _canonical_term(triple, parity)
-        if term is None:
-            continue
-        sign, key = term
+        if parity == EVEN:
+            term = wedge_canonical(triple)
+            if term is None:
+                continue
+            sign, key = term
+        else:
+            sign, key = 1, sym_canonical(triple)
         acc[key] = acc.get(key, 0) + sign
     coeffs = tuple(sorted((k, v) for k, v in acc.items() if v))
     return WeightVector(n, parity, coeffs)
-
-
-def _monomials(n: int, parity: str):
-    if parity == EVEN:
-        return itertools.combinations(range(n), 3)
-    return itertools.combinations_with_replacement(range(n), 3)
-
-
-def _rank_of_rows(rows) -> int:
-    """Rank of sparse integer rows by fraction-free echelon reduction."""
-    pivots: dict[tuple[int, int, int], dict] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                pivots[lead] = row
-                rank += 1
-                break
-            piv = pivots[lead]
-            a, b = piv[lead], row[lead]
-            row = {
-                k: v
-                for k in set(row) | set(piv)
-                if (v := row.get(k, 0) * a - piv.get(k, 0) * b) != 0
-            }
-    return rank
 
 
 def _orbit_representatives(n: int, parity: str):

@@ -12,13 +12,11 @@ Two routes that share nothing with the character computations:
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import GeneratorsDontGenerate, ProjectorNotIdempotent, TooLarge
-from .groups import GroupTable, generating_set
+from .groups import GroupTable, _closure, generating_set
 from .perm import (
     EVEN,
     FULL,
@@ -55,27 +53,40 @@ def sym_canonical(triple) -> tuple[int, int, int]:
     return tuple(sorted(triple))
 
 
-def _wedge_basis(n: int) -> list[tuple[int, int, int]]:
-    return list(itertools.combinations(range(n), 3))
-
-
-def _sym_basis(n: int) -> list[tuple[int, int, int]]:
+def _monomials(n: int, parity: str) -> list[tuple[int, int, int]]:
+    """Basis of the alternating ("even") or symmetric ("odd") cube on n points:
+    sorted index triples in lexicographic order."""
+    if parity == EVEN:
+        return list(itertools.combinations(range(n), 3))
     return list(itertools.combinations_with_replacement(range(n), 3))
+
+
+def _rank_of_rows(rows) -> int:
+    """Exact rank of sparse integer rows, each an iterable of (column, value)
+    pairs, by fraction-free echelon reduction."""
+    pivots: dict = {}
+    rank = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                rank += 1
+                break
+            piv = pivots[lead]
+            a, b = piv[lead], row[lead]
+            row = {
+                k: v
+                for k in set(row) | set(piv)
+                if (v := row.get(k, 0) * a - piv.get(k, 0) * b) != 0
+            }
+    return rank
 
 
 def _verify_generators(G: GroupTable, generators) -> list[int]:
     gens = [int(g) for g in generators]
-    reached = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = G.mul(x, s)
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    reached = _closure(G, gens)
     if len(reached) != G.order:
         raise GeneratorsDontGenerate(
             f"generators reach {len(reached)} of {G.order} elements"
@@ -160,7 +171,7 @@ def dim_invariants_orbit(
     gens = _verify_generators(G, generators)
     n = G.order
     wedge = parity == EVEN
-    basis = _wedge_basis(n) if wedge else _sym_basis(n)
+    basis = _monomials(n, parity)
     if not basis:
         return 0
     arr = np.array(basis, dtype=np.int64)
@@ -203,71 +214,7 @@ def dim_invariants_orbit(
 # -- explicit matrices and the averaged projector --------------------------------
 
 
-class RationalMatrix:
-    """A dense square matrix of exact rationals."""
-
-    def __init__(self, rows):
-        self.rows = [[Fraction(v) for v in row] for row in rows]
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dimension)), Fraction(0))
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.dimension
-        cols = list(zip(*other.rows))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def _integer_rows(self) -> list[list[int]]:
-        scaled = []
-        for row in self.rows:
-            lcm = 1
-            for v in row:
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-            scaled.append([int(v * lcm) for v in row])
-        return scaled
-
-    def rank(self) -> int:
-        """Exact rank by fraction-free (division-free pivoting) elimination."""
-        m = self._integer_rows()
-        n = self.dimension
-        if n == 0:
-            return 0
-        rank = 0
-        prev = 1
-        for col in range(n):
-            pivot_row = next((r for r in range(rank, n) if m[r][col] != 0), None)
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            pivot = m[rank][col]
-            top = m[rank]
-            for r in range(rank + 1, n):
-                factor = m[r][col]
-                row = m[r]
-                for c in range(col, n):
-                    q, rem = divmod(row[c] * pivot - factor * top[c], prev)
-                    assert rem == 0  # Bareiss divisions are exact
-                    row[c] = q
-            prev = pivot
-            rank += 1
-            if rank == n:
-                break
-        return rank
-
-
-def _module_generators(G: GroupTable, sigma: CosetElement, module: str):
+def _module_columns(G: GroupTable, sigma: CosetElement, module: str):
     """Images of the module basis under sigma, as sparse columns.
 
     For the group algebra the basis is e_x and each image is one basis
@@ -277,7 +224,7 @@ def _module_generators(G: GroupTable, sigma: CosetElement, module: str):
     p = permutation_of(G, sigma)
     e = G.identity
     if module == GROUP_ALGEBRA:
-        return [[(int(p[x]), 1)] for x in range(G.order)], G.order
+        return [[(int(p[x]), 1)] for x in range(G.order)]
     slots = [x for x in range(G.order) if x != e]
     index = {x: i for i, x in enumerate(slots)}
     base = int(p[e])
@@ -290,7 +237,7 @@ def _module_generators(G: GroupTable, sigma: CosetElement, module: str):
         if base != e:
             col.append((index[base], -1))
         cols.append(col)
-    return cols, len(slots)
+    return cols
 
 
 def _symmetry_elements(G: GroupTable):
@@ -301,13 +248,22 @@ def _symmetry_elements(G: GroupTable):
                 yield CosetElement(twisted, g, h)
 
 
-def _lifted_columns(G: GroupTable, sigma: CosetElement, module: str, parity: str, basis, index):
-    """Sparse columns of sigma acting on the cubic monomial basis."""
-    cols, _dim = _module_generators(G, sigma, module)
+def _cube_basis(G: GroupTable, module: str, parity: str, order_limit: int):
+    """Monomial basis of the cubic power of the module, with its index map."""
+    _check_choice(module, MODULES, "module")
+    _check_choice(parity, PARITIES, "parity")
+    if G.order > order_limit:
+        raise TooLarge(f"group order {G.order} exceeds the guard {order_limit}")
+    basis = _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+def _action_matrix(G: GroupTable, sigma: CosetElement, module: str, parity: str, basis, index):
+    """Dense integer matrix of sigma acting on the cubic monomial basis."""
+    cols = _module_columns(G, sigma, module)
     wedge = parity == EVEN
-    out = []
-    for mono in basis:
-        acc: dict[tuple[int, int, int], int] = {}
+    entries = []  # (row, column, value); repeated positions add up
+    for j, mono in enumerate(basis):
         for (i1, a1), (i2, a2), (i3, a3) in itertools.product(*(cols[x] for x in mono)):
             coeff = a1 * a2 * a3
             if wedge:
@@ -318,61 +274,47 @@ def _lifted_columns(G: GroupTable, sigma: CosetElement, module: str, parity: str
                 coeff *= s
             else:
                 key = sym_canonical((i1, i2, i3))
-            acc[key] = acc.get(key, 0) + coeff
-        out.append([(index[k], v) for k, v in acc.items() if v])
-    return out
-
-
-def _monomial_basis(dim: int, parity: str):
-    basis = _wedge_basis(dim) if parity == EVEN else _sym_basis(dim)
-    return basis, {m: i for i, m in enumerate(basis)}
+            entries.append((index[key], j, coeff))
+    m = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    e = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    np.add.at(m, (e[:, 0], e[:, 1]), e[:, 2])
+    return m
 
 
 def build_module_actions(
     G: GroupTable, module: str, parity: str, *, order_limit: int = REYNOLDS_ORDER_LIMIT
-) -> tuple[list[RationalMatrix], int]:
-    """Explicit matrices of every symmetry element on the cubic power.
+) -> tuple[list[np.ndarray], int]:
+    """Explicit integer matrices of every symmetry element on the cubic power.
 
     Returns one matrix per element of the doubled-and-swapped group, in the
     order untwisted pairs then twisted pairs (each lexicographic in (g, h)),
     together with the matrix dimension.
     """
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
-    if G.order > order_limit:
-        raise TooLarge(f"group order {G.order} exceeds the guard {order_limit}")
-    mod_dim = G.order if module == GROUP_ALGEBRA else G.order - 1
-    basis, index = _monomial_basis(mod_dim, parity)
-    dim = len(basis)
-    matrices = []
-    for sigma in _symmetry_elements(G):
-        m = [[0] * dim for _ in range(dim)]
-        for j, col in enumerate(_lifted_columns(G, sigma, module, parity, basis, index)):
-            for i, v in col:
-                m[i][j] = v
-        matrices.append(RationalMatrix(m))
-    return matrices, dim
+    basis, index = _cube_basis(G, module, parity, order_limit)
+    matrices = [
+        _action_matrix(G, sigma, module, parity, basis, index)
+        for sigma in _symmetry_elements(G)
+    ]
+    return matrices, len(basis)
 
 
 def dim_invariants_reynolds(
     G: GroupTable, module: str, parity: str, *, order_limit: int = REYNOLDS_ORDER_LIMIT
 ) -> int:
-    """Invariant dimension as the exact rank of the group-average projector."""
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
-    if G.order > order_limit:
-        raise TooLarge(f"group order {G.order} exceeds the guard {order_limit}")
-    mod_dim = G.order if module == GROUP_ALGEBRA else G.order - 1
-    basis, index = _monomial_basis(mod_dim, parity)
+    """Invariant dimension as the exact rank of the group-average projector.
+
+    The rank is taken on the integer sum of the action matrices, which is the
+    projector scaled by the size of the symmetry group.
+    """
+    basis, index = _cube_basis(G, module, parity, order_limit)
     dim = len(basis)
     group_size = 2 * G.order**2
     if dim == 0:
         return 0
-    acc = np.zeros((dim, dim), dtype=np.int64)
-    for sigma in _symmetry_elements(G):
-        for j, col in enumerate(_lifted_columns(G, sigma, module, parity, basis, index)):
-            for i, v in col:
-                acc[i, j] += v
+    acc = sum(
+        _action_matrix(G, sigma, module, parity, basis, index)
+        for sigma in _symmetry_elements(G)
+    )
     # int64 products must be provably exact before checking idempotence
     bound = int(np.abs(acc).max())
     assert dim * bound * bound < _INT64_LIMIT and group_size * bound < _INT64_LIMIT
@@ -380,12 +322,12 @@ def dim_invariants_reynolds(
         raise ProjectorNotIdempotent(
             f"averaged action is not a projector (module={module}, parity={parity})"
         )
-    projector = RationalMatrix(
-        [[Fraction(int(v), group_size) for v in row] for row in acc]
+    rank = _rank_of_rows(
+        ((j, v) for j, v in enumerate(row) if v) for row in acc.tolist()
     )
-    rank = projector.rank()
-    if projector.trace() != rank:
+    trace = int(np.trace(acc))
+    if trace != rank * group_size:
         raise ProjectorNotIdempotent(
-            f"projector trace {projector.trace()} != rank {rank}"
+            f"projector trace {trace}/{group_size} != rank {rank}"
         )
     return rank

@@ -8,7 +8,7 @@ are integer fixed-point counts, and the single division happens at the end.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,15 +93,22 @@ def _cube_numerator(c1: int, c2: int, c3: int, sign: int) -> int:
     return c1 * c1 * c1 + sign * 3 * c2 * c1 + 2 * c3
 
 
-def _counts(G: GroupTable, perms: np.ndarray) -> tuple[list, list, list]:
-    """Fixed-point counts of each row permutation, its square and its cube."""
-    idx = np.arange(G.order)[None, :]
+def _numerator_sum(perms: np.ndarray, shift: int, sign: int, weights=None) -> int:
+    """Sum of the cube-character numerators of the row permutations of perms.
+
+    Each row's numerator comes from the fixed-point counts of the permutation,
+    its square and its cube (shifted for the kernel); rows are weighted by
+    `weights` when given.
+    """
+    idx = np.arange(perms.shape[1])[None, :]
     p2 = np.take_along_axis(perms, perms, axis=1)
     p3 = np.take_along_axis(perms, p2, axis=1)
-    return (
-        (perms == idx).sum(axis=1).tolist(),
-        (p2 == idx).sum(axis=1).tolist(),
-        (p3 == idx).sum(axis=1).tolist(),
+    counts = zip(*((p == idx).sum(axis=1).tolist() for p in (perms, p2, p3)))
+    if weights is None:
+        weights = itertools.repeat(1)
+    return sum(
+        w * _cube_numerator(c1 - shift, c2 - shift, c3 - shift, sign)
+        for w, (c1, c2, c3) in zip(weights, counts)
     )
 
 
@@ -111,59 +118,25 @@ def _untwisted_block(G: GroupTable, g: int) -> np.ndarray:
     return np.ascontiguousarray(mul[mul[g]][:, inv].T)
 
 
-def _twisted_block(G: GroupTable, g: int, hx: np.ndarray) -> np.ndarray:
-    """Permutations of all twisted (g, h) for fixed g, one row per h."""
-    return G.mul_table[hx, G.inv_table[g]]
-
-
-def _sum_untwisted(G: GroupTable, gs, shift: int, sign: int) -> int:
-    total = 0
-    for g in gs:
-        c1s, c2s, c3s = _counts(G, _untwisted_block(G, g))
-        for c1, c2, c3 in zip(c1s, c2s, c3s):
-            total += _cube_numerator(c1 - shift, c2 - shift, c3 - shift, sign)
-    return total
-
-
-def _sum_twisted(G: GroupTable, gs, shift: int, sign: int) -> int:
+def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
+    """The direct double sum over all (g, h) of one coset, one block per g."""
     mul, inv = G.mul_table, G.inv_table
     hx = mul[:, inv]  # hx[h, x] = h * x^-1
     total = 0
-    for g in gs:
-        c1s, c2s, c3s = _counts(G, _twisted_block(G, g, hx))
-        for c1, c2, c3 in zip(c1s, c2s, c3s):
-            total += _cube_numerator(c1 - shift, c2 - shift, c3 - shift, sign)
+    for g in range(G.order):
+        # twisted row h is x -> h x^-1 g^-1
+        block = mul[hx, inv[g]] if twisted else _untwisted_block(G, g)
+        total += _numerator_sum(block, shift, sign)
     return total
-
-
-def _chunked(n: int, workers: int) -> list[range]:
-    workers = max(1, min(workers, n)) if n else 1
-    bounds = [round(i * n / workers) for i in range(workers + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
-def _sum_over_coset(G: GroupTable, shift: int, sign: int, twisted: bool, workers: int) -> int:
-    fn = _sum_twisted if twisted else _sum_untwisted
-    chunks = _chunked(G.order, workers)
-    if len(chunks) <= 1:
-        return fn(G, range(G.order), shift, sign)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(lambda gs: fn(G, gs, shift, sign), chunks)
-        return sum(parts)
 
 
 def _sum_untwisted_by_class_pairs(G: GroupTable, shift: int, sign: int) -> int:
     cd = conjugacy_classes(G)
-    total = 0
-    for ci, ri in enumerate(cd.reps):
-        block = _untwisted_block(G, ri)[np.array(cd.reps)]
-        c1s, c2s, c3s = _counts(G, block)
-        for cj in range(cd.num_classes):
-            weight = cd.sizes[ci] * cd.sizes[cj]
-            total += weight * _cube_numerator(
-                c1s[cj] - shift, c2s[cj] - shift, c3s[cj] - shift, sign
-            )
-    return total
+    reps = np.array(cd.reps)
+    return sum(
+        size * _numerator_sum(_untwisted_block(G, r)[reps], shift, sign, cd.sizes)
+        for r, size in zip(cd.reps, cd.sizes)
+    )
 
 
 def dim_invariants_perm(
@@ -172,7 +145,6 @@ def dim_invariants_perm(
     parity: str = EVEN,
     symmetry: str = FULL,
     *,
-    workers: int = 1,
     use_class_pairs: bool = False,
 ) -> int:
     """Exact invariant dimension of the cubic power of the chosen module.
@@ -191,10 +163,10 @@ def dim_invariants_perm(
     if use_class_pairs:
         total = _sum_untwisted_by_class_pairs(G, shift, sign)
     else:
-        total = _sum_over_coset(G, shift, sign, twisted=False, workers=workers)
+        total = _coset_sum(G, shift, sign, twisted=False)
     group_size = n * n
     if symmetry == FULL:
-        total += _sum_over_coset(G, shift, sign, twisted=True, workers=workers)
+        total += _coset_sum(G, shift, sign, twisted=True)
         group_size *= 2
     dim = Fraction(total, 6 * group_size)
     if dim.denominator != 1 or dim < 0:
@@ -220,15 +192,9 @@ def twisted_coset_average(
     n = G.order
     shift = 1 if module == AUG_KERNEL else 0
     sign = -1 if parity == EVEN else 1
-    direct = Fraction(_sum_over_coset(G, shift, sign, twisted=True, workers=1), 6 * n * n)
-
+    direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
     # row w of hx is the permutation of tau*(e, w): x -> w * x^-1
-    hx = G.mul_table[:, G.inv_table]
-    c1s, c2s, c3s = _counts(G, hx)
-    reduced_total = sum(
-        _cube_numerator(c1 - shift, c2 - shift, c3 - shift, sign)
-        for c1, c2, c3 in zip(c1s, c2s, c3s)
-    )
+    reduced_total = _numerator_sum(G.mul_table[:, G.inv_table], shift, sign)
     reduced = Fraction(reduced_total, 6 * n)
     if direct != reduced:
         raise SimplificationMismatch(

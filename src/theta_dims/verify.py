@@ -6,6 +6,7 @@ the first failing check aborts the suite with a counterexample message.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 from . import chartab, groups, lens, oracle, perm
@@ -80,12 +81,21 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     return lines
 
 
-def _lens_third_route(G, cd_orbit_count: int, parity: str, generators) -> dict[str, int]:
-    """Group-algebra dimensions by orbit counting, extended to the kernel
-    columns through the general split identities."""
-    ca = oracle.dim_invariants_orbit(G, parity, perm.FULL, generators)
-    ker = ca if parity == perm.EVEN else ca - cd_orbit_count
-    return {"ca": ca, "ker": ker}
+# (module, parity) of the dimension fields of lens.LensDims, in field order
+_LENS_COLUMNS = (
+    (perm.GROUP_ALGEBRA, perm.ODD),
+    (perm.GROUP_ALGEBRA, perm.EVEN),
+    (perm.AUG_KERNEL, perm.ODD),
+    (perm.AUG_KERNEL, perm.EVEN),
+)
+
+
+def _lens_third_route(G, orbit_count: int, generators) -> tuple[int, int, int, int]:
+    """The _LENS_COLUMNS dimensions by orbit counting on the group algebra,
+    extended to the kernel columns through the general split identities."""
+    odd = oracle.dim_invariants_orbit(G, perm.ODD, perm.FULL, generators)
+    even = oracle.dim_invariants_orbit(G, perm.EVEN, perm.FULL, generators)
+    return odd, even, odd - orbit_count, even
 
 
 def verify_cross_methods() -> list[str]:
@@ -135,27 +145,12 @@ def verify_cross_methods() -> list[str]:
         closed = lens.lens_dims(n)
         cd = groups.conjugacy_classes(G)
         _, orbit_count = groups.inversion_on_classes(G, cd)
-        gens = [1 % n]
-        by_perm = {
-            "odd_ca": perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.ODD, perm.FULL),
-            "even_ca": perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.EVEN, perm.FULL),
-            "odd_ker": perm.dim_invariants_perm(G, perm.AUG_KERNEL, perm.ODD, perm.FULL),
-            "even_ker": perm.dim_invariants_perm(G, perm.AUG_KERNEL, perm.EVEN, perm.FULL),
-        }
-        odd_orbit = _lens_third_route(G, orbit_count, perm.ODD, gens)
-        even_orbit = _lens_third_route(G, orbit_count, perm.EVEN, gens)
-        by_orbit = {
-            "odd_ca": odd_orbit["ca"],
-            "even_ca": even_orbit["ca"],
-            "odd_ker": odd_orbit["ker"],
-            "even_ker": even_orbit["ker"],
-        }
-        by_closed = {
-            "odd_ca": closed.odd_group_algebra,
-            "even_ca": closed.even_group_algebra,
-            "odd_ker": closed.odd_aug_kernel,
-            "even_ker": closed.even_aug_kernel,
-        }
+        by_perm = tuple(
+            perm.dim_invariants_perm(G, module, parity, perm.FULL)
+            for module, parity in _LENS_COLUMNS
+        )
+        by_orbit = _lens_third_route(G, orbit_count, [1 % n])
+        by_closed = dataclasses.astuple(closed)[1:]
         _expect(
             by_perm == by_closed and by_orbit == by_closed,
             f"n={n}: closed {by_closed}, perm {by_perm}, orbit {by_orbit}",

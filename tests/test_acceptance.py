@@ -83,7 +83,7 @@ def test_criterion_03_lens_table_three_ways(capsys):
         out = capsys.readouterr().out
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == cli.LENS_CSV_HEADER
+        assert lines[0] == "n,odd_group_algebra,even_group_algebra,odd_aug_kernel,even_aug_kernel"
         for n in range(1, 16):
             expected = (
                 f"{n},{REFERENCE_TABLE['odd_ca'][n - 1]},{REFERENCE_TABLE['even_ca'][n - 1]},"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -113,24 +114,20 @@ def test_dims_char_table_file(capsys, tmp_path):
     assert json.loads(out)["dimension"] == 65
 
 
-def test_dims_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("THETA_DIMS_THREADS", "3")
+def test_dims_cyclic12_odd(capsys):
     code, out, _ = run_cli(
         capsys,
         "dims", "--group", "cyclic:12", "--parity", "odd", "--format", "json",
     )
     assert code == 0
     assert json.loads(out)["dimension"] == 19
-    monkeypatch.setenv("THETA_DIMS_THREADS", "zebra")
-    code, _, err = run_cli(capsys, "dims", "--group", "cyclic:3", "--parity", "odd")
-    assert code == 2
 
 
 def test_lens_table_csv(capsys):
     code, out, _ = run_cli(capsys, "lens-table", "--max-n", "15", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == cli.LENS_CSV_HEADER
+    assert lines[0] == "n,odd_group_algebra,even_group_algebra,odd_aug_kernel,even_aug_kernel"
     assert len(lines) == 16
     for n, row in REFERENCE_ROWS.items():
         assert lines[n] == row
@@ -216,3 +213,99 @@ def test_verify_conventions_cli(capsys):
     assert code == 0
     assert "row2=-1" in out
     assert "27" in out and "65" in out and "56" in out
+
+
+GOLDEN_OUTPUTS = [
+    (
+        ("dims", "--group", "cyclic:6", "--module", "aug-kernel", "--parity", "odd"),
+        "group=cyclic:6 module=aug-kernel parity=odd symmetry=full method=perm "
+        "convention=inversion\n"
+        "dimension: 3\n"
+        "elapsed: <masked>\n",
+    ),
+    (
+        ("dims", "--group", "cyclic:6", "--module", "aug-kernel", "--parity", "odd",
+         "--format", "csv"),
+        "group,module,parity,symmetry,method,convention,dimension\n"
+        "cyclic:6,aug-kernel,odd,full,perm,inversion,3\n",
+    ),
+    (
+        ("dims", "--group", "cyclic:6", "--module", "aug-kernel", "--parity", "odd",
+         "--format", "json"),
+        '{"convention":"inversion","dimension":3,"group":"cyclic:6","method":"perm",'
+        '"module":"aug-kernel","parity":"odd","symmetry":"full"}\n',
+    ),
+    (
+        ("lens-table", "--max-n", "4"),
+        "  n  odd C[pi]  even C[pi]  odd Ker  even Ker\n"
+        "  1          1           0        0         0\n"
+        "  2          2           0        0         0\n"
+        "  3          3           0        1         0\n"
+        "  4          4           0        1         0\n",
+    ),
+    (
+        ("lens-table", "--max-n", "0"),
+        "  n  odd C[pi]  even C[pi]  odd Ker  even Ker\n",
+    ),
+    (
+        ("lens-table", "--max-n", "4", "--format", "csv"),
+        "n,odd_group_algebra,even_group_algebra,odd_aug_kernel,even_aug_kernel\n"
+        "1,1,0,0,0\n"
+        "2,2,0,0,0\n"
+        "3,3,0,1,0\n"
+        "4,4,0,1,0\n",
+    ),
+    (
+        ("lens-table", "--max-n", "0", "--format", "csv"),
+        "n,odd_group_algebra,even_group_algebra,odd_aug_kernel,even_aug_kernel\n",
+    ),
+    (
+        ("lens-table", "--max-n", "2", "--format", "json"),
+        '[{"even_aug_kernel":0,"even_group_algebra":0,"n":1,"odd_aug_kernel":0,'
+        '"odd_group_algebra":1},{"even_aug_kernel":0,"even_group_algebra":0,"n":2,'
+        '"odd_aug_kernel":0,"odd_group_algebra":2}]\n',
+    ),
+    (
+        ("lens-table", "--max-n", "0", "--format", "json"),
+        "[]\n",
+    ),
+    (
+        ("classes", "--group", "sl2:3"),
+        "group=sl2:3 classes=7 inversion_orbits=5\n"
+        "class 0: rep [0,1;2,0] size 6 square->6 cube->0 inverse->0\n"
+        "class 1: rep [0,1;2,1] size 4 square->2 cube->6 inverse->3\n"
+        "class 2: rep [0,1;2,2] size 4 square->4 cube->5 inverse->4\n"
+        "class 3: rep [0,2;1,1] size 4 square->4 cube->6 inverse->1\n"
+        "class 4: rep [0,2;1,2] size 4 square->2 cube->5 inverse->2\n"
+        "class 5: rep [1,0;0,1] size 1 square->5 cube->5 inverse->5\n"
+        "class 6: rep [2,0;0,2] size 1 square->5 cube->6 inverse->6\n",
+    ),
+    (
+        ("classes", "--group", "sl2:3", "--format", "csv"),
+        "class,representative,size,square_class,cube_class,inverse_class\n"
+        "0,[0,1;2,0],6,6,0,0\n"
+        "1,[0,1;2,1],4,2,6,3\n"
+        "2,[0,1;2,2],4,4,5,4\n"
+        "3,[0,2;1,1],4,4,6,1\n"
+        "4,[0,2;1,2],4,2,5,2\n"
+        "5,[1,0;0,1],1,5,5,5\n"
+        "6,[2,0;0,2],1,5,6,6\n",
+    ),
+    (
+        ("classes", "--group", "cyclic:3", "--format", "json"),
+        '{"classes":[{"class":0,"cube_class":0,"inverse_class":0,"representative":"0",'
+        '"size":1,"square_class":0},{"class":1,"cube_class":0,"inverse_class":2,'
+        '"representative":"1","size":1,"square_class":2},{"class":2,"cube_class":0,'
+        '"inverse_class":1,"representative":"2","size":1,"square_class":1}],'
+        '"group":"cyclic:3","inversion_orbits":2}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", GOLDEN_OUTPUTS, ids=[" ".join(argv) for argv, _ in GOLDEN_OUTPUTS]
+)
+def test_output_bytes_are_pinned(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert re.sub(r"elapsed: \d+\.\d{3}s", "elapsed: <masked>", out) == expected

@@ -185,15 +185,6 @@ def test_class_pair_reduction_identical():
             assert direct == reduced
 
 
-def test_worker_count_invariance():
-    G = groups.make_sl2(3)
-    for module in (GROUP_ALGEBRA, AUG_KERNEL):
-        for parity in (EVEN, ODD):
-            base = perm.dim_invariants_perm(G, module, parity, FULL, workers=1)
-            assert perm.dim_invariants_perm(G, module, parity, FULL, workers=3) == base
-            assert perm.dim_invariants_perm(G, module, parity, FULL, workers=7) == base
-
-
 def test_input_validation():
     G = groups.make_cyclic(3)
     with pytest.raises(ValueError):
