@@ -61,6 +61,8 @@ def parse_group_spec(spec: str) -> groups.GroupTable:
             order, mul = int(raw["order"]), raw["mul"]
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read Cayley table {arg!r}: {exc}")
+        if not isinstance(mul, list):
+            raise UsageError(f"Cayley table 'mul' must be a list of rows, got {type(mul).__name__}")
         if len(mul) != order:
             raise UsageError(f"Cayley table has {len(mul)} rows, order says {order}")
         return groups.make_from_cayley(mul)

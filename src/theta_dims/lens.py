@@ -55,7 +55,8 @@ def lens_dims(n: int) -> LensDims:
     """Closed-form dimensions (p3(n), p3(n-6), p3(n-3), p3(n-6))."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return LensDims(n, p3_dp(n), p3_dp(n - 6), p3_dp(n - 3), p3_dp(n - 6))
+    dims = (p3_closed(m) if m >= 0 else 0 for m in (n, n - 6, n - 3, n - 6))
+    return LensDims(n, *dims)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,15 @@ def test_dims_cayley_file(capsys, tmp_path):
     assert json.loads(out)["dimension"] == 4
 
 
+@pytest.mark.parametrize("payload", ['{"order":1,"mul":5}', '{"order":1,"mul":null}'])
+def test_dims_cayley_file_mul_not_a_list(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code, _, err = run_cli(capsys, "dims", "--group", f"cayley:{path}", "--parity", "odd")
+    assert code == 2
+    assert err.startswith("error:") and "list of rows" in err
+
+
 def test_dims_char_table_file(capsys, tmp_path):
     path = tmp_path / "table.json"
     chartab.dump_char_table(chartab.builtin_sl2f5_table(), path)

@@ -1,9 +1,12 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_dims import groups
 from theta_dims.errors import FixtureMismatch, NotAGroup, TooLarge
@@ -103,6 +106,20 @@ def test_make_from_cayley_rejections():
         groups.make_from_cayley([[0, 1]])
     with pytest.raises(NotAGroup):
         groups.make_from_cayley([[0, 7], [1, 0]])
+
+
+def test_associativity_checks_every_generator():
+    # Z2 x NONASSOC_LOOP with (h, l) at index 2*l + h: the first greedy
+    # generator (1, 0) is associative, the second one (0, 1) is not
+    rows = [
+        [2 * NONASSOC_LOOP[l1][l2] + (h1 + h2) % 2 for l2 in range(5) for h2 in range(2)]
+        for l1 in range(5)
+        for h1 in range(2)
+    ]
+    with pytest.raises(NotAGroup, match=r"witness triple \(\d+, 2, \d+\)") as exc:
+        groups.make_from_cayley(rows)
+    x, a, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(exc.value)).groups())
+    assert rows[rows[x][a]][y] != rows[x][rows[a][y]]
 
 
 def test_direct_product_small():
@@ -263,8 +280,62 @@ def test_fixture_bad_determinant(tmp_path):
         groups.verify_sl2f5_fixture(groups.make_sl2(5), fx)
 
 
+# greedy generating sets; orbit uses them as its default generators
+GENERATING_SETS = {
+    **{f"Z{n}": [1] for n in range(2, 13)},
+    "Z1": [],
+    "Z2xZ2": [1, 2],
+    "S3": [1, 2],
+    "Q8": [1, 2, 4],
+    "D4": [1, 2],
+    "SL2F3": [0, 1],
+}
+
+
 def test_generating_set():
     for name, G in groups.battery_groups():
-        gens = groups.generating_set(G)
-        assert len(gens) <= 3
+        assert groups.generating_set(G) == GENERATING_SETS[name], name
+    assert groups.generating_set(groups.make_sl2(5)) == [0, 1]
+    assert groups.generating_set(groups.make_sl2(7)) == [0, 1]
     assert groups.generating_set(groups.make_cyclic(1)) == []
+
+
+# groups above order 64, the old limit of exhaustive associativity checking
+PROPERTY_TABLES = {
+    "sl2:5": groups.make_sl2(5).mul_table,
+    "Z6xZ12": groups.make_direct_product(groups.make_cyclic(6), groups.make_cyclic(12)).mul_table,
+}
+
+
+def draw_relabeled_table(data, name):
+    """The named table under a drawn relabeling new = perm[old]."""
+    mul = PROPERTY_TABLES[name].astype(np.int64)
+    perm = np.array(data.draw(st.permutations(range(len(mul)))))
+    out = np.empty_like(mul)
+    out[np.ix_(perm, perm)] = perm[mul]
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(PROPERTY_TABLES)), data=st.data())
+def test_make_from_cayley_accepts_relabeled_groups(name, data):
+    mul = draw_relabeled_table(data, name)
+    G = groups.make_from_cayley(mul.tolist())
+    assert np.array_equal(G.mul_table, mul)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PROPERTY_TABLES)), data=st.data())
+def test_make_from_cayley_rejects_row_swaps(name, data):
+    mul = draw_relabeled_table(data, name)
+    n = len(mul)
+    row = data.draw(st.integers(0, n - 1))
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    # a row of a group table has distinct entries, so the swap breaks the Latin square
+    mul[row, [i, j]] = mul[row, [j, i]]
+    with pytest.raises(NotAGroup) as exc:
+        groups.make_from_cayley(mul.tolist())
+    witness = re.search(r"witness triple \((\d+), (\d+), (\d+)\)", str(exc.value))
+    if witness:
+        x, a, y = map(int, witness.groups())
+        assert mul[mul[x, a], y] != mul[x, mul[a, y]]
