@@ -101,6 +101,20 @@ def _compute_dims(args) -> int:
             if part.denominator != 1:
                 raise ThetaDimsError(f"diagonal part {part} is not an integer")
             value = int(part)
+    elif method == "closed-form":
+        # the closed form needs only the order, so no table is built
+        kind, _, arg = args.group.partition(":")
+        if kind != "cyclic":
+            raise UsageError("method closed-form applies to cyclic groups only")
+        if symmetry != perm.FULL:
+            raise UsageError("method closed-form computes the full symmetry only")
+        d = lens.lens_dims(int(arg))
+        value = {
+            (perm.GROUP_ALGEBRA, perm.ODD): d.odd_group_algebra,
+            (perm.GROUP_ALGEBRA, perm.EVEN): d.even_group_algebra,
+            (perm.AUG_KERNEL, perm.ODD): d.odd_aug_kernel,
+            (perm.AUG_KERNEL, perm.EVEN): d.even_aug_kernel,
+        }[(args.module, args.parity)]
     else:
         G = parse_group_spec(args.group)
         if method == "perm":
@@ -109,24 +123,12 @@ def _compute_dims(args) -> int:
             if args.module != perm.GROUP_ALGEBRA:
                 raise UsageError("method orbit supports the group algebra only")
             value = oracle.dim_invariants_orbit(G, args.parity, symmetry)
-        elif method == "reynolds":
+        else:  # reynolds
             if symmetry != perm.FULL:
                 raise UsageError("method reynolds computes the full symmetry only")
             value = oracle.dim_invariants_reynolds(
                 G, args.module, args.parity, order_limit=args.reynolds_limit
             )
-        else:  # closed-form
-            if not args.group.startswith("cyclic:"):
-                raise UsageError("method closed-form applies to cyclic groups only")
-            if symmetry != perm.FULL:
-                raise UsageError("method closed-form computes the full symmetry only")
-            d = lens.lens_dims(G.order)
-            value = {
-                (perm.GROUP_ALGEBRA, perm.ODD): d.odd_group_algebra,
-                (perm.GROUP_ALGEBRA, perm.EVEN): d.even_group_algebra,
-                (perm.AUG_KERNEL, perm.ODD): d.odd_aug_kernel,
-                (perm.AUG_KERNEL, perm.EVEN): d.even_aug_kernel,
-            }[(args.module, args.parity)]
     elapsed = time.perf_counter() - started
 
     record = {

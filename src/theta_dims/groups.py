@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import FixtureMismatch, NotAGroup, TooLarge
 
-DIRECT_PRODUCT_LIMIT = 1 << 20
+# cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
+TABLE_ENTRY_LIMIT = 1 << 28
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -29,6 +30,11 @@ def _index_dtype(n: int) -> type:
     if n <= 0xFFFF:
         return np.uint16
     return np.uint32
+
+
+def _check_table_size(n: int) -> None:
+    if n * n > TABLE_ENTRY_LIMIT:
+        raise TooLarge(f"a table of order {n} has {n * n} entries, over {TABLE_ENTRY_LIMIT}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -143,11 +149,13 @@ def make_cyclic(n: int) -> GroupTable:
     """The cyclic group of order n, written additively: mul(i, j) = (i+j) mod n."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
-    inv = (-idx) % n
+    _check_table_size(n)
+    idx = np.arange(n, dtype=_index_dtype(2 * n))  # wide enough for i + j
+    mul = np.add.outer(idx, idx)
+    np.remainder(mul, n, out=mul)
     dt = _index_dtype(n)
-    return GroupTable(_freeze(mul.astype(dt)), _freeze(inv.astype(dt)), 0)
+    inv = (-np.arange(n)) % n
+    return GroupTable(_freeze(mul.astype(dt, copy=False)), _freeze(inv.astype(dt)), 0)
 
 
 def sl2_matrices(p: int) -> list[tuple[int, int, int, int]]:
@@ -211,8 +219,7 @@ def make_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     """Componentwise product on pairs encoded as i*|H| + j."""
     nG, nH = G.order, H.order
     n = nG * nH
-    if n > DIRECT_PRODUCT_LIMIT:
-        raise TooLarge(f"direct product order {n} exceeds {DIRECT_PRODUCT_LIMIT}")
+    _check_table_size(n)
     dt = _index_dtype(n)
     q = np.arange(n) // nH
     r = np.arange(n) % nH

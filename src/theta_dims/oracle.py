@@ -12,6 +12,7 @@ Two routes that share nothing with the character computations:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .perm import (
 )
 
 REYNOLDS_ORDER_LIMIT = 12
+# the orbit method holds about 330 bytes per monomial; this admits sl2:7 (6.4M)
+ORBIT_MONOMIAL_LIMIT = 1 << 23
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
 
 
@@ -166,11 +169,14 @@ def dim_invariants_orbit(
     counting over monomials, using only symmetry generators."""
     _check_choice(parity, PARITIES, "parity")
     _check_choice(symmetry, SYMMETRIES, "symmetry")
+    n = G.order
+    wedge = parity == EVEN
+    count = math.comb(n, 3) if wedge else math.comb(n + 2, 3)
+    if count > ORBIT_MONOMIAL_LIMIT:
+        raise TooLarge(f"{count} monomials exceed the orbit guard {ORBIT_MONOMIAL_LIMIT}")
     if generators is None:
         generators = generating_set(G)
     gens = _verify_generators(G, generators)
-    n = G.order
-    wedge = parity == EVEN
     basis = _monomials(n, parity)
     if not basis:
         return 0

@@ -112,14 +112,15 @@ def _numerator_sum(perms: np.ndarray, shift: int, sign: int, weights=None) -> in
     )
 
 
-def _untwisted_block(G: GroupTable, g: int) -> np.ndarray:
-    """Permutations of all untwisted (g, h) for fixed g, one row per h."""
+def _untwisted_block(G: GroupTable, g: int, hs=slice(None)) -> np.ndarray:
+    """Permutations x -> g x h^-1 of the untwisted (g, h), one row per h in hs."""
     mul, inv = G.mul_table, G.inv_table
-    return np.ascontiguousarray(mul[mul[g]][:, inv].T)
+    return mul[mul[g][None, :], inv[hs][:, None]]
 
 
 def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
-    """The direct double sum over all (g, h) of one coset, one block per g."""
+    """Reference for the reduced sums: the direct O(n^3) double sum over all
+    (g, h) of one coset. Only `twisted_coset_average` and the tests call it."""
     mul, inv = G.mul_table, G.inv_table
     hx = mul[:, inv]  # hx[h, x] = h * x^-1
     total = 0
@@ -134,9 +135,14 @@ def _sum_untwisted_by_class_pairs(G: GroupTable, shift: int, sign: int) -> int:
     cd = conjugacy_classes(G)
     reps = np.array(cd.reps)
     return sum(
-        size * _numerator_sum(_untwisted_block(G, r)[reps], shift, sign, cd.sizes)
+        size * _numerator_sum(_untwisted_block(G, r, reps), shift, sign, cd.sizes)
         for r, size in zip(cd.reps, cd.sizes)
     )
+
+
+def _sum_twisted_by_products(G: GroupTable, shift: int, sign: int) -> int:
+    """The twisted coset sum: n times the sum over tau*(e, w), x -> w x^-1, row w of mul[:, inv]."""
+    return G.order * _numerator_sum(G.mul_table[:, G.inv_table], shift, sign)
 
 
 def dim_invariants_perm(
@@ -144,15 +150,15 @@ def dim_invariants_perm(
     module: str = GROUP_ALGEBRA,
     parity: str = EVEN,
     symmetry: str = FULL,
-    *,
-    use_class_pairs: bool = False,
 ) -> int:
     """Exact invariant dimension of the cubic power of the chosen module.
 
     Averages the alternating/symmetric cube character over the doubled group
     (symmetry "pi-pi") or over the doubled group extended by the inversion
-    involution (symmetry "full"). Squares and cubes of each coset permutation
-    are formed by explicit composition, never by algebraic shortcuts.
+    involution (symmetry "full"). The untwisted coset is summed one row per
+    class pair (g, h), weighted by class sizes; the twisted one row per w for
+    tau*(e, w), conjugate to the n elements tau*(g, h) with h g = w. Squares
+    and cubes of every summed permutation are formed by explicit composition.
     """
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
@@ -160,13 +166,10 @@ def dim_invariants_perm(
     n = G.order
     shift = 1 if module == AUG_KERNEL else 0
     sign = -1 if parity == EVEN else 1
-    if use_class_pairs:
-        total = _sum_untwisted_by_class_pairs(G, shift, sign)
-    else:
-        total = _coset_sum(G, shift, sign, twisted=False)
+    total = _sum_untwisted_by_class_pairs(G, shift, sign)
     group_size = n * n
     if symmetry == FULL:
-        total += _coset_sum(G, shift, sign, twisted=True)
+        total += _sum_twisted_by_products(G, shift, sign)
         group_size *= 2
     dim = Fraction(total, 6 * group_size)
     if dim.denominator != 1 or dim < 0:
@@ -182,10 +185,8 @@ def twisted_coset_average(
 ) -> Fraction:
     """Average of the cube character over the twisted coset only.
 
-    Computed twice: directly over all pairs (g, h), and by the reduced
-    single sum over w (one coset element tau*(e, w) standing in for the
-    |G| pairs with h*g = w, with its square and cube obtained by explicit
-    permutation composition). The two routes must agree exactly.
+    Computed twice: directly over all pairs (g, h), and by the single sum
+    over w that `dim_invariants_perm` uses. The two routes must agree exactly.
     """
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
@@ -193,9 +194,7 @@ def twisted_coset_average(
     shift = 1 if module == AUG_KERNEL else 0
     sign = -1 if parity == EVEN else 1
     direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
-    # row w of hx is the permutation of tau*(e, w): x -> w * x^-1
-    reduced_total = _numerator_sum(G.mul_table[:, G.inv_table], shift, sign)
-    reduced = Fraction(reduced_total, 6 * n)
+    reduced = Fraction(_sum_twisted_by_products(G, shift, sign), 6 * n * n)
     if direct != reduced:
         raise SimplificationMismatch(
             f"direct twisted average {direct} != reduced single-sum value {reduced}"

@@ -49,6 +49,31 @@ def test_dims_closed_form(capsys):
     assert "dimension: 12" in out
 
 
+def test_dims_closed_form_builds_no_table(capsys):
+    # a cyclic:100000 table would have 1e10 entries; the closed form needs only n
+    code, out, _ = run_cli(
+        capsys,
+        "dims", "--group", "cyclic:100000", "--parity", "odd", "--method", "closed-form",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["dimension"] == 833383334
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--group", "cyclic:100000", "--parity", "odd"),
+        ("dims", "--group", "sl2:13", "--method", "orbit", "--parity", "odd"),
+    ],
+    ids=["table-entries", "orbit-monomials"],
+)
+def test_dims_cost_guards(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dims_json_round_trips(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -243,6 +268,22 @@ GOLDEN_OUTPUTS = [
          "--format", "json"),
         '{"convention":"inversion","dimension":3,"group":"cyclic:6","method":"perm",'
         '"module":"aug-kernel","parity":"odd","symmetry":"full"}\n',
+    ),
+    *(
+        (
+            ("dims", "--group", "sl2:7", "--module", module, "--parity", parity,
+             "--symmetry", symmetry, "--format", "json"),
+            f'{{"convention":"inversion","dimension":{dim},"group":"sl2:7","method":"perm",'
+            f'"module":"{module}","parity":"{parity}","symmetry":"{symmetry}"}}\n',
+        )
+        for module, parity, symmetry, dim in [
+            ("group-algebra", "even", "full", 61),
+            ("group-algebra", "odd", "full", 113),
+            ("aug-kernel", "even", "full", 61),
+            ("aug-kernel", "odd", "full", 104),
+            ("group-algebra", "even", "pi-pi", 108),
+            ("group-algebra", "odd", "pi-pi", 160),
+        ]
     ),
     (
         ("lens-table", "--max-n", "4"),

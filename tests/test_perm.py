@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_dims import groups, perm
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI, CosetElement
@@ -174,15 +178,38 @@ def test_augmentation_split():
         )
 
 
-def test_class_pair_reduction_identical():
-    cases = [G for _, G in small_battery(24)] + [groups.make_sl2(5)]
-    for G in cases:
-        for parity in (EVEN, ODD):
-            direct = perm.dim_invariants_perm(G, GROUP_ALGEBRA, parity, PI_PI)
-            reduced = perm.dim_invariants_perm(
-                G, GROUP_ALGEBRA, parity, PI_PI, use_class_pairs=True
+# the nonabelian ones have classes of several sizes
+REFERENCE_GROUPS = dict(groups.battery_groups(), **{"sl2:5": groups.make_sl2(5)})
+
+
+def draw_relabeling(data, G):
+    """G with its indices permuted (new = p[old]) by a drawn permutation and
+    rebuilt through make_from_cayley; the identity permutation leaves G as built.
+    (A `conjugate_by` image is no relabeling: conjugation is an automorphism,
+    so its table equals G's.)"""
+    p = np.array(data.draw(st.permutations(range(G.order))))
+    mul = np.empty((G.order, G.order), dtype=np.int64)
+    mul[np.ix_(p, p)] = p[G.mul_table]
+    return groups.make_from_cayley(mul)
+
+
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_reduced_route_equals_direct_sums(data):
+    for G in REFERENCE_GROUPS.values():
+        G = draw_relabeling(data, G)
+        for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
+            shift = 1 if module == AUG_KERNEL else 0
+            sign = -1 if parity == EVEN else 1
+            untwisted = perm._coset_sum(G, shift, sign, twisted=False)
+            twisted = perm._coset_sum(G, shift, sign, twisted=True)
+            pair_count = G.order**2
+            assert perm.dim_invariants_perm(G, module, parity, PI_PI) == Fraction(
+                untwisted, 6 * pair_count
             )
-            assert direct == reduced
+            assert perm.dim_invariants_perm(G, module, parity, FULL) == Fraction(
+                untwisted + twisted, 12 * pair_count
+            )
 
 
 def test_input_validation():
