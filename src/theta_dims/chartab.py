@@ -241,19 +241,19 @@ def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
     shift = _module_shift(module)
     sign = -1 if parity == EVEN else 1
 
-    def x(c, cc):
-        total = QuadValue.of(0, t.radicand)
-        for i in range(k):
-            total = total + t.rows[i][c] * t.rows[i][cc]
-        return total - shift
-
-    total = QuadValue.of(0, t.radicand)
+    zero = QuadValue.of(0, t.radicand)
+    # x[c][cc]: the module character at the class pair (c, cc)
+    x = [
+        [sum((t.rows[i][c] * t.rows[i][cc] for i in range(k)), zero) - shift for cc in range(k)]
+        for c in range(k)
+    ]
+    total = zero
     for c in range(k):
         for cc in range(k):
             w = t.class_sizes[c] * t.class_sizes[cc]
-            x1 = x(c, cc)
-            x2 = x(t.power2[c], t.power2[cc])
-            x3 = x(t.power3[c], t.power3[cc])
+            x1 = x[c][cc]
+            x2 = x[t.power2[c]][t.power2[cc]]
+            x3 = x[t.power3[c]][t.power3[cc]]
             total = total + w * (x1 * x1 * x1 + sign * 3 * x2 * x1 + 2 * x3)
     return total.as_fraction() / (6 * t.order**2)
 

@@ -126,9 +126,7 @@ def _compute_dims(args) -> int:
         else:  # reynolds
             if symmetry != perm.FULL:
                 raise UsageError("method reynolds computes the full symmetry only")
-            value = oracle.dim_invariants_reynolds(
-                G, args.module, args.parity, order_limit=args.reynolds_limit
-            )
+            value = oracle.dim_invariants_reynolds(G, args.module, args.parity)
     elapsed = time.perf_counter() - started
 
     record = {
@@ -213,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--method", choices=METHODS, default="perm")
     dims.add_argument("--convention", choices=chartab.CONVENTIONS, default=None)
     dims.add_argument("--char-table", help="character table JSON for method chartab")
-    dims.add_argument(
-        "--reynolds-limit",
-        type=int,
-        default=oracle.REYNOLDS_ORDER_LIMIT,
-        help="order guard for the projector method",
-    )
     dims.add_argument("--format", choices=FORMATS, default="text")
     dims.set_defaults(func=_compute_dims)
 

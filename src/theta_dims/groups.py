@@ -79,16 +79,6 @@ class GroupTable:
             return str(int(x))
         return self.labels[int(x)]
 
-    def conjugate_by(self, a: int) -> "GroupTable":
-        """The same group with elements relabeled by x -> a x a^-1."""
-        n = self.order
-        p = self.mul_table[self.mul_table[a], self.inv_table[a]]
-        pinv = np.empty(n, dtype=p.dtype)
-        pinv[p] = np.arange(n, dtype=p.dtype)
-        mul = p[self.mul_table[np.ix_(pinv, pinv)]]
-        inv = p[self.inv_table[pinv]]
-        return GroupTable(_freeze(mul), _freeze(inv), int(p[self.identity]))
-
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyData:
@@ -183,19 +173,20 @@ def make_sl2(p: int) -> GroupTable:
     mats = sl2_matrices(p)
     n = len(mats)
     assert n == p * (p * p - 1)
-    index = {m: i for i, m in enumerate(mats)}
-    arr = np.array(mats, dtype=np.int64)
-    a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    a, b, c, d = np.array(mats, dtype=np.int64).T
     dt = _index_dtype(n)
+
+    def code(a, b, c, d):
+        return ((a * p + b) * p + c) * p + d
+
+    index = np.zeros(p**4, dtype=dt)  # matrix code -> element index
+    index[code(a, b, c, d)] = np.arange(n)
     mul = np.empty((n, n), dtype=dt)
     for i, (ai, bi, ci, di) in enumerate(mats):
-        pa = (ai * a + bi * c) % p
-        pb = (ai * b + bi * d) % p
-        pc = (ci * a + di * c) % p
-        pd = (ci * b + di * d) % p
-        mul[i] = [index[key] for key in zip(pa.tolist(), pb.tolist(), pc.tolist(), pd.tolist())]
-    inv = np.array([index[(di, (-bi) % p, (-ci) % p, ai)] for ai, bi, ci, di in mats], dtype=dt)
-    e = index[(1, 0, 0, 1)]
+        product = (ai * a + bi * c, ai * b + bi * d, ci * a + di * c, ci * b + di * d)
+        mul[i] = index[code(*(x % p for x in product))]
+    inv = index[code(d, -b % p, -c % p, a)]
+    e = int(index[code(1, 0, 0, 1)])
     labels = tuple(f"[{ai},{bi};{ci},{di}]" for ai, bi, ci, di in mats)
     return GroupTable(_freeze(mul), _freeze(inv), e, labels)
 

@@ -254,12 +254,12 @@ def _symmetry_elements(G: GroupTable):
                 yield CosetElement(twisted, g, h)
 
 
-def _cube_basis(G: GroupTable, module: str, parity: str, order_limit: int):
+def _cube_basis(G: GroupTable, module: str, parity: str):
     """Monomial basis of the cubic power of the module, with its index map."""
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
-    if G.order > order_limit:
-        raise TooLarge(f"group order {G.order} exceeds the guard {order_limit}")
+    if G.order > REYNOLDS_ORDER_LIMIT:
+        raise TooLarge(f"group order {G.order} exceeds the guard {REYNOLDS_ORDER_LIMIT}")
     basis = _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
     return basis, {m: i for i, m in enumerate(basis)}
 
@@ -287,16 +287,14 @@ def _action_matrix(G: GroupTable, sigma: CosetElement, module: str, parity: str,
     return m
 
 
-def build_module_actions(
-    G: GroupTable, module: str, parity: str, *, order_limit: int = REYNOLDS_ORDER_LIMIT
-) -> tuple[list[np.ndarray], int]:
+def build_module_actions(G: GroupTable, module: str, parity: str) -> tuple[list[np.ndarray], int]:
     """Explicit integer matrices of every symmetry element on the cubic power.
 
     Returns one matrix per element of the doubled-and-swapped group, in the
     order untwisted pairs then twisted pairs (each lexicographic in (g, h)),
     together with the matrix dimension.
     """
-    basis, index = _cube_basis(G, module, parity, order_limit)
+    basis, index = _cube_basis(G, module, parity)
     matrices = [
         _action_matrix(G, sigma, module, parity, basis, index)
         for sigma in _symmetry_elements(G)
@@ -304,27 +302,45 @@ def build_module_actions(
     return matrices, len(basis)
 
 
-def dim_invariants_reynolds(
-    G: GroupTable, module: str, parity: str, *, order_limit: int = REYNOLDS_ORDER_LIMIT
-) -> int:
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # an int64 product is exact only while every partial sum provably fits
+    assert a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_LIMIT
+    return a @ b
+
+
+def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
+    """Sum of the action matrices of all 2n^2 symmetry elements: untwisted (g, h)
+    is (g, e) after (e, h) and twisted (g, h) is tau*(e, e) after it, so the
+    sum is (I + T)(sum_g L_g)(sum_h R_h) with L_g = (g, e), R_h = (e, h),
+    T = tau*(e, e)."""
+    basis, index = _cube_basis(G, module, parity)
+    e = G.identity
+
+    def lift(twisted: bool, g: int, h: int) -> np.ndarray:
+        return _action_matrix(G, CosetElement(twisted, g, h), module, parity, basis, index)
+
+    left = sum(lift(False, g, e) for g in range(G.order))
+    right = sum(lift(False, e, h) for h in range(G.order))
+    twist = np.eye(len(basis), dtype=np.int64) + lift(True, e, e)
+    return _exact_matmul(_exact_matmul(twist, left), right)
+
+
+def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
     """Invariant dimension as the exact rank of the group-average projector.
 
-    The rank is taken on the integer sum of the action matrices, which is the
-    projector scaled by the size of the symmetry group.
+    The rank is taken on the integer sum of the action matrices over the
+    doubled-and-swapped group, which is the projector scaled by the size of
+    that group. The sum is formed as (I + T)(sum_g L_g)(sum_h R_h) from
+    2n + 1 lifted elements: L_g = (g, e), R_h = (e, h), T = tau*(e, e).
     """
-    basis, index = _cube_basis(G, module, parity, order_limit)
-    dim = len(basis)
+    acc = _reynolds_sum(G, module, parity)
     group_size = 2 * G.order**2
-    if dim == 0:
-        return 0
-    acc = sum(
-        _action_matrix(G, sigma, module, parity, basis, index)
-        for sigma in _symmetry_elements(G)
-    )
-    # int64 products must be provably exact before checking idempotence
-    bound = int(np.abs(acc).max())
-    assert dim * bound * bound < _INT64_LIMIT and group_size * bound < _INT64_LIMIT
-    if not np.array_equal(acc @ acc, group_size * acc):
+    assert group_size * _max_abs(acc) < _INT64_LIMIT
+    if not np.array_equal(_exact_matmul(acc, acc), group_size * acc):
         raise ProjectorNotIdempotent(
             f"averaged action is not a projector (module={module}, parity={parity})"
         )

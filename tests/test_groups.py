@@ -80,6 +80,15 @@ def test_make_sl2_larger_primes(p):
     assert groups.conjugacy_classes(G).num_classes == p + 4
     if p == 7:
         groups.validate_group(G)
+    mats = groups.sl2_matrices(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        x, y = rng.randrange(G.order), rng.randrange(G.order)
+        (a, b, c, d), (e, f, g, h) = mats[x], mats[y]
+        product = ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+        assert mats[G.mul(x, y)] == product
+        assert mats[G.inv(x)] == (d, -b % p, -c % p, a)
+    assert mats[G.identity] == (1, 0, 0, 1)
 
 
 def test_constructed_groups_satisfy_axioms():
@@ -172,13 +181,18 @@ def test_conjugacy_classes_sl2f5():
 
 
 def test_conjugacy_invariant_under_relabeling():
-    rng = random.Random(7)
+    rng = np.random.default_rng(7)
     for name, G in [("S3", groups.make_from_cayley(s3_cayley_table())), ("Q8", groups.make_quaternion8())]:
-        base = sorted(groups.conjugacy_classes(G).sizes)
-        a = rng.randrange(G.order)
-        relabeled = G.conjugate_by(a)
-        groups.validate_group(relabeled)
-        assert sorted(groups.conjugacy_classes(relabeled).sizes) == base
+        p = rng.permutation(G.order)  # new index = p[old]
+        mul = np.empty((G.order, G.order), dtype=np.int64)
+        mul[np.ix_(p, p)] = p[G.mul_table]
+        relabeled = groups.make_from_cayley(mul)
+        assert not np.array_equal(relabeled.mul_table, G.mul_table), name
+        old_classes = groups.conjugacy_classes(G).class_of
+        new_classes = groups.conjugacy_classes(relabeled).class_of[p]
+        # the same partition of the old indices, up to the numbering of the classes
+        pairs = set(zip(old_classes.tolist(), new_classes.tolist()))
+        assert len(pairs) == len(set(old_classes.tolist())) == len(set(new_classes.tolist())), name
 
 
 def test_class_power_map_well_defined():

@@ -48,10 +48,6 @@ def test_reynolds_examples():
 def test_reynolds_size_guard():
     with pytest.raises(TooLarge):
         oracle.dim_invariants_reynolds(groups.make_cyclic(13), GROUP_ALGEBRA, ODD)
-    # override raises the limit
-    assert oracle.dim_invariants_reynolds(
-        groups.make_cyclic(13), AUG_KERNEL, EVEN, order_limit=13
-    ) == perm.dim_invariants_perm(groups.make_cyclic(13), AUG_KERNEL, EVEN, FULL)
 
 
 def test_reynolds_matches_perm_small_battery():
@@ -63,6 +59,18 @@ def test_reynolds_matches_perm_small_battery():
                 assert oracle.dim_invariants_reynolds(G, module, parity) == (
                     perm.dim_invariants_perm(G, module, parity, FULL)
                 ), (name, module, parity)
+
+
+def test_factored_sum_equals_sum_of_all_actions():
+    for name, G in groups.battery_groups():
+        if G.order > 8:
+            continue
+        for module in (GROUP_ALGEBRA, AUG_KERNEL):
+            for parity in (EVEN, ODD):
+                mats, dim = oracle.build_module_actions(G, module, parity)
+                factored = oracle._reynolds_sum(G, module, parity)
+                assert factored.shape == (dim, dim), (name, module, parity)
+                assert np.array_equal(factored, sum(mats)), (name, module, parity)
 
 
 def test_build_module_actions_shapes():
@@ -83,19 +91,26 @@ def test_identity_element_acts_as_identity_matrix():
 
 
 def test_action_matrices_multiply_like_the_group():
-    G = groups.make_cyclic(3)
-    mats, dim = oracle.build_module_actions(G, GROUP_ALGEBRA, EVEN)
-    elements = [
-        perm.CosetElement(twisted, g, h)
-        for twisted in (False, True)
-        for g in range(3)
-        for h in range(3)
-    ]
-    lookup = dict(zip(elements, mats))
-    rng = random.Random(6)
-    for _ in range(20):
-        s, t = rng.choice(elements), rng.choice(elements)
-        assert np.array_equal(lookup[s] @ lookup[t], lookup[perm.compose(G, s, t)])
+    S3 = groups.make_permutation_group([(1, 0, 2), (1, 2, 0)])
+    for G, module, parity in [
+        (groups.make_cyclic(3), GROUP_ALGEBRA, EVEN),
+        (S3, GROUP_ALGEBRA, ODD),
+        (S3, AUG_KERNEL, EVEN),
+    ]:
+        mats, dim = oracle.build_module_actions(G, module, parity)
+        elements = [
+            perm.CosetElement(twisted, g, h)
+            for twisted in (False, True)
+            for g in range(G.order)
+            for h in range(G.order)
+        ]
+        lookup = dict(zip(elements, mats))
+        rng = random.Random(6)
+        for _ in range(20):
+            s, t = rng.choice(elements), rng.choice(elements)
+            assert np.array_equal(lookup[s] @ lookup[t], lookup[perm.compose(G, s, t)]), (
+                G.order, module, parity, s, t
+            )
 
 
 def brute_rank_over_q(rows):

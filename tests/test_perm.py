@@ -184,9 +184,7 @@ REFERENCE_GROUPS = dict(groups.battery_groups(), **{"sl2:5": groups.make_sl2(5)}
 
 def draw_relabeling(data, G):
     """G with its indices permuted (new = p[old]) by a drawn permutation and
-    rebuilt through make_from_cayley; the identity permutation leaves G as built.
-    (A `conjugate_by` image is no relabeling: conjugation is an automorphism,
-    so its table equals G's.)"""
+    rebuilt through make_from_cayley; the identity permutation leaves G as built."""
     p = np.array(data.draw(st.permutations(range(G.order))))
     mul = np.empty((G.order, G.order), dtype=np.int64)
     mul[np.ix_(p, p)] = p[G.mul_table]
