@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HalfwayPoint
-from .oracle import _monomials, _rank_of_rows, sym_canonical, wedge_canonical
-from .perm import EVEN, PARITIES, _check_choice
+from .oracle import _monomials, _rank, _rank_of_rows, _sort_sign
+from .perm import PARITIES, _check_choice
 
 # incremental tables for partitions into parts of size <= 2 and <= 3
 _P2 = [1]
@@ -83,34 +85,24 @@ def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
     _check_choice(parity, PARITIES, "parity")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    acc: dict[tuple[int, int, int], int] = {}
-    for triple in (
+    triples = np.array([
         ((b - a) % n, (c - b) % n, (a - c) % n),
         ((a - b) % n, (b - c) % n, (c - a) % n),
-    ):
-        if parity == EVEN:
-            term = wedge_canonical(triple)
-            if term is None:
-                continue
-            sign, key = term
-        else:
-            sign, key = 1, sym_canonical(triple)
+    ])
+    keys, signs = _sort_sign(triples, parity)
+    acc: dict[tuple[int, int, int], int] = {}
+    for key, sign in zip(map(tuple, keys.tolist()), signs.tolist()):
         acc[key] = acc.get(key, 0) + sign
     coeffs = tuple(sorted((k, v) for k, v in acc.items() if v))
     return WeightVector(n, parity, coeffs)
 
 
-def _orbit_representatives(n: int, parity: str):
-    """One canonical monomial per orbit under index shifts and negation."""
-    reps = set()
-    for mono in _monomials(n, parity):
-        images = []
-        for flip in (1, -1):
-            base = tuple(flip * v % n for v in mono)
-            for k in range(n):
-                images.append(tuple(sorted((v + k) % n for v in base)))
-        reps.add(min(images))
-    return sorted(reps)
+def _orbit_representatives(n: int, parity: str) -> list[list[int]]:
+    """One monomial per orbit under index shifts and negation: the least in rank."""
+    basis = _monomials(n, parity)
+    images = np.stack([basis, -basis])[:, None] + np.arange(n)[:, None, None]
+    ranks = _rank(_sort_sign(images % n, parity)[0], parity).min(axis=(0, 1))
+    return basis[np.unique(ranks)].tolist()
 
 
 def weight_rank(n: int, parity: str) -> int:
@@ -123,7 +115,7 @@ def weight_rank(n: int, parity: str) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     full = _rank_of_rows(
-        weight_map(n, *mono, parity).coeffs for mono in _monomials(n, parity)
+        weight_map(n, *mono, parity).coeffs for mono in _monomials(n, parity).tolist()
     )
     if n <= 12:
         reduced = _rank_of_rows(

@@ -3,10 +3,14 @@
 Two routes that share nothing with the character computations:
 
 * orbit counting on the monomial basis of the cubic powers of the group
-  algebra, with a sign-tracking union-find (a wedge orbit dies when some
-  stabilizer element acts by -1);
+  algebra, as the components of the sign double cover of the monomial basis
+  (a wedge orbit dies when some stabilizer element acts by -1);
 * the exact group-average projector on explicit action matrices, whose
   rank is the invariant dimension.
+
+Both build on one vectorized monomial kernel: `_monomials` enumerates the
+basis, `_sort_sign` sorts index triples and gives their wedge sign, and
+`_rank` gives their combinadic rank, which is the basis position.
 """
 
 from __future__ import annotations
@@ -31,37 +35,44 @@ from .perm import (
 )
 
 REYNOLDS_ORDER_LIMIT = 12
-# the orbit method holds about 330 bytes per monomial; this admits sl2:7 (6.4M)
+# the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
+# the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
 ORBIT_MONOMIAL_LIMIT = 1 << 23
 _INT64_LIMIT = int(np.iinfo(np.int64).max)
 
 
-def wedge_canonical(triple) -> tuple[int, tuple[int, int, int]] | None:
-    """Sort a wedge monomial; return (sign, sorted triple), or None if it dies."""
-    x, y, z = triple
-    if x == y or y == z or x == z:
-        return None
-    sign = 1
-    if x > y:
-        x, y, sign = y, x, -sign
-    if y > z:
-        y, z, sign = z, y, -sign
-    if x > y:
-        x, y, sign = y, x, -sign
-    return sign, (x, y, z)
-
-
-def sym_canonical(triple) -> tuple[int, int, int]:
-    """Sort a symmetric monomial."""
-    return tuple(sorted(triple))
-
-
-def _monomials(n: int, parity: str) -> list[tuple[int, int, int]]:
+def _monomials(n: int, parity: str) -> np.ndarray:
     """Basis of the alternating ("even") or symmetric ("odd") cube on n points:
-    sorted index triples in lexicographic order."""
-    if parity == EVEN:
-        return list(itertools.combinations(range(n), 3))
-    return list(itertools.combinations_with_replacement(range(n), 3))
+    sorted index triples as an (m, 3) int64 array, listed in rank order (row i
+    has `_rank` i)."""
+    k = n if parity == EVEN else n + 2
+    z, y = np.tril_indices(k, -1)  # pairs y < z, ordered by z, then y
+    x = np.arange(int(y.sum())) - np.repeat(np.cumsum(y) - y, y)
+    triples = np.stack([x, np.repeat(y, y), np.repeat(z, y)], axis=1)
+    # the strict triple (x, y + 1, z + 2) on n + 2 points is the multiset x <= y <= z
+    return triples if parity == EVEN else triples - np.arange(3)
+
+
+def _sort_sign(triples: np.ndarray, parity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index triples (along the last axis) sorted, with the sign each carries as
+    a monomial: for the wedge the sign of the sort, or 0 where an index repeats;
+    1 for the symmetric cube."""
+    s = np.sort(triples, axis=-1)
+    if parity != EVEN:
+        return s, np.broadcast_to(np.int64(1), s.shape[:-1])
+    a, b, c = np.moveaxis(triples, -1, 0)
+    sign = 1 - 2 * (((a > b).astype(np.int64) + (a > c) + (b > c)) & 1)
+    sign *= (s[..., 0] != s[..., 1]) & (s[..., 1] != s[..., 2])
+    return s, sign
+
+
+def _rank(s: np.ndarray, parity: str) -> np.ndarray:
+    """Combinadic rank of sorted index triples among the monomials of `parity`."""
+    # int64 up front: the rank arithmetic overflows narrow index dtypes
+    x, y, z = np.moveaxis(s.astype(np.int64), -1, 0)
+    if parity != EVEN:
+        y, z = y + 1, z + 2
+    return z * (z - 1) * (z - 2) // 6 + y * (y - 1) // 2 + x
 
 
 def _rank_of_rows(rows) -> int:
@@ -97,58 +108,6 @@ def _verify_generators(G: GroupTable, generators) -> list[int]:
     return gens
 
 
-class _SignedUnionFind:
-    """Union-find whose nodes carry a sign relative to their root.
-
-    Uniting two nodes whose implied relative sign conflicts with an edge
-    marks the whole orbit as sign-killed.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = bytearray(n)  # parity bit of the sign to the parent
-        self.size = [1] * n
-        self.killed = bytearray(n)  # meaningful at roots
-
-    def find(self, x: int) -> tuple[int, int]:
-        parent, sign = self.parent, self.sign
-        root, s = x, 0
-        while parent[root] != root:
-            s ^= sign[root]
-            root = parent[root]
-        cur, cs = x, s  # path compression, re-rooting the signs
-        while parent[cur] != root:
-            nxt, old = parent[cur], sign[cur]
-            parent[cur] = root
-            sign[cur] = cs
-            cur, cs = nxt, cs ^ old
-        return root, s
-
-    def union(self, x: int, y: int, edge_sign: int) -> None:
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx ^ sy != edge_sign:
-                self.killed[rx] = 1
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-            sx, sy = sy, sx
-        self.parent[ry] = rx
-        self.sign[ry] = sx ^ sy ^ edge_sign
-        self.size[rx] += self.size[ry]
-        self.killed[rx] |= self.killed[ry]
-
-    def orbit_counts(self) -> tuple[int, int]:
-        """(number of orbits, number of sign-killed orbits)."""
-        total = killed = 0
-        for x in range(len(self.parent)):
-            if self.parent[x] == x:
-                total += 1
-                killed += self.killed[x]
-        return total, killed
-
-
 def _symmetry_permutations(G: GroupTable, gens: list[int], symmetry: str) -> list[np.ndarray]:
     perms = []
     for s in gens:
@@ -166,7 +125,13 @@ def dim_invariants_orbit(
     generators=None,
 ) -> int:
     """Invariant dimension of the cubic power of the group algebra by orbit
-    counting over monomials, using only symmetry generators."""
+    counting over monomials, using only symmetry generators.
+
+    Counts the components of the sign double cover of the monomial basis: node
+    i + s*m is monomial i with sign (-1)^s (the symmetric cube has one sheet).
+    A wedge orbit whose two sheets meet dies, since some stabilizer element acts
+    on it by -1; every other orbit covers two components.
+    """
     _check_choice(parity, PARITIES, "parity")
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
@@ -178,72 +143,41 @@ def dim_invariants_orbit(
         generators = generating_set(G)
     gens = _verify_generators(G, generators)
     basis = _monomials(n, parity)
-    if not basis:
-        return 0
-    arr = np.array(basis, dtype=np.int64)
-    if not wedge:
-        # shift a multiset x<=y<=z to a strict triple over n+2 points
-        arr = arr + np.arange(3, dtype=np.int64)
-        m = n + 2
-    else:
-        m = n
+    m = len(basis)
+    # the combinadic rank is the node id; it must be a bijection onto range(m)
+    assert np.array_equal(_rank(basis, parity), np.arange(m))
 
-    def rank_of(rows: np.ndarray) -> np.ndarray:
-        x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
-        return z * (z - 1) * (z - 2) // 6 + y * (y - 1) // 2 + x
-
-    base_rank = rank_of(arr)
-    # the combinadic rank is the union-find node id; it must be a bijection
-    assert np.array_equal(np.sort(base_rank), np.arange(len(basis)))
-
-    uf = _SignedUnionFind(len(basis))
-    raw = np.array(basis, dtype=np.int64)
-    sources = base_rank.tolist()
+    # each symmetry generator as a bijection of the nodes; node ids fit int32,
+    # as there are at most 2 * ORBIT_MONOMIAL_LIMIT of them
+    moves = []
     for p in _symmetry_permutations(G, gens, symmetry):
-        # int64 up front: the rank arithmetic overflows narrow index dtypes
-        images = p[raw].astype(np.int64)
-        signs = np.zeros(len(basis), dtype=np.int64)
+        images, sign = _sort_sign(p[basis], parity)
+        target = _rank(images, parity)
         if wedge:
-            a, b, c = images[:, 0], images[:, 1], images[:, 2]
-            signs = ((a > b).astype(np.int64) + (a > c) + (b > c)) & 1
-        images = np.sort(images, axis=1)
-        if not wedge:
-            images = images + np.arange(3, dtype=np.int64)
-        targets = rank_of(images)
-        for i, j, s in zip(sources, targets.tolist(), signs.tolist()):
-            uf.union(i, j, s)
+            flip = (sign < 0) * m
+            target = np.concatenate([target + flip, target + (m - flip)])
+        moves.append(target.astype(np.int32))
 
-    total, killed = uf.orbit_counts()
-    return total - killed if wedge else total
+    # forward-only min-label propagation, pulling label[f[i]] into node i: at the
+    # fixed point the label is constant along every cycle of every move (each
+    # is a bijection), hence on every orbit, and it is the orbit's least node
+    label = np.arange(m * (2 if wedge else 1), dtype=np.int32)
+    while True:
+        before = label
+        for f in moves:
+            label = np.minimum(label, label[f])
+        while not np.array_equal(hop := label[label], label):
+            label = hop
+        if np.array_equal(label, before):
+            break
+    roots = label == np.arange(len(label))
+    if not wedge:
+        return int(np.count_nonzero(roots))
+    killed = np.count_nonzero(roots[:m] & (label[:m] == label[m:]))
+    return int(np.count_nonzero(roots) - killed) // 2
 
 
 # -- explicit matrices and the averaged projector --------------------------------
-
-
-def _module_columns(G: GroupTable, sigma: CosetElement, module: str):
-    """Images of the module basis under sigma, as sparse columns.
-
-    For the group algebra the basis is e_x and each image is one basis
-    vector. For the augmentation kernel the basis is f_x = e_x - e_1
-    (x != identity), so an image is a difference of at most two of them.
-    """
-    p = permutation_of(G, sigma)
-    e = G.identity
-    if module == GROUP_ALGEBRA:
-        return [[(int(p[x]), 1)] for x in range(G.order)]
-    slots = [x for x in range(G.order) if x != e]
-    index = {x: i for i, x in enumerate(slots)}
-    base = int(p[e])
-    cols = []
-    for x in slots:
-        img = int(p[x])
-        col = []
-        if img != e:
-            col.append((index[img], 1))
-        if base != e:
-            col.append((index[base], -1))
-        cols.append(col)
-    return cols
 
 
 def _symmetry_elements(G: GroupTable):
@@ -254,37 +188,43 @@ def _symmetry_elements(G: GroupTable):
                 yield CosetElement(twisted, g, h)
 
 
-def _cube_basis(G: GroupTable, module: str, parity: str):
-    """Monomial basis of the cubic power of the module, with its index map."""
+def _cube_basis(G: GroupTable, module: str, parity: str) -> np.ndarray:
+    """Monomial basis of the cubic power of the module, in rank order."""
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
     if G.order > REYNOLDS_ORDER_LIMIT:
         raise TooLarge(f"group order {G.order} exceeds the guard {REYNOLDS_ORDER_LIMIT}")
-    basis = _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
-    return basis, {m: i for i, m in enumerate(basis)}
+    return _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
 
 
-def _action_matrix(G: GroupTable, sigma: CosetElement, module: str, parity: str, basis, index):
-    """Dense integer matrix of sigma acting on the cubic monomial basis."""
-    cols = _module_columns(G, sigma, module)
-    wedge = parity == EVEN
-    entries = []  # (row, column, value); repeated positions add up
-    for j, mono in enumerate(basis):
-        for (i1, a1), (i2, a2), (i3, a3) in itertools.product(*(cols[x] for x in mono)):
-            coeff = a1 * a2 * a3
-            if wedge:
-                canon = wedge_canonical((i1, i2, i3))
-                if canon is None:
-                    continue
-                s, key = canon
-                coeff *= s
-            else:
-                key = sym_canonical((i1, i2, i3))
-            entries.append((index[key], j, coeff))
-    m = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    e = np.array(entries, dtype=np.int64).reshape(-1, 3)
-    np.add.at(m, (e[:, 0], e[:, 1]), e[:, 2])
-    return m
+def _action_matrix(G: GroupTable, sigma: CosetElement, module: str, parity: str, basis):
+    """Dense integer matrix of sigma acting on the cubic monomial basis; row and
+    column i belong to the monomial of rank i.
+
+    For the group algebra the module basis is e_x and a monomial has one image
+    term. For the augmentation kernel slot x is f_x' = e_x' - e_1 with
+    x' = x + (x >= identity); f_x' goes to f_p[x'] - f_p[1] with f_1 = 0, so a
+    monomial has 2^3 image terms, less those that choose the identity.
+    """
+    p = np.asarray(permutation_of(G, sigma), dtype=np.int64)
+    if module == GROUP_ALGEBRA:
+        terms, values = p[basis][None], np.ones((1, len(basis)), dtype=np.int64)
+    else:
+        e = G.identity
+        slot = np.arange(G.order - 1)
+        options = np.stack([p[slot + (slot >= e)], np.full_like(slot, p[e])])
+        choice = np.array(list(itertools.product((0, 1), repeat=3)))
+        chosen = options[choice[:, None, :], basis]  # elements, (8, m, 3)
+        coeff = 1 - 2 * (choice.sum(axis=1, keepdims=True) & 1)
+        values = np.where((chosen != e).all(axis=2), coeff, 0)
+        terms = chosen - (chosen > e)
+    images, sign = _sort_sign(terms, parity)
+    values = values * sign
+    keep = values != 0
+    columns = np.broadcast_to(np.arange(len(basis)), values.shape)
+    matrix = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    np.add.at(matrix, (_rank(images[keep], parity), columns[keep]), values[keep])
+    return matrix
 
 
 def build_module_actions(G: GroupTable, module: str, parity: str) -> tuple[list[np.ndarray], int]:
@@ -294,9 +234,9 @@ def build_module_actions(G: GroupTable, module: str, parity: str) -> tuple[list[
     order untwisted pairs then twisted pairs (each lexicographic in (g, h)),
     together with the matrix dimension.
     """
-    basis, index = _cube_basis(G, module, parity)
+    basis = _cube_basis(G, module, parity)
     matrices = [
-        _action_matrix(G, sigma, module, parity, basis, index)
+        _action_matrix(G, sigma, module, parity, basis)
         for sigma in _symmetry_elements(G)
     ]
     return matrices, len(basis)
@@ -317,11 +257,11 @@ def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
     is (g, e) after (e, h) and twisted (g, h) is tau*(e, e) after it, so the
     sum is (I + T)(sum_g L_g)(sum_h R_h) with L_g = (g, e), R_h = (e, h),
     T = tau*(e, e)."""
-    basis, index = _cube_basis(G, module, parity)
+    basis = _cube_basis(G, module, parity)
     e = G.identity
 
     def lift(twisted: bool, g: int, h: int) -> np.ndarray:
-        return _action_matrix(G, CosetElement(twisted, g, h), module, parity, basis, index)
+        return _action_matrix(G, CosetElement(twisted, g, h), module, parity, basis)
 
     left = sum(lift(False, g, e) for g in range(G.order))
     right = sum(lift(False, e, h) for h in range(G.order))

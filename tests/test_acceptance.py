@@ -3,14 +3,10 @@
 Everything is exact integer/rational arithmetic, so there are no numeric
 tolerances; the only budgets are wall-clock ones, asserted where stated.
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
-Set THETA_DIMS_ORBIT_SL2=1 to enable the flagged big-group orbit check.
 """
 
-import os
 import random
 import time
-
-import pytest
 
 from theta_dims import chartab, cli, groups, lens, oracle, perm
 
@@ -21,8 +17,6 @@ REFERENCE_TABLE = {
     "odd_ker": [0, 0, 1, 1, 2, 3, 4, 5, 7, 8, 10, 12, 14, 16, 19],
     "even_ker": [0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 7, 8, 10, 12],
 }
-
-RUN_ORBIT_SL2 = os.environ.get("THETA_DIMS_ORBIT_SL2") == "1"
 
 
 class _criterion:
@@ -247,9 +241,6 @@ def test_criterion_10_convention_report(capsys):
                 ) == perm.twisted_coset_average(G, module, parity)
 
 
-@pytest.mark.skipif(
-    not RUN_ORBIT_SL2, reason="set THETA_DIMS_ORBIT_SL2=1 to run the big orbit check"
-)
 def test_criterion_10_orbit_confirmation_flagged():
     with _criterion(10, "orbit oracle confirms the inversion values on the big group") as c:
         G = groups.make_sl2(5)

@@ -1,12 +1,35 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_perm import draw_relabeling
 
 from theta_dims import groups, oracle, perm
 from theta_dims.errors import GeneratorsDontGenerate, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
+
+
+def test_monomial_kernel_against_loops():
+    for n in range(8):
+        for parity, combos in (
+            (EVEN, itertools.combinations),
+            (ODD, itertools.combinations_with_replacement),
+        ):
+            basis = oracle._monomials(n, parity)
+            assert basis.dtype == np.int64 and basis.shape[1:] == (3,)
+            assert sorted(map(tuple, basis.tolist())) == list(combos(range(n), 3))
+            assert np.array_equal(oracle._rank(basis, parity), np.arange(len(basis)))
+    triples = np.array(list(itertools.product(range(4), repeat=3)))
+    for parity in (EVEN, ODD):
+        keys, signs = oracle._sort_sign(triples, parity)
+        for t, key, sign in zip(triples.tolist(), keys.tolist(), signs.tolist()):
+            inversions = sum(t[i] > t[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+            want = 1 if parity == ODD else (-1) ** inversions * (len(set(t)) == 3)
+            assert (key, sign) == (sorted(t), want), (t, parity)
 
 
 def test_orbit_cyclic_examples():
@@ -20,11 +43,15 @@ def test_orbit_rejects_non_generating_set():
         oracle.dim_invariants_orbit(groups.make_cyclic(6), ODD, FULL, [2])
 
 
-def test_orbit_matches_perm_on_battery():
+# the first example draws the identity relabeling, so the battery as built
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_orbit_matches_perm_on_battery(data):
     for name, G in groups.battery_groups():
+        relabeled = draw_relabeling(data, G)
         for parity in (EVEN, ODD):
             for symmetry in (FULL, PI_PI):
-                assert oracle.dim_invariants_orbit(G, parity, symmetry) == (
+                assert oracle.dim_invariants_orbit(relabeled, parity, symmetry) == (
                     perm.dim_invariants_perm(G, GROUP_ALGEBRA, parity, symmetry)
                 ), (name, parity, symmetry)
 
