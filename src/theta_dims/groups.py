@@ -1,8 +1,10 @@
 """Finite groups as dense index tables, with conjugacy structure.
 
 Elements are dense integer indices 0..n-1 and the product is a flat n x n
-lookup table. Class indices are ordered by smallest member, so every
-derived quantity is deterministic across runs and platforms.
+lookup table. Subgroup closures and conjugacy classes are orbits, found by
+one min-label kernel: classes are the orbits of conjugation by a generating
+set. Class indices are ordered by smallest member, so every derived quantity
+is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
@@ -230,7 +232,8 @@ def make_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
 def make_permutation_group(generators: list[tuple[int, ...]]) -> GroupTable:
     """Close a set of permutations under composition and build the Cayley table.
 
-    Elements are ordered lexicographically as permutation tuples.
+    Elements are ordered lexicographically as permutation tuples. Raises
+    TooLarge as soon as the closure passes the largest order a table admits.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -245,6 +248,7 @@ def make_permutation_group(generators: list[tuple[int, ...]]) -> GroupTable:
                 q = tuple(g[p[i]] for i in range(m))
                 if q not in seen:
                     seen.add(q)
+                    _check_table_size(len(seen))
                     nxt.append(q)
         frontier = nxt
     elems = sorted(seen)
@@ -258,20 +262,18 @@ def make_permutation_group(generators: list[tuple[int, ...]]) -> GroupTable:
 
 
 def conjugacy_classes(G: GroupTable) -> ConjugacyData:
-    """Conjugacy classes by orbit closure, indexed by smallest representative."""
-    n = G.order
+    """Conjugacy classes as the orbits of conjugation by a generating set and
+    its inverses, indexed by smallest representative."""
     mul, inv = G.mul_table, G.inv_table
-    all_h = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int32)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        members = np.unique(mul[mul[all_h, g], inv[all_h]])
-        class_of[members] = len(reps)
-        reps.append(g)
-        sizes.append(len(members))
+    moves = []
+    for s in generating_set(G):
+        moves.append(mul[mul[s], inv[s]])  # x -> s x s^-1
+        moves.append(mul[mul[inv[s]], s])  # x -> s^-1 x s
+    label = _orbit_labels(moves, G.order)
+    roots = label == np.arange(G.order)
+    class_of = (np.cumsum(roots, dtype=np.int32) - 1)[label]
+    reps = np.flatnonzero(roots).tolist()
+    sizes = np.bincount(class_of).tolist()
     return ConjugacyData(_freeze(class_of), tuple(reps), tuple(sizes))
 
 
@@ -289,34 +291,48 @@ def inversion_on_classes(G: GroupTable, cd: ConjugacyData) -> tuple[tuple[int, .
     return perm, orbit_count
 
 
-def _closure(G: GroupTable, gens: list[int]) -> set[int]:
-    """The subgroup generated by gens, by breadth-first right multiplication."""
-    reached = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = G.mul(x, s)
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return reached
+def _orbit_labels(moves: list[np.ndarray], size: int) -> np.ndarray:
+    """Each point's least orbit member under the bijections in moves.
+
+    Forward-only min-label propagation, pulling label[f[i]] into point i: at
+    the fixed point the label is constant along every cycle of every move (each
+    is a bijection), hence on every orbit, and it is the orbit's least point.
+    Labels travel one step per round against a cycle; pass inverses for long ones.
+    """
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        before = label
+        for f in moves:
+            label = np.minimum(label, label[f])
+        while not np.array_equal(hop := label[label], label):
+            label = hop
+        if np.array_equal(label, before):
+            return label
+
+
+def _closure(G: GroupTable, gens: list[int]) -> np.ndarray:
+    """Mask of the subgroup generated by gens: the orbit of the identity under
+    right multiplication by each generator and its inverse."""
+    mul, inv = G.mul_table, G.inv_table
+    moves = [mul[:, t] for s in gens for t in (s, inv[s])]
+    label = _orbit_labels(moves, G.order)
+    return label == label[G.identity]
 
 
 def _greedy_generators(G: GroupTable) -> Iterator[int]:
     """Generators chosen greedily by ascending element index, each yielded
     before the closure that includes it is built."""
     gens: list[int] = []
-    closure = {G.identity}
+    closure = np.arange(G.order) == G.identity
+    reached = 1
     for g in range(G.order):
-        if len(closure) == G.order:
+        if reached == G.order:
             return
-        if g not in closure:
+        if not closure[g]:
             gens.append(g)
             yield g
             closure = _closure(G, gens)
+            reached = int(np.count_nonzero(closure))
 
 
 def generating_set(G: GroupTable) -> list[int]:
@@ -342,6 +358,7 @@ class FixtureReport:
     """Outcome of checking a fixture against the constructed group."""
 
     mismatches: tuple[str, ...] = field(default=())
+    label_class: dict[str, int] = field(default_factory=dict)  # by majority vote
 
     @property
     def ok(self) -> bool:
@@ -407,7 +424,7 @@ def verify_sl2f5_fixture(G: GroupTable, fx: Sl2Fixture) -> FixtureReport:
         cidx = int(cd.class_of[index[mat]])
         if cidx != label_class[label]:
             mismatches.append(f"{name}: labeled {label}, computed class is {class_label[cidx]}")
-    return FixtureReport(tuple(mismatches))
+    return FixtureReport(tuple(mismatches), label_class)
 
 
 def fixture_class_order(G: GroupTable, fx: Sl2Fixture) -> dict[str, int]:
@@ -415,13 +432,7 @@ def fixture_class_order(G: GroupTable, fx: Sl2Fixture) -> dict[str, int]:
     report = verify_sl2f5_fixture(G, fx)
     if not report.ok:
         raise FixtureMismatch("; ".join(report.mismatches))
-    expected = sl2_matrices(fx.prime)
-    index = {m: i for i, m in enumerate(expected)}
-    cd = conjugacy_classes(G)
-    return {
-        label: int(cd.class_of[index[mat]])
-        for mat, label in zip(fx.matrices, fx.class_labels)
-    }
+    return report.label_class
 
 
 # -- standard test battery -----------------------------------------------------

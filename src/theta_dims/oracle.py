@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import GeneratorsDontGenerate, ProjectorNotIdempotent, TooLarge
-from .groups import GroupTable, _closure, generating_set
+from .groups import GroupTable, _closure, _orbit_labels, generating_set
 from .perm import (
     EVEN,
     FULL,
@@ -100,11 +100,9 @@ def _rank_of_rows(rows) -> int:
 
 def _verify_generators(G: GroupTable, generators) -> list[int]:
     gens = [int(g) for g in generators]
-    reached = _closure(G, gens)
-    if len(reached) != G.order:
-        raise GeneratorsDontGenerate(
-            f"generators reach {len(reached)} of {G.order} elements"
-        )
+    reached = int(np.count_nonzero(_closure(G, gens)))
+    if reached != G.order:
+        raise GeneratorsDontGenerate(f"generators reach {reached} of {G.order} elements")
     return gens
 
 
@@ -158,18 +156,7 @@ def dim_invariants_orbit(
             target = np.concatenate([target + flip, target + (m - flip)])
         moves.append(target.astype(np.int32))
 
-    # forward-only min-label propagation, pulling label[f[i]] into node i: at the
-    # fixed point the label is constant along every cycle of every move (each
-    # is a bijection), hence on every orbit, and it is the orbit's least node
-    label = np.arange(m * (2 if wedge else 1), dtype=np.int32)
-    while True:
-        before = label
-        for f in moves:
-            label = np.minimum(label, label[f])
-        while not np.array_equal(hop := label[label], label):
-            label = hop
-        if np.array_equal(label, before):
-            break
+    label = _orbit_labels(moves, m * (2 if wedge else 1))
     roots = label == np.arange(len(label))
     if not wedge:
         return int(np.count_nonzero(roots))

@@ -26,11 +26,10 @@ def _expect(cond: bool, message: str) -> None:
         raise VerifyFailure(message)
 
 
-def _fixture_to_table_classes(G, fx, table):
+def _fixture_to_table_classes(label_class, table):
     """Computed class index for each table class, via the fixture labels."""
-    order_map = groups.fixture_class_order(G, fx)
     # fixture labels c1..c9 follow the table's class order
-    return [order_map[f"c{i + 1}"] for i in range(table.num_classes)]
+    return [label_class[f"c{i + 1}"] for i in range(table.num_classes)]
 
 
 def verify_fixtures(fixture_path=None) -> list[str]:
@@ -54,7 +53,7 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     table.validate()
     lines.append("character table: 45 orthogonality sums exact")
 
-    to_computed = _fixture_to_table_classes(G, fx, table)
+    to_computed = _fixture_to_table_classes(report.label_class, table)
     p2 = groups.class_power_map(G, cd, 2)
     p3 = groups.class_power_map(G, cd, 3)
     for i in range(table.num_classes):
@@ -174,7 +173,7 @@ def verify_conventions(with_orbit_check: bool = False) -> list[str]:
     # the indicator-weighted column sums must count square roots in the group
     cd = groups.conjugacy_classes(G)
     fx = groups.load_sl2_fixture()
-    to_computed = _fixture_to_table_classes(G, fx, table)
+    to_computed = _fixture_to_table_classes(groups.fixture_class_order(G, fx), table)
     sqrt_count = [0] * cd.num_classes
     for z in range(G.order):
         sqrt_count[int(cd.class_of[G.mul(z, z)])] += 1

@@ -2,10 +2,11 @@ import itertools
 import json
 import random
 import re
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_dims import groups
@@ -143,6 +144,15 @@ def test_direct_product_small():
         groups.make_direct_product(big, big)
 
 
+def test_permutation_group_guard():
+    # S8 has order 40320, over the largest order a table admits
+    s8 = [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="order 16385"):
+        groups.make_permutation_group(s8)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_direct_product_sl2f5_square():
     G = groups.make_sl2(5)
     GG = groups.make_direct_product(G, G)
@@ -180,19 +190,40 @@ def test_conjugacy_classes_sl2f5():
     assert all(120 % s == 0 for s in cd.sizes)
 
 
-def test_conjugacy_invariant_under_relabeling():
-    rng = np.random.default_rng(7)
-    for name, G in [("S3", groups.make_from_cayley(s3_cayley_table())), ("Q8", groups.make_quaternion8())]:
-        p = rng.permutation(G.order)  # new index = p[old]
+# every battery group and sl2:5
+CLASS_GROUPS = groups.battery_groups() + [("sl2:5", groups.make_sl2(5))]
+
+
+def brute_classes(G):
+    """class_of, reps and sizes by definition: each element is named by the
+    least member of {h g h^-1}, and classes are ranked by that member."""
+    n = G.order
+    least = [min(G.mul(G.mul(h, g), G.inv(h)) for h in range(n)) for g in range(n)]
+    reps = sorted(set(least))
+    return [reps.index(x) for x in least], reps, [least.count(r) for r in reps]
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(perms=st.tuples(*(st.permutations(range(G.order)) for _, G in CLASS_GROUPS)))
+@example(perms=tuple(tuple(range(G.order)) for _, G in CLASS_GROUPS))
+def test_conjugacy_invariant_under_relabeling(perms):
+    for (name, G), perm in zip(CLASS_GROUPS, perms):
+        p = np.array(perm, dtype=np.int64)  # new index = p[old]
         mul = np.empty((G.order, G.order), dtype=np.int64)
         mul[np.ix_(p, p)] = p[G.mul_table]
         relabeled = groups.make_from_cayley(mul)
-        assert not np.array_equal(relabeled.mul_table, G.mul_table), name
-        old_classes = groups.conjugacy_classes(G).class_of
-        new_classes = groups.conjugacy_classes(relabeled).class_of[p]
+        cd = groups.conjugacy_classes(relabeled)
+        class_of, reps, sizes = brute_classes(relabeled)
+        assert cd.class_of.dtype == np.int32 and not cd.class_of.flags.writeable, name
+        assert cd.class_of.tolist() == class_of, name
+        assert cd.reps == tuple(reps) and cd.sizes == tuple(sizes), name
+        assert all(type(x) is int for x in cd.reps + cd.sizes), name
         # the same partition of the old indices, up to the numbering of the classes
-        pairs = set(zip(old_classes.tolist(), new_classes.tolist()))
-        assert len(pairs) == len(set(old_classes.tolist())) == len(set(new_classes.tolist())), name
+        old_classes = groups.conjugacy_classes(G).class_of
+        pairs = set(zip(old_classes.tolist(), cd.class_of[p].tolist()))
+        assert len(pairs) == len(set(old_classes.tolist())) == cd.num_classes, name
+        # each greedy generator at least doubles the subgroup reached so far
+        assert 2 ** len(groups.generating_set(relabeled)) <= G.order, name
 
 
 def test_class_power_map_well_defined():
