@@ -3,7 +3,9 @@
 Character values live in Q(sqrt(d)) for a single squarefree d per table
 (or plain Q). Only real-valued tables are supported; the one shipped here
 is the 9x9 table of the binary icosahedral group over Q(sqrt(5)), together
-with its class squaring/cubing maps.
+with its class squaring/cubing maps. The module characters are summed here
+from the table; the cube-character step, the module shift and the
+integrality check are those of `perm`.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from pathlib import Path
 from .errors import (
     IndicatorOutOfRange,
     MixedRadicand,
-    NonIntegralDimension,
     NonRealValue,
     OrthogonalityViolation,
     ParseError,
 )
-from .perm import AUG_KERNEL, EVEN, MODULES, PARITIES, _check_choice
+from .perm import _as_dimension, _check_choice, _cube_sum, _shift_sign
 
 FLIP = "flip"
 INVERSION = "inversion"
@@ -227,35 +228,19 @@ def fs_indicators(t: CharTable) -> tuple[int, ...]:
     return tuple(fs_indicator(t, i) for i in range(t.num_classes))
 
 
-def _module_shift(module: str) -> int:
-    # removing the trivial summand subtracts the trivial character (all ones)
-    # from every character sum
-    return 1 if module == AUG_KERNEL else 0
-
-
 def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
     """Average of the cube character over the doubled group alone."""
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
-    k = t.num_classes
-    shift = _module_shift(module)
-    sign = -1 if parity == EVEN else 1
-
+    shift, sign = _shift_sign(module, parity)
+    k, rows, p2, p3 = t.num_classes, t.rows, t.power2, t.power3
     zero = QuadValue.of(0, t.radicand)
-    # x[c][cc]: the module character at the class pair (c, cc)
-    x = [
-        [sum((t.rows[i][c] * t.rows[i][cc] for i in range(k)), zero) - shift for cc in range(k)]
+    # x[c][d]: the group-algebra character at the class pair (c, d)
+    x = [[sum((row[c] * row[d] for row in rows), zero) for d in range(k)] for c in range(k)]
+    terms = (
+        (t.class_sizes[c] * t.class_sizes[d], x[c][d], x[p2[c]][p2[d]], x[p3[c]][p3[d]])
         for c in range(k)
-    ]
-    total = zero
-    for c in range(k):
-        for cc in range(k):
-            w = t.class_sizes[c] * t.class_sizes[cc]
-            x1 = x[c][cc]
-            x2 = x[t.power2[c]][t.power2[cc]]
-            x3 = x[t.power3[c]][t.power3[cc]]
-            total = total + w * (x1 * x1 * x1 + sign * 3 * x2 * x1 + 2 * x3)
-    return total.as_fraction() / (6 * t.order**2)
+        for d in range(k)
+    )
+    return _cube_sum(terms, shift, sign).as_fraction() / (6 * t.order**2)
 
 
 def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> Fraction:
@@ -268,26 +253,21 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     the odd powers of the coset element; the even power lands back in the
     doubled group and stays unweighted.
     """
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
+    shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    k = t.num_classes
-    shift = _module_shift(module)
-    sign = -1 if parity == EVEN else 1
+    k, rows = t.num_classes, t.rows
     nu = fs_indicators(t) if convention == INVERSION else (1,) * k
-
-    total = QuadValue.of(0, t.radicand)
-    for c in range(k):
-        s1 = QuadValue.of(0, t.radicand)
-        s2 = QuadValue.of(0, t.radicand)
-        s3 = QuadValue.of(0, t.radicand)
-        for i in range(k):
-            s1 = s1 + nu[i] * t.rows[i][c]
-            s2 = s2 + t.rows[i][c] * t.rows[i][c]
-            s3 = s3 + nu[i] * t.rows[i][t.power3[c]]
-        s1, s2, s3 = s1 - shift, s2 - shift, s3 - shift
-        total = total + t.class_sizes[c] * (s1 * s1 * s1 + sign * 3 * s2 * s1 + 2 * s3)
-    return total.as_fraction() / (6 * t.order)
+    zero = QuadValue.of(0, t.radicand)
+    terms = (
+        (
+            t.class_sizes[c],
+            sum((n * row[c] for n, row in zip(nu, rows)), zero),
+            sum((row[c] * row[c] for row in rows), zero),
+            sum((n * row[t.power3[c]] for n, row in zip(nu, rows)), zero),
+        )
+        for c in range(k)
+    )
+    return _cube_sum(terms, shift, sign).as_fraction() / (6 * t.order)
 
 
 def dim_invariants_chartab(
@@ -295,12 +275,7 @@ def dim_invariants_chartab(
 ) -> int:
     """Invariant dimension: average of the diagonal and twisted-coset parts."""
     dim = (diagonal_part(t, module, parity) + tau_part(t, module, parity, convention)) / 2
-    if dim.denominator != 1 or dim < 0:
-        raise NonIntegralDimension(
-            f"average {dim} is not a nonnegative integer "
-            f"(module={module}, parity={parity}, convention={convention})"
-        )
-    return int(dim)
+    return _as_dimension(dim, module=module, parity=parity, convention=convention)
 
 
 # -- file format ----------------------------------------------------------------

@@ -97,10 +97,10 @@ def _compute_dims(args) -> int:
         if symmetry == perm.FULL:
             value = chartab.dim_invariants_chartab(table, args.module, args.parity, convention)
         else:
-            part = chartab.diagonal_part(table, args.module, args.parity)
-            if part.denominator != 1:
-                raise ThetaDimsError(f"diagonal part {part} is not an integer")
-            value = int(part)
+            value = perm._as_dimension(
+                chartab.diagonal_part(table, args.module, args.parity),
+                module=args.module, parity=args.parity, symmetry=symmetry,
+            )
     elif method == "closed-form":
         # the closed form needs only the order, so no table is built
         kind, _, arg = args.group.partition(":")
@@ -108,13 +108,8 @@ def _compute_dims(args) -> int:
             raise UsageError("method closed-form applies to cyclic groups only")
         if symmetry != perm.FULL:
             raise UsageError("method closed-form computes the full symmetry only")
-        d = lens.lens_dims(int(arg))
-        value = {
-            (perm.GROUP_ALGEBRA, perm.ODD): d.odd_group_algebra,
-            (perm.GROUP_ALGEBRA, perm.EVEN): d.even_group_algebra,
-            (perm.AUG_KERNEL, perm.ODD): d.odd_aug_kernel,
-            (perm.AUG_KERNEL, perm.EVEN): d.even_aug_kernel,
-        }[(args.module, args.parity)]
+        dims = dataclasses.astuple(lens.lens_dims(int(arg)))[1:]
+        value = dims[lens.COLUMNS.index((args.module, args.parity))]
     else:
         G = parse_group_spec(args.group)
         if method == "perm":

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FixtureMismatch, NotAGroup, TooLarge
+from .errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
 TABLE_ENTRY_LIMIT = 1 << 28
@@ -217,10 +217,12 @@ def make_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     q = np.arange(n) // nH
     r = np.arange(n) % nH
     mul = np.empty((n, n), dtype=dt)
-    gmul = G.mul_table.astype(np.int64)
-    hmul = H.mul_table.astype(np.int64)
-    for i in range(n):  # row-blocked to keep peak memory at one extra row
-        mul[i] = gmul[q[i], q] * nH + hmul[r[i], r]
+    # entry [a, b, c, d] of this view is the product of (a, b) and (c, d)
+    np.add(
+        (G.mul_table.astype(dt) * nH)[:, None, :, None],
+        H.mul_table.astype(dt)[None, :, None, :],
+        out=mul.reshape(nG, nH, nG, nH),
+    )
     inv = (G.inv_table.astype(np.int64)[q] * nH + H.inv_table.astype(np.int64)[r]).astype(dt)
     e = G.identity * nH + H.identity
     labels = None
@@ -371,14 +373,18 @@ def default_fixture_path() -> Path:
 
 def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
     """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
-    raw = json.loads(Path(path or default_fixture_path()).read_text())
-    p = int(raw["prime"])
-    names, mats, labels = [], [], []
-    for rec in raw["elements"]:
-        (a, b), (c, d) = rec["matrix"]
-        names.append(str(rec["name"]))
-        mats.append((int(a), int(b), int(c), int(d)))
-        labels.append(str(rec["class"]))
+    path = Path(path or default_fixture_path())
+    try:
+        raw = json.loads(path.read_text())
+        p = int(raw["prime"])
+        names, mats, labels = [], [], []
+        for rec in raw["elements"]:
+            (a, b), (c, d) = rec["matrix"]
+            names.append(str(rec["name"]))
+            mats.append((int(a), int(b), int(c), int(d)))
+            labels.append(str(rec["class"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"cannot read element fixture {str(path)!r}: {exc!r}") from exc
     return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
 
 

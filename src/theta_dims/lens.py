@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HalfwayPoint
 from .oracle import _monomials, _rank, _rank_of_rows, _sort_sign
-from .perm import PARITIES, _check_choice
+from .perm import AUG_KERNEL, EVEN, GROUP_ALGEBRA, ODD, PARITIES, _check_choice
 
 # incremental tables for partitions into parts of size <= 2 and <= 3
 _P2 = [1]
@@ -51,6 +51,15 @@ class LensDims:
     even_group_algebra: int
     odd_aug_kernel: int
     even_aug_kernel: int
+
+
+# (module, parity) of the dimension fields of LensDims, in field order
+COLUMNS = (
+    (GROUP_ALGEBRA, ODD),
+    (GROUP_ALGEBRA, EVEN),
+    (AUG_KERNEL, ODD),
+    (AUG_KERNEL, EVEN),
+)
 
 
 def lens_dims(n: int) -> LensDims:

@@ -4,6 +4,9 @@ The doubled group acts on the group-algebra basis by x -> g x h^-1, and the
 extra involution acts by basis-level inversion x -> x^-1 (so the coset
 element tau*(g,h) sends x to h x^-1 g^-1). Everything here is exact: traces
 are integer fixed-point counts, and the single division happens at the end.
+
+The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
+`_as_dimension`; `chartab` passes its character sums to the same three.
 """
 
 from __future__ import annotations
@@ -78,38 +81,58 @@ def fixed_points(G: GroupTable, sigma: CosetElement) -> int:
     return int((p == np.arange(G.order)).sum())
 
 
+def _shift_sign(module: str, parity: str) -> tuple[int, int]:
+    """The trace shift of the module and the sign of the parity.
+
+    Removing the trivial summand subtracts the trivial character (all ones)
+    from every trace; the alternating cube (parity "even") has sign -1.
+    """
+    _check_choice(module, MODULES, "module")
+    _check_choice(parity, PARITIES, "parity")
+    return (1 if module == AUG_KERNEL else 0), (-1 if parity == EVEN else 1)
+
+
+def _cube_sum(terms, shift: int, sign: int):
+    """Sum of w * (t1^3 + 3 sign t2 t1 + 2 t3) over the (w, t1, t2, t3) in terms,
+    each trace lowered by shift first: six times the weighted sum of cube
+    characters. Exact on int and on QuadValue traces."""
+    total = 0
+    for w, t1, t2, t3 in terms:
+        t1, t2, t3 = t1 - shift, t2 - shift, t3 - shift
+        total = total + w * (t1 * t1 * t1 + sign * 3 * t2 * t1 + 2 * t3)
+    return total
+
+
+def _as_dimension(average: Fraction, **context) -> int:
+    """The average as an int; NonIntegralDimension unless a nonnegative integer."""
+    if average.denominator != 1 or average < 0:
+        where = ", ".join(f"{key}={value}" for key, value in context.items())
+        raise NonIntegralDimension(f"average {average} is not a nonnegative integer ({where})")
+    return int(average)
+
+
 def cube_character(c1, c2, c3, parity: str) -> Fraction:
     """Trace on the cubic power of a map with traces c1, c2, c3 at powers 1,2,3.
 
     Alternating cube for parity "even", symmetric cube for "odd".
     """
-    _check_choice(parity, PARITIES, "parity")
-    c1, c2, c3 = Fraction(c1), Fraction(c2), Fraction(c3)
-    sign = -1 if parity == EVEN else 1
-    return (c1**3 + sign * 3 * c2 * c1 + 2 * c3) / 6
-
-
-def _cube_numerator(c1: int, c2: int, c3: int, sign: int) -> int:
-    return c1 * c1 * c1 + sign * 3 * c2 * c1 + 2 * c3
+    _, sign = _shift_sign(GROUP_ALGEBRA, parity)
+    return Fraction(_cube_sum([(1, c1, c2, c3)], 0, sign), 6)
 
 
 def _numerator_sum(perms: np.ndarray, shift: int, sign: int, weights=None) -> int:
-    """Sum of the cube-character numerators of the row permutations of perms.
+    """`_cube_sum` over the row permutations of perms.
 
-    Each row's numerator comes from the fixed-point counts of the permutation,
-    its square and its cube (shifted for the kernel); rows are weighted by
-    `weights` when given.
+    Each row's traces are the fixed-point counts of the permutation, its
+    square and its cube; rows are weighted by `weights` when given.
     """
     idx = np.arange(perms.shape[1])[None, :]
     p2 = np.take_along_axis(perms, perms, axis=1)
     p3 = np.take_along_axis(perms, p2, axis=1)
-    counts = zip(*((p == idx).sum(axis=1).tolist() for p in (perms, p2, p3)))
+    counts = ((p == idx).sum(axis=1).tolist() for p in (perms, p2, p3))
     if weights is None:
         weights = itertools.repeat(1)
-    return sum(
-        w * _cube_numerator(c1 - shift, c2 - shift, c3 - shift, sign)
-        for w, (c1, c2, c3) in zip(weights, counts)
-    )
+    return _cube_sum(zip(weights, *counts), shift, sign)
 
 
 def _untwisted_block(G: GroupTable, g: int, hs=slice(None)) -> np.ndarray:
@@ -160,24 +183,17 @@ def dim_invariants_perm(
     tau*(e, w), conjugate to the n elements tau*(g, h) with h g = w. Squares
     and cubes of every summed permutation are formed by explicit composition.
     """
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
+    shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
-    shift = 1 if module == AUG_KERNEL else 0
-    sign = -1 if parity == EVEN else 1
     total = _sum_untwisted_by_class_pairs(G, shift, sign)
     group_size = n * n
     if symmetry == FULL:
         total += _sum_twisted_by_products(G, shift, sign)
         group_size *= 2
-    dim = Fraction(total, 6 * group_size)
-    if dim.denominator != 1 or dim < 0:
-        raise NonIntegralDimension(
-            f"average {dim} is not a nonnegative integer "
-            f"(module={module}, parity={parity}, symmetry={symmetry})"
-        )
-    return int(dim)
+    return _as_dimension(
+        Fraction(total, 6 * group_size), module=module, parity=parity, symmetry=symmetry
+    )
 
 
 def twisted_coset_average(
@@ -188,11 +204,8 @@ def twisted_coset_average(
     Computed twice: directly over all pairs (g, h), and by the single sum
     over w that `dim_invariants_perm` uses. The two routes must agree exactly.
     """
-    _check_choice(module, MODULES, "module")
-    _check_choice(parity, PARITIES, "parity")
+    shift, sign = _shift_sign(module, parity)
     n = G.order
-    shift = 1 if module == AUG_KERNEL else 0
-    sign = -1 if parity == EVEN else 1
     direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
     reduced = Fraction(_sum_twisted_by_products(G, shift, sign), 6 * n * n)
     if direct != reduced:

@@ -80,17 +80,8 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     return lines
 
 
-# (module, parity) of the dimension fields of lens.LensDims, in field order
-_LENS_COLUMNS = (
-    (perm.GROUP_ALGEBRA, perm.ODD),
-    (perm.GROUP_ALGEBRA, perm.EVEN),
-    (perm.AUG_KERNEL, perm.ODD),
-    (perm.AUG_KERNEL, perm.EVEN),
-)
-
-
 def _lens_third_route(G, orbit_count: int, generators) -> tuple[int, int, int, int]:
-    """The _LENS_COLUMNS dimensions by orbit counting on the group algebra,
+    """The lens.COLUMNS dimensions by orbit counting on the group algebra,
     extended to the kernel columns through the general split identities."""
     odd = oracle.dim_invariants_orbit(G, perm.ODD, perm.FULL, generators)
     even = oracle.dim_invariants_orbit(G, perm.EVEN, perm.FULL, generators)
@@ -146,7 +137,7 @@ def verify_cross_methods() -> list[str]:
         _, orbit_count = groups.inversion_on_classes(G, cd)
         by_perm = tuple(
             perm.dim_invariants_perm(G, module, parity, perm.FULL)
-            for module, parity in _LENS_COLUMNS
+            for module, parity in lens.COLUMNS
         )
         by_orbit = _lens_third_route(G, orbit_count, [1 % n])
         by_closed = dataclasses.astuple(closed)[1:]
@@ -158,7 +149,7 @@ def verify_cross_methods() -> list[str]:
     return lines
 
 
-def verify_conventions(with_orbit_check: bool = False) -> list[str]:
+def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> list[str]:
     lines = []
     G = groups.make_sl2(5)
     table = chartab.builtin_sl2f5_table()
@@ -172,7 +163,7 @@ def verify_conventions(with_orbit_check: bool = False) -> list[str]:
 
     # the indicator-weighted column sums must count square roots in the group
     cd = groups.conjugacy_classes(G)
-    fx = groups.load_sl2_fixture()
+    fx = groups.load_sl2_fixture(fixture_path)
     to_computed = _fixture_to_table_classes(groups.fixture_class_order(G, fx), table)
     sqrt_count = [0] * cd.num_classes
     for z in range(G.order):
@@ -259,7 +250,7 @@ def run_suite(
             elif suite == "cross-methods":
                 lines += verify_cross_methods()
             else:
-                lines += verify_conventions(with_orbit_check)
+                lines += verify_conventions(with_orbit_check, fixture_path)
         except (VerifyFailure, FixtureMismatch) as exc:
             lines.append(f"FAIL: {exc}")
             return False, lines

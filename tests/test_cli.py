@@ -39,14 +39,23 @@ def test_dims_perm_kernel(capsys):
     assert "dimension: 3" in out
 
 
-def test_dims_closed_form(capsys):
+@pytest.mark.parametrize(
+    "module,parity,expected",
+    [
+        ("group-algebra", "odd", 12),
+        ("group-algebra", "even", 3),
+        ("aug-kernel", "odd", 7),
+        ("aug-kernel", "even", 3),
+    ],
+)
+def test_dims_closed_form(capsys, module, parity, expected):
     code, out, _ = run_cli(
         capsys,
-        "dims", "--group", "cyclic:9", "--module", "group-algebra",
-        "--parity", "odd", "--method", "closed-form",
+        "dims", "--group", "cyclic:9", "--module", module,
+        "--parity", parity, "--method", "closed-form",
     )
     assert code == 0
-    assert "dimension: 12" in out
+    assert f"dimension: {expected}\n" in out
 
 
 def test_dims_closed_form_builds_no_table(capsys):
@@ -232,14 +241,38 @@ def test_verify_fixtures_cli(capsys):
     assert "[fixtures]" in out and "ok" in out
 
 
-def test_verify_fixture_file_override(capsys, tmp_path):
+@pytest.mark.parametrize("suite", ["fixtures", "conventions"])
+def test_verify_fixture_file_override(capsys, tmp_path, suite):
     raw = json.loads(groups.default_fixture_path().read_text())
     raw["elements"][0]["class"] = "c9"
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(raw))
-    code, out, _ = run_cli(capsys, "verify", "fixtures", "--fixture", str(path))
+    code, out, _ = run_cli(capsys, "verify", suite, "--fixture", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def _fixture_without_elements():
+    return {"prime": 5}
+
+
+def _fixture_with_scalar_matrix():
+    raw = json.loads(groups.default_fixture_path().read_text())
+    raw["elements"][0]["matrix"] = 5
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make_raw", [None, _fixture_without_elements, _fixture_with_scalar_matrix],
+    ids=["missing-file", "no-elements", "scalar-matrix"],
+)
+def test_verify_bad_fixture_file_is_usage_error(capsys, tmp_path, make_raw):
+    path = tmp_path / "fixture.json"
+    if make_raw is not None:
+        path.write_text(json.dumps(make_raw()))
+    code, _, err = run_cli(capsys, "verify", "fixtures", "--fixture", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_conventions_cli(capsys):
@@ -284,6 +317,15 @@ GOLDEN_OUTPUTS = [
             ("group-algebra", "even", "pi-pi", 108),
             ("group-algebra", "odd", "pi-pi", 160),
         ]
+    ),
+    *(
+        (
+            ("dims", "--group", "sl2:5", "--method", "chartab", "--parity", parity,
+             "--symmetry", "pi-pi", "--format", "json"),
+            f'{{"convention":"flip","dimension":{dim},"group":"sl2:5","method":"chartab",'
+            f'"module":"group-algebra","parity":"{parity}","symmetry":"pi-pi"}}\n',
+        )
+        for parity, dim in [("even", 33), ("odd", 71)]
     ),
     (
         ("lens-table", "--max-n", "4"),

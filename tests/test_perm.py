@@ -98,6 +98,33 @@ def test_cube_character_examples():
         perm.cube_character(1, 1, 1, "both")
 
 
+def _wedge_and_sym_traces(sigma):
+    """Traces of sigma on the alternating and symmetric cubes of C^m, by
+    listing the monomials it fixes: a fixed wedge counts with the sign of
+    the permutation it induces on its three indices."""
+    wedge = 0
+    for triple in itertools.combinations(range(len(sigma)), 3):
+        image = [sigma[i] for i in triple]
+        if sorted(image) == list(triple):
+            inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+            wedge += (-1) ** inversions
+    sym = sum(
+        sorted(sigma[i] for i in triple) == list(triple)
+        for triple in itertools.combinations_with_replacement(range(len(sigma)), 3)
+    )
+    return wedge, sym
+
+
+def test_cube_character_matches_fixed_monomials():
+    for sigma in itertools.permutations(range(6)):
+        s2 = [sigma[i] for i in sigma]
+        s3 = [sigma[i] for i in s2]
+        fixed = [sum(p[i] == i for i in range(6)) for p in (sigma, s2, s3)]
+        wedge, sym = _wedge_and_sym_traces(sigma)
+        assert perm.cube_character(*fixed, EVEN) == wedge
+        assert perm.cube_character(*fixed, ODD) == sym
+
+
 @pytest.mark.parametrize(
     "n,module,parity,expected",
     [(6, GROUP_ALGEBRA, ODD, 7), (15, GROUP_ALGEBRA, EVEN, 12), (3, AUG_KERNEL, ODD, 1), (1, GROUP_ALGEBRA, EVEN, 0)],
@@ -197,8 +224,7 @@ def test_reduced_route_equals_direct_sums(data):
     for G in REFERENCE_GROUPS.values():
         G = draw_relabeling(data, G)
         for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
-            shift = 1 if module == AUG_KERNEL else 0
-            sign = -1 if parity == EVEN else 1
+            shift, sign = perm._shift_sign(module, parity)
             untwisted = perm._coset_sum(G, shift, sign, twisted=False)
             twisted = perm._coset_sum(G, shift, sign, twisted=True)
             pair_count = G.order**2
