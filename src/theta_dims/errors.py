@@ -22,7 +22,7 @@ class NonIntegralDimension(ThetaDimsError):
 
 
 class SimplificationMismatch(ThetaDimsError):
-    """The reduced single-sum route disagrees with the direct coset sum."""
+    """The reduced sum over classes disagrees with the direct sum over the coset."""
 
 
 class MixedRadicand(ThetaDimsError):

@@ -23,6 +23,9 @@ from .errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
 TABLE_ENTRY_LIMIT = 1 << 28
 
+# table entries that a pass over rows of a table gathers at a time
+_CHUNK_ENTRIES = 1 << 16
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -37,6 +40,13 @@ def _index_dtype(n: int) -> type:
 def _check_table_size(n: int) -> None:
     if n * n > TABLE_ENTRY_LIMIT:
         raise TooLarge(f"a table of order {n} has {n * n} entries, over {TABLE_ENTRY_LIMIT}")
+
+
+def _row_chunks(count: int, width: int) -> Iterator[slice]:
+    """Slices covering rows 0..count-1 of width entries each, in order, each
+    of at most _CHUNK_ENTRIES entries but at least one row."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -114,11 +124,13 @@ def _check_associativity(G: GroupTable) -> None:
     each one, so checking each before the next closure stops by log2(n) of them."""
     mul = G.mul_table
     for a in _greedy_generators(G):
-        left = mul[mul[:, a]]  # left[x, y] = (x*a)*y
-        right = mul[:, mul[a]]  # right[x, y] = x*(a*y)
-        if not np.array_equal(left, right):
-            x, y = (int(v) for v in np.argwhere(left != right)[0])
-            raise NotAGroup(f"associativity fails at witness triple ({x}, {a}, {y})")
+        for rows in _row_chunks(G.order, G.order):
+            left = mul[mul[rows, a]]  # left[i, y] = (x*a)*y for x = rows.start + i
+            right = mul[rows, mul[a]]  # right[i, y] = x*(a*y)
+            if not np.array_equal(left, right):
+                i, y = (int(v) for v in np.argwhere(left != right)[0])
+                x = rows.start + i
+                raise NotAGroup(f"associativity fails at witness triple ({x}, {a}, {y})")
 
 
 def validate_group(G: GroupTable) -> None:
@@ -396,9 +408,10 @@ def verify_sl2f5_fixture(G: GroupTable, fx: Sl2Fixture) -> FixtureReport:
     disagreements are collected in the returned report.
     """
     p = fx.prime
+    # |SL2(F_p)| = p (p^2 - 1), checked before any matrix is enumerated
+    if G.order != p * (p * p - 1):
+        raise FixtureMismatch(f"group order {G.order} != {p * (p * p - 1)}")
     expected = sl2_matrices(p)
-    if G.order != len(expected):
-        raise FixtureMismatch(f"group order {G.order} != {len(expected)}")
     if len(fx.matrices) != len(expected):
         raise FixtureMismatch(
             f"fixture lists {len(fx.matrices)} elements, expected {len(expected)}"

@@ -5,6 +5,10 @@ extra involution acts by basis-level inversion x -> x^-1 (so the coset
 element tau*(g,h) sends x to h x^-1 g^-1). Everything here is exact: traces
 are integer fixed-point counts, and the single division happens at the end.
 
+Both cosets are summed one weighted row per orbit: the untwisted coset per
+class pair, with the first class taken once per orbit of the center; the
+twisted coset per class. Rows are built and composed in fixed-size chunks.
+
 The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
 `_as_dimension`; `chartab` passes its character sums to the same three.
 """
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegralDimension, SimplificationMismatch
-from .groups import GroupTable, conjugacy_classes
+from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
 GROUP_ALGEBRA = "group-algebra"
 AUG_KERNEL = "aug-kernel"
@@ -120,52 +124,82 @@ def cube_character(c1, c2, c3, parity: str) -> Fraction:
     return Fraction(_cube_sum([(1, c1, c2, c3)], 0, sign), 6)
 
 
-def _numerator_sum(perms: np.ndarray, shift: int, sign: int, weights=None) -> int:
-    """`_cube_sum` over the row permutations of perms.
+def _numerator_sum(G: GroupTable, block, g: int, hs: np.ndarray, shift: int, sign: int,
+                   weights=None) -> int:
+    """`_cube_sum` over the permutations block(G, g, h), one row per h in hs.
 
     Each row's traces are the fixed-point counts of the permutation, its
-    square and its cube; rows are weighted by `weights` when given.
+    square and its cube; rows are weighted by `weights` when given. Rows are
+    built and composed a chunk at a time (`_row_chunks`), so no n x n block
+    is ever live.
     """
-    idx = np.arange(perms.shape[1])[None, :]
-    p2 = np.take_along_axis(perms, perms, axis=1)
-    p3 = np.take_along_axis(perms, p2, axis=1)
-    counts = ((p == idx).sum(axis=1).tolist() for p in (perms, p2, p3))
+    n = G.order
+    idx = np.arange(n, dtype=G.mul_table.dtype)
+    counts: tuple[list[int], ...] = ([], [], [])
+    for rows in _row_chunks(len(hs), n):
+        p1 = block(G, g, hs[rows])
+        # flat position of row i's entries, for composing within rows
+        offsets = np.arange(0, p1.size, n)[:, None]
+        p2 = np.take(p1, p1 + offsets)
+        p3 = np.take(p1, p2 + offsets)
+        for out, p in zip(counts, (p1, p2, p3)):
+            out.extend(np.count_nonzero(p == idx, axis=1).tolist())
     if weights is None:
         weights = itertools.repeat(1)
     return _cube_sum(zip(weights, *counts), shift, sign)
 
 
-def _untwisted_block(G: GroupTable, g: int, hs=slice(None)) -> np.ndarray:
-    """Permutations x -> g x h^-1 of the untwisted (g, h), one row per h in hs."""
+def _twisted_block(G: GroupTable, g: int, hs: np.ndarray) -> np.ndarray:
+    """Permutations x -> h (g x)^-1 of the twisted tau*(g, h), one row per h in hs."""
     mul, inv = G.mul_table, G.inv_table
-    return mul[mul[g][None, :], inv[hs][:, None]]
+    return np.take(mul[hs], inv[mul[g]], axis=1)
+
+
+def _untwisted_block(G: GroupTable, g: int, hs: np.ndarray) -> np.ndarray:
+    """Permutations x -> g x h^-1 of the untwisted (g, h), one row per h in hs:
+    the inverses of the twisted rows, read along rows of the table."""
+    return np.take(G.inv_table, _twisted_block(G, g, hs))
 
 
 def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
     """Reference for the reduced sums: the direct O(n^3) double sum over all
     (g, h) of one coset. Only `twisted_coset_average` and the tests call it."""
-    mul, inv = G.mul_table, G.inv_table
-    hx = mul[:, inv]  # hx[h, x] = h * x^-1
+    block = _twisted_block if twisted else _untwisted_block
+    hs = np.arange(G.order)
+    return sum(_numerator_sum(G, block, g, hs, shift, sign) for g in range(G.order))
+
+
+def _sum_untwisted_by_class_pairs(G: GroupTable, cd: ConjugacyData, shift: int, sign: int) -> int:
+    """The untwisted coset sum: one row per class pair (C, D), weighted by |C| |D|,
+    with C running over one class per orbit of the center, weighted by the orbit size.
+
+    (g z, h z) acts as (g, h) for central z, and C -> C z permutes the classes
+    and keeps their sizes, so every class of an orbit gives the same row sum.
+    The orbit of C has |Z| / |{z : r z in C}| classes, r its rep.
+    """
+    reps = np.array(cd.reps)
+    center = reps[np.array(cd.sizes) == 1]
+    reached = np.zeros(cd.num_classes, dtype=bool)
     total = 0
-    for g in range(G.order):
-        # twisted row h is x -> h x^-1 g^-1
-        block = mul[hx, inv[g]] if twisted else _untwisted_block(G, g)
-        total += _numerator_sum(block, shift, sign)
+    for c in range(cd.num_classes):
+        if reached[c]:
+            continue
+        moved = cd.class_of[G.mul_table[reps[c], center]]
+        reached[moved] = True
+        orbit_size = center.size // np.count_nonzero(moved == c)
+        row_sum = _numerator_sum(G, _untwisted_block, reps[c], reps, shift, sign, cd.sizes)
+        total += orbit_size * cd.sizes[c] * row_sum
     return total
 
 
-def _sum_untwisted_by_class_pairs(G: GroupTable, shift: int, sign: int) -> int:
-    cd = conjugacy_classes(G)
+def _sum_twisted_by_products(G: GroupTable, cd: ConjugacyData, shift: int, sign: int) -> int:
+    """The twisted coset sum: one row x -> r x^-1 of tau*(e, r) per class rep r, weighted by n |C|.
+
+    tau*(g, h) is conjugate to tau*(e, h g), n pairs per product, and
+    conjugating tau*(e, w) by (a, a) gives tau*(e, a w a^-1).
+    """
     reps = np.array(cd.reps)
-    return sum(
-        size * _numerator_sum(_untwisted_block(G, r, reps), shift, sign, cd.sizes)
-        for r, size in zip(cd.reps, cd.sizes)
-    )
-
-
-def _sum_twisted_by_products(G: GroupTable, shift: int, sign: int) -> int:
-    """The twisted coset sum: n times the sum over tau*(e, w), x -> w x^-1, row w of mul[:, inv]."""
-    return G.order * _numerator_sum(G.mul_table[:, G.inv_table], shift, sign)
+    return G.order * _numerator_sum(G, _twisted_block, G.identity, reps, shift, sign, cd.sizes)
 
 
 def dim_invariants_perm(
@@ -179,17 +213,20 @@ def dim_invariants_perm(
     Averages the alternating/symmetric cube character over the doubled group
     (symmetry "pi-pi") or over the doubled group extended by the inversion
     involution (symmetry "full"). The untwisted coset is summed one row per
-    class pair (g, h), weighted by class sizes; the twisted one row per w for
-    tau*(e, w), conjugate to the n elements tau*(g, h) with h g = w. Squares
-    and cubes of every summed permutation are formed by explicit composition.
+    class pair (g, h), weighted by class sizes, with g's class taken once per
+    orbit of the center and weighted by the orbit size; the twisted one row
+    per class rep r for tau*(e, r), weighted by n times the class size. The
+    classes are computed once for both. Squares and cubes of every summed
+    permutation are formed by explicit composition, in fixed-size row chunks.
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
-    total = _sum_untwisted_by_class_pairs(G, shift, sign)
+    cd = conjugacy_classes(G)
+    total = _sum_untwisted_by_class_pairs(G, cd, shift, sign)
     group_size = n * n
     if symmetry == FULL:
-        total += _sum_twisted_by_products(G, shift, sign)
+        total += _sum_twisted_by_products(G, cd, shift, sign)
         group_size *= 2
     return _as_dimension(
         Fraction(total, 6 * group_size), module=module, parity=parity, symmetry=symmetry
@@ -201,15 +238,15 @@ def twisted_coset_average(
 ) -> Fraction:
     """Average of the cube character over the twisted coset only.
 
-    Computed twice: directly over all pairs (g, h), and by the single sum
-    over w that `dim_invariants_perm` uses. The two routes must agree exactly.
+    Computed twice: directly over all pairs (g, h), and by the sum over
+    classes that `dim_invariants_perm` uses. The two routes must agree exactly.
     """
     shift, sign = _shift_sign(module, parity)
     n = G.order
     direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
-    reduced = Fraction(_sum_twisted_by_products(G, shift, sign), 6 * n * n)
+    reduced = Fraction(_sum_twisted_by_products(G, conjugacy_classes(G), shift, sign), 6 * n * n)
     if direct != reduced:
         raise SimplificationMismatch(
-            f"direct twisted average {direct} != reduced single-sum value {reduced}"
+            f"direct twisted average {direct} != reduced class-sum value {reduced}"
         )
     return direct

@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import theta_dims
 from theta_dims import chartab, cli, groups
 
 REFERENCE_ROWS = {
@@ -81,6 +87,31 @@ def test_dims_cost_guards(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def run_cli_process(*args, timeout):
+    """One `python -m theta_dims` process on this checkout's package; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(theta_dims.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "theta_dims", *args],
+        capture_output=True, text=True, timeout=timeout, env=env, check=True,
+    )
+    return done.stdout
+
+
+def test_dims_perm_cyclic_4096_process():
+    # one weighted row per center orbit of classes: a few seconds, not the N^3 half hour
+    dims = {
+        method: json.loads(run_cli_process(
+            "dims", "--group", "cyclic:4096", "--parity", "odd", "--method", method,
+            "--format", "json", timeout=60,
+        ))["dimension"]
+        for method in ("perm", "closed-form")
+    }
+    assert dims["perm"] == dims["closed-form"]
 
 
 def test_dims_json_round_trips(capsys):
@@ -250,6 +281,19 @@ def test_verify_fixture_file_override(capsys, tmp_path, suite):
     code, out, _ = run_cli(capsys, "verify", suite, "--fixture", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_fixture_order_checked_before_enumeration(capsys, tmp_path):
+    # SL2(F_1009) has over 10^9 elements; none of them may be listed
+    raw = json.loads(groups.default_fixture_path().read_text())
+    raw["prime"] = 1009
+    path = tmp_path / "prime1009.json"
+    path.write_text(json.dumps(raw))
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "fixtures", "--fixture", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert "FAIL: group order 120 != 1027242720\n" in out
 
 
 def _fixture_without_elements():

@@ -205,8 +205,15 @@ def test_augmentation_split():
         )
 
 
-# the nonabelian ones have classes of several sizes
-REFERENCE_GROUPS = dict(groups.battery_groups(), **{"sl2:5": groups.make_sl2(5)})
+# the nonabelian ones have classes of several sizes; in Z2xQ8 the central
+# (0, -1) fixes the classes {(a, ±i)}, so center orbits of classes are not free
+REFERENCE_GROUPS = dict(
+    groups.battery_groups(),
+    **{
+        "sl2:5": groups.make_sl2(5),
+        "Z2xQ8": groups.make_direct_product(groups.make_cyclic(2), groups.make_quaternion8()),
+    },
+)
 
 
 def draw_relabeling(data, G):
@@ -234,6 +241,33 @@ def test_reduced_route_equals_direct_sums(data):
             assert perm.dim_invariants_perm(G, module, parity, FULL) == Fraction(
                 untwisted + twisted, 12 * pair_count
             )
+
+
+def _four_dims(G):
+    return [
+        perm.dim_invariants_perm(G, module, parity, FULL)
+        for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
+    ]
+
+
+@pytest.mark.parametrize(
+    "G", [groups.make_sl2(5), groups.make_sl2(7), groups.make_cyclic(37)],
+    ids=["sl2:5", "sl2:7", "cyclic:37"],
+)
+def test_row_chunks_of_four_rows(monkeypatch, G):
+    # 9, 11 and 37 rows per sum: every chunking ends on a partial chunk
+    default = _four_dims(G)
+    monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 4 * G.order)
+    assert [s.stop - s.start for s in groups._row_chunks(9, G.order)] == [4, 4, 1]
+    assert _four_dims(G) == default
+
+
+def test_lens_closed_forms_at_2048():
+    from theta_dims import lens
+
+    d = lens.lens_dims(2048)
+    expected = [d.even_group_algebra, d.odd_group_algebra, d.even_aug_kernel, d.odd_aug_kernel]
+    assert _four_dims(groups.make_cyclic(2048)) == expected
 
 
 def test_input_validation():
