@@ -23,6 +23,7 @@ from .errors import (
     OrthogonalityViolation,
     ParseError,
 )
+from .groups import _json_int
 from .perm import _as_dimension, _check_choice, _cube_sum, _shift_sign
 
 FLIP = "flip"
@@ -145,6 +146,8 @@ class CharTable:
     def validate(self) -> None:
         """Check shape, the trivial first row, and exact row orthogonality."""
         k = self.num_classes
+        if k == 0:
+            raise ParseError("table has no classes")
         if not (len(self.rows) == len(self.class_names) == len(self.power2) == len(self.power3) == k):
             raise ParseError("table blocks disagree on the number of classes")
         if any(len(row) != k for row in self.rows):
@@ -283,8 +286,9 @@ def dim_invariants_chartab(
 
 def _fraction_from(rec, num_key, den_key) -> Fraction:
     try:
-        num, den = int(rec[num_key]), int(rec[den_key])
-    except (KeyError, TypeError, ValueError) as exc:
+        num = _json_int(rec[num_key], num_key)
+        den = _json_int(rec[den_key], den_key)
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad rational entry {rec!r}") from exc
     if den == 0:
         raise NonRealValue(f"zero denominator in {rec!r}")
@@ -295,7 +299,7 @@ def load_char_table(path: str | Path) -> CharTable:
     """Load and validate a character table from its JSON file format."""
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise ParseError(f"cannot read character table: {exc}") from exc
     return char_table_from_dict(raw)
 
@@ -305,29 +309,28 @@ def char_table_from_dict(raw: dict) -> CharTable:
         raise ParseError("character table file must hold a JSON object")
     try:
         radicand = raw["radicand"]
-        sizes = tuple(int(s) for s in raw["class_sizes"])
-        power2 = tuple(int(c) for c in raw["power2"])
-        power3 = tuple(int(c) for c in raw["power3"])
-        raw_rows = raw["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
-    if radicand is not None:
-        radicand = int(radicand)
-    names = raw.get("class_names")
-    if names is None:
-        names = tuple(f"c{i + 1}" for i in range(len(sizes)))
-    else:
-        names = tuple(str(s) for s in names)
-    rows = []
-    for raw_row in raw_rows:
-        row = []
-        for rec in raw_row:
-            a = _fraction_from(rec, "a_num", "a_den")
-            b = _fraction_from(rec, "b_num", "b_den")
-            if b != 0 and radicand is None:
-                raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
-            row.append(QuadValue(a, b, radicand if b != 0 else None))
-        rows.append(tuple(row))
+        if radicand is not None:
+            radicand = _json_int(radicand, "radicand")
+        sizes = tuple(_json_int(s, "a class size") for s in raw["class_sizes"])
+        power2 = tuple(_json_int(c, "a power2 entry") for c in raw["power2"])
+        power3 = tuple(_json_int(c, "a power3 entry") for c in raw["power3"])
+        names = raw.get("class_names")
+        if names is None:
+            names = tuple(f"c{i + 1}" for i in range(len(sizes)))
+        else:
+            names = tuple(str(s) for s in names)
+        rows = []
+        for raw_row in raw["rows"]:
+            row = []
+            for rec in raw_row:
+                a = _fraction_from(rec, "a_num", "a_den")
+                b = _fraction_from(rec, "b_num", "b_den")
+                if b != 0 and radicand is None:
+                    raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
+                row.append(QuadValue(a, b, radicand if b != 0 else None))
+            rows.append(tuple(row))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"missing or malformed field: {exc!r}") from exc
     table = CharTable(radicand, names, sizes, power2, power3, tuple(rows))
     table.validate()
     return table

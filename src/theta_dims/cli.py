@@ -24,6 +24,10 @@ USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
 METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
 
+# largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
+# 10^6 rows 22 s and 750 MB
+LENS_TABLE_MAX_N = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -58,8 +62,8 @@ def parse_group_spec(spec: str) -> groups.GroupTable:
     if kind == "cayley":
         try:
             raw = json.loads(Path(arg).read_text())
-            order, mul = int(raw["order"]), raw["mul"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            order, mul = groups._json_int(raw["order"], "Cayley table 'order'"), raw["mul"]
+        except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read Cayley table {arg!r}: {exc}")
         if not isinstance(mul, list):
             raise UsageError(f"Cayley table 'mul' must be a list of rows, got {type(mul).__name__}")
@@ -79,12 +83,33 @@ def _resolve_convention(method: str, convention: str | None) -> str:
     return convention
 
 
+def _class_power_sizes(sizes, power2, power3) -> list[tuple[int, int, int]]:
+    """The sorted (|C|, |C^2|, |C^3|) of each class C."""
+    return sorted((sizes[c], sizes[power2[c]], sizes[power3[c]]) for c in range(len(sizes)))
+
+
 def _char_table_for(args) -> chartab.CharTable:
+    """The table for --group: the --char-table file or the builtin one. The
+    table's classes must match the group's in size and in the sizes of their
+    square and cube classes; that is necessary, not proof the table is G's."""
+    G = parse_group_spec(args.group)
+    kind, _, arg = args.group.partition(":")
     if args.char_table:
-        return chartab.load_char_table(args.char_table)
-    if args.group == "sl2:5":
-        return chartab.builtin_sl2f5_table()
-    raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
+        table = chartab.load_char_table(args.char_table)
+    elif kind == "sl2" and int(arg) == 5:
+        table = chartab.builtin_sl2f5_table()
+    else:
+        raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
+    cd = groups.conjugacy_classes(G)
+    group_side = _class_power_sizes(
+        cd.sizes, groups.class_power_map(G, cd, 2), groups.class_power_map(G, cd, 3)
+    )
+    if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
+        raise UsageError(
+            f"the character table does not fit group {args.group}: its classes differ "
+            "in size or in the sizes of their square and cube classes"
+        )
+    return table
 
 
 def _compute_dims(args) -> int:
@@ -143,6 +168,8 @@ def _compute_dims(args) -> int:
 
 
 def _cmd_lens_table(args) -> int:
+    if not 0 <= args.max_n <= LENS_TABLE_MAX_N:
+        raise UsageError(f"--max-n must lie in 0..{LENS_TABLE_MAX_N}, got {args.max_n}")
     rows = [dataclasses.asdict(lens.lens_dims(n)) for n in range(1, args.max_n + 1)]
     keys = [f.name for f in dataclasses.fields(lens.LensDims)]
     text = [f"{'n':>3} {'odd C[pi]':>10} {'even C[pi]':>11} {'odd Ker':>8} {'even Ker':>9}"]

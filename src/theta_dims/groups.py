@@ -3,13 +3,15 @@
 Elements are dense integer indices 0..n-1 and the product is a flat n x n
 lookup table. Subgroup closures and conjugacy classes are orbits, found by
 one min-label kernel: classes are the orbits of conjugation by a generating
-set. Class indices are ordered by smallest member, so every derived quantity
-is deterministic across runs and platforms.
+set. A subgroup is the table restricted to a closure, numbered in the order
+of the whole group; Q8 is the subgroup of SL2(F_3) generated by i and j.
+SL2(F_p) is the set of matrices kept by one determinant mask. Class indices
+are ordered by smallest member, so every derived quantity is deterministic
+across runs and platforms.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -40,6 +42,13 @@ def _index_dtype(n: int) -> type:
 def _check_table_size(n: int) -> None:
     if n * n > TABLE_ENTRY_LIMIT:
         raise TooLarge(f"a table of order {n} has {n * n} entries, over {TABLE_ENTRY_LIMIT}")
+
+
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer, which excludes booleans; else ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _row_chunks(count: int, width: int) -> Iterator[slice]:
@@ -164,20 +173,8 @@ def make_cyclic(n: int) -> GroupTable:
 
 def sl2_matrices(p: int) -> list[tuple[int, int, int, int]]:
     """All (a, b, c, d) with ad - bc = 1 mod p, in lexicographic order."""
-    out = []
-    for a, b, c in itertools.product(range(p), repeat=3):
-        if a == 0:
-            if b == 0:
-                continue
-            # -bc = 1 fixes c; d is free
-            if (-b * c) % p == 1:
-                out.extend((a, b, c, d) for d in range(p))
-        else:
-            d = (1 + b * c) * pow(a, -1, p) % p
-            out.append((a, b, c, d))
-    # itertools order above is lex on (a, b, c); within a block d ascends or is
-    # determined, so the full list is lex on (a, b, c, d) already
-    return out
+    a, b, c, d = np.indices((p,) * 4)
+    return list(map(tuple, np.argwhere((a * d - b * c) % p == 1).tolist()))
 
 
 def make_sl2(p: int) -> GroupTable:
@@ -333,6 +330,18 @@ def _closure(G: GroupTable, gens: list[int]) -> np.ndarray:
     return label == label[G.identity]
 
 
+def _subgroup(G: GroupTable, gens: list[int]) -> GroupTable:
+    """The subgroup generated by gens, its elements numbered in G's order."""
+    keep = _closure(G, gens)
+    elems = np.flatnonzero(keep)
+    number = np.cumsum(keep) - 1  # index in G -> index in the subgroup, on kept elements
+    dt = _index_dtype(len(elems))
+    mul = number[G.mul_table[np.ix_(elems, elems)]].astype(dt)
+    inv = number[G.inv_table[elems]].astype(dt)
+    labels = None if G.labels is None else tuple(G.labels[i] for i in elems.tolist())
+    return GroupTable(_freeze(mul), _freeze(inv), int(number[G.identity]), labels)
+
+
 def _greedy_generators(G: GroupTable) -> Iterator[int]:
     """Generators chosen greedily by ascending element index, each yielded
     before the closure that includes it is built."""
@@ -388,14 +397,14 @@ def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
     path = Path(path or default_fixture_path())
     try:
         raw = json.loads(path.read_text())
-        p = int(raw["prime"])
+        p = _json_int(raw["prime"], "fixture prime")
         names, mats, labels = [], [], []
         for rec in raw["elements"]:
             (a, b), (c, d) = rec["matrix"]
             names.append(str(rec["name"]))
-            mats.append((int(a), int(b), int(c), int(d)))
+            mats.append(tuple(_json_int(x, "a matrix entry") for x in (a, b, c, d)))
             labels.append(str(rec["class"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot read element fixture {str(path)!r}: {exc!r}") from exc
     return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
 
@@ -458,34 +467,10 @@ def fixture_class_order(G: GroupTable, fx: Sl2Fixture) -> dict[str, int]:
 
 
 def make_quaternion8() -> GroupTable:
-    """The quaternion group {±1, ±i, ±j, ±k} of order 8."""
-    # element = (axis, sign) with axes 1,i,j,k; index = axis*2 + (sign<0)
-    prod = {
-        (1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
-        (1, 2): (3, 1), (2, 1): (3, -1),
-        (2, 3): (1, 1), (3, 2): (1, -1),
-        (3, 1): (2, 1), (1, 3): (2, -1),
-    }
-
-    def axis_mul(x, y):
-        if x == 0:
-            return y, 1
-        if y == 0:
-            return x, 1
-        return prod[(x, y)]
-
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    rows = []
-    for i in range(8):
-        ax, sx = i // 2, -1 if i % 2 else 1
-        row = []
-        for j in range(8):
-            ay, sy = j // 2, -1 if j % 2 else 1
-            az, sz = axis_mul(ax, ay)
-            s = sx * sy * sz
-            row.append(az * 2 + (1 if s < 0 else 0))
-        rows.append(row)
-    return make_from_cayley(rows, tuple(names))
+    """The quaternion group Q8 as the subgroup of SL2(F_3) generated by
+    i = [0,1;2,0] and j = [1,1;1,2], for which i^2 = j^2 = -I and ji = -ij."""
+    G = make_sl2(3)
+    return _subgroup(G, [G.labels.index("[0,1;2,0]"), G.labels.index("[1,1;1,2]")])
 
 
 def battery_groups() -> list[tuple[str, GroupTable]]:

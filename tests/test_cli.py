@@ -188,6 +188,79 @@ def test_dims_char_table_file(capsys, tmp_path):
     assert json.loads(out)["dimension"] == 65
 
 
+def _sl2f5_table_with(**fields):
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    raw.update(fields)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "group,fields",
+    [("cyclic:5", {}), ("cyclic:120", {}), ("sl2:5", {"power3": [0] * 9})],
+    ids=["cyclic5", "cyclic120", "power3-zeros"],
+)
+def test_dims_char_table_must_fit_group(capsys, tmp_path, group, fields):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_sl2f5_table_with(**fields)))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", group, "--parity", "odd", "--method", "chartab",
+        "--convention", "inversion", "--char-table", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "does not fit group" in err
+
+
+def test_dims_builtin_char_table_from_parsed_spec(capsys):
+    code, out, _ = run_cli(
+        capsys, "dims", "--group", "sl2:05", "--parity", "odd", "--method", "chartab",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["dimension"] == 65
+
+
+def _first_entry_with(**fields):
+    raw = _sl2f5_table_with()
+    raw["rows"][0][0].update(fields)
+    return raw
+
+
+BAD_JSON_INPUTS = {
+    "char-rows-scalar": ("char", _sl2f5_table_with(rows=5)),
+    "char-rows-not-lists": ("char", _sl2f5_table_with(rows=list(range(9)))),
+    "char-names-scalar": ("char", _sl2f5_table_with(class_names=5)),
+    "char-empty": ("char", {"radicand": None, "class_sizes": [], "power2": [], "power3": [],
+                            "rows": []}),
+    "char-float-den": ("char", _first_entry_with(a_den=1.5)),
+    "char-bool-num": ("char", _first_entry_with(a_num=True)),
+    "char-string-size": ("char", _sl2f5_table_with(class_sizes=["1"] * 9)),
+    "char-float-radicand": ("char", _sl2f5_table_with(radicand=5.0)),
+    "char-deep": ("char", "[" * 100000),
+    "cayley-float-order": ("cayley", {"order": 1.9, "mul": [[0]]}),
+    "cayley-bool-order": ("cayley", {"order": True, "mul": [[0]]}),
+    "cayley-deep": ("cayley", "[" * 100000),
+    "fixture-float-prime": ("fixture", {"prime": 5.0, "elements": []}),
+    "fixture-bool-entry": ("fixture", {"prime": 5, "elements": [
+        {"name": "g", "matrix": [[True, 0], [0, 1]], "class": "1"}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_INPUTS))
+def test_bad_json_inputs_are_usage_errors(capsys, tmp_path, case):
+    kind, payload = BAD_JSON_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    argv = {
+        "char": ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+                 "--char-table", str(path)),
+        "cayley": ("dims", "--group", f"cayley:{path}", "--parity", "odd"),
+        "fixture": ("verify", "fixtures", "--fixture", str(path)),
+    }[kind]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dims_cyclic12_odd(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -211,6 +284,21 @@ def test_lens_table_single_row(capsys):
     code, out, _ = run_cli(capsys, "lens-table", "--max-n", "1", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1] == "1,1,0,0,0"
+
+
+@pytest.mark.parametrize("max_n", [-1, cli.LENS_TABLE_MAX_N + 1])
+def test_lens_table_max_n_out_of_range(capsys, max_n):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "lens-table", "--max-n", str(max_n))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"0..{cli.LENS_TABLE_MAX_N}" in err
+
+
+def test_lens_table_max_n_at_the_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LENS_TABLE_MAX_N", 20)
+    code, out, _ = run_cli(capsys, "lens-table", "--max-n", "20", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 21
 
 
 def test_lens_table_json_round_trips(capsys):

@@ -92,6 +92,23 @@ def test_make_sl2_larger_primes(p):
     assert mats[G.identity] == (1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sl2_matrices_match_brute_filter(p):
+    assert groups.sl2_matrices(p) == [
+        m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1
+    ]
+
+
+def test_quaternion8_is_a_subgroup_of_sl2f3():
+    Q8, SL = groups.make_quaternion8(), groups.make_sl2(3)
+    groups.validate_group(Q8)
+    assert Q8.order == 8 and Q8.labels[Q8.identity] == "[1,0;0,1]"
+    index = {label: i for i, label in enumerate(SL.labels)}
+    for x, y in itertools.product(range(8), repeat=2):
+        assert SL.label(SL.mul(index[Q8.label(x)], index[Q8.label(y)])) == Q8.label(Q8.mul(x, y))
+        assert SL.label(SL.inv(index[Q8.label(x)])) == Q8.label(Q8.inv(x))
+
+
 def test_constructed_groups_satisfy_axioms():
     for name, G in groups.battery_groups():
         groups.validate_group(G)
@@ -331,7 +348,7 @@ GENERATING_SETS = {
     "Z1": [],
     "Z2xZ2": [1, 2],
     "S3": [1, 2],
-    "Q8": [1, 2, 4],
+    "Q8": [0, 3],
     "D4": [1, 2],
     "SL2F3": [0, 1],
 }

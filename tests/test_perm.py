@@ -262,6 +262,31 @@ def test_row_chunks_of_four_rows(monkeypatch, G):
     assert _four_dims(G) == default
 
 
+# (module, parity, symmetry) in product order; Q8 is built as a subgroup of sl2:3
+EIGHT_DIMS = {"Q8": [1, 1, 9, 9, 1, 1, 4, 4], "Z2xQ8": [11, 11, 27, 27, 11, 11, 17, 17]}
+
+
+@pytest.mark.parametrize("name", sorted(EIGHT_DIMS))
+def test_quaternion_dims(name):
+    G = REFERENCE_GROUPS[name]
+    assert [
+        perm.dim_invariants_perm(G, module, parity, symmetry)
+        for module, parity, symmetry in itertools.product(
+            (GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD), (FULL, PI_PI)
+        )
+    ] == EIGHT_DIMS[name]
+
+
+def test_binary_octahedral_dims():
+    # 2O, the binary octahedral group, as the subgroup of sl2:7 closed from two generators
+    SL = groups.make_sl2(7)
+    G = groups._subgroup(SL, [SL.labels.index("[0,1;6,3]"), SL.labels.index("[1,1;4,5]")])
+    assert G.order == 48
+    groups.validate_group(G)
+    assert sorted(groups.conjugacy_classes(G).sizes) == [1, 1, 6, 6, 6, 8, 8, 12]
+    assert _four_dims(G) == [11, 35, 11, 27]
+
+
 def test_lens_closed_forms_at_2048():
     from theta_dims import lens
 
