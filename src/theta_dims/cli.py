@@ -50,27 +50,38 @@ def _write(fmt: str, payload, keys, rows, text_lines) -> int:
     return 0
 
 
-def parse_group_spec(spec: str) -> groups.GroupTable:
-    """cyclic:N, sl2:P, or cayley:FILE (JSON {order, mul})."""
+def _split_group_spec(spec: str) -> tuple[str, int | str]:
+    """The kind and parameter of a group spec: the int N of cyclic:N and P of
+    sl2:P, written in ASCII digits, or the FILE of cayley:FILE."""
     kind, _, arg = spec.partition(":")
     if not arg:
         raise UsageError(f"group spec needs a parameter, got {spec!r}")
-    if kind == "cyclic":
-        return groups.make_cyclic(int(arg))
-    if kind == "sl2":
-        return groups.make_sl2(int(arg))
+    if kind not in ("cyclic", "sl2", "cayley"):
+        raise UsageError(f"unknown group kind {kind!r} (use cyclic:, sl2:, cayley:)")
     if kind == "cayley":
-        try:
-            raw = json.loads(Path(arg).read_text())
-            order, mul = groups._json_int(raw["order"], "Cayley table 'order'"), raw["mul"]
-        except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"cannot read Cayley table {arg!r}: {exc}")
-        if not isinstance(mul, list):
-            raise UsageError(f"Cayley table 'mul' must be a list of rows, got {type(mul).__name__}")
-        if len(mul) != order:
-            raise UsageError(f"Cayley table has {len(mul)} rows, order says {order}")
-        return groups.make_from_cayley(mul)
-    raise UsageError(f"unknown group kind {kind!r} (use cyclic:, sl2:, cayley:)")
+        return kind, arg
+    if not (arg.isascii() and arg.isdigit()):
+        raise UsageError(f"group spec {spec!r} needs ASCII digits after {kind}:")
+    return kind, int(arg)
+
+
+def parse_group_spec(spec: str) -> groups.GroupTable:
+    """cyclic:N, sl2:P, or cayley:FILE (JSON {order, mul})."""
+    kind, arg = _split_group_spec(spec)
+    if kind == "cyclic":
+        return groups.make_cyclic(arg)
+    if kind == "sl2":
+        return groups.make_sl2(arg)
+    try:
+        raw = json.loads(Path(arg).read_text())
+        order, mul = groups._json_int(raw["order"], "Cayley table 'order'"), raw["mul"]
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"cannot read Cayley table {arg!r}: {exc}")
+    if not isinstance(mul, list):
+        raise UsageError(f"Cayley table 'mul' must be a list of rows, got {type(mul).__name__}")
+    if len(mul) != order:
+        raise UsageError(f"Cayley table has {len(mul)} rows, order says {order}")
+    return groups.make_from_cayley(mul)
 
 
 def _resolve_convention(method: str, convention: str | None) -> str:
@@ -93,10 +104,9 @@ def _char_table_for(args) -> chartab.CharTable:
     table's classes must match the group's in size and in the sizes of their
     square and cube classes; that is necessary, not proof the table is G's."""
     G = parse_group_spec(args.group)
-    kind, _, arg = args.group.partition(":")
     if args.char_table:
         table = chartab.load_char_table(args.char_table)
-    elif kind == "sl2" and int(arg) == 5:
+    elif _split_group_spec(args.group) == ("sl2", 5):
         table = chartab.builtin_sl2f5_table()
     else:
         raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
@@ -128,12 +138,12 @@ def _compute_dims(args) -> int:
             )
     elif method == "closed-form":
         # the closed form needs only the order, so no table is built
-        kind, _, arg = args.group.partition(":")
+        kind, arg = _split_group_spec(args.group)
         if kind != "cyclic":
             raise UsageError("method closed-form applies to cyclic groups only")
         if symmetry != perm.FULL:
             raise UsageError("method closed-form computes the full symmetry only")
-        dims = dataclasses.astuple(lens.lens_dims(int(arg)))[1:]
+        dims = dataclasses.astuple(lens.lens_dims(arg))[1:]
         value = dims[lens.COLUMNS.index((args.module, args.parity))]
     else:
         G = parse_group_spec(args.group)

@@ -5,9 +5,9 @@ extra involution acts by basis-level inversion x -> x^-1 (so the coset
 element tau*(g,h) sends x to h x^-1 g^-1). Everything here is exact: traces
 are integer fixed-point counts, and the single division happens at the end.
 
-Both cosets are summed one weighted row per orbit: the untwisted coset per
-class pair, with the first class taken once per orbit of the center; the
-twisted coset per class. Rows are built and composed in fixed-size chunks.
+Both cosets are summed over classes, with fixed points counted by the
+orbit–stabilizer lemma from class sizes and power maps; `_coset_sum` is the
+direct sum over explicit permutations that the tests compare them with.
 
 The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
 `_as_dimension`; `chartab` passes its character sums to the same three.
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegralDimension, SimplificationMismatch
-from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
+from .groups import GroupTable, _row_chunks, class_power_map, conjugacy_classes
 
 GROUP_ALGEBRA = "group-algebra"
 AUG_KERNEL = "aug-kernel"
@@ -124,82 +124,72 @@ def cube_character(c1, c2, c3, parity: str) -> Fraction:
     return Fraction(_cube_sum([(1, c1, c2, c3)], 0, sign), 6)
 
 
-def _numerator_sum(G: GroupTable, block, g: int, hs: np.ndarray, shift: int, sign: int,
-                   weights=None) -> int:
-    """`_cube_sum` over the permutations block(G, g, h), one row per h in hs.
+def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
+    """Reference for the class-data sums: `_cube_sum` over every (g, h) of one
+    coset, directly, in O(n^3). Each pair's traces are the fixed-point counts
+    of its permutation, the square and the cube, formed by explicit composition
+    a chunk of rows h at a time (`_row_chunks`). Only `twisted_coset_average`
+    and the tests call it."""
+    n = G.order
+    mul, inv = G.mul_table, G.inv_table
+    idx = np.arange(n, dtype=mul.dtype)
+    counts: tuple[list[int], ...] = ([], [], [])
+    for g in range(n):
+        inv_gx = inv[mul[g]]
+        for rows in _row_chunks(n, n):
+            p1 = np.take(mul[rows], inv_gx, axis=1)  # x -> h (g x)^-1
+            if not twisted:
+                p1 = np.take(inv, p1)  # x -> (h (g x)^-1)^-1 = g x h^-1
+            # flat position of row i's entries, for composing within rows
+            offsets = np.arange(0, p1.size, n)[:, None]
+            p2 = np.take(p1, p1 + offsets)
+            p3 = np.take(p1, p2 + offsets)
+            for out, p in zip(counts, (p1, p2, p3)):
+                out.extend(np.count_nonzero(p == idx, axis=1).tolist())
+    return _cube_sum(zip(itertools.repeat(1), *counts), shift, sign)
 
-    Each row's traces are the fixed-point counts of the permutation, its
-    square and its cube; rows are weighted by `weights` when given. Rows are
-    built and composed a chunk at a time (`_row_chunks`), so no n x n block
-    is ever live.
+
+def _root_counts(sizes: tuple[int, ...], power: tuple[int, ...]) -> list[int]:
+    """For each class C, the number of k-th roots of one element of C, where
+    power maps each class D to the class of D^k: the sum of |D| over D^k = C, over |C|."""
+    roots = [0] * len(sizes)
+    for d, c in enumerate(power):
+        roots[c] += sizes[d]
+    return [r // s for r, s in zip(roots, sizes)]
+
+
+def _class_sums(G: GroupTable, shift: int, sign: int) -> tuple[int, int]:
+    """The untwisted and twisted coset sums, from class sizes and the square and
+    cube class maps alone, with fixed points counted by the orbit–stabilizer lemma.
+
+    (g, h) fixes x exactly when x^-1 g x = h, so its k-th power has
+    z(g^k) [g^k ~ h^k] fixed points, z(C) = n / |C| the centralizer order. For
+    g in C, h in C gives traces z(C), z(C^2), z(C^3); every other h has first
+    trace 0, and summed over all h the other two are n r2(C^2) and n r3(C^3),
+    rk(D) the number of k-th roots of an element of D. tau*(e, r) fixes the
+    square roots of r, its square is (r, r) and its cube tau*(r, r^2), so it
+    has traces r2(C), z(C), r2(C^3); tau*(g, h) is conjugate to tau*(e, h g),
+    n pairs per product.
     """
     n = G.order
-    idx = np.arange(n, dtype=G.mul_table.dtype)
-    counts: tuple[list[int], ...] = ([], [], [])
-    for rows in _row_chunks(len(hs), n):
-        p1 = block(G, g, hs[rows])
-        # flat position of row i's entries, for composing within rows
-        offsets = np.arange(0, p1.size, n)[:, None]
-        p2 = np.take(p1, p1 + offsets)
-        p3 = np.take(p1, p2 + offsets)
-        for out, p in zip(counts, (p1, p2, p3)):
-            out.extend(np.count_nonzero(p == idx, axis=1).tolist())
-    if weights is None:
-        weights = itertools.repeat(1)
-    return _cube_sum(zip(weights, *counts), shift, sign)
+    cd = conjugacy_classes(G)
+    sq, cu = class_power_map(G, cd, 2), class_power_map(G, cd, 3)
+    z = [n // size for size in cd.sizes]
+    r2, r3 = _root_counts(cd.sizes, sq), _root_counts(cd.sizes, cu)
 
+    def one(t1: int, t2: int, t3: int) -> int:
+        return _cube_sum([(1, t1, t2, t3)], shift, sign)
 
-def _twisted_block(G: GroupTable, g: int, hs: np.ndarray) -> np.ndarray:
-    """Permutations x -> h (g x)^-1 of the twisted tau*(g, h), one row per h in hs."""
-    mul, inv = G.mul_table, G.inv_table
-    return np.take(mul[hs], inv[mul[g]], axis=1)
-
-
-def _untwisted_block(G: GroupTable, g: int, hs: np.ndarray) -> np.ndarray:
-    """Permutations x -> g x h^-1 of the untwisted (g, h), one row per h in hs:
-    the inverses of the twisted rows, read along rows of the table."""
-    return np.take(G.inv_table, _twisted_block(G, g, hs))
-
-
-def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
-    """Reference for the reduced sums: the direct O(n^3) double sum over all
-    (g, h) of one coset. Only `twisted_coset_average` and the tests call it."""
-    block = _twisted_block if twisted else _untwisted_block
-    hs = np.arange(G.order)
-    return sum(_numerator_sum(G, block, g, hs, shift, sign) for g in range(G.order))
-
-
-def _sum_untwisted_by_class_pairs(G: GroupTable, cd: ConjugacyData, shift: int, sign: int) -> int:
-    """The untwisted coset sum: one row per class pair (C, D), weighted by |C| |D|,
-    with C running over one class per orbit of the center, weighted by the orbit size.
-
-    (g z, h z) acts as (g, h) for central z, and C -> C z permutes the classes
-    and keeps their sizes, so every class of an orbit gives the same row sum.
-    The orbit of C has |Z| / |{z : r z in C}| classes, r its rep.
-    """
-    reps = np.array(cd.reps)
-    center = reps[np.array(cd.sizes) == 1]
-    reached = np.zeros(cd.num_classes, dtype=bool)
-    total = 0
-    for c in range(cd.num_classes):
-        if reached[c]:
-            continue
-        moved = cd.class_of[G.mul_table[reps[c], center]]
-        reached[moved] = True
-        orbit_size = center.size // np.count_nonzero(moved == c)
-        row_sum = _numerator_sum(G, _untwisted_block, reps[c], reps, shift, sign, cd.sizes)
-        total += orbit_size * cd.sizes[c] * row_sum
-    return total
-
-
-def _sum_twisted_by_products(G: GroupTable, cd: ConjugacyData, shift: int, sign: int) -> int:
-    """The twisted coset sum: one row x -> r x^-1 of tau*(e, r) per class rep r, weighted by n |C|.
-
-    tau*(g, h) is conjugate to tau*(e, h g), n pairs per product, and
-    conjugating tau*(e, w) by (a, a) gives tau*(e, a w a^-1).
-    """
-    reps = np.array(cd.reps)
-    return G.order * _numerator_sum(G, _twisted_block, G.identity, reps, shift, sign, cd.sizes)
+    # with t1 = 0 the summand is affine in t2 and t3
+    base = one(0, 0, 0)
+    per_root2, per_root3 = one(0, 1, 0) - base, one(0, 0, 1) - base
+    untwisted = sum(
+        size * (size * (one(z[c], z[sq[c]], z[cu[c]]) - one(0, z[sq[c]], z[cu[c]]))
+                + n * (base + per_root2 * r2[sq[c]] + per_root3 * r3[cu[c]]))
+        for c, size in enumerate(cd.sizes)
+    )
+    twisted = n * _cube_sum(zip(cd.sizes, r2, z, [r2[c] for c in cu]), shift, sign)
+    return untwisted, twisted
 
 
 def dim_invariants_perm(
@@ -212,22 +202,16 @@ def dim_invariants_perm(
 
     Averages the alternating/symmetric cube character over the doubled group
     (symmetry "pi-pi") or over the doubled group extended by the inversion
-    involution (symmetry "full"). The untwisted coset is summed one row per
-    class pair (g, h), weighted by class sizes, with g's class taken once per
-    orbit of the center and weighted by the orbit size; the twisted one row
-    per class rep r for tau*(e, r), weighted by n times the class size. The
-    classes are computed once for both. Squares and cubes of every summed
-    permutation are formed by explicit composition, in fixed-size row chunks.
+    involution (symmetry "full"), with fixed points counted by the
+    orbit–stabilizer lemma from class sizes and power maps (`_class_sums`).
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
-    cd = conjugacy_classes(G)
-    total = _sum_untwisted_by_class_pairs(G, cd, shift, sign)
-    group_size = n * n
+    untwisted, twisted = _class_sums(G, shift, sign)
+    total, group_size = untwisted, n * n
     if symmetry == FULL:
-        total += _sum_twisted_by_products(G, cd, shift, sign)
-        group_size *= 2
+        total, group_size = untwisted + twisted, 2 * n * n
     return _as_dimension(
         Fraction(total, 6 * group_size), module=module, parity=parity, symmetry=symmetry
     )
@@ -238,13 +222,14 @@ def twisted_coset_average(
 ) -> Fraction:
     """Average of the cube character over the twisted coset only.
 
-    Computed twice: directly over all pairs (g, h), and by the sum over
-    classes that `dim_invariants_perm` uses. The two routes must agree exactly.
+    Computed twice: directly over all pairs (g, h) by `_coset_sum`, and with
+    fixed points counted by the orbit–stabilizer lemma from class sizes and
+    power maps, as `dim_invariants_perm` does. The two routes must agree exactly.
     """
     shift, sign = _shift_sign(module, parity)
     n = G.order
     direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
-    reduced = Fraction(_sum_twisted_by_products(G, conjugacy_classes(G), shift, sign), 6 * n * n)
+    reduced = Fraction(_class_sums(G, shift, sign)[1], 6 * n * n)
     if direct != reduced:
         raise SimplificationMismatch(
             f"direct twisted average {direct} != reduced class-sum value {reduced}"

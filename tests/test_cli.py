@@ -103,7 +103,7 @@ def run_cli_process(*args, timeout):
 
 
 def test_dims_perm_cyclic_4096_process():
-    # one weighted row per center orbit of classes: a few seconds, not the N^3 half hour
+    # one term per class: under a second, not the N^3 half hour of the direct sum
     dims = {
         method: json.loads(run_cli_process(
             "dims", "--group", "cyclic:4096", "--parity", "odd", "--method", method,
@@ -153,6 +153,14 @@ def test_dims_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+
+
+@pytest.mark.parametrize("method", ["perm", "closed-form"])
+@pytest.mark.parametrize("spec", ["sl2:x", "cyclic:1_0", "cyclic:+10", "cyclic: 10", "sl2:\u0663"])
+def test_group_spec_parameter_is_ascii_digits(capsys, spec, method):
+    code, out, err = run_cli(capsys, "dims", "--group", spec, "--parity", "odd", "--method", method)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(spec) in err
 
 
 def test_dims_cayley_file(capsys, tmp_path):

@@ -205,13 +205,20 @@ def test_augmentation_split():
         )
 
 
-# the nonabelian ones have classes of several sizes; in Z2xQ8 the central
-# (0, -1) fixes the classes {(a, ±i)}, so center orbits of classes are not free
+def _binary_octahedral():
+    # 2O, the binary octahedral group, as the subgroup of sl2:7 closed from two generators
+    SL = groups.make_sl2(7)
+    return groups._subgroup(SL, [SL.labels.index("[0,1;6,3]"), SL.labels.index("[1,1;4,5]")])
+
+
+# the nonabelian ones have classes of several sizes; 2O has two classes of
+# order-4 elements, one with two square roots each (of order 8) and one with none
 REFERENCE_GROUPS = dict(
     groups.battery_groups(),
     **{
         "sl2:5": groups.make_sl2(5),
         "Z2xQ8": groups.make_direct_product(groups.make_cyclic(2), groups.make_quaternion8()),
+        "2O": _binary_octahedral(),
     },
 )
 
@@ -250,16 +257,36 @@ def _four_dims(G):
     ]
 
 
+def _coset_sums(G):
+    return [
+        perm._coset_sum(G, *perm._shift_sign(module, parity), twisted)
+        for module, parity, twisted in itertools.product(
+            (GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD), (False, True)
+        )
+    ]
+
+
+# S3, the Frobenius group of order 21 (x -> x + 1 and x -> 2x mod 7) and Z37
 @pytest.mark.parametrize(
-    "G", [groups.make_sl2(5), groups.make_sl2(7), groups.make_cyclic(37)],
-    ids=["sl2:5", "sl2:7", "cyclic:37"],
+    "G",
+    [
+        groups.make_sl2(2),
+        groups.make_permutation_group([(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]),
+        groups.make_cyclic(37),
+    ],
+    ids=["sl2:2", "F21", "cyclic:37"],
 )
 def test_row_chunks_of_four_rows(monkeypatch, G):
-    # 9, 11 and 37 rows per sum: every chunking ends on a partial chunk
-    default = _four_dims(G)
+    # 6, 21 and 37 rows h per g in _coset_sum: every chunking ends on a partial chunk
+    default = _coset_sums(G)
+    assert default == [
+        total
+        for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
+        for total in perm._class_sums(G, *perm._shift_sign(module, parity))
+    ]
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 4 * G.order)
     assert [s.stop - s.start for s in groups._row_chunks(9, G.order)] == [4, 4, 1]
-    assert _four_dims(G) == default
+    assert _coset_sums(G) == default
 
 
 # (module, parity, symmetry) in product order; Q8 is built as a subgroup of sl2:3
@@ -278,9 +305,7 @@ def test_quaternion_dims(name):
 
 
 def test_binary_octahedral_dims():
-    # 2O, the binary octahedral group, as the subgroup of sl2:7 closed from two generators
-    SL = groups.make_sl2(7)
-    G = groups._subgroup(SL, [SL.labels.index("[0,1;6,3]"), SL.labels.index("[1,1;4,5]")])
+    G = REFERENCE_GROUPS["2O"]
     assert G.order == 48
     groups.validate_group(G)
     assert sorted(groups.conjugacy_classes(G).sizes) == [1, 1, 6, 6, 6, 8, 8, 12]
