@@ -26,6 +26,7 @@ from .groups import (
     class_power_map,
     conjugacy_classes,
     inversion_on_classes,
+    load_cayley,
     load_sl2_fixture,
     make_cyclic,
     make_direct_product,
@@ -72,6 +73,7 @@ __all__ = [
     "fs_indicators",
     "inversion_on_classes",
     "lens_dims",
+    "load_cayley",
     "load_char_table",
     "load_sl2_fixture",
     "make_cyclic",

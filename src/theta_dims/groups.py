@@ -5,17 +5,21 @@ lookup table. Subgroup closures and conjugacy classes are orbits, found by
 one min-label kernel: classes are the orbits of conjugation by a generating
 set. A subgroup is the table restricted to a closure, numbered in the order
 of the whole group; Q8 is the subgroup of SL2(F_3) generated by i and j.
-SL2(F_p) is the set of matrices kept by one determinant mask. Class indices
-are ordered by smallest member, so every derived quantity is deterministic
-across runs and platforms.
+SL2(F_p) is the set of matrices kept by one determinant mask. A Cayley table
+file is read by load_cayley, whose JSON array hook parses the rows from the
+text straight into one index array. Class indices are ordered by smallest
+member, so every derived quantity is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +207,8 @@ def make_sl2(p: int) -> GroupTable:
 
 
 def make_from_cayley(rows, labels: tuple[str, ...] | None = None) -> GroupTable:
-    """Build and fully validate a group from an untrusted multiplication table."""
+    """Build and fully validate a group from an untrusted multiplication table,
+    given as nested lists or an array; load_cayley reads one from a file."""
     mul = _require_valid_index_table(rows)
     idx = np.arange(mul.shape[0])
     is_identity = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
@@ -361,6 +366,175 @@ def _greedy_generators(G: GroupTable) -> Iterator[int]:
 def generating_set(G: GroupTable) -> list[int]:
     """A small generating set, chosen greedily by ascending element index."""
     return list(_greedy_generators(G))
+
+
+# -- Cayley table files --------------------------------------------------------
+
+# characters of a table's text read at a time; a piece ends just after a comma,
+# so no entry is split between pieces
+_PIECE_CHARS = 1 << 20
+_WHITESPACE = b" \t\n\r"
+_MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# with whitespace removed, the only byte pairs a table of integers can hold; a
+# pair with any other character, an empty entry such as "[," or ",]", and a "-"
+# before anything but a digit are all missing here ("d" is any digit)
+_ALLOWED_PAIRS = ("dd", "d,", "d]", "-d", ",d", ",-", ",[", "[d", "[-", "[[", "],", "]]")
+# a '[', whitespace and the '[' of a first row; the ']' of a row, whitespace and a ']'
+_ROWS_START = re.compile(r"[ \t\n\r]*\[")
+_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _pair_codes() -> bytes:
+    """A bytes.translate table for _ALLOWED_PAIRS: bits 0-2 of a byte's code
+    are its class c, its index in "d-,[]" or 5 for any other byte, and bit
+    3 + c' is set when a byte of class c' may follow it."""
+    classes = "d-,[]"
+
+    def members(name: str) -> bytes:
+        return b"0123456789" if name == "d" else name.encode()
+
+    codes = bytearray([5] * 256)
+    for c, name in enumerate(classes):
+        for byte in members(name):
+            codes[byte] = c
+    for a, b in _ALLOWED_PAIRS:
+        for byte in members(a):
+            codes[byte] |= 1 << (3 + classes.index(b))
+    return bytes(codes)
+
+
+_PAIR_CODES = _pair_codes()
+
+
+def _pieces(s: str, start: int, stop: int) -> Iterator[str]:
+    """s[start:stop] in pieces of at least _PIECE_CHARS characters, each but
+    the last ending just after a comma."""
+    while start < stop:
+        cut = s.find(",", min(start + _PIECE_CHARS, stop), stop) + 1 or stop
+        yield s[start:cut]
+        start = cut
+
+
+def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
+    """The n x n index array whose rows s[start:stop] lists: the text between
+    the '[' of the first row and the ']' of the last.
+
+    Raises TooLarge from the row count before any entry is read, and
+    ParseError unless the text is n rows of n JSON integers in 0..n-1. Each
+    piece of the text must be ASCII, keep "-" directly before a digit, hold
+    only the byte pairs of _ALLOWED_PAIRS once whitespace is removed, and parse
+    by np.fromstring into one integer per comma-separated field, which refuses
+    whitespace inside a number. Its commas and brackets must spell rows of
+    n - 1 commas joined by "],[", and the digits must number exactly the
+    decimal widths of the entries, which refuses leading zeros.
+    """
+    n = s.count("[", start, stop) + 1
+    _check_table_size(n)
+
+    def refuse(detail: str) -> ParseError:
+        return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
+
+    def check_pairs(text: bytes) -> None:
+        codes = np.frombuffer(text.translate(_PAIR_CODES), dtype=np.uint8)
+        ok = (codes[:-1] >> ((codes[1:] & 7) + 3)) & 1
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise refuse(f"unexpected text at {text[max(i - 8, 0):i + 10].decode()!r}")
+
+    out = np.empty(n * n, dtype=_index_dtype(n))
+    row = b"," * (n - 1)
+    filled = rows = digits = widths = 0
+    pending = b""  # commas and brackets of the row being read
+    last = b"["  # the character before the piece, whitespace removed
+    for piece in _pieces(s, start, stop):
+        if not piece.isascii():
+            raise refuse("found a character outside ASCII")
+        raw = piece.encode()
+        text = raw
+        if any(w in raw for w in _WHITESPACE):
+            text = raw.translate(None, _WHITESPACE)
+            if b"-" in raw and any(p in raw for p in _MINUS_SPACE):
+                raise refuse("found '-' before whitespace")
+        check_pairs(last + text)
+        last = text[-1:] or last
+        marks = text.translate(None, b"0123456789")
+        digits += len(text) - len(marks)
+        if b"-" in marks:
+            marks = marks.replace(b"-", b"")
+        *done, pending = (pending + marks).split(b"],[")
+        # each "],[" holds one of the n - 1 '[' counted in n, so with pending
+        # no longer than a row no more than n * n entries are read
+        if any(r != row for r in done) or len(pending) > len(row):
+            raise refuse(f"row {rows + 1} does not hold {n} entries")
+        rows += len(done)
+        try:
+            values = np.fromstring(raw.translate(_BRACKETS_TO_SPACES), dtype=np.int64, sep=",")
+        except ValueError:
+            values = None
+        # a piece but the last ends in a comma, which np.fromstring skips
+        if values is None or len(values) != marks.count(b",") + (not text.endswith(b",")):
+            raise refuse("whitespace splits an entry")
+        if values.min() < 0 or values.max() >= n:
+            raise refuse(f"found {int(values[(values < 0) | (values >= n)][0])}")
+        out[filled:filled + len(values)] = values
+        filled += len(values)
+        widths += len(values) + sum(
+            int(np.count_nonzero(values >= 10**k)) for k in range(1, len(str(n - 1)))
+        )
+    check_pairs(last + b"]")
+    if pending != row or rows != n - 1:
+        raise refuse(f"row {rows + 1} does not hold {n} entries")
+    if digits != widths:
+        raise refuse("an entry has a leading zero")
+    return out.reshape(n, n)
+
+
+def _parse_array(s_and_end: tuple[str, int], scan_once):
+    """json's array hook: an array whose first element is an array is read by
+    _read_rows into an index array, any other array the standard way."""
+    s, end = s_and_end
+    first = _ROWS_START.match(s, end)
+    if first is None:
+        return JSONArray(s_and_end, scan_once)
+    close = _ROWS_END.search(s, first.end())
+    if close is None:
+        raise ParseError("an array of rows is not closed")
+    return _read_rows(s, first.end(), close.start()), close.end()
+
+
+class _RowsDecoder(json.JSONDecoder):
+    """Standard JSON, but an array of arrays is one index array (_parse_array)."""
+
+    def __init__(self):
+        super().__init__()
+        self.parse_array = _parse_array
+        self.scan_once = py_make_scanner(self)  # the C scanner ignores parse_array
+
+
+def load_cayley(path: str | Path) -> GroupTable:
+    """Read and fully validate a Cayley table file, JSON {"order": n, "mul":
+    [[...], ...]} whose n rows each hold n integers in 0..n-1.
+
+    The rows are read as text by _read_rows, with no Python object per entry;
+    the rest of the file follows the standard JSON rules. Any other array of
+    arrays in the file must be such rows too.
+    """
+    where = f"Cayley table {str(path)!r}"
+    try:
+        raw = _RowsDecoder().decode(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
+        order, mul = _json_int(raw["order"], "'order'"), raw["mul"]
+    except TooLarge as exc:
+        raise TooLarge(f"{where}: {exc}") from None
+    except (OSError, RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:
+        raise ParseError(f"cannot read {where}: {exc}") from None
+    if not isinstance(mul, np.ndarray):
+        raise ParseError(f"{where}: 'mul' must be a list of rows, got {mul!r:.40}")
+    if len(mul) != order:
+        raise ParseError(f"{where} has {len(mul)} rows, 'order' says {order}")
+    return make_from_cayley(mul)
 
 
 # -- reference data for SL2(F5) ------------------------------------------------

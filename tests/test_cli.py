@@ -156,7 +156,10 @@ def test_dims_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("method", ["perm", "closed-form"])
-@pytest.mark.parametrize("spec", ["sl2:x", "cyclic:1_0", "cyclic:+10", "cyclic: 10", "sl2:\u0663"])
+@pytest.mark.parametrize("spec", [
+    "sl2:x", "cyclic:1_0", "cyclic:+10", "cyclic: 10", "sl2:\u0663",
+    pytest.param("cyclic:" + "9" * 5000, id="cyclic:9x5000"),
+])
 def test_group_spec_parameter_is_ascii_digits(capsys, spec, method):
     code, out, err = run_cli(capsys, "dims", "--group", spec, "--parity", "odd", "--method", method)
     assert code == 2 and out == ""
@@ -233,6 +236,17 @@ def _first_entry_with(**fields):
     return raw
 
 
+# Cayley files whose rows are not JSON integers in 0..order-1, with that order
+BAD_CAYLEY_ROWS = {
+    "cayley-mixed-bool": (2, '{"order":2,"mul":[[0,1],[1,false]]}'),
+    "cayley-float-entry": (1, '{"order":1,"mul":[[0.0]]}'),
+    "cayley-plus-entry": (1, '{"order":1,"mul":[[+0]]}'),
+    "cayley-leading-zero": (2, '{"order":2,"mul":[[0,1],[1,00]]}'),
+    "cayley-short-row": (2, '{"order":2,"mul":[[0,1],[1]]}'),
+    "cayley-space-in-row": (2, '{"order":2,"mul":[[0,1],[1 0]]}'),
+}
+
+
 BAD_JSON_INPUTS = {
     "char-rows-scalar": ("char", _sl2f5_table_with(rows=5)),
     "char-rows-not-lists": ("char", _sl2f5_table_with(rows=list(range(9)))),
@@ -247,6 +261,7 @@ BAD_JSON_INPUTS = {
     "cayley-float-order": ("cayley", {"order": 1.9, "mul": [[0]]}),
     "cayley-bool-order": ("cayley", {"order": True, "mul": [[0]]}),
     "cayley-deep": ("cayley", "[" * 100000),
+    **{case: ("cayley", text) for case, (_, text) in BAD_CAYLEY_ROWS.items()},
     "fixture-float-prime": ("fixture", {"prime": 5.0, "elements": []}),
     "fixture-bool-entry": ("fixture", {"prime": 5, "elements": [
         {"name": "g", "matrix": [[True, 0], [0, 1]], "class": "1"}]}),
@@ -267,6 +282,17 @@ def test_bad_json_inputs_are_usage_errors(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CAYLEY_ROWS))
+def test_bad_cayley_rows_name_file_and_range(capsys, tmp_path, case):
+    n, text = BAD_CAYLEY_ROWS[case]
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classes", "--group", f"cayley:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(str(path)) in err
+    assert f"integers in 0..{n - 1}" in err
 
 
 def test_dims_cyclic12_odd(capsys):

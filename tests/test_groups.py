@@ -3,14 +3,15 @@ import json
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import groups
-from theta_dims.errors import FixtureMismatch, NotAGroup, TooLarge
+from theta_dims import cli, groups
+from theta_dims.errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # latin square with identity 0 and two-sided inverses that is not associative:
 # (1*1)*2 = 2 but 1*(1*2) = 4
@@ -401,3 +402,123 @@ def test_make_from_cayley_rejects_row_swaps(name, data):
     if witness:
         x, a, y = map(int, witness.groups())
         assert mul[mul[x, a], y] != mul[x, mul[a, y]]
+
+
+# -- Cayley table files ----------------------------------------------------------
+
+CAYLEY_GROUPS = dict(groups.battery_groups())
+CAYLEY_MUTATIONS = "[],-+.0123456789 e"
+CAYLEY_SEPARATORS = [(",", ":"), (", ", ": "), (" ,", " : "), (",\n", ":\t"), ("\r\n,", ":")]
+
+
+def read_cayley_with_stdlib(text):
+    """The reference reading: json.loads, every entry a JSON integer, then
+    make_from_cayley."""
+    raw = json.loads(text)
+    order, mul = groups._json_int(raw["order"], "order"), raw["mul"]
+    if not (isinstance(mul, list) and len(mul) == order and all(type(r) is list for r in mul)):
+        raise ParseError("mul is not a list of order rows")
+    if not all(type(x) is int for r in mul for x in r):
+        raise ParseError("mul holds an entry that is not an integer")
+    return groups.make_from_cayley(mul)
+
+
+@st.composite
+def cayley_texts(draw):
+    """A battery group's table, maybe relabeled, written by json.dumps with
+    drawn layout, key order and extra scalar key, then maybe one byte
+    replaced by, or preceded by, a byte of CAYLEY_MUTATIONS, or deleted."""
+    mul = CAYLEY_GROUPS[draw(st.sampled_from(sorted(CAYLEY_GROUPS)))].mul_table.astype(np.int64)
+    if draw(st.booleans()):
+        perm = np.array(draw(st.permutations(range(len(mul)))))  # new index = perm[old]
+        mul[np.ix_(perm, perm)] = perm[mul.copy()]
+    extra = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+    items = [("order", len(mul)), ("mul", mul.tolist()), ("note", draw(extra))]
+    text = json.dumps(
+        dict(draw(st.permutations(items))),
+        indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+        separators=draw(st.sampled_from(CAYLEY_SEPARATORS)),
+    )
+    at = draw(st.integers(0, len(text) - 1))
+    byte = draw(st.sampled_from(CAYLEY_MUTATIONS))
+    return draw(st.sampled_from([
+        text,
+        text[:at] + byte + text[at + 1:],
+        text[:at] + byte + text[at:],
+        text[:at] + text[at + 1:],
+    ]))
+
+
+@settings(
+    derandomize=True, database=None, max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=cayley_texts())
+@example(text='{"order": 1.9, "mul": [[0]]}')
+@example(text='{"order": true, "mul": [[0]]}')
+@example(text="[" * 100000)
+@example(text='{"order":2,"mul":[[0,1],[1,false]]}')
+@example(text='{"order":1,"mul":[[0.0]]}')
+@example(text='{"order":1,"mul":[[+0]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,00]]}')
+@example(text='{"order":2,"mul":[[0,1],[1]]}')
+@example(text='{"order":2,"mul":[[0,1],[1 0]]}')
+@example(text='{"order":1,"mul":[[-0]]}')
+@example(text='{"order":1,"mul":[[ ]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,- 0]]}')
+@example(text='{"order":2,"mul":[[0,[1]],[1,0]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,]]}')
+@example(text='{"order":2,"mul":[[,1],[1,0]]}')
+@example(text='{"order":2,"mul":[[,01],[1,0]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,256]]}')
+@example(text='{"order":2,"mul":[[0,1][1,0]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,0,1]]}')
+@example(text='{"order":3,"mul":[[0,1,2,1],[2,0],[2,0,1]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,99999999999999999999]]}')
+def test_load_cayley_agrees_with_stdlib_reading(tmp_path, text):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    try:
+        expected = read_cayley_with_stdlib(text)
+    except (ValueError, TypeError, LookupError, OverflowError, RecursionError, ParseError, NotAGroup):
+        expected = None
+    try:
+        got = groups.load_cayley(path)
+    except (ParseError, NotAGroup, TooLarge):
+        got = None
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.mul_table.dtype == expected.mul_table.dtype
+        assert np.array_equal(got.mul_table, expected.mul_table)
+
+
+def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
+    monkeypatch.setattr(groups, "TABLE_ENTRY_LIMIT", 15)
+
+    def no_parsing(*args, **kwargs):
+        raise AssertionError("a row was parsed")
+
+    monkeypatch.setattr(np, "fromstring", no_parsing)
+    with pytest.raises(TooLarge, match="order 4 has 16 entries, over 15") as exc:
+        groups.load_cayley(path)
+    assert repr(str(path)) in str(exc.value)
+
+
+def test_load_cayley_builds_no_object_per_entry(tmp_path):
+    n = 1024
+    path = tmp_path / "z1024.json"
+    path.write_text(json.dumps(
+        {"order": n, "mul": groups.make_cyclic(n).mul_table.tolist()}, separators=(",", ":")
+    ))
+    tracemalloc.start()
+    try:
+        G = cli.parse_group_spec(f"cayley:{path}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(G.mul_table, groups.make_cyclic(n).mul_table)
+    # nested lists hold an 8-byte pointer per entry before any int object, and
+    # reading through json.loads and np.asarray peaks near 40 bytes per entry
+    assert peak / (n * n) < 32
