@@ -370,16 +370,16 @@ def generating_set(G: GroupTable) -> list[int]:
 
 # -- Cayley table files --------------------------------------------------------
 
-# characters of a table's text read at a time; a piece ends just after a comma,
-# so no entry is split between pieces
+# characters of a table's rows read at a time, rounded up to the end of a row
 _PIECE_CHARS = 1 << 20
 _WHITESPACE = b" \t\n\r"
 _MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_MARKS_TO_SPACES = bytes.maketrans(b"[],", b"   ")
 # with whitespace removed, the only byte pairs a table of integers can hold; a
-# pair with any other character, an empty entry such as "[," or ",]", and a "-"
-# before anything but a digit are all missing here ("d" is any digit)
-_ALLOWED_PAIRS = ("dd", "d,", "d]", "-d", ",d", ",-", ",[", "[d", "[-", "[[", "],", "]]")
+# pair with any other character, an empty entry such as "[," or ",]", "[[" or
+# "]]", and a "-" before anything but a digit are all missing here ("d" is any
+# digit)
+_ALLOWED_PAIRS = ("dd", "d,", "d]", "-d", ",d", ",-", ",[", "[d", "[-", "],")
 # a '[', whitespace and the '[' of a first row; the ']' of a row, whitespace and a ']'
 _ROWS_START = re.compile(r"[ \t\n\r]*\[")
 _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
@@ -407,87 +407,96 @@ def _pair_codes() -> bytes:
 _PAIR_CODES = _pair_codes()
 
 
-def _pieces(s: str, start: int, stop: int) -> Iterator[str]:
-    """s[start:stop] in pieces of at least _PIECE_CHARS characters, each but
-    the last ending just after a comma."""
-    while start < stop:
-        cut = s.find(",", min(start + _PIECE_CHARS, stop), stop) + 1 or stop
-        yield s[start:cut]
-        start = cut
+def _first_bad_pair(text: bytes) -> int | None:
+    """The index of the first byte of text that may not follow the byte before
+    it under _ALLOWED_PAIRS, or None."""
+    codes = np.frombuffer(text.translate(_PAIR_CODES), dtype=np.uint8)
+    ok = np.bitwise_and(codes[1:], 7)
+    ok += 3
+    np.right_shift(codes[:-1], ok, out=ok)
+    ok &= 1
+    return None if ok.all() else int(np.argmin(ok)) + 1
+
+
+def _bad_rows(n: int, detail: str) -> ParseError:
+    return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
+
+
+def _read_whole_rows(raw: bytes, n: int, first: int, out: np.ndarray) -> int:
+    """Read the rows that raw lists, the text between the '[' of a row and the
+    ']' of the same or a later row, into out; returns how many there are. Rows
+    are numbered from first in messages.
+
+    Raises ParseError unless the text is rows of n JSON integers in 0..n-1.
+    It must be ASCII, keep "-" directly before a digit, and hold only the byte
+    pairs of _ALLOWED_PAIRS once whitespace is removed; its commas and
+    brackets must spell rows of n - 1 commas joined by "],["; np.fromstring
+    must read n integers a row from it with all marks as spaces, which
+    refuses whitespace inside a number; and the digits must number exactly
+    the decimal widths of the entries, which refuses leading zeros.
+    """
+    k = raw.count(b"[") + 1
+    if not raw.isascii():
+        raise _bad_rows(n, "found a character outside ASCII")
+    text = raw
+    if any(w in raw for w in _WHITESPACE):
+        text = raw.translate(None, _WHITESPACE)
+        if b"-" in raw and any(p in raw for p in _MINUS_SPACE):
+            raise _bad_rows(n, "found '-' before whitespace")
+    text = b"[" + text + b"]"
+    bad = _first_bad_pair(text)
+    if bad is not None:
+        raise _bad_rows(n, f"unexpected text at {text[max(bad - 9, 0):bad + 9].decode()!r}")
+    marks = text.translate(None, b"0123456789")
+    digits = len(text) - len(marks)
+    del text
+    marks = marks.replace(b"-", b"")
+    rows = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
+    if marks != rows:
+        size = min(len(marks), len(rows))
+        differ = np.frombuffer(marks, np.uint8, size) != np.frombuffer(rows, np.uint8, size)
+        at = int(np.argmax(differ)) if differ.any() else size
+        raise _bad_rows(n, f"row {first + marks.count(b'[', 0, at)} does not hold {n} entries")
+    del marks, rows
+    values = np.fromstring(raw.translate(_MARKS_TO_SPACES), dtype=np.int64, sep=" ")
+    if len(values) != k * n:
+        raise _bad_rows(n, "whitespace splits an entry")
+    if values.min() < 0 or values.max() >= n:
+        raise _bad_rows(n, f"found {int(values[(values < 0) | (values >= n)][0])}")
+    entries = out[:k].reshape(-1)
+    entries[:] = values
+    del values
+    widths = entries.size + sum(
+        int(np.count_nonzero(entries >= 10**e)) for e in range(1, len(str(n - 1)))
+    )
+    if digits != widths:
+        raise _bad_rows(n, "an entry has a leading zero")
+    return k
 
 
 def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
     """The n x n index array whose rows s[start:stop] lists: the text between
     the '[' of the first row and the ']' of the last.
 
-    Raises TooLarge from the row count before any entry is read, and
-    ParseError unless the text is n rows of n JSON integers in 0..n-1. Each
-    piece of the text must be ASCII, keep "-" directly before a digit, hold
-    only the byte pairs of _ALLOWED_PAIRS once whitespace is removed, and parse
-    by np.fromstring into one integer per comma-separated field, which refuses
-    whitespace inside a number. Its commas and brackets must spell rows of
-    n - 1 commas joined by "],[", and the digits must number exactly the
-    decimal widths of the entries, which refuses leading zeros.
+    Raises TooLarge from the row count before any entry is read. The text is
+    read by _read_whole_rows in pieces of whole rows, each ending at the
+    first ']' from _PIECE_CHARS on; the text between two pieces must be "],["
+    and whitespace. As each such text holds one of the n - 1 '[' counted in
+    n, the pieces hold n rows in all.
     """
     n = s.count("[", start, stop) + 1
     _check_table_size(n)
-
-    def refuse(detail: str) -> ParseError:
-        return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
-
-    def check_pairs(text: bytes) -> None:
-        codes = np.frombuffer(text.translate(_PAIR_CODES), dtype=np.uint8)
-        ok = (codes[:-1] >> ((codes[1:] & 7) + 3)) & 1
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise refuse(f"unexpected text at {text[max(i - 8, 0):i + 10].decode()!r}")
-
-    out = np.empty(n * n, dtype=_index_dtype(n))
-    row = b"," * (n - 1)
-    filled = rows = digits = widths = 0
-    pending = b""  # commas and brackets of the row being read
-    last = b"["  # the character before the piece, whitespace removed
-    for piece in _pieces(s, start, stop):
-        if not piece.isascii():
-            raise refuse("found a character outside ASCII")
-        raw = piece.encode()
-        text = raw
-        if any(w in raw for w in _WHITESPACE):
-            text = raw.translate(None, _WHITESPACE)
-            if b"-" in raw and any(p in raw for p in _MINUS_SPACE):
-                raise refuse("found '-' before whitespace")
-        check_pairs(last + text)
-        last = text[-1:] or last
-        marks = text.translate(None, b"0123456789")
-        digits += len(text) - len(marks)
-        if b"-" in marks:
-            marks = marks.replace(b"-", b"")
-        *done, pending = (pending + marks).split(b"],[")
-        # each "],[" holds one of the n - 1 '[' counted in n, so with pending
-        # no longer than a row no more than n * n entries are read
-        if any(r != row for r in done) or len(pending) > len(row):
-            raise refuse(f"row {rows + 1} does not hold {n} entries")
-        rows += len(done)
-        try:
-            values = np.fromstring(raw.translate(_BRACKETS_TO_SPACES), dtype=np.int64, sep=",")
-        except ValueError:
-            values = None
-        # a piece but the last ends in a comma, which np.fromstring skips
-        if values is None or len(values) != marks.count(b",") + (not text.endswith(b",")):
-            raise refuse("whitespace splits an entry")
-        if values.min() < 0 or values.max() >= n:
-            raise refuse(f"found {int(values[(values < 0) | (values >= n)][0])}")
-        out[filled:filled + len(values)] = values
-        filled += len(values)
-        widths += len(values) + sum(
-            int(np.count_nonzero(values >= 10**k)) for k in range(1, len(str(n - 1)))
-        )
-    check_pairs(last + b"]")
-    if pending != row or rows != n - 1:
-        raise refuse(f"row {rows + 1} does not hold {n} entries")
-    if digits != widths:
-        raise refuse("an entry has a leading zero")
-    return out.reshape(n, n)
+    out = np.empty((n, n), dtype=_index_dtype(n))
+    filled = 0
+    while True:
+        end = s.find("]", min(start + _PIECE_CHARS, stop), stop)
+        end = stop if end < 0 else end
+        filled += _read_whole_rows(s[start:end].encode(), n, filled + 1, out[filled:])
+        if end == stop:
+            return out
+        start = s.find("[", end, stop) + 1
+        if not start or s[end:start].encode().translate(None, _WHITESPACE) != b"],[":
+            raise _bad_rows(n, f"unexpected text after row {filled}")
 
 
 def _parse_array(s_and_end: tuple[str, int], scan_once):

@@ -244,6 +244,7 @@ BAD_CAYLEY_ROWS = {
     "cayley-leading-zero": (2, '{"order":2,"mul":[[0,1],[1,00]]}'),
     "cayley-short-row": (2, '{"order":2,"mul":[[0,1],[1]]}'),
     "cayley-space-in-row": (2, '{"order":2,"mul":[[0,1],[1 0]]}'),
+    "cayley-space-splits-entry": (2, '{"order":2,"mul":[[0,1 0],[1,0]]}'),
 }
 
 

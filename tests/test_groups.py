@@ -475,21 +475,34 @@ def cayley_texts(draw):
 @example(text='{"order":2,"mul":[[0,1],[1,0,1]]}')
 @example(text='{"order":3,"mul":[[0,1,2,1],[2,0],[2,0,1]]}')
 @example(text='{"order":2,"mul":[[0,1],[1,99999999999999999999]]}')
-def test_load_cayley_agrees_with_stdlib_reading(tmp_path, text):
+@example(text='{"order":2,"mul":[[0,1],[1,0],5]]}')
+def test_load_cayley_agrees_with_stdlib_reading(tmp_path, monkeypatch, text):
     path = tmp_path / "table.json"
     path.write_text(text)
     try:
         expected = read_cayley_with_stdlib(text)
     except (ValueError, TypeError, LookupError, OverflowError, RecursionError, ParseError, NotAGroup):
         expected = None
-    try:
-        got = groups.load_cayley(path)
-    except (ParseError, NotAGroup, TooLarge):
-        got = None
-    assert (got is None) == (expected is None)
-    if got is not None:
-        assert got.mul_table.dtype == expected.mul_table.dtype
-        assert np.array_equal(got.mul_table, expected.mul_table)
+    for chars in (groups._PIECE_CHARS, 1):  # the rows in one piece, then a piece per row
+        monkeypatch.setattr(groups, "_PIECE_CHARS", chars)
+        try:
+            got = groups.load_cayley(path)
+        except (ParseError, NotAGroup, TooLarge):
+            got = None
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.mul_table.dtype == expected.mul_table.dtype
+            assert np.array_equal(got.mul_table, expected.mul_table)
+
+
+@pytest.mark.parametrize("separators", CAYLEY_SEPARATORS)
+def test_load_cayley_reads_the_same_rows_for_every_piece_size(tmp_path, monkeypatch, separators):
+    mul = groups.make_cyclic(12).mul_table
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps({"order": 12, "mul": mul.tolist()}, separators=separators))
+    for chars in range(1, path.stat().st_size + 1):
+        monkeypatch.setattr(groups, "_PIECE_CHARS", chars)
+        assert np.array_equal(groups.load_cayley(path).mul_table, mul)
 
 
 def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
