@@ -25,7 +25,6 @@ from .groups import (
     battery_groups,
     class_power_map,
     conjugacy_classes,
-    inversion_on_classes,
     load_cayley,
     load_sl2_fixture,
     make_cyclic,
@@ -71,7 +70,6 @@ __all__ = [
     "fixed_points",
     "fs_indicator",
     "fs_indicators",
-    "inversion_on_classes",
     "lens_dims",
     "load_cayley",
     "load_char_table",

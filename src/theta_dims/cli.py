@@ -10,6 +10,7 @@ import time
 
 from . import chartab, groups, lens, oracle, perm, verify
 from .errors import (
+    IndicatorOutOfRange,
     MixedRadicand,
     NonRealValue,
     NotAGroup,
@@ -104,9 +105,7 @@ def _char_table_for(args) -> chartab.CharTable:
     else:
         raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
     cd = groups.conjugacy_classes(G)
-    group_side = _class_power_sizes(
-        cd.sizes, groups.class_power_map(G, cd, 2), groups.class_power_map(G, cd, 3)
-    )
+    group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
     if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
         raise UsageError(
             f"the character table does not fit group {args.group}: its classes differ "
@@ -187,20 +186,18 @@ def _cmd_lens_table(args) -> int:
 def _cmd_classes(args) -> int:
     G = parse_group_spec(args.group)
     cd = groups.conjugacy_classes(G)
-    p2 = groups.class_power_map(G, cd, 2)
-    p3 = groups.class_power_map(G, cd, 3)
-    inv_perm, orbit_count = groups.inversion_on_classes(G, cd)
     rows = [
         {
             "class": c,
             "representative": G.label(cd.reps[c]),
             "size": cd.sizes[c],
-            "square_class": p2[c],
-            "cube_class": p3[c],
-            "inverse_class": inv_perm[c],
+            "square_class": cd.power2[c],
+            "cube_class": cd.power3[c],
+            "inverse_class": cd.inverse[c],
         }
         for c in range(cd.num_classes)
     ]
+    orbit_count = cd.inversion_orbits
     payload = {"group": args.group, "classes": rows, "inversion_orbits": orbit_count}
     text = [f"group={args.group} classes={cd.num_classes} inversion_orbits={orbit_count}"]
     text += [
@@ -261,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# IndicatorOutOfRange comes only from a loaded character table
 _INPUT_ERRORS = (
     UsageError,
     ValueError,
@@ -270,6 +268,7 @@ _INPUT_ERRORS = (
     MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
+    IndicatorOutOfRange,
 )
 
 

@@ -45,10 +45,6 @@ class IndicatorOutOfRange(ThetaDimsError):
     """A squared-power average landed outside {-1, 0, +1} (table corruption)."""
 
 
-class GeneratorsDontGenerate(ThetaDimsError):
-    """The supplied generating set does not generate the whole group."""
-
-
 class TooLarge(ThetaDimsError):
     """Input exceeds a size guard for an exact dense computation."""
 

@@ -107,15 +107,24 @@ class GroupTable:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyData:
-    """Partition of a group into conjugacy classes, ordered by class minimum."""
+    """Partition of a group into conjugacy classes, ordered by class minimum,
+    with the class of the square, cube and inverse of each class."""
 
     class_of: np.ndarray  # element index -> class index
     reps: tuple[int, ...]  # smallest member of each class
     sizes: tuple[int, ...]
+    power2: tuple[int, ...]  # class of r^2 for each representative r
+    power3: tuple[int, ...]  # class of r^3
+    inverse: tuple[int, ...]  # class of r^-1
 
     @property
     def num_classes(self) -> int:
         return len(self.reps)
+
+    @property
+    def inversion_orbits(self) -> int:
+        """The number of orbits of the involution [x] -> [x^-1] on classes."""
+        return sum(1 for c, t in enumerate(self.inverse) if t >= c)
 
 
 def _require_valid_index_table(rows) -> np.ndarray:
@@ -123,7 +132,10 @@ def _require_valid_index_table(rows) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotAGroup(f"table must be square and nonempty, got shape {arr.shape}")
     n = arr.shape[0]
-    if not np.issubdtype(arr.dtype, np.integer):
+    # a list that mixes ints and bools reads as an integer array
+    if not np.issubdtype(arr.dtype, np.integer) or (
+        not isinstance(rows, np.ndarray) and any(type(x) is not int for row in rows for x in row)
+    ):
         raise NotAGroup("table entries must be integers")
     if arr.min() < 0 or arr.max() >= n:
         raise NotAGroup(f"table entries must lie in 0..{n - 1}")
@@ -208,7 +220,7 @@ def make_sl2(p: int) -> GroupTable:
 
 def make_from_cayley(rows, labels: tuple[str, ...] | None = None) -> GroupTable:
     """Build and fully validate a group from an untrusted multiplication table,
-    given as nested lists or an array; load_cayley reads one from a file."""
+    given as nested lists of ints or an array; load_cayley reads one from a file."""
     mul = _require_valid_index_table(rows)
     idx = np.arange(mul.shape[0])
     is_identity = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
@@ -279,7 +291,8 @@ def make_permutation_group(generators: list[tuple[int, ...]]) -> GroupTable:
 
 def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     """Conjugacy classes as the orbits of conjugation by a generating set and
-    its inverses, indexed by smallest representative."""
+    its inverses, indexed by smallest representative, with the classes of the
+    square, cube and inverse of each representative."""
     mul, inv = G.mul_table, G.inv_table
     moves = []
     for s in generating_set(G):
@@ -288,23 +301,19 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     label = _orbit_labels(moves, G.order)
     roots = label == np.arange(G.order)
     class_of = (np.cumsum(roots, dtype=np.int32) - 1)[label]
-    reps = np.flatnonzero(roots).tolist()
-    sizes = np.bincount(class_of).tolist()
-    return ConjugacyData(_freeze(class_of), tuple(reps), tuple(sizes))
+    reps = np.flatnonzero(roots)
+    square = mul[reps, reps]
+    power2, power3, inverse = class_of[np.stack([square, mul[square, reps], inv[reps]])]
+    columns = (reps, np.bincount(class_of), power2, power3, inverse)
+    return ConjugacyData(_freeze(class_of), *(tuple(a.tolist()) for a in columns))
 
 
 def class_power_map(G: GroupTable, cd: ConjugacyData, k: int) -> tuple[int, ...]:
-    """For each class [r], the class of r**k. Well-defined for any k >= 2."""
+    """For each class [r], the class of r**k. Well-defined for any k >= 2;
+    conjugacy_classes gives k = 2 and 3 as power2 and power3."""
     if k < 2:
         raise ValueError(f"power map needs k >= 2, got {k}")
     return tuple(int(cd.class_of[G.pow(r, k)]) for r in cd.reps)
-
-
-def inversion_on_classes(G: GroupTable, cd: ConjugacyData) -> tuple[tuple[int, ...], int]:
-    """The involution [x] -> [x^-1] on classes, and its orbit count."""
-    perm = tuple(int(cd.class_of[G.inv(r)]) for r in cd.reps)
-    orbit_count = sum(1 for c, t in enumerate(perm) if t >= c)
-    return perm, orbit_count
 
 
 def _orbit_labels(moves: list[np.ndarray], size: int) -> np.ndarray:

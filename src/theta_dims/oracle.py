@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import GeneratorsDontGenerate, ProjectorNotIdempotent, TooLarge
-from .groups import GroupTable, _closure, _orbit_labels, generating_set
+from .errors import ProjectorNotIdempotent, TooLarge
+from .groups import GroupTable, _orbit_labels, generating_set
 from .perm import (
     EVEN,
     FULL,
@@ -98,17 +98,9 @@ def _rank_of_rows(rows) -> int:
     return rank
 
 
-def _verify_generators(G: GroupTable, generators) -> list[int]:
-    gens = [int(g) for g in generators]
-    reached = int(np.count_nonzero(_closure(G, gens)))
-    if reached != G.order:
-        raise GeneratorsDontGenerate(f"generators reach {reached} of {G.order} elements")
-    return gens
-
-
-def _symmetry_permutations(G: GroupTable, gens: list[int], symmetry: str) -> list[np.ndarray]:
+def _symmetry_permutations(G: GroupTable, symmetry: str) -> list[np.ndarray]:
     perms = []
-    for s in gens:
+    for s in generating_set(G):
         perms.append(permutation_of(G, CosetElement(False, s, G.identity)))
         perms.append(permutation_of(G, CosetElement(False, G.identity, s)))
     if symmetry == FULL:
@@ -116,14 +108,10 @@ def _symmetry_permutations(G: GroupTable, gens: list[int], symmetry: str) -> lis
     return perms
 
 
-def dim_invariants_orbit(
-    G: GroupTable,
-    parity: str,
-    symmetry: str = FULL,
-    generators=None,
-) -> int:
+def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> int:
     """Invariant dimension of the cubic power of the group algebra by orbit
-    counting over monomials, using only symmetry generators.
+    counting over monomials, using only the symmetries made from the greedy
+    generating set of G (`generating_set`).
 
     Counts the components of the sign double cover of the monomial basis: node
     i + s*m is monomial i with sign (-1)^s (the symmetric cube has one sheet).
@@ -137,9 +125,6 @@ def dim_invariants_orbit(
     count = math.comb(n, 3) if wedge else math.comb(n + 2, 3)
     if count > ORBIT_MONOMIAL_LIMIT:
         raise TooLarge(f"{count} monomials exceed the orbit guard {ORBIT_MONOMIAL_LIMIT}")
-    if generators is None:
-        generators = generating_set(G)
-    gens = _verify_generators(G, generators)
     basis = _monomials(n, parity)
     m = len(basis)
     # the combinadic rank is the node id; it must be a bijection onto range(m)
@@ -148,7 +133,7 @@ def dim_invariants_orbit(
     # each symmetry generator as a bijection of the nodes; node ids fit int32,
     # as there are at most 2 * ORBIT_MONOMIAL_LIMIT of them
     moves = []
-    for p in _symmetry_permutations(G, gens, symmetry):
+    for p in _symmetry_permutations(G, symmetry):
         images, sign = _sort_sign(p[basis], parity)
         target = _rank(images, parity)
         if wedge:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegralDimension, SimplificationMismatch
-from .groups import GroupTable, _row_chunks, class_power_map, conjugacy_classes
+from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
 GROUP_ALGEBRA = "group-algebra"
 AUG_KERNEL = "aug-kernel"
@@ -158,22 +158,21 @@ def _root_counts(sizes: tuple[int, ...], power: tuple[int, ...]) -> list[int]:
     return [r // s for r, s in zip(roots, sizes)]
 
 
-def _class_sums(G: GroupTable, shift: int, sign: int) -> tuple[int, int]:
+def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
     """The untwisted and twisted coset sums, from class sizes and the square and
     cube class maps alone, with fixed points counted by the orbit–stabilizer lemma.
 
     (g, h) fixes x exactly when x^-1 g x = h, so its k-th power has
-    z(g^k) [g^k ~ h^k] fixed points, z(C) = n / |C| the centralizer order. For
-    g in C, h in C gives traces z(C), z(C^2), z(C^3); every other h has first
-    trace 0, and summed over all h the other two are n r2(C^2) and n r3(C^3),
-    rk(D) the number of k-th roots of an element of D. tau*(e, r) fixes the
-    square roots of r, its square is (r, r) and its cube tau*(r, r^2), so it
-    has traces r2(C), z(C), r2(C^3); tau*(g, h) is conjugate to tau*(e, h g),
-    n pairs per product.
+    z(g^k) [g^k ~ h^k] fixed points, z(C) = n / |C| the centralizer order with
+    n the sum of the class sizes. For g in C, h in C gives traces z(C), z(C^2),
+    z(C^3); every other h has first trace 0, and summed over all h the other
+    two are n r2(C^2) and n r3(C^3), rk(D) the number of k-th roots of an
+    element of D. tau*(e, r) fixes the square roots of r, its square is (r, r)
+    and its cube tau*(r, r^2), so it has traces r2(C), z(C), r2(C^3);
+    tau*(g, h) is conjugate to tau*(e, h g), n pairs per product.
     """
-    n = G.order
-    cd = conjugacy_classes(G)
-    sq, cu = class_power_map(G, cd, 2), class_power_map(G, cd, 3)
+    n = sum(cd.sizes)
+    sq, cu = cd.power2, cd.power3
     z = [n // size for size in cd.sizes]
     r2, r3 = _root_counts(cd.sizes, sq), _root_counts(cd.sizes, cu)
 
@@ -208,7 +207,7 @@ def dim_invariants_perm(
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
-    untwisted, twisted = _class_sums(G, shift, sign)
+    untwisted, twisted = _class_sums(conjugacy_classes(G), shift, sign)
     total, group_size = untwisted, n * n
     if symmetry == FULL:
         total, group_size = untwisted + twisted, 2 * n * n
@@ -229,7 +228,7 @@ def twisted_coset_average(
     shift, sign = _shift_sign(module, parity)
     n = G.order
     direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
-    reduced = Fraction(_class_sums(G, shift, sign)[1], 6 * n * n)
+    reduced = Fraction(_class_sums(conjugacy_classes(G), shift, sign)[1], 6 * n * n)
     if direct != reduced:
         raise SimplificationMismatch(
             f"direct twisted average {direct} != reduced class-sum value {reduced}"

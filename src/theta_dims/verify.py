@@ -54,15 +54,13 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     lines.append("character table: 45 orthogonality sums exact")
 
     to_computed = _fixture_to_table_classes(report.label_class, table)
-    p2 = groups.class_power_map(G, cd, 2)
-    p3 = groups.class_power_map(G, cd, 3)
     for i in range(table.num_classes):
         _expect(
-            p2[to_computed[i]] == to_computed[table.power2[i]],
+            cd.power2[to_computed[i]] == to_computed[table.power2[i]],
             f"square of class {table.class_names[i]} disagrees with the power table",
         )
         _expect(
-            p3[to_computed[i]] == to_computed[table.power3[i]],
+            cd.power3[to_computed[i]] == to_computed[table.power3[i]],
             f"cube of class {table.class_names[i]} disagrees with the power table",
         )
         _expect(
@@ -71,20 +69,20 @@ def verify_fixtures(fixture_path=None) -> list[str]:
         )
     lines.append("power maps: computed squares/cubes match the table classes")
 
-    inv_perm, orbit_count = groups.inversion_on_classes(G, cd)
     _expect(
-        inv_perm == tuple(range(9)) and orbit_count == 9,
-        f"inversion on classes is {inv_perm} with {orbit_count} orbits, expected trivial",
+        cd.inverse == tuple(range(9)) and cd.inversion_orbits == 9,
+        f"inversion on classes is {cd.inverse} with {cd.inversion_orbits} orbits, "
+        "expected trivial",
     )
     lines.append("inversion: acts trivially on all 9 classes")
     return lines
 
 
-def _lens_third_route(G, orbit_count: int, generators) -> tuple[int, int, int, int]:
+def _lens_third_route(G, orbit_count: int) -> tuple[int, int, int, int]:
     """The lens.COLUMNS dimensions by orbit counting on the group algebra,
     extended to the kernel columns through the general split identities."""
-    odd = oracle.dim_invariants_orbit(G, perm.ODD, perm.FULL, generators)
-    even = oracle.dim_invariants_orbit(G, perm.EVEN, perm.FULL, generators)
+    odd = oracle.dim_invariants_orbit(G, perm.ODD, perm.FULL)
+    even = oracle.dim_invariants_orbit(G, perm.EVEN, perm.FULL)
     return odd, even, odd - orbit_count, even
 
 
@@ -117,8 +115,7 @@ def verify_cross_methods() -> list[str]:
     )
 
     for name, G in battery:
-        cd = groups.conjugacy_classes(G)
-        _, orbit_count = groups.inversion_on_classes(G, cd)
+        orbit_count = groups.conjugacy_classes(G).inversion_orbits
         even_ca = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.EVEN, perm.FULL)
         even_ker = perm.dim_invariants_perm(G, perm.AUG_KERNEL, perm.EVEN, perm.FULL)
         odd_ca = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.ODD, perm.FULL)
@@ -133,13 +130,11 @@ def verify_cross_methods() -> list[str]:
     for n in range(1, 16):
         G = groups.make_cyclic(n)
         closed = lens.lens_dims(n)
-        cd = groups.conjugacy_classes(G)
-        _, orbit_count = groups.inversion_on_classes(G, cd)
         by_perm = tuple(
             perm.dim_invariants_perm(G, module, parity, perm.FULL)
             for module, parity in lens.COLUMNS
         )
-        by_orbit = _lens_third_route(G, orbit_count, [1 % n])
+        by_orbit = _lens_third_route(G, groups.conjugacy_classes(G).inversion_orbits)
         by_closed = dataclasses.astuple(closed)[1:]
         _expect(
             by_perm == by_closed and by_orbit == by_closed,
@@ -225,9 +220,8 @@ def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> lis
     lines.append("note: flip and inversion values are reported side by side, not equated")
 
     if with_orbit_check:
-        gens = groups.generating_set(G)
         for parity in perm.PARITIES:
-            got = oracle.dim_invariants_orbit(G, parity, perm.FULL, gens)
+            got = oracle.dim_invariants_orbit(G, parity, perm.FULL)
             want = inversion[(perm.GROUP_ALGEBRA, parity)]
             _expect(got == want, f"orbit check {parity}: {got} != {want}")
         lines.append("orbit oracle confirms the inversion group-algebra values")

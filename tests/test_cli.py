@@ -221,6 +221,20 @@ def test_dims_char_table_must_fit_group(capsys, tmp_path, group, fields):
     assert err.startswith("error:") and "does not fit group" in err
 
 
+def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):
+    # the square map moves but keeps the class sizes, so the fit check passes
+    power2 = list(chartab.builtin_sl2f5_table().power2)
+    power2[5], power2[6] = 5, 7
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_sl2f5_table_with(power2=power2)))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", "sl2:5", "--parity", "even", "--method", "chartab",
+        "--char-table", str(path), "--convention", "inversion",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "is not in -1, 0, +1" in err
+
+
 def test_dims_builtin_char_table_from_parsed_spec(capsys):
     code, out, _ = run_cli(
         capsys, "dims", "--group", "sl2:05", "--parity", "odd", "--method", "chartab",

@@ -134,6 +134,9 @@ def test_make_from_cayley_rejections():
         groups.make_from_cayley([[0, 1]])
     with pytest.raises(NotAGroup):
         groups.make_from_cayley([[0, 7], [1, 0]])
+    # numpy reads a list that mixes ints and bools as an integer array
+    with pytest.raises(NotAGroup, match="must be integers"):
+        groups.make_from_cayley([[0, 1], [1, False]])
 
 
 def test_associativity_checks_every_generator():
@@ -171,21 +174,18 @@ def test_permutation_group_guard():
     assert time.perf_counter() - start < 1.0
 
 
-def test_direct_product_sl2f5_square():
-    G = groups.make_sl2(5)
-    GG = groups.make_direct_product(G, G)
-    assert GG.order == 14400
-    n = GG.order
+def test_direct_product_sl2f5_sl2f3():
+    G, H = groups.make_sl2(5), groups.make_sl2(3)
+    GH = groups.make_direct_product(G, H)
+    n = GH.order
+    assert n == 2880 and GH.mul_table.dtype == np.uint16
     idx = np.arange(n)
-    assert (GG.mul_table[GG.identity] == idx).all()
-    assert (GG.mul_table[idx, GG.inv_table] == GG.identity).all()
-    # spot-check products against the factorwise definition
-    rng = random.Random(1)
-    for _ in range(50):
-        a, b = rng.randrange(n), rng.randrange(n)
-        ga, ha = divmod(a, 120)
-        gb, hb = divmod(b, 120)
-        assert GG.mul(a, b) == G.mul(ga, gb) * 120 + G.mul(ha, hb)
+    assert (GH.mul_table[GH.identity] == idx).all()
+    assert (GH.mul_table[idx, GH.inv_table] == GH.identity).all()
+    # every product against the factorwise definition, on (g, h) at g*24 + h
+    g, h = np.divmod(idx, 24)
+    factorwise = G.mul_table[np.ix_(g, g)].astype(np.uint16) * 24 + H.mul_table[np.ix_(h, h)]
+    assert np.array_equal(GH.mul_table, factorwise)
 
 
 def test_pow():
@@ -251,6 +251,10 @@ def test_class_power_map_well_defined():
             mapping = groups.class_power_map(G, cd, k)
             for g in range(G.order):
                 assert cd.class_of[G.pow(g, k)] == mapping[cd.class_of[g]]
+        # the record's square and cube maps are the general-k map at k = 2, 3
+        assert cd.power2 == groups.class_power_map(G, cd, 2), name
+        assert cd.power3 == groups.class_power_map(G, cd, 3), name
+        assert all(type(x) is int for x in cd.power2 + cd.power3 + cd.inverse), name
 
 
 def test_class_power_map_rejects_small_k():
@@ -267,32 +271,26 @@ def test_class_power_map_z5():
 
 
 def test_inversion_on_classes():
-    G = groups.make_sl2(5)
-    perm, orbits = groups.inversion_on_classes(G, groups.conjugacy_classes(G))
-    assert perm == tuple(range(9)) and orbits == 9
+    cd = groups.conjugacy_classes(groups.make_sl2(5))
+    assert cd.inverse == tuple(range(9)) and cd.inversion_orbits == 9
 
-    Z5 = groups.make_cyclic(5)
-    perm, orbits = groups.inversion_on_classes(Z5, groups.conjugacy_classes(Z5))
-    assert perm == (0, 4, 3, 2, 1) and orbits == 3
+    cd = groups.conjugacy_classes(groups.make_cyclic(5))
+    assert cd.inverse == (0, 4, 3, 2, 1) and cd.inversion_orbits == 3
 
-    Z4 = groups.make_cyclic(4)
-    perm, orbits = groups.inversion_on_classes(Z4, groups.conjugacy_classes(Z4))
-    assert perm == (0, 3, 2, 1) and orbits == 3
+    cd = groups.conjugacy_classes(groups.make_cyclic(4))
+    assert cd.inverse == (0, 3, 2, 1) and cd.inversion_orbits == 3
 
 
 def test_inversion_orbit_count_cyclic():
     for n in range(1, 25):
-        G = groups.make_cyclic(n)
-        _, orbits = groups.inversion_on_classes(G, groups.conjugacy_classes(G))
-        assert orbits == n // 2 + 1
+        assert groups.conjugacy_classes(groups.make_cyclic(n)).inversion_orbits == n // 2 + 1
 
 
 def test_inversion_consistent_with_elements():
     for name, G in groups.battery_groups():
         cd = groups.conjugacy_classes(G)
-        perm, _ = groups.inversion_on_classes(G, cd)
         for g in range(G.order):
-            assert cd.class_of[G.inv(g)] == perm[cd.class_of[g]]
+            assert cd.class_of[G.inv(g)] == cd.inverse[cd.class_of[g]], name
 
 
 def test_fixture_clean():

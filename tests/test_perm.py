@@ -194,7 +194,7 @@ def test_full_is_average_of_coset_halves():
 
 def test_augmentation_split():
     for name, G in groups.battery_groups():
-        _, orbit_count = groups.inversion_on_classes(G, groups.conjugacy_classes(G))
+        orbit_count = groups.conjugacy_classes(G).inversion_orbits
         assert perm.dim_invariants_perm(G, GROUP_ALGEBRA, EVEN, FULL) == perm.dim_invariants_perm(
             G, AUG_KERNEL, EVEN, FULL
         )
@@ -279,10 +279,11 @@ def _coset_sums(G):
 def test_row_chunks_of_four_rows(monkeypatch, G):
     # 6, 21 and 37 rows h per g in _coset_sum: every chunking ends on a partial chunk
     default = _coset_sums(G)
+    cd = groups.conjugacy_classes(G)
     assert default == [
         total
         for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
-        for total in perm._class_sums(G, *perm._shift_sign(module, parity))
+        for total in perm._class_sums(cd, *perm._shift_sign(module, parity))
     ]
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 4 * G.order)
     assert [s.stop - s.start for s in groups._row_chunks(9, G.order)] == [4, 4, 1]
