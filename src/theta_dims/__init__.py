@@ -25,6 +25,7 @@ from .groups import (
     battery_groups,
     class_power_map,
     conjugacy_classes,
+    cyclic_class_data,
     load_cayley,
     load_sl2_fixture,
     make_cyclic,
@@ -61,6 +62,7 @@ __all__ = [
     "class_power_map",
     "conjugacy_classes",
     "cube_character",
+    "cyclic_class_data",
     "diagonal_part",
     "dim_invariants_chartab",
     "dim_invariants_orbit",

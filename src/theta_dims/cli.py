@@ -97,13 +97,13 @@ def _char_table_for(args) -> chartab.CharTable:
     """The table for --group: the --char-table file or the builtin one. The
     table's classes must match the group's in size and in the sizes of their
     square and cube classes; that is necessary, not proof the table is G's."""
+    if not args.char_table and _split_group_spec(args.group) != ("sl2", 5):
+        raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
     G = parse_group_spec(args.group)
     if args.char_table:
         table = chartab.load_char_table(args.char_table)
-    elif _split_group_spec(args.group) == ("sl2", 5):
-        table = chartab.builtin_sl2f5_table()
     else:
-        raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
+        table = chartab.builtin_sl2f5_table()
     cd = groups.conjugacy_classes(G)
     group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
     if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
@@ -118,6 +118,8 @@ def _compute_dims(args) -> int:
     method = args.method
     convention = _resolve_convention(method, args.convention)
     symmetry = args.symmetry
+    # the spec's syntax and the method's arguments are checked before any table is built
+    kind, arg = _split_group_spec(args.group)
     started = time.perf_counter()
     if method == "chartab":
         table = _char_table_for(args)
@@ -130,25 +132,26 @@ def _compute_dims(args) -> int:
             )
     elif method == "closed-form":
         # the closed form needs only the order, so no table is built
-        kind, arg = _split_group_spec(args.group)
         if kind != "cyclic":
             raise UsageError("method closed-form applies to cyclic groups only")
         if symmetry != perm.FULL:
             raise UsageError("method closed-form computes the full symmetry only")
         dims = dataclasses.astuple(lens.lens_dims(arg))[1:]
         value = dims[lens.COLUMNS.index((args.module, args.parity))]
-    else:
-        G = parse_group_spec(args.group)
-        if method == "perm":
-            value = perm.dim_invariants_perm(G, args.module, args.parity, symmetry)
-        elif method == "orbit":
-            if args.module != perm.GROUP_ALGEBRA:
-                raise UsageError("method orbit supports the group algebra only")
-            value = oracle.dim_invariants_orbit(G, args.parity, symmetry)
-        else:  # reynolds
-            if symmetry != perm.FULL:
-                raise UsageError("method reynolds computes the full symmetry only")
-            value = oracle.dim_invariants_reynolds(G, args.module, args.parity)
+    elif method == "perm":
+        # cyclic class data is arithmetic, so no table is built for cyclic:N
+        G = groups.cyclic_class_data(arg) if kind == "cyclic" else parse_group_spec(args.group)
+        value = perm.dim_invariants_perm(G, args.module, args.parity, symmetry)
+    elif method == "orbit":
+        if args.module != perm.GROUP_ALGEBRA:
+            raise UsageError("method orbit supports the group algebra only")
+        value = oracle.dim_invariants_orbit(parse_group_spec(args.group), args.parity, symmetry)
+    else:  # reynolds
+        if symmetry != perm.FULL:
+            raise UsageError("method reynolds computes the full symmetry only")
+        value = oracle.dim_invariants_reynolds(
+            parse_group_spec(args.group), args.module, args.parity
+        )
     elapsed = time.perf_counter() - started
 
     record = {

@@ -9,6 +9,8 @@ SL2(F_p) is the set of matrices kept by one determinant mask. A Cayley table
 file is read by load_cayley, whose JSON array hook parses the rows from the
 text straight into one index array. Class indices are ordered by smallest
 member, so every derived quantity is deterministic across runs and platforms.
+The class data of a cyclic group is also built by arithmetic, with no table
+(cyclic_class_data).
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
@@ -110,7 +111,7 @@ class ConjugacyData:
     """Partition of a group into conjugacy classes, ordered by class minimum,
     with the class of the square, cube and inverse of each class."""
 
-    class_of: np.ndarray  # element index -> class index
+    class_of: Sequence[int]  # element index -> class index; an array, or a range
     reps: tuple[int, ...]  # smallest member of each class
     sizes: tuple[int, ...]
     power2: tuple[int, ...]  # class of r^2 for each representative r
@@ -120,6 +121,11 @@ class ConjugacyData:
     @property
     def num_classes(self) -> int:
         return len(self.reps)
+
+    @property
+    def order(self) -> int:
+        """The order of the group: the sum of the class sizes."""
+        return sum(self.sizes)
 
     @property
     def inversion_orbits(self) -> int:
@@ -174,11 +180,17 @@ def validate_group(G: GroupTable) -> None:
     _check_associativity(G)
 
 
-def make_cyclic(n: int) -> GroupTable:
-    """The cyclic group of order n, written additively: mul(i, j) = (i+j) mod n."""
+def _check_cyclic_order(n: int) -> None:
+    """The orders that make_cyclic and cyclic_class_data accept: 1 up to the
+    largest table, so that both routes refuse the same orders."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     _check_table_size(n)
+
+
+def make_cyclic(n: int) -> GroupTable:
+    """The cyclic group of order n, written additively: mul(i, j) = (i+j) mod n."""
+    _check_cyclic_order(n)
     idx = np.arange(n, dtype=_index_dtype(2 * n))  # wide enough for i + j
     mul = np.add.outer(idx, idx)
     np.remainder(mul, n, out=mul)
@@ -306,6 +318,21 @@ def conjugacy_classes(G: GroupTable) -> ConjugacyData:
     power2, power3, inverse = class_of[np.stack([square, mul[square, reps], inv[reps]])]
     columns = (reps, np.bincount(class_of), power2, power3, inverse)
     return ConjugacyData(_freeze(class_of), *(tuple(a.tolist()) for a in columns))
+
+
+def cyclic_class_data(n: int) -> ConjugacyData:
+    """The class data of the cyclic group of order n, by arithmetic and with no
+    table: every element is its own class, and the square, cube and inverse of
+    x are 2x, 3x and -x mod n. Equal to conjugacy_classes(make_cyclic(n))."""
+    _check_cyclic_order(n)
+    return ConjugacyData(
+        class_of=range(n),
+        reps=tuple(range(n)),
+        sizes=(1,) * n,
+        power2=tuple(2 * x % n for x in range(n)),
+        power3=tuple(3 * x % n for x in range(n)),
+        inverse=tuple(-x % n for x in range(n)),
+    )
 
 
 def class_power_map(G: GroupTable, cd: ConjugacyData, k: int) -> tuple[int, ...]:

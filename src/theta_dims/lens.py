@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import HalfwayPoint
 from .oracle import _monomials, _rank, _rank_of_rows, _sort_sign
 from .perm import AUG_KERNEL, EVEN, GROUP_ALGEBRA, ODD, PARITIES, _check_choice

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ProjectorNotIdempotent, TooLarge
 from .groups import GroupTable, _orbit_labels, generating_set
 from .perm import (
@@ -38,7 +37,7 @@ REYNOLDS_ORDER_LIMIT = 12
 # the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
 # the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
 ORBIT_MONOMIAL_LIMIT = 1 << 23
-_INT64_LIMIT = int(np.iinfo(np.int64).max)
+_INT64_LIMIT = (1 << 63) - 1
 
 
 def _monomials(n: int, parity: str) -> np.ndarray:

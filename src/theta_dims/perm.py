@@ -19,8 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NonIntegralDimension, SimplificationMismatch
 from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
@@ -171,7 +170,7 @@ def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
     and its cube tau*(r, r^2), so it has traces r2(C), z(C), r2(C^3);
     tau*(g, h) is conjugate to tau*(e, h g), n pairs per product.
     """
-    n = sum(cd.sizes)
+    n = cd.order
     sq, cu = cd.power2, cd.power3
     z = [n // size for size in cd.sizes]
     r2, r3 = _root_counts(cd.sizes, sq), _root_counts(cd.sizes, cu)
@@ -192,7 +191,7 @@ def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
 
 
 def dim_invariants_perm(
-    G: GroupTable,
+    G: GroupTable | ConjugacyData,
     module: str = GROUP_ALGEBRA,
     parity: str = EVEN,
     symmetry: str = FULL,
@@ -203,11 +202,13 @@ def dim_invariants_perm(
     (symmetry "pi-pi") or over the doubled group extended by the inversion
     involution (symmetry "full"), with fixed points counted by the
     orbit–stabilizer lemma from class sizes and power maps (`_class_sums`).
+    G is the group's table or its class data, such as `cyclic_class_data`.
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
-    n = G.order
-    untwisted, twisted = _class_sums(conjugacy_classes(G), shift, sign)
+    cd = G if isinstance(G, ConjugacyData) else conjugacy_classes(G)
+    n = cd.order
+    untwisted, twisted = _class_sums(cd, shift, sign)
     total, group_size = untwisted, n * n
     if symmetry == FULL:
         total, group_size = untwisted + twisted, 2 * n * n

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_dims
-from theta_dims import chartab, cli, groups
+from theta_dims import chartab, cli, groups, lens
 
 REFERENCE_ROWS = {
     1: "1,1,0,0,0",
@@ -89,15 +90,20 @@ def test_dims_cost_guards(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def run_cli_process(*args, timeout):
-    """One `python -m theta_dims` process on this checkout's package; its stdout."""
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(theta_dims.__file__).parents[1]), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_cli_process(*args, timeout):
+    """One `python -m theta_dims` process on this checkout's package; its stdout."""
     done = subprocess.run(
         [sys.executable, "-m", "theta_dims", *args],
-        capture_output=True, text=True, timeout=timeout, env=env, check=True,
+        capture_output=True, text=True, timeout=timeout, env=package_env(), check=True,
     )
     return done.stdout
 
@@ -112,6 +118,32 @@ def test_dims_perm_cyclic_4096_process():
         for method in ("perm", "closed-form")
     }
     assert dims["perm"] == dims["closed-form"]
+
+
+# runs argv through cli.main and prints whether any numpy submodule was imported
+NUMPY_PROBE = """
+import contextlib, io, sys
+from theta_dims import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(any(name.startswith("numpy.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    ((), False),
+    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), False),
+    (("lens-table",), False),
+    (("dims", "--group", "cyclic:336", "--parity", "odd"), False),
+    (("dims", "--group", "sl2:5", "--parity", "odd"), True),  # the probe sees numpy load
+], ids=["import", "closed-form", "lens-table", "perm-cyclic", "perm-sl2"])
+def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
+    )
+    assert done.stdout == f"{loads_numpy}\n"
 
 
 def test_dims_json_round_trips(capsys):
@@ -148,11 +180,49 @@ def test_dims_usage_errors(capsys):
         ("dims", "--group", "cyclic:13", "--parity", "odd", "--method", "reynolds"),
         ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "closed-form"),
         ("dims", "--group", "cyclic:0", "--parity", "odd"),
+        ("dims", "--group", "cyclic:16385", "--parity", "odd"),
     ]
+    errors = {}
     for argv in bad_invocations:
-        code, _, err = run_cli(capsys, *argv)
+        code, _, errors[argv] = run_cli(capsys, *argv)
         assert code == 2, argv
-        assert err.strip(), argv
+        assert errors[argv].strip(), argv
+    # perm on cyclic:N builds no table, but keeps the table guard and its message
+    assert errors[bad_invocations[-1]] == (
+        "error: a table of order 16385 has 268468225 entries, over 268435456\n"
+    )
+
+
+def _no_table(spec):
+    pytest.fail(f"built the group of {spec}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--method", "chartab"), "method chartab needs --char-table FILE (builtin only for sl2:5)"),
+    (("--module", "aug-kernel", "--method", "orbit"),
+     "method orbit supports the group algebra only"),
+    (("--symmetry", "pi-pi", "--method", "reynolds"),
+     "method reynolds computes the full symmetry only"),
+])
+def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
+    # a cyclic:16384 table is 512 MB; these refusals need only the arguments
+    monkeypatch.setattr(cli, "parse_group_spec", _no_table)
+    code, out, err = run_cli(capsys, "dims", "--group", "cyclic:16384", "--parity", "odd", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_dims_perm_cyclic_16384_from_arithmetic(capsys, monkeypatch):
+    # the largest order the table guard admits, answered with no table
+    monkeypatch.setattr(cli, "parse_group_spec", _no_table)
+    monkeypatch.setattr(groups, "make_cyclic", _no_table)
+    expected = dataclasses.astuple(lens.lens_dims(16384))[1:]
+    for (module, parity), want in zip(lens.COLUMNS, expected):
+        code, out, _ = run_cli(
+            capsys,
+            "dims", "--group", "cyclic:16384", "--module", module, "--parity", parity,
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["dimension"] == want, (module, parity)
 
 
 @pytest.mark.parametrize("method", ["perm", "closed-form"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -284,6 +285,31 @@ def test_inversion_on_classes():
 def test_inversion_orbit_count_cyclic():
     for n in range(1, 25):
         assert groups.conjugacy_classes(groups.make_cyclic(n)).inversion_orbits == n // 2 + 1
+
+
+# every order below 131, the order of sl2:7 and a large power of two
+CYCLIC_ORDERS = [*range(1, 131), 336, 4096]
+
+
+def test_cyclic_class_data_equals_table_route():
+    for n in CYCLIC_ORDERS:
+        arithmetic = groups.cyclic_class_data(n)
+        table = groups.conjugacy_classes(groups.make_cyclic(n))
+        for f in dataclasses.fields(groups.ConjugacyData):
+            a, t = getattr(arithmetic, f.name), getattr(table, f.name)
+            if f.name == "class_of":
+                a, t = list(a), t.tolist()
+            assert a == t, (n, f.name)
+        assert arithmetic.order == table.order == n
+        assert arithmetic.inversion_orbits == table.inversion_orbits
+
+
+@pytest.mark.parametrize("n", [0, -3, 16385])
+def test_cyclic_class_data_refuses_what_make_cyclic_refuses(n):
+    with pytest.raises((ValueError, TooLarge)) as table_route:
+        groups.make_cyclic(n)
+    with pytest.raises(type(table_route.value), match=f"^{re.escape(str(table_route.value))}$"):
+        groups.cyclic_class_data(n)
 
 
 def test_inversion_consistent_with_elements():

@@ -133,6 +133,16 @@ def test_dim_invariants_perm_cyclic_examples(n, module, parity, expected):
     assert perm.dim_invariants_perm(groups.make_cyclic(n), module, parity, FULL) == expected
 
 
+def test_dim_invariants_perm_on_cyclic_class_data():
+    # both routes for every order below 131, the order of sl2:7 and 4096
+    for n in [*range(1, 131), 336, 4096]:
+        arithmetic, table = groups.cyclic_class_data(n), groups.make_cyclic(n)
+        for case in itertools.product(perm.MODULES, perm.PARITIES, perm.SYMMETRIES):
+            assert perm.dim_invariants_perm(arithmetic, *case) == (
+                perm.dim_invariants_perm(table, *case)
+            ), (n, case)
+
+
 def test_lens_closed_forms_up_to_30():
     from theta_dims import lens
 
