@@ -33,6 +33,7 @@ from .groups import (
     make_from_cayley,
     make_permutation_group,
     make_sl2,
+    sl2_class_data,
     validate_group,
     verify_sl2f5_fixture,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "make_sl2",
     "p3_closed",
     "p3_dp",
+    "sl2_class_data",
     "tau_part",
     "twisted_coset_average",
     "validate_group",

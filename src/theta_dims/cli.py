@@ -78,6 +78,29 @@ def parse_group_spec(spec: str) -> groups.GroupTable:
     return groups.load_cayley(arg)
 
 
+def _class_data(spec: str) -> groups.ConjugacyData:
+    """The class data of the group of spec: by arithmetic, with no table, for
+    cyclic:N and sl2:P, and from the table of cayley:FILE."""
+    kind, arg = _split_group_spec(spec)
+    if kind == "cyclic":
+        return groups.cyclic_class_data(arg)
+    if kind == "sl2":
+        return groups.sl2_class_data(arg)
+    return groups.conjugacy_classes(parse_group_spec(spec))
+
+
+def _check_order_guard(kind: str, arg, method: str, parity: str) -> None:
+    """Refuse cyclic:N or sl2:P from its order alone when method's size guard
+    would refuse its table, after the checks that building the group makes
+    first; a cayley:FILE group meets the guard once it is read."""
+    if kind == "cyclic":
+        groups._check_cyclic_order(arg)
+        oracle.check_order_guard(method, arg, parity)
+    elif kind == "sl2":
+        groups._check_sl2_prime(arg)
+        oracle.check_order_guard(method, arg * (arg * arg - 1), parity)
+
+
 def _resolve_convention(method: str, convention: str | None) -> str:
     # basis-level inversion is the definition every permutation-style path
     # implements; the flip form exists only on the character-table path
@@ -99,12 +122,11 @@ def _char_table_for(args) -> chartab.CharTable:
     square and cube classes; that is necessary, not proof the table is G's."""
     if not args.char_table and _split_group_spec(args.group) != ("sl2", 5):
         raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
-    G = parse_group_spec(args.group)
+    cd = _class_data(args.group)
     if args.char_table:
         table = chartab.load_char_table(args.char_table)
     else:
         table = chartab.builtin_sl2f5_table()
-    cd = groups.conjugacy_classes(G)
     group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
     if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
         raise UsageError(
@@ -118,7 +140,8 @@ def _compute_dims(args) -> int:
     method = args.method
     convention = _resolve_convention(method, args.convention)
     symmetry = args.symmetry
-    # the spec's syntax and the method's arguments are checked before any table is built
+    # the spec's syntax, the method's arguments and the order guards are
+    # checked before any table is built
     kind, arg = _split_group_spec(args.group)
     started = time.perf_counter()
     if method == "chartab":
@@ -139,16 +162,18 @@ def _compute_dims(args) -> int:
         dims = dataclasses.astuple(lens.lens_dims(arg))[1:]
         value = dims[lens.COLUMNS.index((args.module, args.parity))]
     elif method == "perm":
-        # cyclic class data is arithmetic, so no table is built for cyclic:N
-        G = groups.cyclic_class_data(arg) if kind == "cyclic" else parse_group_spec(args.group)
-        value = perm.dim_invariants_perm(G, args.module, args.parity, symmetry)
+        value = perm.dim_invariants_perm(
+            _class_data(args.group), args.module, args.parity, symmetry
+        )
     elif method == "orbit":
         if args.module != perm.GROUP_ALGEBRA:
             raise UsageError("method orbit supports the group algebra only")
+        _check_order_guard(kind, arg, method, args.parity)
         value = oracle.dim_invariants_orbit(parse_group_spec(args.group), args.parity, symmetry)
     else:  # reynolds
         if symmetry != perm.FULL:
             raise UsageError("method reynolds computes the full symmetry only")
+        _check_order_guard(kind, arg, method, args.parity)
         value = oracle.dim_invariants_reynolds(
             parse_group_spec(args.group), args.module, args.parity
         )

@@ -5,16 +5,18 @@ lookup table. Subgroup closures and conjugacy classes are orbits, found by
 one min-label kernel: classes are the orbits of conjugation by a generating
 set. A subgroup is the table restricted to a closure, numbered in the order
 of the whole group; Q8 is the subgroup of SL2(F_3) generated by i and j.
-SL2(F_p) is the set of matrices kept by one determinant mask. A Cayley table
-file is read by load_cayley, whose JSON array hook parses the rows from the
-text straight into one index array. Class indices are ordered by smallest
-member, so every derived quantity is deterministic across runs and platforms.
-The class data of a cyclic group is also built by arithmetic, with no table
-(cyclic_class_data).
+SL2(F_p) is the set of 2x2 matrices of determinant 1, in lexicographic order.
+A Cayley table file is read by load_cayley, whose JSON array hook parses the
+rows from the text straight into one index array. Class indices are ordered
+by smallest member, so every derived quantity is deterministic across runs
+and platforms.
+The class data of a cyclic group and of SL2(F_p) is also built by arithmetic,
+with no table (cyclic_class_data, sl2_class_data).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from collections import Counter, defaultdict
@@ -199,16 +201,24 @@ def make_cyclic(n: int) -> GroupTable:
     return GroupTable(_freeze(mul.astype(dt, copy=False)), _freeze(inv.astype(dt)), 0)
 
 
+def _check_sl2_prime(p: int) -> None:
+    """The primes that make_sl2 and sl2_class_data accept."""
+    if p not in _SMALL_PRIMES:
+        raise ValueError(f"p must be a prime <= 13, got {p}")
+
+
 def sl2_matrices(p: int) -> list[tuple[int, int, int, int]]:
     """All (a, b, c, d) with ad - bc = 1 mod p, in lexicographic order."""
-    a, b, c, d = np.indices((p,) * 4)
-    return list(map(tuple, np.argwhere((a * d - b * c) % p == 1).tolist()))
+    return [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(p), repeat=4)
+        if (a * d - b * c) % p == 1
+    ]
 
 
 def make_sl2(p: int) -> GroupTable:
     """2x2 determinant-1 matrices over F_p, enumerated lexicographically."""
-    if p not in _SMALL_PRIMES:
-        raise ValueError(f"p must be a prime <= 13, got {p}")
+    _check_sl2_prime(p)
     mats = sl2_matrices(p)
     n = len(mats)
     assert n == p * (p * p - 1)
@@ -332,6 +342,56 @@ def cyclic_class_data(n: int) -> ConjugacyData:
         power2=tuple(2 * x % n for x in range(n)),
         power3=tuple(3 * x % n for x in range(n)),
         inverse=tuple(-x % n for x in range(n)),
+    )
+
+
+def _sl2_class_key(m: tuple[int, int, int, int], p: int, squares: frozenset) -> tuple[int, int]:
+    """A key that two elements of SL2(F_p) share exactly when they are
+    conjugate: (trace, 0), unless the trace is 2s for s = +-1 and the matrix
+    is not the scalar sI. Then m = sI + N with N nilpotent, and the key is
+    (trace, 1) or (trace, 2) as s*v is a square mod p or not, v being N's
+    upper-right entry, or minus its lower-left one when that is 0."""
+    a, b, c, d = m
+    t = (a + d) % p
+    if t not in (2 % p, -2 % p) or b == c == 0:  # ad = 1 and a + d = 2s give a = d = s
+        return t, 0
+    s = 1 if t == 2 % p else -1
+    return t, 1 if s * (b or -c) % p in squares else 2
+
+
+def sl2_class_data(p: int) -> ConjugacyData:
+    """The class data of SL2(F_p), by 2x2 matrix arithmetic and with no table:
+    the elements in sl2_matrices order, classed by _sl2_class_key, and the
+    square, cube and inverse of each representative. Equal to
+    conjugacy_classes(make_sl2(p))."""
+    _check_sl2_prime(p)
+    squares = frozenset(x * x % p for x in range(1, p))
+    number: dict[tuple[int, int], int] = {}  # class key -> class index
+    class_of, reps, sizes = [], [], []
+    for i, m in enumerate(mats := sl2_matrices(p)):
+        c = number.setdefault(_sl2_class_key(m, p, squares), len(number))
+        if c == len(reps):
+            reps.append(i)
+            sizes.append(0)
+        sizes[c] += 1
+        class_of.append(c)
+
+    def times(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+    def class_of_matrix(m):
+        return number[_sl2_class_key(m, p, squares)]
+
+    power2, power3, inverse = [], [], []
+    for r in reps:
+        a, b, c, d = m = mats[r]
+        square = times(m, m)
+        power2.append(class_of_matrix(square))
+        power3.append(class_of_matrix(times(square, m)))
+        inverse.append(class_of_matrix((d, -b % p, -c % p, a)))
+    return ConjugacyData(
+        tuple(class_of), tuple(reps), tuple(sizes), tuple(power2), tuple(power3), tuple(inverse)
     )
 
 

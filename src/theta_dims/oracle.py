@@ -40,6 +40,18 @@ ORBIT_MONOMIAL_LIMIT = 1 << 23
 _INT64_LIMIT = (1 << 63) - 1
 
 
+def check_order_guard(method: str, n: int, parity: str) -> None:
+    """Raise TooLarge when method, "orbit" or "reynolds", refuses a group of
+    order n: orbit from the number of monomials of the cube, reynolds from n."""
+    if method == "reynolds":
+        if n > REYNOLDS_ORDER_LIMIT:
+            raise TooLarge(f"group order {n} exceeds the guard {REYNOLDS_ORDER_LIMIT}")
+        return
+    count = math.comb(n, 3) if parity == EVEN else math.comb(n + 2, 3)
+    if count > ORBIT_MONOMIAL_LIMIT:
+        raise TooLarge(f"{count} monomials exceed the orbit guard {ORBIT_MONOMIAL_LIMIT}")
+
+
 def _monomials(n: int, parity: str) -> np.ndarray:
     """Basis of the alternating ("even") or symmetric ("odd") cube on n points:
     sorted index triples as an (m, 3) int64 array, listed in rank order (row i
@@ -121,9 +133,7 @@ def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> in
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
     wedge = parity == EVEN
-    count = math.comb(n, 3) if wedge else math.comb(n + 2, 3)
-    if count > ORBIT_MONOMIAL_LIMIT:
-        raise TooLarge(f"{count} monomials exceed the orbit guard {ORBIT_MONOMIAL_LIMIT}")
+    check_order_guard("orbit", n, parity)
     basis = _monomials(n, parity)
     m = len(basis)
     # the combinadic rank is the node id; it must be a bijection onto range(m)
@@ -163,8 +173,7 @@ def _cube_basis(G: GroupTable, module: str, parity: str) -> np.ndarray:
     """Monomial basis of the cubic power of the module, in rank order."""
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
-    if G.order > REYNOLDS_ORDER_LIMIT:
-        raise TooLarge(f"group order {G.order} exceeds the guard {REYNOLDS_ORDER_LIMIT}")
+    check_order_guard("reynolds", G.order, parity)
     return _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
 
 

@@ -202,7 +202,7 @@ def dim_invariants_perm(
     (symmetry "pi-pi") or over the doubled group extended by the inversion
     involution (symmetry "full"), with fixed points counted by the
     orbit–stabilizer lemma from class sizes and power maps (`_class_sums`).
-    G is the group's table or its class data, such as `cyclic_class_data`.
+    G is the group's table or its class data, such as `sl2_class_data`.
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_dims
-from theta_dims import chartab, cli, groups, lens
+from theta_dims import chartab, cli, groups, lens, perm
 
 REFERENCE_ROWS = {
     1: "1,1,0,0,0",
@@ -136,8 +136,13 @@ print(any(name.startswith("numpy.") for name in sys.modules))
     (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), False),
     (("lens-table",), False),
     (("dims", "--group", "cyclic:336", "--parity", "odd"), False),
-    (("dims", "--group", "sl2:5", "--parity", "odd"), True),  # the probe sees numpy load
-], ids=["import", "closed-form", "lens-table", "perm-cyclic", "perm-sl2"])
+    (("dims", "--group", "sl2:5", "--parity", "odd"), False),
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"), False),
+    # the probe sees numpy load
+    (("classes", "--group", "sl2:5"), True),
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "orbit"), True),
+], ids=["import", "closed-form", "lens-table", "perm-cyclic", "perm-sl2", "chartab-sl2",
+        "classes-sl2", "orbit-sl2"])
 def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *argv],
@@ -203,9 +208,12 @@ def _no_table(spec):
      "method orbit supports the group algebra only"),
     (("--symmetry", "pi-pi", "--method", "reynolds"),
      "method reynolds computes the full symmetry only"),
+    (("--method", "reynolds"), "group order 16384 exceeds the guard 12"),
+    (("--method", "orbit"), "733141975040 monomials exceed the orbit guard 8388608"),
 ])
 def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
-    # a cyclic:16384 table is 512 MB; these refusals need only the arguments
+    # a cyclic:16384 table is 512 MB; these refusals need only the arguments,
+    # and the order guards only the order, which cyclic:N gives as N
     monkeypatch.setattr(cli, "parse_group_spec", _no_table)
     code, out, err = run_cli(capsys, "dims", "--group", "cyclic:16384", "--parity", "odd", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -223,6 +231,17 @@ def test_dims_perm_cyclic_16384_from_arithmetic(capsys, monkeypatch):
             "--format", "json",
         )
         assert code == 0 and json.loads(out)["dimension"] == want, (module, parity)
+
+
+def test_dims_perm_sl2_13_process_equals_table_route():
+    # sl2:13 is answered from arithmetic class data; the table route is the reference
+    G = groups.make_sl2(13)
+    for module, parity in lens.COLUMNS:
+        out = run_cli_process(
+            "dims", "--group", "sl2:13", "--module", module, "--parity", parity,
+            "--format", "json", timeout=60,
+        )
+        assert json.loads(out)["dimension"] == perm.dim_invariants_perm(G, module, parity)
 
 
 @pytest.mark.parametrize("method", ["perm", "closed-form"])

@@ -94,11 +94,12 @@ def test_make_sl2_larger_primes(p):
     assert mats[G.identity] == (1, 0, 0, 1)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", groups._SMALL_PRIMES)
 def test_sl2_matrices_match_brute_filter(p):
-    assert groups.sl2_matrices(p) == [
-        m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1
-    ]
+    # one determinant mask over all p^4 matrices, in numpy
+    a, b, c, d = np.indices((p,) * 4)
+    mask = np.argwhere((a * d - b * c) % p == 1)
+    assert groups.sl2_matrices(p) == list(map(tuple, mask.tolist()))
 
 
 def test_quaternion8_is_a_subgroup_of_sl2f3():
@@ -291,17 +292,21 @@ def test_inversion_orbit_count_cyclic():
 CYCLIC_ORDERS = [*range(1, 131), 336, 4096]
 
 
+def assert_same_class_data(arithmetic, table, order):
+    """Every field and property of two ConjugacyData records agree."""
+    for f in dataclasses.fields(groups.ConjugacyData):
+        a, t = getattr(arithmetic, f.name), getattr(table, f.name)
+        if f.name == "class_of":
+            a, t = list(a), t.tolist()
+        assert a == t, (order, f.name)
+    assert arithmetic.order == table.order == order
+    assert arithmetic.inversion_orbits == table.inversion_orbits
+
+
 def test_cyclic_class_data_equals_table_route():
     for n in CYCLIC_ORDERS:
-        arithmetic = groups.cyclic_class_data(n)
         table = groups.conjugacy_classes(groups.make_cyclic(n))
-        for f in dataclasses.fields(groups.ConjugacyData):
-            a, t = getattr(arithmetic, f.name), getattr(table, f.name)
-            if f.name == "class_of":
-                a, t = list(a), t.tolist()
-            assert a == t, (n, f.name)
-        assert arithmetic.order == table.order == n
-        assert arithmetic.inversion_orbits == table.inversion_orbits
+        assert_same_class_data(groups.cyclic_class_data(n), table, n)
 
 
 @pytest.mark.parametrize("n", [0, -3, 16385])
@@ -310,6 +315,20 @@ def test_cyclic_class_data_refuses_what_make_cyclic_refuses(n):
         groups.make_cyclic(n)
     with pytest.raises(type(table_route.value), match=f"^{re.escape(str(table_route.value))}$"):
         groups.cyclic_class_data(n)
+
+
+def test_sl2_class_data_equals_table_route():
+    for p in groups._SMALL_PRIMES:
+        table = groups.conjugacy_classes(groups.make_sl2(p))
+        assert_same_class_data(groups.sl2_class_data(p), table, p * (p * p - 1))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 17])
+def test_sl2_class_data_refuses_what_make_sl2_refuses(p):
+    with pytest.raises(ValueError) as table_route:
+        groups.make_sl2(p)
+    with pytest.raises(type(table_route.value), match=f"^{re.escape(str(table_route.value))}$"):
+        groups.sl2_class_data(p)
 
 
 def test_inversion_consistent_with_elements():

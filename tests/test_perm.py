@@ -143,6 +143,15 @@ def test_dim_invariants_perm_on_cyclic_class_data():
             ), (n, case)
 
 
+def test_dim_invariants_perm_on_sl2_class_data():
+    for p in (2, 3, 5, 7):
+        arithmetic, table = groups.sl2_class_data(p), groups.make_sl2(p)
+        for case in itertools.product(perm.MODULES, perm.PARITIES, perm.SYMMETRIES):
+            assert perm.dim_invariants_perm(arithmetic, *case) == (
+                perm.dim_invariants_perm(table, *case)
+            ), (p, case)
+
+
 def test_lens_closed_forms_up_to_30():
     from theta_dims import lens
 
