@@ -29,9 +29,8 @@ from .groups import (
     load_cayley,
     load_sl2_fixture,
     make_cyclic,
-    make_direct_product,
     make_from_cayley,
-    make_permutation_group,
+    make_semidirect_product,
     make_sl2,
     sl2_class_data,
     validate_group,
@@ -78,9 +77,8 @@ __all__ = [
     "load_char_table",
     "load_sl2_fixture",
     "make_cyclic",
-    "make_direct_product",
     "make_from_cayley",
-    "make_permutation_group",
+    "make_semidirect_product",
     "make_sl2",
     "p3_closed",
     "p3_dp",

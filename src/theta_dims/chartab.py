@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -143,8 +144,9 @@ class CharTable:
     def value(self, i: int, c: int) -> QuadValue:
         return self.rows[i][c]
 
-    def validate(self) -> None:
-        """Check shape, the trivial first row, and exact row orthogonality."""
+    def _check_shape(self) -> None:
+        """Check the block lengths, the class sizes and the power maps: the
+        O(k^2) checks that make every index into the table valid."""
         k = self.num_classes
         if k == 0:
             raise ParseError("table has no classes")
@@ -156,6 +158,11 @@ class CharTable:
             raise ParseError("class sizes must be positive")
         if any(not (0 <= c < k) for c in self.power2 + self.power3):
             raise ParseError("power maps must be class indices")
+
+    def validate(self) -> None:
+        """Check shape, the trivial first row, and exact row orthogonality."""
+        self._check_shape()
+        k = self.num_classes
         if any(v != 1 for v in self.rows[0]):
             raise ParseError("first row must be the trivial character")
         order = self.order
@@ -295,16 +302,31 @@ def _fraction_from(rec, num_key, den_key) -> Fraction:
     return Fraction(num, den)
 
 
-def load_char_table(path: str | Path) -> CharTable:
-    """Load and validate a character table from its JSON file format."""
+def load_char_table(
+    path: str | Path, fits: Callable[[CharTable], None] | None = None
+) -> CharTable:
+    """Load and validate a character table from its JSON file format. fits,
+    when given, sees the table once its shape is checked and before the O(k^3)
+    orthogonality sums of validate, and raises if the table cannot serve."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, RecursionError, ValueError) as exc:
         raise ParseError(f"cannot read character table: {exc}") from exc
-    return char_table_from_dict(raw)
+    table = _char_table_of(raw)
+    if fits is not None:
+        fits(table)
+    table.validate()
+    return table
 
 
 def char_table_from_dict(raw: dict) -> CharTable:
+    table = _char_table_of(raw)
+    table.validate()
+    return table
+
+
+def _char_table_of(raw: dict) -> CharTable:
+    """The table that raw encodes, its shape checked but not yet validated."""
     if not isinstance(raw, dict):
         raise ParseError("character table file must hold a JSON object")
     try:
@@ -332,7 +354,7 @@ def char_table_from_dict(raw: dict) -> CharTable:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc!r}") from exc
     table = CharTable(radicand, names, sizes, power2, power3, tuple(rows))
-    table.validate()
+    table._check_shape()
     return table
 
 

@@ -123,17 +123,21 @@ def _char_table_for(args) -> chartab.CharTable:
     if not args.char_table and _split_group_spec(args.group) != ("sl2", 5):
         raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
     cd = _class_data(args.group)
-    if args.char_table:
-        table = chartab.load_char_table(args.char_table)
-    else:
-        table = chartab.builtin_sl2f5_table()
     group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
-    if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
-        raise UsageError(
-            f"the character table does not fit group {args.group}: its classes differ "
-            "in size or in the sizes of their square and cube classes"
-        )
-    return table
+
+    def fits(table: chartab.CharTable) -> None:
+        if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
+            raise UsageError(
+                f"the character table does not fit group {args.group}: its classes differ "
+                "in size or in the sizes of their square and cube classes"
+            )
+
+    if not args.char_table:
+        table = chartab.builtin_sl2f5_table()
+        fits(table)
+        return table
+    # checked before the table's orthogonality sums, which take O(k^3)
+    return chartab.load_char_table(args.char_table, fits)
 
 
 def _compute_dims(args) -> int:

@@ -5,6 +5,7 @@ lookup table. Subgroup closures and conjugacy classes are orbits, found by
 one min-label kernel: classes are the orbits of conjugation by a generating
 set. A subgroup is the table restricted to a closure, numbered in the order
 of the whole group; Q8 is the subgroup of SL2(F_3) generated by i and j.
+N x| H (N x H with no action) puts (a, b) at a*|H| + b, by index arithmetic.
 SL2(F_p) is the set of 2x2 matrices of determinant 1, in lexicographic order.
 A Cayley table file is read by load_cayley, whose JSON array hook parses the
 rows from the text straight into one index array. Class indices are ordered
@@ -256,59 +257,50 @@ def make_from_cayley(rows, labels: tuple[str, ...] | None = None) -> GroupTable:
     return G
 
 
-def make_direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
-    """Componentwise product on pairs encoded as i*|H| + j."""
-    nG, nH = G.order, H.order
-    n = nG * nH
+def _check_action(N: GroupTable, H: GroupTable, phi: np.ndarray) -> np.ndarray:
+    """phi in N's index dtype if its rows satisfy phi_b(xy) = phi_b(x) phi_b(y),
+    phi_bd = phi_b phi_d and phi_e = id, which makes each phi_b invertible."""
+    nN, nH = N.order, H.order
+    if phi.shape != (nH, nN) or phi.dtype.kind not in "iu" or not 0 <= phi.min() <= phi.max() < nN:
+        raise ValueError(f"action must be a ({nH}, {nN}) array of indices in 0..{nN - 1}")
+    phi = phi.astype(_index_dtype(nN))
+    if not np.array_equal(phi[H.identity], np.arange(nN)):
+        raise ValueError("the identity of H must act as the identity of N")
+    if not np.array_equal(phi[:, N.mul_table], N.mul_table[phi[:, :, None], phi[:, None, :]]):
+        raise ValueError("an action row is not a homomorphism of N")
+    if not np.array_equal(phi[H.mul_table], phi[np.arange(nH)[:, None, None], phi]):
+        raise ValueError("the action is not a homomorphism from H")
+    return phi
+
+
+def make_semidirect_product(N: GroupTable, H: GroupTable, action=None) -> GroupTable:
+    """N x| H on pairs (a, b) encoded as a*|H| + b: (a, b)(c, d) = (a phi_b(c), b d)
+    and (a, b)^-1 = (phi_{b^-1}(a^-1), b^-1), where row b of action, an (|H|, |N|)
+    index array, is the automorphism phi_b of N. No action is the direct product.
+    Raises ValueError unless b -> phi_b is a homomorphism H -> Aut(N)."""
+    nN, nH = N.order, H.order
+    n = nN * nH
     _check_table_size(n)
     dt = _index_dtype(n)
-    q = np.arange(n) // nH
-    r = np.arange(n) % nH
+    if action is None:
+        left = N.mul_table[:, None, :]  # left[a, b, c] = a phi_b(c) = a c
+        first_inv = N.inv_table[:, None]  # first_inv[a, b] = phi_{b^-1}(a^-1) = a^-1
+    else:
+        action = _check_action(N, H, np.asarray(action))
+        left = N.mul_table[:, action]
+        first_inv = action[H.inv_table[None, :], N.inv_table[:, None]]
     mul = np.empty((n, n), dtype=dt)
     # entry [a, b, c, d] of this view is the product of (a, b) and (c, d)
     np.add(
-        (G.mul_table.astype(dt) * nH)[:, None, :, None],
+        np.multiply(left, nH, dtype=dt)[..., None],
         H.mul_table.astype(dt)[None, :, None, :],
-        out=mul.reshape(nG, nH, nG, nH),
+        out=mul.reshape(nN, nH, nN, nH),
     )
-    inv = (G.inv_table.astype(np.int64)[q] * nH + H.inv_table.astype(np.int64)[r]).astype(dt)
-    e = G.identity * nH + H.identity
+    inv = (first_inv.astype(dt) * nH + H.inv_table.astype(dt)).reshape(n)
     labels = None
-    if G.labels is not None and H.labels is not None:
-        labels = tuple(f"({G.labels[a]},{H.labels[b]})" for a, b in zip(q.tolist(), r.tolist()))
-    return GroupTable(_freeze(mul), _freeze(inv), e, labels)
-
-
-def make_permutation_group(generators: list[tuple[int, ...]]) -> GroupTable:
-    """Close a set of permutations under composition and build the Cayley table.
-
-    Elements are ordered lexicographically as permutation tuples. Raises
-    TooLarge as soon as the closure passes the largest order a table admits.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    m = len(generators[0])
-    ident = tuple(range(m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(g[p[i]] for i in range(m))
-                if q not in seen:
-                    seen.add(q)
-                    _check_table_size(len(seen))
-                    nxt.append(q)
-        frontier = nxt
-    elems = sorted(seen)
-    index = {p: i for i, p in enumerate(elems)}
-    rows = [
-        [index[tuple(a[b[i]] for i in range(m))] for b in elems]
-        for a in elems
-    ]
-    labels = tuple("".join(map(str, p)) if m <= 10 else str(p) for p in elems)
-    return make_from_cayley(rows, labels)
+    if N.labels is not None and H.labels is not None:
+        labels = tuple(f"({a},{b})" for a, b in itertools.product(N.labels, H.labels))
+    return GroupTable(_freeze(mul), _freeze(inv), N.identity * nH + H.identity, labels)
 
 
 def conjugacy_classes(G: GroupTable) -> ConjugacyData:
@@ -752,14 +744,20 @@ def make_quaternion8() -> GroupTable:
     return _subgroup(G, [G.labels.index("[0,1;2,0]"), G.labels.index("[1,1;1,2]")])
 
 
+def _unit_action(m: int, r: int, k: int) -> list[list[int]]:
+    """Z_k acting on Z_m by x -> r^h x mod m, a homomorphism when r^k = 1 mod m."""
+    return [[pow(r, h, m) * x % m for x in range(m)] for h in range(k)]
+
+
 def battery_groups() -> list[tuple[str, GroupTable]]:
     """The standard cross-validation battery of small groups."""
     groups: list[tuple[str, GroupTable]] = []
     for n in range(1, 13):
         groups.append((f"Z{n}", make_cyclic(n)))
-    groups.append(("Z2xZ2", make_direct_product(make_cyclic(2), make_cyclic(2))))
-    groups.append(("S3", make_permutation_group([(1, 0, 2), (1, 2, 0)])))
+    Z2 = make_cyclic(2)
+    groups.append(("Z2xZ2", make_semidirect_product(Z2, Z2)))
+    groups.append(("S3", make_semidirect_product(make_cyclic(3), Z2, _unit_action(3, -1, 2))))
     groups.append(("Q8", make_quaternion8()))
-    groups.append(("D4", make_permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)])))
+    groups.append(("D4", make_semidirect_product(make_cyclic(4), Z2, _unit_action(4, -1, 2))))
     groups.append(("SL2F3", make_sl2(3)))
     return groups

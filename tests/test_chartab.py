@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,13 @@ def test_sign_flip_is_caught(tmp_path):
     raw["rows"][1][5]["b_num"] *= -1
     with pytest.raises(OrthogonalityViolation):
         chartab.char_table_from_dict(raw)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    seen = []
+    with pytest.raises(OrthogonalityViolation):
+        chartab.load_char_table(path, fits=seen.append)
+    # the fit check saw the table before the orthogonality sums refused it
+    assert [t.class_sizes for t in seen] == [chartab.builtin_sl2f5_table().class_sizes]
 
 
 def test_trivial_table_valid():

@@ -151,6 +151,16 @@ def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
     assert done.stdout == f"{loads_numpy}\n"
 
 
+def test_package_exports_every_name_in_all():
+    # a name left in __all__ after its definition is gone fails here, not in
+    # a user's import
+    assert len(set(theta_dims.__all__)) == len(theta_dims.__all__)
+    assert [name for name in theta_dims.__all__ if not hasattr(theta_dims, name)] == []
+    namespace = {}
+    exec("from theta_dims import *", namespace)
+    assert set(theta_dims.__all__) <= set(namespace)
+
+
 def test_dims_json_round_trips(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -308,6 +318,57 @@ def test_dims_char_table_must_fit_group(capsys, tmp_path, group, fields):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "does not fit group" in err
+
+
+def _sign_table(r):
+    """The character table of Z2^r in the file format: chi_s(x) = (-1)^|s & x|."""
+    k = 1 << r
+    rest = {"a_den": 1, "b_num": 0, "b_den": 1}
+    return {
+        "radicand": None,
+        "class_sizes": [1] * k,
+        "power2": [0] * k,
+        "power3": list(range(k)),
+        "rows": [[{"a_num": (-1) ** (s & x).bit_count(), **rest} for x in range(k)]
+                 for s in range(k)],
+    }
+
+
+def test_char_table_fit_precedes_orthogonality(capsys, monkeypatch, tmp_path):
+    # 32 classes of size 1 cannot fit cyclic:2; that shows from the sizes,
+    # before the O(k^3) orthogonality sums of validate
+    def no_sums(table):
+        raise AssertionError("the orthogonality sums ran")
+
+    monkeypatch.setattr(chartab.CharTable, "validate", no_sums)
+    path = tmp_path / "z2_5.json"
+    path.write_text(json.dumps(_sign_table(5)))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", "cyclic:2", "--parity", "odd", "--method", "chartab",
+        "--char-table", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "does not fit group cyclic:2" in err
+
+
+def test_fitting_char_table_is_still_validated(capsys, tmp_path):
+    raw = _sign_table(1)
+    raw["rows"][1][1]["a_num"] = 1  # fits cyclic:2, but its rows are not orthogonal
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", "cyclic:2", "--parity", "odd", "--method", "chartab",
+        "--char-table", str(path),
+    )
+    assert code == 2 and out == "" and "rows (0, 1)" in err
+    path.write_text(json.dumps(_sign_table(1)))
+    code, out, _ = run_cli(
+        capsys, "dims", "--group", "cyclic:2", "--parity", "odd", "--method", "chartab",
+        "--char-table", str(path), "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["dimension"] == perm.dim_invariants_perm(
+        groups.make_cyclic(2), perm.GROUP_ALGEBRA, perm.ODD
+    )
 
 
 def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):

@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import re
-import time
 import tracemalloc
 
 import numpy as np
@@ -156,29 +155,57 @@ def test_associativity_checks_every_generator():
 
 
 def test_direct_product_small():
-    V4 = groups.make_direct_product(groups.make_cyclic(2), groups.make_cyclic(2))
+    V4 = groups.make_semidirect_product(groups.make_cyclic(2), groups.make_cyclic(2))
     assert V4.order == 4
     assert all(V4.mul(x, x) == V4.identity for x in range(4))
-    G36 = groups.make_direct_product(groups.make_cyclic(6), groups.make_cyclic(6))
+    G36 = groups.make_semidirect_product(groups.make_cyclic(6), groups.make_cyclic(6))
     assert G36.order == 36
     groups.validate_group(G36)
     with pytest.raises(TooLarge):
         big = groups.make_cyclic(2048)
-        groups.make_direct_product(big, big)
+        groups.make_semidirect_product(big, big)
 
 
-def test_permutation_group_guard():
-    # S8 has order 40320, over the largest order a table admits
-    s8 = [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]
-    start = time.perf_counter()
-    with pytest.raises(TooLarge, match="order 16385"):
-        groups.make_permutation_group(s8)
-    assert time.perf_counter() - start < 1.0
+# (m, r, k): Z_m x| Z_k with h acting by x -> r^h x; S3, D4, the Frobenius
+# group of order 21 and the Frobenius group of order 20
+SEMIDIRECT = {"S3": (3, -1, 2), "D4": (4, -1, 2), "F21": (7, 2, 3), "F20": (5, 2, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+def test_semidirect_product_against_its_definition(name):
+    m, r, k = SEMIDIRECT[name]
+    G = groups.make_semidirect_product(
+        groups.make_cyclic(m), groups.make_cyclic(k), groups._unit_action(m, r, k)
+    )
+    groups.validate_group(G)
+    assert G.order == m * k and G.identity == 0
+    # (a, b)(c, d) = (a + r^b c, b + d) on (a, b) at a*k + b
+    for (a, b), (c, d) in itertools.product(itertools.product(range(m), range(k)), repeat=2):
+        assert G.mul(a * k + b, c * k + d) == (a + pow(r, b, m) * c) % m * k + (b + d) % k
+    nonabelian = not np.array_equal(G.mul_table, G.mul_table.T)
+    assert nonabelian == (r % m != 1)
+
+
+def test_semidirect_product_refuses_a_bad_action():
+    Z3, Z4, Z5 = (groups.make_cyclic(n) for n in (3, 4, 5))
+    cases = [
+        (Z5, Z3, groups._unit_action(5, 2, 4), r"a \(3, 5\) array of indices"),
+        (Z5, Z4, np.zeros((4, 5), dtype=bool), "array of indices"),
+        (Z5, Z4, np.full((4, 5), 5), r"indices in 0\.\.4"),
+        (Z5, Z4, [[0, 1, 2, 3, 4]] + [[0, 1, 2, 4, 3]] * 3, "not a homomorphism of N"),
+        # x -> 2^h x with 2^3 != 1 mod 5: each row is an automorphism of Z5
+        (Z5, Z3, groups._unit_action(5, 2, 3), "not a homomorphism from H"),
+        # x -> 0 passes both homomorphism laws but is no automorphism
+        (Z5, Z4, np.zeros((4, 5), dtype=int), "identity of H"),
+    ]
+    for N, H, action, message in cases:
+        with pytest.raises(ValueError, match=message):
+            groups.make_semidirect_product(N, H, action)
 
 
 def test_direct_product_sl2f5_sl2f3():
     G, H = groups.make_sl2(5), groups.make_sl2(3)
-    GH = groups.make_direct_product(G, H)
+    GH = groups.make_semidirect_product(G, H)
     n = GH.order
     assert n == 2880 and GH.mul_table.dtype == np.uint16
     idx = np.arange(n)
@@ -409,7 +436,7 @@ def test_generating_set():
 # groups above order 64, the old limit of exhaustive associativity checking
 PROPERTY_TABLES = {
     "sl2:5": groups.make_sl2(5).mul_table,
-    "Z6xZ12": groups.make_direct_product(groups.make_cyclic(6), groups.make_cyclic(12)).mul_table,
+    "Z6xZ12": groups.make_semidirect_product(groups.make_cyclic(6), groups.make_cyclic(12)).mul_table,
 }
 
 

@@ -103,7 +103,7 @@ def test_identity_element_acts_as_identity_matrix():
 
 
 def test_action_matrices_multiply_like_the_group():
-    S3 = groups.make_permutation_group([(1, 0, 2), (1, 2, 0)])
+    S3 = groups.make_sl2(2)
     for G, module, parity in [
         (groups.make_cyclic(3), GROUP_ALGEBRA, EVEN),
         (S3, GROUP_ALGEBRA, ODD),

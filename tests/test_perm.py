@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_dims import groups, perm
+from theta_dims import groups, oracle, perm
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI, CosetElement
 
 
@@ -36,7 +37,7 @@ def test_act_is_bijection():
 
 
 def test_compose_matches_function_composition():
-    G = groups.make_permutation_group([(1, 0, 2), (1, 2, 0)])
+    G = groups.make_sl2(2)  # S3
     rng = random.Random(3)
     for _ in range(50):
         s = CosetElement(rng.random() < 0.5, rng.randrange(6), rng.randrange(6))
@@ -236,7 +237,7 @@ REFERENCE_GROUPS = dict(
     groups.battery_groups(),
     **{
         "sl2:5": groups.make_sl2(5),
-        "Z2xQ8": groups.make_direct_product(groups.make_cyclic(2), groups.make_quaternion8()),
+        "Z2xQ8": groups.make_semidirect_product(groups.make_cyclic(2), groups.make_quaternion8()),
         "2O": _binary_octahedral(),
     },
 )
@@ -269,11 +270,63 @@ def test_reduced_route_equals_direct_sums(data):
             )
 
 
+@st.composite
+def unit_actions(draw):
+    """(m, r, k) for Z_m x| Z_k acting by x -> r^h x: m <= 12, k <= 4, and r a
+    unit mod m with r^k = 1 mod m."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    units = [r for r in range(m) if math.gcd(r, m) == 1 and pow(r, k, m) == 1 % m]
+    return m, draw(st.sampled_from(units)), k
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(mrk=unit_actions())
+def test_methods_agree_on_drawn_semidirect_products(mrk):
+    m, r, k = mrk
+    G = groups.make_semidirect_product(
+        groups.make_cyclic(m), groups.make_cyclic(k), groups._unit_action(m, r, k)
+    )
+    groups.validate_group(G)
+    pair_count = G.order**2
+    dims = {}
+    for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
+        shift, sign = perm._shift_sign(module, parity)
+        untwisted = perm._coset_sum(G, shift, sign, twisted=False)
+        twisted = perm._coset_sum(G, shift, sign, twisted=True)
+        pipi = perm.dim_invariants_perm(G, module, parity, PI_PI)
+        dims[module, parity] = perm.dim_invariants_perm(G, module, parity, FULL)
+        assert pipi == Fraction(untwisted, 6 * pair_count)
+        assert dims[module, parity] == Fraction(untwisted + twisted, 12 * pair_count)
+        if module == GROUP_ALGEBRA:
+            assert oracle.dim_invariants_orbit(G, parity, PI_PI) == pipi
+            assert oracle.dim_invariants_orbit(G, parity, FULL) == dims[module, parity]
+    assert dims[GROUP_ALGEBRA, EVEN] == dims[AUG_KERNEL, EVEN]
+    assert (
+        dims[GROUP_ALGEBRA, ODD] - dims[AUG_KERNEL, ODD]
+        == groups.conjugacy_classes(G).inversion_orbits
+    )
+
+
 def _four_dims(G):
     return [
         perm.dim_invariants_perm(G, module, parity, FULL)
         for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
     ]
+
+
+def test_q8_by_z3_is_binary_tetrahedral():
+    # P'_24 = Q8 x| Z3, Z3 acting by conjugation with [1,1;0,1], of order 3 in
+    # SL2(F_3), which normalizes Q8; the product is SL2(F_3) again
+    SL, Q8 = groups.make_sl2(3), groups.make_quaternion8()
+    elems = [SL.labels.index(label) for label in Q8.labels]
+    g = SL.labels.index("[1,1;0,1]")
+    conj = [elems.index(SL.mul(SL.mul(g, x), SL.inv(g))) for x in elems]
+    G = groups.make_semidirect_product(
+        Q8, groups.make_cyclic(3), [list(range(8)), conj, [conj[c] for c in conj]]
+    )
+    groups.validate_group(G)
+    assert sorted(groups.conjugacy_classes(G).sizes) == sorted(groups.conjugacy_classes(SL).sizes)
+    assert _four_dims(G) == _four_dims(SL)
 
 
 def _coset_sums(G):
@@ -285,12 +338,14 @@ def _coset_sums(G):
     ]
 
 
-# S3, the Frobenius group of order 21 (x -> x + 1 and x -> 2x mod 7) and Z37
+# S3, the Frobenius group of order 21 (Z7 x| Z3 by x -> 2x) and Z37
 @pytest.mark.parametrize(
     "G",
     [
         groups.make_sl2(2),
-        groups.make_permutation_group([(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]),
+        groups.make_semidirect_product(
+            groups.make_cyclic(7), groups.make_cyclic(3), groups._unit_action(7, 2, 3)
+        ),
         groups.make_cyclic(37),
     ],
     ids=["sl2:2", "F21", "cyclic:37"],
