@@ -309,7 +309,7 @@ def load_char_table(
     when given, sees the table once its shape is checked and before the O(k^3)
     orthogonality sums of validate, and raises if the table cannot serve."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, RecursionError, ValueError) as exc:
         raise ParseError(f"cannot read character table: {exc}") from exc
     table = _char_table_of(raw)

@@ -3,22 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import sys
 import time
 
 from . import chartab, groups, lens, oracle, perm, verify
-from .errors import (
-    IndicatorOutOfRange,
-    MixedRadicand,
-    NonRealValue,
-    NotAGroup,
-    OrthogonalityViolation,
-    ParseError,
-    ThetaDimsError,
-    TooLarge,
-)
+from .errors import InputError, ThetaDimsError
 
 USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
@@ -27,6 +19,18 @@ METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
 # largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
 # 10^6 rows 22 s and 750 MB
 LENS_TABLE_MAX_N = 100_000
+
+
+# each group-spec kind: the groups function that builds its table, and the one
+# that builds its class data by arithmetic with no table, or None where the
+# class data comes from the table; by name, so that a wrapper or patch on the
+# groups attribute is seen
+_Kind = collections.namedtuple("_Kind", "table class_data")
+_KINDS = {
+    "cyclic": _Kind("make_cyclic", "cyclic_class_data"),
+    "sl2": _Kind("make_sl2", "sl2_class_data"),
+    "cayley": _Kind("load_cayley", None),
+}
 
 
 class UsageError(Exception):
@@ -56,8 +60,9 @@ def _split_group_spec(spec: str) -> tuple[str, int | str]:
     kind, _, arg = spec.partition(":")
     if not arg:
         raise UsageError(f"group spec needs a parameter, got {spec!r}")
-    if kind not in ("cyclic", "sl2", "cayley"):
-        raise UsageError(f"unknown group kind {kind!r} (use cyclic:, sl2:, cayley:)")
+    if kind not in _KINDS:
+        use = ", ".join(f"{k}:" for k in _KINDS)
+        raise UsageError(f"unknown group kind {kind!r} (use {use})")
     if kind == "cayley":
         return kind, arg
     if not (arg.isascii() and arg.isdigit()):
@@ -71,34 +76,16 @@ def _split_group_spec(spec: str) -> tuple[str, int | str]:
 def parse_group_spec(spec: str) -> groups.GroupTable:
     """cyclic:N, sl2:P, or cayley:FILE (JSON {order, mul}, read by groups.load_cayley)."""
     kind, arg = _split_group_spec(spec)
-    if kind == "cyclic":
-        return groups.make_cyclic(arg)
-    if kind == "sl2":
-        return groups.make_sl2(arg)
-    return groups.load_cayley(arg)
+    return getattr(groups, _KINDS[kind].table)(arg)
 
 
 def _class_data(spec: str) -> groups.ConjugacyData:
     """The class data of the group of spec: by arithmetic, with no table, for
     cyclic:N and sl2:P, and from the table of cayley:FILE."""
     kind, arg = _split_group_spec(spec)
-    if kind == "cyclic":
-        return groups.cyclic_class_data(arg)
-    if kind == "sl2":
-        return groups.sl2_class_data(arg)
-    return groups.conjugacy_classes(parse_group_spec(spec))
-
-
-def _check_order_guard(kind: str, arg, method: str, parity: str) -> None:
-    """Refuse cyclic:N or sl2:P from its order alone when method's size guard
-    would refuse its table, after the checks that building the group makes
-    first; a cayley:FILE group meets the guard once it is read."""
-    if kind == "cyclic":
-        groups._check_cyclic_order(arg)
-        oracle.check_order_guard(method, arg, parity)
-    elif kind == "sl2":
-        groups._check_sl2_prime(arg)
-        oracle.check_order_guard(method, arg * (arg * arg - 1), parity)
+    if _KINDS[kind].class_data is None:
+        return groups.conjugacy_classes(parse_group_spec(spec))
+    return getattr(groups, _KINDS[kind].class_data)(arg)
 
 
 def _resolve_convention(method: str, convention: str | None) -> str:
@@ -172,12 +159,14 @@ def _compute_dims(args) -> int:
     elif method == "orbit":
         if args.module != perm.GROUP_ALGEBRA:
             raise UsageError("method orbit supports the group algebra only")
-        _check_order_guard(kind, arg, method, args.parity)
+        if _KINDS[kind].class_data:  # the size guard from the order, before the table
+            oracle.check_order_guard(method, _class_data(args.group).order, args.parity)
         value = oracle.dim_invariants_orbit(parse_group_spec(args.group), args.parity, symmetry)
     else:  # reynolds
         if symmetry != perm.FULL:
             raise UsageError("method reynolds computes the full symmetry only")
-        _check_order_guard(kind, arg, method, args.parity)
+        if _KINDS[kind].class_data:  # the size guard from the order, before the table
+            oracle.check_order_guard(method, _class_data(args.group).order, args.parity)
         value = oracle.dim_invariants_reynolds(
             parse_group_spec(args.group), args.module, args.parity
         )
@@ -290,26 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# IndicatorOutOfRange comes only from a loaded character table
-_INPUT_ERRORS = (
-    UsageError,
-    ValueError,
-    ParseError,
-    NotAGroup,
-    TooLarge,
-    MixedRadicand,
-    NonRealValue,
-    OrthogonalityViolation,
-    IndicatorOutOfRange,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (UsageError, ValueError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ThetaDimsError as exc:

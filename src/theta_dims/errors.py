@@ -5,7 +5,11 @@ class ThetaDimsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotAGroup(ThetaDimsError):
+class InputError(ThetaDimsError):
+    """Bad or oversized input, the user's to fix: exit 2 on the command line."""
+
+
+class NotAGroup(InputError):
     """A Cayley table violates a group axiom; the message names the first
     violated axiom and a witness."""
 
@@ -25,27 +29,27 @@ class SimplificationMismatch(ThetaDimsError):
     """The reduced sum over classes disagrees with the direct sum over the coset."""
 
 
-class MixedRadicand(ThetaDimsError):
+class MixedRadicand(InputError):
     """Arithmetic attempted between quadratic values over different radicands."""
 
 
-class ParseError(ThetaDimsError):
+class ParseError(InputError):
     """A data file is malformed."""
 
 
-class OrthogonalityViolation(ThetaDimsError):
+class OrthogonalityViolation(InputError):
     """A character table fails exact row orthogonality."""
 
 
-class NonRealValue(ThetaDimsError):
+class NonRealValue(InputError):
     """A declared table value cannot live in the stated real quadratic field."""
 
 
-class IndicatorOutOfRange(ThetaDimsError):
+class IndicatorOutOfRange(InputError):
     """A squared-power average landed outside {-1, 0, +1} (table corruption)."""
 
 
-class TooLarge(ThetaDimsError):
+class TooLarge(InputError):
     """Input exceeds a size guard for an exact dense computation."""
 
 

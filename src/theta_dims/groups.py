@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from collections import Counter, defaultdict
 from collections.abc import Iterator, Sequence
@@ -609,6 +610,18 @@ class _RowsDecoder(json.JSONDecoder):
         self.scan_once = py_make_scanner(self)  # the C scanner ignores parse_array
 
 
+def _check_cayley_file_size(size: int) -> None:
+    """Refuse a Cayley file longer than the largest table under
+    TABLE_ENTRY_LIMIT can need: n*n entries of the width of n - 1, each with a
+    separator and one byte of whitespace, as json.dumps writes them, 4 bytes
+    a row for its brackets and the ", " between rows, and 64 KiB for the rest
+    of the object."""
+    n = math.isqrt(TABLE_ENTRY_LIMIT)
+    limit = n * n * (len(str(n - 1)) + 2) + 4 * n + (1 << 16)
+    if size > limit:
+        raise TooLarge(f"the file has {size} bytes, over the {limit} that a table can need")
+
+
 def load_cayley(path: str | Path) -> GroupTable:
     """Read and fully validate a Cayley table file, JSON {"order": n, "mul":
     [[...], ...]} whose n rows each hold n integers in 0..n-1.
@@ -619,6 +632,7 @@ def load_cayley(path: str | Path) -> GroupTable:
     """
     where = f"Cayley table {str(path)!r}"
     try:
+        _check_cayley_file_size(Path(path).stat().st_size)
         raw = _RowsDecoder().decode(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
@@ -667,7 +681,7 @@ def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
     """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
     path = Path(path or default_fixture_path())
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
         p = _json_int(raw["prime"], "fixture prime")
         names, mats, labels = [], [], []
         for rec in raw["elements"]:

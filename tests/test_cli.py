@@ -11,6 +11,7 @@ import pytest
 
 import theta_dims
 from theta_dims import chartab, cli, groups, lens, perm
+from theta_dims.errors import InputError, ThetaDimsError
 
 REFERENCE_ROWS = {
     1: "1,1,0,0,0",
@@ -213,20 +214,47 @@ def _no_table(spec):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--method", "chartab"), "method chartab needs --char-table FILE (builtin only for sl2:5)"),
-    (("--module", "aug-kernel", "--method", "orbit"),
+    (("--group", "cyclic:16384", "--method", "chartab"),
+     "method chartab needs --char-table FILE (builtin only for sl2:5)"),
+    (("--group", "cyclic:16384", "--module", "aug-kernel", "--method", "orbit"),
      "method orbit supports the group algebra only"),
-    (("--symmetry", "pi-pi", "--method", "reynolds"),
+    (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "reynolds"),
      "method reynolds computes the full symmetry only"),
-    (("--method", "reynolds"), "group order 16384 exceeds the guard 12"),
-    (("--method", "orbit"), "733141975040 monomials exceed the orbit guard 8388608"),
+    (("--group", "cyclic:16384", "--method", "reynolds"),
+     "group order 16384 exceeds the guard 12"),
+    (("--group", "cyclic:16384", "--method", "orbit"),
+     "733141975040 monomials exceed the orbit guard 8388608"),
+    (("--group", "sl2:13", "--method", "orbit"),
+     "1738613240 monomials exceed the orbit guard 8388608"),
+    (("--group", "sl2:5", "--method", "reynolds"), "group order 120 exceeds the guard 12"),
 ])
 def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
     # a cyclic:16384 table is 512 MB; these refusals need only the arguments,
-    # and the order guards only the order, which cyclic:N gives as N
+    # and the order guards only the order, which the class data of cyclic:N
+    # and sl2:P gives with no table
     monkeypatch.setattr(cli, "parse_group_spec", _no_table)
-    code, out, err = run_cli(capsys, "dims", "--group", "cyclic:16384", "--parity", "odd", *argv)
+    code, out, err = run_cli(capsys, "dims", "--parity", "odd", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _error_classes(base=ThetaDimsError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_an_exit_code(capsys, monkeypatch, error):
+    # an InputError is the user's to fix and exits 2; any other error of the
+    # package is an internal consistency trap and exits 1
+    def fail(*args, **kwargs):
+        raise error("the message")
+
+    monkeypatch.setattr(perm, "dim_invariants_perm", fail)
+    code, out, err = run_cli(capsys, "dims", "--group", "cyclic:3", "--parity", "odd")
+    assert (code, out, err) == (
+        2 if issubclass(error, InputError) else 1, "", "error: the message\n"
+    )
 
 
 def test_dims_perm_cyclic_16384_from_arithmetic(capsys, monkeypatch):
@@ -284,6 +312,37 @@ def test_dims_cayley_file_mul_not_a_list(capsys, tmp_path, payload):
     code, _, err = run_cli(capsys, "dims", "--group", f"cayley:{path}", "--parity", "odd")
     assert code == 2
     assert err.startswith("error:") and "list of rows" in err
+
+
+def run_cli_process_ascii_locale(*args):
+    """One `python -m theta_dims` process whose locale encoding is ASCII."""
+    env = package_env() | {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    return subprocess.run(
+        [sys.executable, "-m", "theta_dims", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_json_inputs_are_read_as_utf8(tmp_path):
+    # the class and element names are free text; the file's encoding, not
+    # the locale's, decides how they read
+    table = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    table["class_names"][1] = "\u2212I"
+    fixture = json.loads(groups.default_fixture_path().read_text(encoding="utf-8"))
+    for rec in fixture["elements"]:
+        rec["name"] = "\u2212" + rec["name"]
+    for name, raw in (("table.json", table), ("fixture.json", fixture)):
+        (tmp_path / name).write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    done = run_cli_process_ascii_locale(
+        "dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+        "--char-table", str(tmp_path / "table.json"), "--format", "json",
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["dimension"] == 65
+    done = run_cli_process_ascii_locale(
+        "verify", "fixtures", "--fixture", str(tmp_path / "fixture.json")
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_dims_char_table_file(capsys, tmp_path):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,6 +586,24 @@ def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "fromstring", no_parsing)
     with pytest.raises(TooLarge, match="order 4 has 16 entries, over 15") as exc:
+        groups.load_cayley(path)
+    assert repr(str(path)) in str(exc.value)
+
+
+def test_load_cayley_file_size_guard_precedes_reading(tmp_path, monkeypatch):
+    # under a limit of 15 entries the largest table is 3 x 3: 9 entries of one
+    # digit, 3 bytes each, 4 bytes a row and 64 KiB for the rest of the object
+    path = tmp_path / "z4.json"
+    text = json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()})
+    path.write_text(" " * (9 * 3 + 4 * 3 + (1 << 16) + 1 - len(text)) + text)
+    monkeypatch.setattr(groups, "TABLE_ENTRY_LIMIT", 15)
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(Path, "read_text", no_reading)
+    message = "has 65576 bytes, over the 65575 that a table can need"
+    with pytest.raises(TooLarge, match=message) as exc:
         groups.load_cayley(path)
     assert repr(str(path)) in str(exc.value)
 
