@@ -1,8 +1,13 @@
-"""numpy as a module that loads on its first attribute access.
+"""Modules that load on their first attribute access.
 
-Importing numpy takes longer than most queries that need no array at all
-(`closed-form`, `lens-table`, and `perm` on cyclic:N), so the layers bind
-`np` from here and only a query that touches an array pays for the import.
+A short query pays for every module its process executes: importing numpy
+takes longer than most queries that need no array at all (`closed-form`,
+`lens-table`, and `perm` on cyclic:N and sl2:P), and with no valid cached
+bytecode each sibling module is compiled from source. So the layers bind
+`np` from here, `cli` binds the modules of the verbs and methods it does not
+always run (`cayley`, `chartab`, `lens`, `oracle`, `verify`) through
+`_lazy_import`, and `lens` binds `oracle` the same way; a query executes
+only the modules it touches.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from types import ModuleType
 
 def _lazy_import(name: str) -> ModuleType:
     """The module `name`, from sys.modules if it is there, else registered
-    there by a LazyLoader that executes it on first attribute access."""
+    there by a LazyLoader that executes it on first attribute access. An
+    import statement that names it executes it too, as does reading it as an
+    attribute of the package (theta_dims.__getattr__)."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

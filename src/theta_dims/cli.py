@@ -9,27 +9,36 @@ import json
 import sys
 import time
 
-from . import chartab, groups, lens, oracle, perm, verify
+from . import groups, perm
+from ._lazy import _lazy_import
 from .errors import InputError, ThetaDimsError
+
+# the modules that only some verbs and methods run execute on first use
+cayley = _lazy_import(f"{__package__}.cayley")
+chartab = _lazy_import(f"{__package__}.chartab")
+lens = _lazy_import(f"{__package__}.lens")
+oracle = _lazy_import(f"{__package__}.oracle")
+verify = _lazy_import(f"{__package__}.verify")
 
 USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
 METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
+SUITES = ("all", "fixtures", "cross-methods", "conventions")
 
 # largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
 # 10^6 rows 22 s and 750 MB
 LENS_TABLE_MAX_N = 100_000
 
 
-# each group-spec kind: the groups function that builds its table, and the one
-# that builds its class data by arithmetic with no table, or None where the
-# class data comes from the table; by name, so that a wrapper or patch on the
-# groups attribute is seen
-_Kind = collections.namedtuple("_Kind", "table class_data")
+# each group-spec kind: the module and the name of the function that builds
+# its table, and the groups function that builds its class data by arithmetic
+# with no table, or None where the class data comes from the table; by name,
+# so that a wrapper or patch on the module attribute is seen
+_Kind = collections.namedtuple("_Kind", "module table class_data")
 _KINDS = {
-    "cyclic": _Kind("make_cyclic", "cyclic_class_data"),
-    "sl2": _Kind("make_sl2", "sl2_class_data"),
-    "cayley": _Kind("load_cayley", None),
+    "cyclic": _Kind(groups, "make_cyclic", "cyclic_class_data"),
+    "sl2": _Kind(groups, "make_sl2", "sl2_class_data"),
+    "cayley": _Kind(cayley, "load_cayley", None),
 }
 
 
@@ -74,9 +83,9 @@ def _split_group_spec(spec: str) -> tuple[str, int | str]:
 
 
 def parse_group_spec(spec: str) -> groups.GroupTable:
-    """cyclic:N, sl2:P, or cayley:FILE (JSON {order, mul}, read by groups.load_cayley)."""
+    """cyclic:N, sl2:P, or cayley:FILE (JSON {order, mul}, read by cayley.load_cayley)."""
     kind, arg = _split_group_spec(spec)
-    return getattr(groups, _KINDS[kind].table)(arg)
+    return getattr(_KINDS[kind].module, _KINDS[kind].table)(arg)
 
 
 def _class_data(spec: str) -> groups.ConjugacyData:
@@ -92,8 +101,8 @@ def _resolve_convention(method: str, convention: str | None) -> str:
     # basis-level inversion is the definition every permutation-style path
     # implements; the flip form exists only on the character-table path
     if convention is None:
-        return chartab.FLIP if method == "chartab" else chartab.INVERSION
-    if convention == chartab.FLIP and method != "chartab":
+        return perm.FLIP if method == "chartab" else perm.INVERSION
+    if convention == perm.FLIP and method != "chartab":
         raise UsageError(f"method {method} computes the inversion convention only")
     return convention
 
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--parity", choices=perm.PARITIES, required=True)
     dims.add_argument("--symmetry", choices=perm.SYMMETRIES, default=perm.FULL)
     dims.add_argument("--method", choices=METHODS, default="perm")
-    dims.add_argument("--convention", choices=chartab.CONVENTIONS, default=None)
+    dims.add_argument("--convention", choices=perm.CONVENTIONS, default=None)
     dims.add_argument("--char-table", help="character table JSON for method chartab")
     dims.add_argument("--format", choices=FORMATS, default="text")
     dims.set_defaults(func=_compute_dims)
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     classes.set_defaults(func=_cmd_classes)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", nargs="?", choices=verify.SUITES, default="all")
+    ver.add_argument("suite", nargs="?", choices=SUITES, default="all")
     ver.add_argument(
         "--with-orbit-check",
         action="store_true",

@@ -7,29 +7,24 @@ set. A subgroup is the table restricted to a closure, numbered in the order
 of the whole group; Q8 is the subgroup of SL2(F_3) generated by i and j.
 N x| H (N x H with no action) puts (a, b) at a*|H| + b, by index arithmetic.
 SL2(F_p) is the set of 2x2 matrices of determinant 1, in lexicographic order.
-A Cayley table file is read by load_cayley, whose JSON array hook parses the
-rows from the text straight into one index array. Class indices are ordered
-by smallest member, so every derived quantity is deterministic across runs
-and platforms.
+Class indices are ordered by smallest member, so every derived quantity is
+deterministic across runs and platforms.
 The class data of a cyclic group and of SL2(F_p) is also built by arithmetic,
 with no table (cyclic_class_data, sl2_class_data).
+A Cayley table file is read by cayley.load_cayley; every JSON input file is
+read through _read_text, which bounds its size before reading.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
-import re
-from collections import Counter, defaultdict
+import os
+import stat
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from json.decoder import JSONArray
-from json.scanner import py_make_scanner
-from pathlib import Path
+from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
+from .errors import NotAGroup, ParseError, TooLarge
 
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
 TABLE_ENTRY_LIMIT = 1 << 28
@@ -58,6 +53,36 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _read_text(path: str | os.PathLike, where: str, limit: int, room: str) -> str:
+    """The text of the UTF-8 file at path; messages call it where.
+
+    The file is opened once, and fstat of that descriptor refuses it, before
+    any byte is read, unless it is a regular file of at most limit bytes, the
+    most that room: a device such as /dev/zero reports no size to trust. At
+    most limit + 1 bytes are read. Every refusal, and any error of the
+    operating system or of decoding, raises ParseError or TooLarge naming where.
+    """
+    try:
+        # a FIFO opens without waiting for a writer, and is then refused
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise ParseError(f"cannot read {where}: not a regular file")
+            size = info.st_size
+            if size > limit:
+                raise TooLarge(f"{where}: the file has {size} bytes, over the {limit} that {room}")
+            with open(fd, "rb", closefd=False) as file:
+                data = file.read(size + 1)
+        finally:
+            os.close(fd)
+        if len(data) > size:
+            raise ParseError(f"cannot read {where}: it holds more than its size of {size} bytes")
+        return data.decode("utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in path, or not UTF-8
+        raise ParseError(f"cannot read {where}: {exc}") from None
 
 
 def _row_chunks(count: int, width: int) -> Iterator[slice]:
@@ -455,297 +480,6 @@ def _greedy_generators(G: GroupTable) -> Iterator[int]:
 def generating_set(G: GroupTable) -> list[int]:
     """A small generating set, chosen greedily by ascending element index."""
     return list(_greedy_generators(G))
-
-
-# -- Cayley table files --------------------------------------------------------
-
-# characters of a table's rows read at a time, rounded up to the end of a row
-_PIECE_CHARS = 1 << 20
-_WHITESPACE = b" \t\n\r"
-_MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
-_MARKS_TO_SPACES = bytes.maketrans(b"[],", b"   ")
-# with whitespace removed, the only byte pairs a table of integers can hold; a
-# pair with any other character, an empty entry such as "[," or ",]", "[[" or
-# "]]", and a "-" before anything but a digit are all missing here ("d" is any
-# digit)
-_ALLOWED_PAIRS = ("dd", "d,", "d]", "-d", ",d", ",-", ",[", "[d", "[-", "],")
-# a '[', whitespace and the '[' of a first row; the ']' of a row, whitespace and a ']'
-_ROWS_START = re.compile(r"[ \t\n\r]*\[")
-_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
-
-
-def _pair_codes() -> bytes:
-    """A bytes.translate table for _ALLOWED_PAIRS: bits 0-2 of a byte's code
-    are its class c, its index in "d-,[]" or 5 for any other byte, and bit
-    3 + c' is set when a byte of class c' may follow it."""
-    classes = "d-,[]"
-
-    def members(name: str) -> bytes:
-        return b"0123456789" if name == "d" else name.encode()
-
-    codes = bytearray([5] * 256)
-    for c, name in enumerate(classes):
-        for byte in members(name):
-            codes[byte] = c
-    for a, b in _ALLOWED_PAIRS:
-        for byte in members(a):
-            codes[byte] |= 1 << (3 + classes.index(b))
-    return bytes(codes)
-
-
-_PAIR_CODES = _pair_codes()
-
-
-def _first_bad_pair(text: bytes) -> int | None:
-    """The index of the first byte of text that may not follow the byte before
-    it under _ALLOWED_PAIRS, or None."""
-    codes = np.frombuffer(text.translate(_PAIR_CODES), dtype=np.uint8)
-    ok = np.bitwise_and(codes[1:], 7)
-    ok += 3
-    np.right_shift(codes[:-1], ok, out=ok)
-    ok &= 1
-    return None if ok.all() else int(np.argmin(ok)) + 1
-
-
-def _bad_rows(n: int, detail: str) -> ParseError:
-    return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
-
-
-def _read_whole_rows(raw: bytes, n: int, first: int, out: np.ndarray) -> int:
-    """Read the rows that raw lists, the text between the '[' of a row and the
-    ']' of the same or a later row, into out; returns how many there are. Rows
-    are numbered from first in messages.
-
-    Raises ParseError unless the text is rows of n JSON integers in 0..n-1.
-    It must be ASCII, keep "-" directly before a digit, and hold only the byte
-    pairs of _ALLOWED_PAIRS once whitespace is removed; its commas and
-    brackets must spell rows of n - 1 commas joined by "],["; np.fromstring
-    must read n integers a row from it with all marks as spaces, which
-    refuses whitespace inside a number; and the digits must number exactly
-    the decimal widths of the entries, which refuses leading zeros.
-    """
-    k = raw.count(b"[") + 1
-    if not raw.isascii():
-        raise _bad_rows(n, "found a character outside ASCII")
-    text = raw
-    if any(w in raw for w in _WHITESPACE):
-        text = raw.translate(None, _WHITESPACE)
-        if b"-" in raw and any(p in raw for p in _MINUS_SPACE):
-            raise _bad_rows(n, "found '-' before whitespace")
-    text = b"[" + text + b"]"
-    bad = _first_bad_pair(text)
-    if bad is not None:
-        raise _bad_rows(n, f"unexpected text at {text[max(bad - 9, 0):bad + 9].decode()!r}")
-    marks = text.translate(None, b"0123456789")
-    digits = len(text) - len(marks)
-    del text
-    marks = marks.replace(b"-", b"")
-    rows = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
-    if marks != rows:
-        size = min(len(marks), len(rows))
-        differ = np.frombuffer(marks, np.uint8, size) != np.frombuffer(rows, np.uint8, size)
-        at = int(np.argmax(differ)) if differ.any() else size
-        raise _bad_rows(n, f"row {first + marks.count(b'[', 0, at)} does not hold {n} entries")
-    del marks, rows
-    values = np.fromstring(raw.translate(_MARKS_TO_SPACES), dtype=np.int64, sep=" ")
-    if len(values) != k * n:
-        raise _bad_rows(n, "whitespace splits an entry")
-    if values.min() < 0 or values.max() >= n:
-        raise _bad_rows(n, f"found {int(values[(values < 0) | (values >= n)][0])}")
-    entries = out[:k].reshape(-1)
-    entries[:] = values
-    del values
-    widths = entries.size + sum(
-        int(np.count_nonzero(entries >= 10**e)) for e in range(1, len(str(n - 1)))
-    )
-    if digits != widths:
-        raise _bad_rows(n, "an entry has a leading zero")
-    return k
-
-
-def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
-    """The n x n index array whose rows s[start:stop] lists: the text between
-    the '[' of the first row and the ']' of the last.
-
-    Raises TooLarge from the row count before any entry is read. The text is
-    read by _read_whole_rows in pieces of whole rows, each ending at the
-    first ']' from _PIECE_CHARS on; the text between two pieces must be "],["
-    and whitespace. As each such text holds one of the n - 1 '[' counted in
-    n, the pieces hold n rows in all.
-    """
-    n = s.count("[", start, stop) + 1
-    _check_table_size(n)
-    out = np.empty((n, n), dtype=_index_dtype(n))
-    filled = 0
-    while True:
-        end = s.find("]", min(start + _PIECE_CHARS, stop), stop)
-        end = stop if end < 0 else end
-        filled += _read_whole_rows(s[start:end].encode(), n, filled + 1, out[filled:])
-        if end == stop:
-            return out
-        start = s.find("[", end, stop) + 1
-        if not start or s[end:start].encode().translate(None, _WHITESPACE) != b"],[":
-            raise _bad_rows(n, f"unexpected text after row {filled}")
-
-
-def _parse_array(s_and_end: tuple[str, int], scan_once):
-    """json's array hook: an array whose first element is an array is read by
-    _read_rows into an index array, any other array the standard way."""
-    s, end = s_and_end
-    first = _ROWS_START.match(s, end)
-    if first is None:
-        return JSONArray(s_and_end, scan_once)
-    close = _ROWS_END.search(s, first.end())
-    if close is None:
-        raise ParseError("an array of rows is not closed")
-    return _read_rows(s, first.end(), close.start()), close.end()
-
-
-class _RowsDecoder(json.JSONDecoder):
-    """Standard JSON, but an array of arrays is one index array (_parse_array)."""
-
-    def __init__(self):
-        super().__init__()
-        self.parse_array = _parse_array
-        self.scan_once = py_make_scanner(self)  # the C scanner ignores parse_array
-
-
-def _check_cayley_file_size(size: int) -> None:
-    """Refuse a Cayley file longer than the largest table under
-    TABLE_ENTRY_LIMIT can need: n*n entries of the width of n - 1, each with a
-    separator and one byte of whitespace, as json.dumps writes them, 4 bytes
-    a row for its brackets and the ", " between rows, and 64 KiB for the rest
-    of the object."""
-    n = math.isqrt(TABLE_ENTRY_LIMIT)
-    limit = n * n * (len(str(n - 1)) + 2) + 4 * n + (1 << 16)
-    if size > limit:
-        raise TooLarge(f"the file has {size} bytes, over the {limit} that a table can need")
-
-
-def load_cayley(path: str | Path) -> GroupTable:
-    """Read and fully validate a Cayley table file, JSON {"order": n, "mul":
-    [[...], ...]} whose n rows each hold n integers in 0..n-1.
-
-    The rows are read as text by _read_rows, with no Python object per entry;
-    the rest of the file follows the standard JSON rules. Any other array of
-    arrays in the file must be such rows too.
-    """
-    where = f"Cayley table {str(path)!r}"
-    try:
-        _check_cayley_file_size(Path(path).stat().st_size)
-        raw = _RowsDecoder().decode(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
-        order, mul = _json_int(raw["order"], "'order'"), raw["mul"]
-    except TooLarge as exc:
-        raise TooLarge(f"{where}: {exc}") from None
-    except (OSError, RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"cannot read {where}: {exc}") from None
-    if not isinstance(mul, np.ndarray):
-        raise ParseError(f"{where}: 'mul' must be a list of rows, got {mul!r:.40}")
-    if len(mul) != order:
-        raise ParseError(f"{where} has {len(mul)} rows, 'order' says {order}")
-    return make_from_cayley(mul)
-
-
-# -- reference data for SL2(F5) ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sl2Fixture:
-    """Reference list of all elements of SL2(F_p) with expected class labels."""
-
-    prime: int
-    names: tuple[str, ...]
-    matrices: tuple[tuple[int, int, int, int], ...]
-    class_labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FixtureReport:
-    """Outcome of checking a fixture against the constructed group."""
-
-    mismatches: tuple[str, ...] = field(default=())
-    label_class: dict[str, int] = field(default_factory=dict)  # by majority vote
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def default_fixture_path() -> Path:
-    return Path(__file__).parent / "data" / "sl2f5_elements.json"
-
-
-def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
-    """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
-    path = Path(path or default_fixture_path())
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        p = _json_int(raw["prime"], "fixture prime")
-        names, mats, labels = [], [], []
-        for rec in raw["elements"]:
-            (a, b), (c, d) = rec["matrix"]
-            names.append(str(rec["name"]))
-            mats.append(tuple(_json_int(x, "a matrix entry") for x in (a, b, c, d)))
-            labels.append(str(rec["class"]))
-    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"cannot read element fixture {str(path)!r}: {exc!r}") from exc
-    return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
-
-
-def verify_sl2f5_fixture(G: GroupTable, fx: Sl2Fixture) -> FixtureReport:
-    """Check the fixture against G = make_sl2(fx.prime).
-
-    Structural failures (wrong cardinality, bad determinants, no bijection
-    with the enumerated elements) raise FixtureMismatch. Per-element class
-    disagreements are collected in the returned report.
-    """
-    p = fx.prime
-    # |SL2(F_p)| = p (p^2 - 1), checked before any matrix is enumerated
-    if G.order != p * (p * p - 1):
-        raise FixtureMismatch(f"group order {G.order} != {p * (p * p - 1)}")
-    expected = sl2_matrices(p)
-    if len(fx.matrices) != len(expected):
-        raise FixtureMismatch(
-            f"fixture lists {len(fx.matrices)} elements, expected {len(expected)}"
-        )
-    for name, (a, b, c, d) in zip(fx.names, fx.matrices):
-        if (a * d - b * c) % p != 1:
-            raise FixtureMismatch(f"{name} has determinant != 1 mod {p}")
-    index = {m: i for i, m in enumerate(expected)}
-    if set(fx.matrices) != set(index):
-        missing = sorted(set(index) - set(fx.matrices))[:3]
-        raise FixtureMismatch(f"fixture is not a bijection; e.g. missing {missing}")
-
-    cd = conjugacy_classes(G)
-    # pick the label <-> computed-class correspondence by majority vote, then
-    # flag the elements that disagree with it
-    votes: dict[str, Counter] = defaultdict(Counter)
-    for mat, label in zip(fx.matrices, fx.class_labels):
-        votes[label][int(cd.class_of[index[mat]])] += 1
-    if len(votes) != cd.num_classes:
-        raise FixtureMismatch(
-            f"fixture names {len(votes)} classes, group has {cd.num_classes}"
-        )
-    label_class = {label: c.most_common(1)[0][0] for label, c in votes.items()}
-    if len(set(label_class.values())) != cd.num_classes:
-        raise FixtureMismatch("fixture labels do not separate the computed classes")
-    class_label = {v: k for k, v in label_class.items()}
-    mismatches = []
-    for name, mat, label in zip(fx.names, fx.matrices, fx.class_labels):
-        cidx = int(cd.class_of[index[mat]])
-        if cidx != label_class[label]:
-            mismatches.append(f"{name}: labeled {label}, computed class is {class_label[cidx]}")
-    return FixtureReport(tuple(mismatches), label_class)
-
-
-def fixture_class_order(G: GroupTable, fx: Sl2Fixture) -> dict[str, int]:
-    """Map each fixture class label to the computed class index it names."""
-    report = verify_sl2f5_fixture(G, fx)
-    if not report.ok:
-        raise FixtureMismatch("; ".join(report.mismatches))
-    return report.label_class
 
 
 # -- standard test battery -----------------------------------------------------

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._lazy import np
+from ._lazy import _lazy_import, np
 from .errors import HalfwayPoint
-from .oracle import _monomials, _rank, _rank_of_rows, _sort_sign
 from .perm import AUG_KERNEL, EVEN, GROUP_ALGEBRA, ODD, PARITIES, _check_choice
+
+# the weight-system kernels; the closed forms need none of it
+oracle = _lazy_import(f"{__package__}.oracle")
 
 # incremental tables for partitions into parts of size <= 2 and <= 3
 _P2 = [1]
@@ -97,7 +99,7 @@ def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
         ((b - a) % n, (c - b) % n, (a - c) % n),
         ((a - b) % n, (b - c) % n, (c - a) % n),
     ])
-    keys, signs = _sort_sign(triples, parity)
+    keys, signs = oracle._sort_sign(triples, parity)
     acc: dict[tuple[int, int, int], int] = {}
     for key, sign in zip(map(tuple, keys.tolist()), signs.tolist()):
         acc[key] = acc.get(key, 0) + sign
@@ -107,9 +109,9 @@ def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
 
 def _orbit_representatives(n: int, parity: str) -> list[list[int]]:
     """One monomial per orbit under index shifts and negation: the least in rank."""
-    basis = _monomials(n, parity)
+    basis = oracle._monomials(n, parity)
     images = np.stack([basis, -basis])[:, None] + np.arange(n)[:, None, None]
-    ranks = _rank(_sort_sign(images % n, parity)[0], parity).min(axis=(0, 1))
+    ranks = oracle._rank(oracle._sort_sign(images % n, parity)[0], parity).min(axis=(0, 1))
     return basis[np.unique(ranks)].tolist()
 
 
@@ -122,11 +124,11 @@ def weight_rank(n: int, parity: str) -> int:
     _check_choice(parity, PARITIES, "parity")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    full = _rank_of_rows(
-        weight_map(n, *mono, parity).coeffs for mono in _monomials(n, parity).tolist()
+    full = oracle._rank_of_rows(
+        weight_map(n, *mono, parity).coeffs for mono in oracle._monomials(n, parity).tolist()
     )
     if n <= 12:
-        reduced = _rank_of_rows(
+        reduced = oracle._rank_of_rows(
             weight_map(n, *mono, parity).coeffs for mono in _orbit_representatives(n, parity)
         )
         assert reduced == full  # representatives must span the whole image

@@ -35,6 +35,12 @@ FULL = "full"
 PI_PI = "pi-pi"
 SYMMETRIES = (FULL, PI_PI)
 
+# how the extra involution acts: chartab computes both, every other method
+# basis-level inversion
+FLIP = "flip"
+INVERSION = "inversion"
+CONVENTIONS = (FLIP, INVERSION)
+
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> str:
     if value not in allowed:

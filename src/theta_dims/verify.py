@@ -1,4 +1,6 @@
-"""Named verification suites behind the command-line `verify` verb.
+"""Named verification suites behind the command-line `verify` verb, and the
+SL2(F5) element fixture (load_sl2_fixture, verify_sl2f5_fixture) they check
+the computed classes against.
 
 Each suite returns (ok, lines). Lines are human-readable and deterministic;
 the first failing check aborts the suite with a counterexample message.
@@ -7,14 +9,20 @@ the first failing check aborts the suite with a counterexample message.
 from __future__ import annotations
 
 import dataclasses
+import json
+from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 from . import chartab, groups, lens, oracle, perm
-from .errors import FixtureMismatch
-
-SUITES = ("all", "fixtures", "cross-methods", "conventions")
+from .cli import SUITES
+from .errors import FixtureMismatch, ParseError
 
 _SL2F5_SIZES = (1, 1, 30, 20, 20, 12, 12, 12, 12)
+
+# the longest element fixture file read: about four times a fixture of
+# SL2(F_13), the largest group make_sl2 builds, in the packaged layout
+FIXTURE_FILE_LIMIT = 1 << 20
 
 
 class VerifyFailure(Exception):
@@ -24,6 +32,108 @@ class VerifyFailure(Exception):
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise VerifyFailure(message)
+
+
+# -- the element fixture of SL2(F5) ----------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Sl2Fixture:
+    """Reference list of all elements of SL2(F_p) with expected class labels."""
+
+    prime: int
+    names: tuple[str, ...]
+    matrices: tuple[tuple[int, int, int, int], ...]
+    class_labels: tuple[str, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class FixtureReport:
+    """Outcome of checking a fixture against the constructed group."""
+
+    mismatches: tuple[str, ...] = ()
+    label_class: dict[str, int] = dataclasses.field(default_factory=dict)  # by majority vote
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def default_fixture_path() -> Path:
+    return Path(__file__).parent / "data" / "sl2f5_elements.json"
+
+
+def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
+    """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
+    path = Path(path or default_fixture_path())
+    where = f"element fixture {str(path)!r}"
+    text = groups._read_text(path, where, FIXTURE_FILE_LIMIT, "a fixture may take")
+    try:
+        raw = json.loads(text)
+        p = groups._json_int(raw["prime"], "fixture prime")
+        names, mats, labels = [], [], []
+        for rec in raw["elements"]:
+            (a, b), (c, d) = rec["matrix"]
+            names.append(str(rec["name"]))
+            mats.append(tuple(groups._json_int(x, "a matrix entry") for x in (a, b, c, d)))
+            labels.append(str(rec["class"]))
+    except (RecursionError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"cannot read {where}: {exc!r}") from exc
+    return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
+
+
+def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
+    """Check the fixture against G = make_sl2(fx.prime).
+
+    Structural failures (wrong cardinality, bad determinants, no bijection
+    with the enumerated elements) raise FixtureMismatch. Per-element class
+    disagreements are collected in the returned report.
+    """
+    p = fx.prime
+    # |SL2(F_p)| = p (p^2 - 1), checked before any matrix is enumerated
+    if G.order != p * (p * p - 1):
+        raise FixtureMismatch(f"group order {G.order} != {p * (p * p - 1)}")
+    expected = groups.sl2_matrices(p)
+    if len(fx.matrices) != len(expected):
+        raise FixtureMismatch(
+            f"fixture lists {len(fx.matrices)} elements, expected {len(expected)}"
+        )
+    for name, (a, b, c, d) in zip(fx.names, fx.matrices):
+        if (a * d - b * c) % p != 1:
+            raise FixtureMismatch(f"{name} has determinant != 1 mod {p}")
+    index = {m: i for i, m in enumerate(expected)}
+    if set(fx.matrices) != set(index):
+        missing = sorted(set(index) - set(fx.matrices))[:3]
+        raise FixtureMismatch(f"fixture is not a bijection; e.g. missing {missing}")
+
+    cd = groups.conjugacy_classes(G)
+    # pick the label <-> computed-class correspondence by majority vote, then
+    # flag the elements that disagree with it
+    votes: dict[str, Counter] = defaultdict(Counter)
+    for mat, label in zip(fx.matrices, fx.class_labels):
+        votes[label][int(cd.class_of[index[mat]])] += 1
+    if len(votes) != cd.num_classes:
+        raise FixtureMismatch(
+            f"fixture names {len(votes)} classes, group has {cd.num_classes}"
+        )
+    label_class = {label: c.most_common(1)[0][0] for label, c in votes.items()}
+    if len(set(label_class.values())) != cd.num_classes:
+        raise FixtureMismatch("fixture labels do not separate the computed classes")
+    class_label = {v: k for k, v in label_class.items()}
+    mismatches = []
+    for name, mat, label in zip(fx.names, fx.matrices, fx.class_labels):
+        cidx = int(cd.class_of[index[mat]])
+        if cidx != label_class[label]:
+            mismatches.append(f"{name}: labeled {label}, computed class is {class_label[cidx]}")
+    return FixtureReport(tuple(mismatches), label_class)
+
+
+def fixture_class_order(G: groups.GroupTable, fx: Sl2Fixture) -> dict[str, int]:
+    """Map each fixture class label to the computed class index it names."""
+    report = verify_sl2f5_fixture(G, fx)
+    if not report.ok:
+        raise FixtureMismatch("; ".join(report.mismatches))
+    return report.label_class
 
 
 def _fixture_to_table_classes(label_class, table):
@@ -44,8 +154,8 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     )
     lines.append("classes: 9 classes with sizes {1,1,30,20,20,12,12,12,12}")
 
-    fx = groups.load_sl2_fixture(fixture_path)
-    report = groups.verify_sl2f5_fixture(G, fx)
+    fx = load_sl2_fixture(fixture_path)
+    report = verify_sl2f5_fixture(G, fx)
     _expect(report.ok, f"element fixture mismatches: {report.mismatches[:3]}")
     lines.append(f"element fixture: all {len(fx.matrices)} elements classified correctly")
 
@@ -158,8 +268,8 @@ def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> lis
 
     # the indicator-weighted column sums must count square roots in the group
     cd = groups.conjugacy_classes(G)
-    fx = groups.load_sl2_fixture(fixture_path)
-    to_computed = _fixture_to_table_classes(groups.fixture_class_order(G, fx), table)
+    fx = load_sl2_fixture(fixture_path)
+    to_computed = _fixture_to_table_classes(fixture_class_order(G, fx), table)
     sqrt_count = [0] * cd.num_classes
     for z in range(G.order):
         sqrt_count[int(cd.class_of[G.mul(z, z)])] += 1

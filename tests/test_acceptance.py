@@ -8,7 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 import random
 import time
 
-from theta_dims import chartab, cli, groups, lens, oracle, perm
+from theta_dims import chartab, cli, groups, lens, oracle, perm, verify
 
 # frozen reference values of the cyclic-group dimensions for n = 1..15
 REFERENCE_TABLE = {
@@ -122,9 +122,9 @@ def test_criterion_04_group_structure():
         cd = groups.conjugacy_classes(G)
         assert cd.num_classes == 9
         assert sorted(cd.sizes) == [1, 1, 12, 12, 12, 12, 20, 20, 30]
-        fx = groups.load_sl2_fixture()
-        assert groups.verify_sl2f5_fixture(G, fx).ok
-        order_map = groups.fixture_class_order(G, fx)
+        fx = verify.load_sl2_fixture()
+        assert verify.verify_sl2f5_fixture(G, fx).ok
+        order_map = verify.fixture_class_order(G, fx)
         table = chartab.builtin_sl2f5_table()
         to_computed = [order_map[f"c{i + 1}"] for i in range(9)]
         for i in range(9):

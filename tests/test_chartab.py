@@ -1,12 +1,16 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from theta_dims import chartab, groups, perm
 from theta_dims.chartab import FLIP, INVERSION, CharTable, QuadValue
 from theta_dims.errors import (
     IndicatorOutOfRange,
+    InputError,
     MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
@@ -80,6 +84,7 @@ def test_round_trip(tmp_path):
     path = tmp_path / "table.json"
     chartab.dump_char_table(t, path)
     assert chartab.load_char_table(path) == t
+    assert path.read_text() == SL2F5_TEXT
 
 
 def test_sign_flip_is_caught(tmp_path):
@@ -95,6 +100,57 @@ def test_sign_flip_is_caught(tmp_path):
         chartab.load_char_table(path, fits=seen.append)
     # the fit check saw the table before the orthogonality sums refused it
     assert [t.class_sizes for t in seen] == [chartab.builtin_sl2f5_table().class_sizes]
+
+
+# the builtin table as dump_char_table writes it (test_round_trip checks that)
+SL2F5_TEXT = json.dumps(chartab.char_table_to_dict(chartab.builtin_sl2f5_table()), indent=1) + "\n"
+TABLE_MUTATIONS = '{}[]",:-+.0123456789 aen'
+
+
+@st.composite
+def char_table_texts(draw):
+    """The builtin sl2:5 table as dump_char_table writes it, with one byte
+    replaced by, or preceded by, a byte of TABLE_MUTATIONS, or deleted."""
+    at = draw(st.integers(0, len(SL2F5_TEXT) - 1))
+    byte = draw(st.sampled_from(TABLE_MUTATIONS))
+    return draw(st.sampled_from([
+        SL2F5_TEXT[:at] + byte + SL2F5_TEXT[at + 1:],
+        SL2F5_TEXT[:at] + byte + SL2F5_TEXT[at:],
+        SL2F5_TEXT[:at] + SL2F5_TEXT[at + 1:],
+    ]))
+
+
+def _degree_of_row(i: int, den: int) -> str:
+    """SL2F5_TEXT with the a_den of row i's first entry set to den."""
+    raw = json.loads(SL2F5_TEXT)
+    raw["rows"][i][0]["a_den"] = den
+    return json.dumps(raw, indent=1) + "\n"
+
+
+@settings(
+    derandomize=True, database=None, max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=char_table_texts())
+@example(text=SL2F5_TEXT)
+@example(text=_degree_of_row(8, 5))  # a degree of 6/5
+@example(text=SL2F5_TEXT.replace('"radicand": 5', '"radicand": 1'))
+@example(text=SL2F5_TEXT.replace('"a_den": 1', '"a_den": 0', 1))
+def test_load_char_table_survives_one_byte_edits(tmp_path, text):
+    # validate does not check the class names or the power maps against the
+    # characters, so an edit there may load; every character value, class
+    # size and the radicand must come back as they were, or the load fails
+    # with an InputError, never another exception
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    try:
+        got = chartab.load_char_table(path)
+    except InputError:
+        return
+    original = chartab.builtin_sl2f5_table()
+    free = {"class_names": original.class_names, "power2": original.power2,
+            "power3": original.power3}
+    assert dataclasses.replace(got, **free) == original
 
 
 def test_trivial_table_valid():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_dims
-from theta_dims import chartab, cli, groups, lens, perm
+from theta_dims import chartab, cli, groups, lens, perm, verify
 from theta_dims.errors import InputError, ThetaDimsError
 
 REFERENCE_ROWS = {
@@ -150,6 +150,95 @@ def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
         capture_output=True, text=True, timeout=60, env=package_env(), check=True,
     )
     assert done.stdout == f"{loads_numpy}\n"
+
+
+# runs argv through cli.main and prints the package modules it executed; a
+# module that _lazy registered and nothing touched is still of the
+# LazyLoader's module class, which type() reads without loading it
+MODULES_PROBE = """
+import contextlib, importlib.util, io, json, sys
+from theta_dims import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if name.partition(".")[0] == "theta_dims" and type(module) is not importlib.util._LazyModule
+)))
+"""
+
+# the modules every query executes: the package, the command line, and what
+# parsing the arguments needs
+ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims.errors",
+                 "theta_dims.groups", "theta_dims.perm"]
+
+
+@pytest.mark.parametrize("argv,also", [
+    ((), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
+    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
+    (("dims", "--group", "sl2:7", "--parity", "even", "--module", "aug-kernel"), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"),
+     ["theta_dims.lens"]),
+    (("lens-table",), ["theta_dims.lens"]),
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"),
+     ["theta_dims.chartab"]),
+    (("classes", "--group", "cayley:{z4}"), ["theta_dims.cayley"]),
+], ids=["import", "perm-cyclic", "perm-sl2-5", "perm-sl2-7", "closed-form", "lens-table",
+        "chartab-sl2", "classes-cayley"])
+def test_a_query_executes_only_the_modules_it_runs(tmp_path, argv, also):
+    z4 = tmp_path / "z4.json"
+    z4.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
+    done = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, *(a.format(z4=z4) for a in argv)],
+        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
+    )
+    assert json.loads(done.stdout) == sorted(ENTRY_MODULES + also)
+
+
+# imports each module of the package first in a module table cleared of the
+# package, then every other one, which executes those registered lazily
+CYCLE_PROBE = """
+import importlib, sys
+names = sys.argv[1:]
+for first in names:
+    for name in [n for n in sys.modules if n.partition(".")[0] == "theta_dims"]:
+        del sys.modules[name]
+    for name in [first, *names]:
+        vars(importlib.import_module(name))
+print(len(names))
+"""
+
+
+def test_every_module_imports_first():
+    package = Path(theta_dims.__file__).parent
+    names = ["theta_dims"] + sorted(
+        f"theta_dims.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", CYCLE_PROBE, *names],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", f"{len(names)}\n")
+
+
+@pytest.mark.parametrize("verb", [(), ("dims",), ("verify",)], ids=["main", "dims", "verify"])
+def test_help_of_a_fresh_process_lists_every_choice(capsys, monkeypatch, verb):
+    # the choices of --convention and of the suite are read from modules that
+    # a fresh process executes, not from the ones it binds lazily
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit):
+        cli.main([*verb, "--help"])
+    done = subprocess.run(
+        [sys.executable, "-m", "theta_dims", *verb, "--help"],
+        capture_output=True, text=True, timeout=60, env=package_env() | {"COLUMNS": "100"},
+        check=True,
+    )
+    assert done.stdout == capsys.readouterr().out
+    if verb == ("dims",):
+        assert "{flip,inversion}" in done.stdout
+    if verb == ("verify",):
+        assert "{all,fixtures,cross-methods,conventions}" in done.stdout
 
 
 def test_package_exports_every_name_in_all():
@@ -323,12 +412,40 @@ def run_cli_process_ascii_locale(*args):
     )
 
 
+# each JSON file reader on a device and on a pipe: neither has a size to trust
+@pytest.mark.parametrize("what,argv", [
+    ("Cayley table", ("classes", "--group", "cayley:{path}")),
+    ("character table", ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+                         "--char-table", "{path}")),
+    ("element fixture", ("verify", "fixtures", "--fixture", "{path}")),
+], ids=["cayley", "char-table", "fixture"])
+@pytest.mark.parametrize("device", ["/dev/zero", "fifo"])
+def test_a_file_that_is_not_regular_is_refused_unread(tmp_path, what, argv, device):
+    import resource
+
+    def cap_memory():
+        # a read of the whole device would pass this cap within a second
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    path = device
+    if device == "fifo":
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)  # no writer ever opens it
+    done = subprocess.run(
+        [sys.executable, "-m", "theta_dims", *(a.format(path=path) for a in argv)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env=package_env() | {"OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: cannot read {what} {path!r}: not a regular file\n"
+
+
 def test_json_inputs_are_read_as_utf8(tmp_path):
     # the class and element names are free text; the file's encoding, not
     # the locale's, decides how they read
     table = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
     table["class_names"][1] = "\u2212I"
-    fixture = json.loads(groups.default_fixture_path().read_text(encoding="utf-8"))
+    fixture = json.loads(verify.default_fixture_path().read_text(encoding="utf-8"))
     for rec in fixture["elements"]:
         rec["name"] = "\u2212" + rec["name"]
     for name, raw in (("table.json", table), ("fixture.json", fixture)):
@@ -576,7 +693,7 @@ def test_classes_sl2(capsys):
     # the square/cube columns must agree with the reference power maps
     table = chartab.builtin_sl2f5_table()
     G = groups.make_sl2(5)
-    order_map = groups.fixture_class_order(G, groups.load_sl2_fixture())
+    order_map = verify.fixture_class_order(G, verify.load_sl2_fixture())
     to_computed = [order_map[f"c{i + 1}"] for i in range(9)]
     by_class = {r["class"]: r for r in parsed["classes"]}
     for i in range(9):
@@ -620,7 +737,7 @@ def test_verify_fixtures_cli(capsys):
 
 @pytest.mark.parametrize("suite", ["fixtures", "conventions"])
 def test_verify_fixture_file_override(capsys, tmp_path, suite):
-    raw = json.loads(groups.default_fixture_path().read_text())
+    raw = json.loads(verify.default_fixture_path().read_text())
     raw["elements"][0]["class"] = "c9"
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(raw))
@@ -631,7 +748,7 @@ def test_verify_fixture_file_override(capsys, tmp_path, suite):
 
 def test_verify_fixture_order_checked_before_enumeration(capsys, tmp_path):
     # SL2(F_1009) has over 10^9 elements; none of them may be listed
-    raw = json.loads(groups.default_fixture_path().read_text())
+    raw = json.loads(verify.default_fixture_path().read_text())
     raw["prime"] = 1009
     path = tmp_path / "prime1009.json"
     path.write_text(json.dumps(raw))
@@ -647,7 +764,7 @@ def _fixture_without_elements():
 
 
 def _fixture_with_scalar_matrix():
-    raw = json.loads(groups.default_fixture_path().read_text())
+    raw = json.loads(verify.default_fixture_path().read_text())
     raw["elements"][0]["matrix"] = 5
     return raw
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import cli, groups
+from theta_dims import cayley, cli, groups, verify
 from theta_dims.errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # latin square with identity 0 and two-sided inverses that is not associative:
@@ -368,50 +368,50 @@ def test_inversion_consistent_with_elements():
 
 def test_fixture_clean():
     G = groups.make_sl2(5)
-    fx = groups.load_sl2_fixture()
+    fx = verify.load_sl2_fixture()
     assert len(fx.matrices) == 120
-    report = groups.verify_sl2f5_fixture(G, fx)
+    report = verify.verify_sl2f5_fixture(G, fx)
     assert report.ok
 
 
 def test_fixture_single_relabel():
     G = groups.make_sl2(5)
-    fx = groups.load_sl2_fixture()
+    fx = verify.load_sl2_fixture()
     labels = list(fx.class_labels)
     g1 = fx.names.index("g1")
     labels[g1] = "c4"
-    bad = groups.Sl2Fixture(fx.prime, fx.names, fx.matrices, tuple(labels))
-    report = groups.verify_sl2f5_fixture(G, bad)
+    bad = verify.Sl2Fixture(fx.prime, fx.names, fx.matrices, tuple(labels))
+    report = verify.verify_sl2f5_fixture(G, bad)
     assert len(report.mismatches) == 1
     assert "g1" in report.mismatches[0]
 
 
 def test_fixture_missing_element():
     G = groups.make_sl2(5)
-    fx = groups.load_sl2_fixture()
-    bad = groups.Sl2Fixture(fx.prime, fx.names[:-1], fx.matrices[:-1], fx.class_labels[:-1])
+    fx = verify.load_sl2_fixture()
+    bad = verify.Sl2Fixture(fx.prime, fx.names[:-1], fx.matrices[:-1], fx.class_labels[:-1])
     with pytest.raises(FixtureMismatch, match="119"):
-        groups.verify_sl2f5_fixture(G, bad)
+        verify.verify_sl2f5_fixture(G, bad)
 
 
 def test_fixture_duplicate_matrix():
     G = groups.make_sl2(5)
-    fx = groups.load_sl2_fixture()
+    fx = verify.load_sl2_fixture()
     mats = list(fx.matrices)
     mats[1] = mats[0]
-    bad = groups.Sl2Fixture(fx.prime, fx.names, tuple(mats), fx.class_labels)
+    bad = verify.Sl2Fixture(fx.prime, fx.names, tuple(mats), fx.class_labels)
     with pytest.raises(FixtureMismatch, match="bijection"):
-        groups.verify_sl2f5_fixture(G, bad)
+        verify.verify_sl2f5_fixture(G, bad)
 
 
 def test_fixture_bad_determinant(tmp_path):
-    raw = json.loads(groups.default_fixture_path().read_text())
+    raw = json.loads(verify.default_fixture_path().read_text())
     raw["elements"][0]["matrix"] = [[1, 1], [1, 1]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    fx = groups.load_sl2_fixture(path)
+    fx = verify.load_sl2_fixture(path)
     with pytest.raises(FixtureMismatch, match="determinant"):
-        groups.verify_sl2f5_fixture(groups.make_sl2(5), fx)
+        verify.verify_sl2f5_fixture(groups.make_sl2(5), fx)
 
 
 # greedy generating sets; orbit uses them as its default generators
@@ -554,10 +554,10 @@ def test_load_cayley_agrees_with_stdlib_reading(tmp_path, monkeypatch, text):
         expected = read_cayley_with_stdlib(text)
     except (ValueError, TypeError, LookupError, OverflowError, RecursionError, ParseError, NotAGroup):
         expected = None
-    for chars in (groups._PIECE_CHARS, 1):  # the rows in one piece, then a piece per row
-        monkeypatch.setattr(groups, "_PIECE_CHARS", chars)
+    for chars in (cayley._PIECE_CHARS, 1):  # the rows in one piece, then a piece per row
+        monkeypatch.setattr(cayley, "_PIECE_CHARS", chars)
         try:
-            got = groups.load_cayley(path)
+            got = cayley.load_cayley(path)
         except (ParseError, NotAGroup, TooLarge):
             got = None
         assert (got is None) == (expected is None)
@@ -572,8 +572,8 @@ def test_load_cayley_reads_the_same_rows_for_every_piece_size(tmp_path, monkeypa
     path = tmp_path / "z12.json"
     path.write_text(json.dumps({"order": 12, "mul": mul.tolist()}, separators=separators))
     for chars in range(1, path.stat().st_size + 1):
-        monkeypatch.setattr(groups, "_PIECE_CHARS", chars)
-        assert np.array_equal(groups.load_cayley(path).mul_table, mul)
+        monkeypatch.setattr(cayley, "_PIECE_CHARS", chars)
+        assert np.array_equal(cayley.load_cayley(path).mul_table, mul)
 
 
 def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
@@ -586,7 +586,7 @@ def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "fromstring", no_parsing)
     with pytest.raises(TooLarge, match="order 4 has 16 entries, over 15") as exc:
-        groups.load_cayley(path)
+        cayley.load_cayley(path)
     assert repr(str(path)) in str(exc.value)
 
 
@@ -601,11 +601,19 @@ def test_load_cayley_file_size_guard_precedes_reading(tmp_path, monkeypatch):
     def no_reading(*args, **kwargs):
         raise AssertionError("the file was read")
 
-    monkeypatch.setattr(Path, "read_text", no_reading)
+    # groups._read_text wraps the descriptor for reading once its size passes
+    monkeypatch.setattr(groups, "open", no_reading, raising=False)
     message = "has 65576 bytes, over the 65575 that a table can need"
     with pytest.raises(TooLarge, match=message) as exc:
-        groups.load_cayley(path)
+        cayley.load_cayley(path)
     assert repr(str(path)) in str(exc.value)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="needs /proc")
+def test_read_text_refuses_a_file_longer_than_its_size():
+    # a /proc file is regular but reports a size of 0 bytes
+    with pytest.raises(ParseError, match="'/proc/self/stat': it holds more than its size of 0"):
+        groups._read_text("/proc/self/stat", "'/proc/self/stat'", 1 << 20, "a test may take")
 
 
 def test_load_cayley_builds_no_object_per_entry(tmp_path):
