@@ -169,13 +169,17 @@ def _compute_dims(args) -> int:
         if args.module != perm.GROUP_ALGEBRA:
             raise UsageError("method orbit supports the group algebra only")
         if _KINDS[kind].class_data:  # the size guard from the order, before the table
-            oracle.check_order_guard(method, _class_data(args.group).order, args.parity)
+            oracle.check_order_guard(
+                method, _class_data(args.group).order, args.module, args.parity
+            )
         value = oracle.dim_invariants_orbit(parse_group_spec(args.group), args.parity, symmetry)
     else:  # reynolds
         if symmetry != perm.FULL:
             raise UsageError("method reynolds computes the full symmetry only")
         if _KINDS[kind].class_data:  # the size guard from the order, before the table
-            oracle.check_order_guard(method, _class_data(args.group).order, args.parity)
+            oracle.check_order_guard(
+                method, _class_data(args.group).order, args.module, args.parity
+            )
         value = oracle.dim_invariants_reynolds(
             parse_group_spec(args.group), args.module, args.parity
         )

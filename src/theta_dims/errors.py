@@ -57,5 +57,11 @@ class ProjectorNotIdempotent(ThetaDimsError):
     """The averaged action matrix failed P*P == P (bug trap)."""
 
 
+class ExactnessViolation(ThetaDimsError):
+    """A bound that keeps integer arithmetic exact failed: a float64 or int64
+    product could round or wrap, or the monomial rank is not a bijection (bug
+    trap)."""
+
+
 class HalfwayPoint(ThetaDimsError):
     """A nearest-integer rounding hit an exact .5 tie (provably impossible)."""

@@ -11,6 +11,16 @@ Two routes that share nothing with the character computations:
 Both build on one vectorized monomial kernel: `_monomials` enumerates the
 basis, `_sort_sign` sorts index triples and gives their wedge sign, and
 `_rank` gives their combinadic rank, which is the basis position.
+
+The projector is exact integer arithmetic throughout. `_action_matrix` lifts a
+sum of symmetry elements to one int64 matrix through a single scatter, and
+`_exact_matmul` multiplies int64 matrices through float64 BLAS, which is exact
+while `d * max|a| * max|b| < 2^53`: every partial sum is then an integer that
+float64 represents exactly, in any summation order. A missed bound raises
+`ExactnessViolation` instead of rounding. `_rank_of_rows` is fraction-free
+elimination with each row reduced by its content (the gcd of its entries).
+`reynolds` refuses a cube basis of more than `REYNOLDS_DIM_LIMIT` monomials,
+which admits every group of order <= 24.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import itertools
 import math
 
 from ._lazy import np
-from .errors import ProjectorNotIdempotent, TooLarge
+from .errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from .groups import GroupTable, _orbit_labels, generating_set
 from .perm import (
     EVEN,
@@ -33,23 +43,35 @@ from .perm import (
     permutation_of,
 )
 
-REYNOLDS_ORDER_LIMIT = 12
+# the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
+# group algebra of order 24, so every group of order <= 24 is admitted. One
+# process at the cap (2 cores, numpy 2.4 with OpenBLAS): sl2:3 group-algebra
+# odd, d = 2600, takes 3.7 s and 401 MB max RSS, the most memory (dense
+# d x d int64 and float64 copies); sl2:3 aug-kernel odd, d = 2300, 5.4 s and
+# 331 MB, the longest (most of it in _rank_of_rows)
+REYNOLDS_DIM_LIMIT = 2600
 # the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
 # the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
 ORBIT_MONOMIAL_LIMIT = 1 << 23
 _INT64_LIMIT = (1 << 63) - 1
+# float64 holds every integer of magnitude below 2^53 exactly
+_FLOAT64_EXACT_LIMIT = 1 << 53
 
 
-def check_order_guard(method: str, n: int, parity: str) -> None:
-    """Raise TooLarge when method, "orbit" or "reynolds", refuses a group of
-    order n: orbit from the number of monomials of the cube, reynolds from n."""
-    if method == "reynolds":
-        if n > REYNOLDS_ORDER_LIMIT:
-            raise TooLarge(f"group order {n} exceeds the guard {REYNOLDS_ORDER_LIMIT}")
-        return
-    count = math.comb(n, 3) if parity == EVEN else math.comb(n + 2, 3)
-    if count > ORBIT_MONOMIAL_LIMIT:
-        raise TooLarge(f"{count} monomials exceed the orbit guard {ORBIT_MONOMIAL_LIMIT}")
+def _check_exact(bound: int, limit: int, what: str) -> None:
+    if bound >= limit:
+        raise ExactnessViolation(f"{what}: bound {bound} is not below {limit}")
+
+
+def check_order_guard(method: str, n: int, module: str, parity: str) -> None:
+    """Raise TooLarge when method, "orbit" or "reynolds", refuses the cube of
+    the module of a group of order n, from its number of monomials: the
+    orbit's node count, or the dimension of reynolds's matrices."""
+    k = n if module == GROUP_ALGEBRA else n - 1
+    count = math.comb(k, 3) if parity == EVEN else math.comb(k + 2, 3)
+    limit = REYNOLDS_DIM_LIMIT if method == "reynolds" else ORBIT_MONOMIAL_LIMIT
+    if count > limit:
+        raise TooLarge(f"{count} monomials exceed the {method} guard {limit}")
 
 
 def _monomials(n: int, parity: str) -> np.ndarray:
@@ -88,7 +110,11 @@ def _rank(s: np.ndarray, parity: str) -> np.ndarray:
 
 def _rank_of_rows(rows) -> int:
     """Exact rank of sparse integer rows, each an iterable of (column, value)
-    pairs, by fraction-free echelon reduction."""
+    pairs, by fraction-free echelon reduction.
+
+    Each pivot row is divided by its content and each pair of lead
+    coefficients by their gcd. Rows are only scaled by nonzero rationals, so
+    the rank is unchanged, and the entries stay small."""
     pivots: dict = {}
     rank = 0
     for row in rows:
@@ -96,16 +122,22 @@ def _rank_of_rows(rows) -> int:
         while row:
             lead = min(row)
             if lead not in pivots:
-                pivots[lead] = row
+                content = math.gcd(*row.values())
+                pivots[lead] = {k: v // content for k, v in row.items()}
                 rank += 1
                 break
             piv = pivots[lead]
             a, b = piv[lead], row[lead]
-            row = {
-                k: v
-                for k in set(row) | set(piv)
-                if (v := row.get(k, 0) * a - piv.get(k, 0) * b) != 0
-            }
+            common = math.gcd(a, b)
+            a, b = a // common, b // common
+            # row := a * row - b * piv, whose lead entry cancels
+            if a != 1:
+                row = {k: v * a for k, v in row.items()}
+            for k, v in piv.items():
+                if w := row.get(k, 0) - v * b:
+                    row[k] = w
+                else:
+                    del row[k]
     return rank
 
 
@@ -133,11 +165,12 @@ def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> in
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
     wedge = parity == EVEN
-    check_order_guard("orbit", n, parity)
+    check_order_guard("orbit", n, GROUP_ALGEBRA, parity)
     basis = _monomials(n, parity)
     m = len(basis)
     # the combinadic rank is the node id; it must be a bijection onto range(m)
-    assert np.array_equal(_rank(basis, parity), np.arange(m))
+    if not np.array_equal(_rank(basis, parity), np.arange(m)):
+        raise ExactnessViolation(f"the monomial rank is not a bijection onto range({m})")
 
     # each symmetry generator as a bijection of the nodes; node ids fit int32,
     # as there are at most 2 * ORBIT_MONOMIAL_LIMIT of them
@@ -173,36 +206,40 @@ def _cube_basis(G: GroupTable, module: str, parity: str) -> np.ndarray:
     """Monomial basis of the cubic power of the module, in rank order."""
     _check_choice(module, MODULES, "module")
     _check_choice(parity, PARITIES, "parity")
-    check_order_guard("reynolds", G.order, parity)
+    check_order_guard("reynolds", G.order, module, parity)
     return _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
 
 
-def _action_matrix(G: GroupTable, sigma: CosetElement, module: str, parity: str, basis):
-    """Dense integer matrix of sigma acting on the cubic monomial basis; row and
-    column i belong to the monomial of rank i.
+def _action_matrix(G: GroupTable, sigmas, module: str, parity: str, basis):
+    """Dense integer matrix of the sum of the elements of sigmas acting on the
+    cubic monomial basis; row and column i belong to the monomial of rank i.
 
     For the group algebra the module basis is e_x and a monomial has one image
     term. For the augmentation kernel slot x is f_x' = e_x' - e_1 with
     x' = x + (x >= identity); f_x' goes to f_p[x'] - f_p[1] with f_1 = 0, so a
-    monomial has 2^3 image terms, less those that choose the identity.
+    monomial has 2^3 image terms, less those that choose the identity. The
+    image terms of every element are added into the matrix by one scatter.
     """
-    p = np.asarray(permutation_of(G, sigma), dtype=np.int64)
+    p = np.array([permutation_of(G, sigma) for sigma in sigmas], dtype=np.int64)
+    m = len(basis)
     if module == GROUP_ALGEBRA:
-        terms, values = p[basis][None], np.ones((1, len(basis)), dtype=np.int64)
+        terms = p[:, basis][:, None]  # elements, (k, 1, m, 3)
+        values = np.ones(terms.shape[:-1], dtype=np.int64)
     else:
         e = G.identity
         slot = np.arange(G.order - 1)
-        options = np.stack([p[slot + (slot >= e)], np.full_like(slot, p[e])])
+        moved = p[:, slot + (slot >= e)]
+        options = np.stack([moved, np.broadcast_to(p[:, e, None], moved.shape)], axis=1)
         choice = np.array(list(itertools.product((0, 1), repeat=3)))
-        chosen = options[choice[:, None, :], basis]  # elements, (8, m, 3)
+        chosen = options[:, choice[:, None, :], basis]  # elements, (k, 8, m, 3)
         coeff = 1 - 2 * (choice.sum(axis=1, keepdims=True) & 1)
-        values = np.where((chosen != e).all(axis=2), coeff, 0)
+        values = np.where((chosen != e).all(axis=-1), coeff, 0)
         terms = chosen - (chosen > e)
     images, sign = _sort_sign(terms, parity)
     values = values * sign
     keep = values != 0
-    columns = np.broadcast_to(np.arange(len(basis)), values.shape)
-    matrix = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    columns = np.broadcast_to(np.arange(m), values.shape)
+    matrix = np.zeros((m, m), dtype=np.int64)
     np.add.at(matrix, (_rank(images[keep], parity), columns[keep]), values[keep])
     return matrix
 
@@ -216,7 +253,7 @@ def build_module_actions(G: GroupTable, module: str, parity: str) -> tuple[list[
     """
     basis = _cube_basis(G, module, parity)
     matrices = [
-        _action_matrix(G, sigma, module, parity, basis)
+        _action_matrix(G, [sigma], module, parity, basis)
         for sigma in _symmetry_elements(G)
     ]
     return matrices, len(basis)
@@ -227,25 +264,29 @@ def _max_abs(a: np.ndarray) -> int:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # an int64 product is exact only while every partial sum provably fits
-    assert a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_LIMIT
-    return a @ b
+    """The int64 product a @ b, computed in float64 so that it runs in BLAS.
+
+    Every product of entries and every partial sum is bounded in magnitude by
+    d * max|a| * max|b|; below 2^53 each is an integer that float64 holds
+    exactly, whatever order or fused multiply-add the BLAS uses."""
+    _check_exact(a.shape[1] * _max_abs(a) * _max_abs(b), _FLOAT64_EXACT_LIMIT, "float64 product")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
     """Sum of the action matrices of all 2n^2 symmetry elements: untwisted (g, h)
     is (g, e) after (e, h) and twisted (g, h) is tau*(e, e) after it, so the
     sum is (I + T)(sum_g L_g)(sum_h R_h) with L_g = (g, e), R_h = (e, h),
-    T = tau*(e, e)."""
+    T = tau*(e, e), and I the action of (e, e)."""
     basis = _cube_basis(G, module, parity)
     e = G.identity
 
-    def lift(twisted: bool, g: int, h: int) -> np.ndarray:
-        return _action_matrix(G, CosetElement(twisted, g, h), module, parity, basis)
+    def lift(sigmas) -> np.ndarray:
+        return _action_matrix(G, sigmas, module, parity, basis)
 
-    left = sum(lift(False, g, e) for g in range(G.order))
-    right = sum(lift(False, e, h) for h in range(G.order))
-    twist = np.eye(len(basis), dtype=np.int64) + lift(True, e, e)
+    left = lift([CosetElement(False, g, e) for g in range(G.order)])
+    right = lift([CosetElement(False, e, h) for h in range(G.order)])
+    twist = lift([CosetElement(False, e, e), CosetElement(True, e, e)])
     return _exact_matmul(_exact_matmul(twist, left), right)
 
 
@@ -254,12 +295,12 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
 
     The rank is taken on the integer sum of the action matrices over the
     doubled-and-swapped group, which is the projector scaled by the size of
-    that group. The sum is formed as (I + T)(sum_g L_g)(sum_h R_h) from
-    2n + 1 lifted elements: L_g = (g, e), R_h = (e, h), T = tau*(e, e).
+    that group. The sum is formed as (I + T)(sum_g L_g)(sum_h R_h) from three
+    lifted sums: L_g = (g, e), R_h = (e, h), T = tau*(e, e).
     """
     acc = _reynolds_sum(G, module, parity)
     group_size = 2 * G.order**2
-    assert group_size * _max_abs(acc) < _INT64_LIMIT
+    _check_exact(group_size * _max_abs(acc), _INT64_LIMIT, "int64 scaled projector")
     if not np.array_equal(_exact_matmul(acc, acc), group_size * acc):
         raise ProjectorNotIdempotent(
             f"averaged action is not a projector (module={module}, parity={parity})"

@@ -159,8 +159,8 @@ def test_criterion_06_cross_method_battery():
             for parity in perm.PARITIES:
                 a = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, parity, perm.FULL)
                 assert a == oracle.dim_invariants_orbit(G, parity, perm.FULL), (name, parity)
-                # projector route runs where its size guard admits the group
-                if G.order <= oracle.REYNOLDS_ORDER_LIMIT:
+                # projector route on the groups the verify suite gives it
+                if G.order <= verify.PROJECTOR_ORDER_LIMIT:
                     for module in perm.MODULES:
                         b = perm.dim_invariants_perm(G, module, parity, perm.FULL)
                         assert b == oracle.dim_invariants_reynolds(G, module, parity), (

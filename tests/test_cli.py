@@ -282,7 +282,7 @@ def test_dims_usage_errors(capsys):
         ("dims", "--group", "cyclic:5", "--parity", "odd", "--method", "perm", "--convention", "flip"),
         ("dims", "--group", "cyclic:5", "--parity", "odd", "--method", "chartab"),
         ("dims", "--group", "cyclic:5", "--module", "aug-kernel", "--parity", "odd", "--method", "orbit"),
-        ("dims", "--group", "cyclic:13", "--parity", "odd", "--method", "reynolds"),
+        ("dims", "--group", "cyclic:25", "--parity", "odd", "--method", "reynolds"),
         ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "closed-form"),
         ("dims", "--group", "cyclic:0", "--parity", "odd"),
         ("dims", "--group", "cyclic:16385", "--parity", "odd"),
@@ -309,13 +309,14 @@ def _no_table(spec):
      "method orbit supports the group algebra only"),
     (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "reynolds"),
      "method reynolds computes the full symmetry only"),
-    (("--group", "cyclic:16384", "--method", "reynolds"),
-     "group order 16384 exceeds the guard 12"),
+    (("--group", "cyclic:25", "--method", "reynolds"),
+     "2925 monomials exceed the reynolds guard 2600"),
     (("--group", "cyclic:16384", "--method", "orbit"),
      "733141975040 monomials exceed the orbit guard 8388608"),
     (("--group", "sl2:13", "--method", "orbit"),
      "1738613240 monomials exceed the orbit guard 8388608"),
-    (("--group", "sl2:5", "--method", "reynolds"), "group order 120 exceeds the guard 12"),
+    (("--group", "sl2:5", "--method", "reynolds"),
+     "295240 monomials exceed the reynolds guard 2600"),
 ])
 def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
     # a cyclic:16384 table is 512 MB; these refusals need only the arguments,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from test_perm import draw_relabeling
 
 from theta_dims import groups, oracle, perm
-from theta_dims.errors import TooLarge
+from theta_dims.errors import ExactnessViolation, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
 
@@ -58,8 +59,30 @@ def test_reynolds_examples():
 
 
 def test_reynolds_size_guard():
-    with pytest.raises(TooLarge):
-        oracle.dim_invariants_reynolds(groups.make_cyclic(13), GROUP_ALGEBRA, ODD)
+    # the cap is on the matrix dimension: order 24 is the largest group algebra
+    # admitted, and each cube is refused from its first order past the cap
+    with pytest.raises(TooLarge, match="^2925 monomials exceed the reynolds guard 2600$"):
+        oracle.dim_invariants_reynolds(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
+    with pytest.raises(TooLarge, match="^2925 monomials exceed the reynolds guard 2600$"):
+        oracle.dim_invariants_reynolds(groups.make_cyclic(26), AUG_KERNEL, ODD)
+    for module, parity, largest in [
+        (GROUP_ALGEBRA, ODD, 24), (AUG_KERNEL, ODD, 25),
+        (GROUP_ALGEBRA, EVEN, 26), (AUG_KERNEL, EVEN, 27),
+    ]:
+        oracle.check_order_guard("reynolds", largest, module, parity)
+        with pytest.raises(TooLarge):
+            oracle.check_order_guard("reynolds", largest + 1, module, parity)
+
+
+def test_reynolds_matches_perm_past_the_order_12_cap():
+    # cyclic:16 aug-kernel odd is where unreduced elimination rows grew
+    G = groups.make_cyclic(16)
+    started = time.perf_counter()
+    for module in (GROUP_ALGEBRA, AUG_KERNEL):
+        assert oracle.dim_invariants_reynolds(G, module, ODD) == (
+            perm.dim_invariants_perm(G, module, ODD, FULL)
+        ), module
+    assert time.perf_counter() - started < 1.5
 
 
 def test_reynolds_matches_perm_small_battery():
@@ -92,7 +115,7 @@ def test_build_module_actions_shapes():
     mats, dim = oracle.build_module_actions(groups.make_cyclic(4), AUG_KERNEL, EVEN)
     assert len(mats) == 32 and dim == 1
     with pytest.raises(TooLarge):
-        oracle.build_module_actions(groups.make_cyclic(13), GROUP_ALGEBRA, ODD)
+        oracle.build_module_actions(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
 
 
 def test_identity_element_acts_as_identity_matrix():
@@ -153,6 +176,12 @@ def test_integer_rank_against_gaussian_oracle():
         if rng.random() < 0.5:
             m.append(list(rng.choice(m)))
         cases.append(m)
+    # wide rows with larger entries, where the contents and lead gcds exceed 1
+    for _ in range(6):
+        rows = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(rng.randint(4, 10))]
+        rows.append([2 * a - 3 * b for a, b in zip(rows[0], rows[1])])
+        rows.append([6 * v for v in rows[2]])
+        cases.append(rows)
     cases += [
         [[0, 0, 0], [0, 0, 0]],
         [[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1]],
@@ -162,3 +191,47 @@ def test_integer_rank_against_gaussian_oracle():
     for rows in cases:
         sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
         assert oracle._rank_of_rows(sparse) == brute_rank_over_q(rows), rows
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), full=st.booleans())
+def test_exact_matmul_just_below_the_float64_bound(d, seed, full):
+    # max|a| * max|b| as large as d * max|a| * max|b| < 2^53 allows; `full`
+    # puts every entry at its maximum, so the partial sums reach the bound
+    top_a = 1 << ((53 - d.bit_length()) // 2)
+    top_b = ((1 << 53) - 1) // (d * top_a)
+    assert d * top_a * top_b < 1 << 53 <= d * top_a * (top_b + 1)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, 5)
+    if full:
+        a = np.full((rows, d), top_a, dtype=np.int64)
+        b = np.full((d, 3), -top_b, dtype=np.int64)
+    else:
+        a = rng.integers(-top_a, top_a, (rows, d), endpoint=True)
+        b = rng.integers(-top_b, top_b, (d, 3), endpoint=True)
+        a[0, 0], b[-1, -1] = top_a, top_b
+    want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.tolist())]
+            for row in a.tolist()]
+    product = oracle._exact_matmul(a, b)
+    assert product.dtype == np.int64 and product.tolist() == want
+
+
+def test_exact_matmul_refuses_at_and_over_the_bound():
+    for top_b in (1 << 25, (1 << 25) + 1):  # 8 * 2^25 * top_b is 2^53, then over
+        a = np.full((2, 8), 1 << 25, dtype=np.int64)
+        b = np.full((8, 2), top_b, dtype=np.int64)
+        with pytest.raises(ExactnessViolation):
+            oracle._exact_matmul(a, b)
+
+
+def test_exactness_traps_raise(monkeypatch):
+    # bounds that hold on every valid input; each raises rather than asserts,
+    # so that they hold under python -O too
+    G = groups.make_cyclic(3)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_reynolds_sum", lambda *args: np.full((2, 2), 1 << 62))
+        with pytest.raises(ExactnessViolation):
+            oracle.dim_invariants_reynolds(G, GROUP_ALGEBRA, ODD)
+    monkeypatch.setattr(oracle, "_rank", lambda s, parity: np.zeros(s.shape[:-1], np.int64))
+    with pytest.raises(ExactnessViolation):
+        oracle.dim_invariants_orbit(G, ODD)
