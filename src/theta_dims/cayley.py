@@ -10,13 +10,12 @@ module attribute, so that a wrapper or patch on groups is seen.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
 
-from . import groups
+from . import groups, limits
 from ._lazy import np
 from .errors import ParseError, TooLarge
 
@@ -135,7 +134,7 @@ def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
     n, the pieces hold n rows in all.
     """
     n = s.count("[", start, stop) + 1
-    groups._check_table_size(n)
+    limits.check_table_size(n)
     out = np.empty((n, n), dtype=groups._index_dtype(n))
     filled = 0
     while True:
@@ -171,34 +170,24 @@ class _RowsDecoder(json.JSONDecoder):
         self.scan_once = py_make_scanner(self)  # the C scanner ignores parse_array
 
 
-def _file_limit() -> int:
-    """The longest Cayley file read: the most text the largest table under
-    TABLE_ENTRY_LIMIT can need, n*n entries of the width of n - 1, each with a
-    separator and one byte of whitespace, as json.dumps writes them, 4 bytes
-    a row for its brackets and the ", " between rows, and 64 KiB for the rest
-    of the object."""
-    n = math.isqrt(groups.TABLE_ENTRY_LIMIT)
-    return n * n * (len(str(n - 1)) + 2) + 4 * n + (1 << 16)
-
-
 def load_cayley(path: str | os.PathLike) -> groups.GroupTable:
     """Read and fully validate a Cayley table file, JSON {"order": n, "mul":
     [[...], ...]} whose n rows each hold n integers in 0..n-1.
 
-    The file is read by groups._read_text, which refuses anything but a
-    regular file of at most _file_limit() bytes before reading. The rows are
-    read as text by _read_rows, with no Python object per entry; the rest of
-    the file follows the standard JSON rules. Any other array of arrays in
-    the file must be such rows too.
+    The file is read by limits._read_text, which refuses anything but a
+    regular file of at most limits.cayley_file_limit() bytes before reading.
+    The rows are read as text by _read_rows, with no Python object per entry;
+    the rest of the file follows the standard JSON rules. Any other array of
+    arrays in the file must be such rows too.
     """
     where = f"Cayley table {str(path)!r}"
-    text = groups._read_text(path, where, _file_limit(), "a table can need")
+    text = limits._read_text(path, where, limits.cayley_file_limit(), "a table can need")
     try:
         raw = _RowsDecoder().decode(text)
         del text  # free the text before the table is validated
         if not isinstance(raw, dict):
             raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
-        order, mul = groups._json_int(raw["order"], "'order'"), raw["mul"]
+        order, mul = limits._json_int(raw["order"], "'order'"), raw["mul"]
     except TooLarge as exc:
         raise TooLarge(f"{where}: {exc}") from None
     except (RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import limits
 from .errors import (
     IndicatorOutOfRange,
     MixedRadicand,
@@ -24,7 +25,6 @@ from .errors import (
     OrthogonalityViolation,
     ParseError,
 )
-from .groups import _json_int, _read_text
 from .perm import (
     CONVENTIONS,
     FLIP,
@@ -34,11 +34,6 @@ from .perm import (
     _cube_sum,
     _shift_sign,
 )
-
-# the longest character table file read: a table of some 450 classes in the
-# layout of dump_char_table, whose O(k^3) orthogonality sums alone would take
-# about 40 minutes at the 6.6 s they take for 64 classes on a 2-core box
-CHAR_TABLE_FILE_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -306,8 +301,8 @@ def dim_invariants_chartab(
 
 def _fraction_from(rec, num_key, den_key) -> Fraction:
     try:
-        num = _json_int(rec[num_key], num_key)
-        den = _json_int(rec[den_key], den_key)
+        num = limits._json_int(rec[num_key], num_key)
+        den = limits._json_int(rec[den_key], den_key)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad rational entry {rec!r}") from exc
     if den == 0:
@@ -319,11 +314,11 @@ def load_char_table(
     path: str | Path, fits: Callable[[CharTable], None] | None = None
 ) -> CharTable:
     """Load and validate a character table from its JSON file format, a
-    regular file of at most CHAR_TABLE_FILE_LIMIT bytes. fits, when given,
+    regular file of at most limits.CHAR_TABLE_FILE_LIMIT bytes. fits, when given,
     sees the table once its shape is checked and before the O(k^3)
     orthogonality sums of validate, and raises if the table cannot serve."""
     where = f"character table {str(path)!r}"
-    text = _read_text(path, where, CHAR_TABLE_FILE_LIMIT, "a table may take")
+    text = limits._read_text(path, where, limits.CHAR_TABLE_FILE_LIMIT, "a table may take")
     try:
         raw = json.loads(text)
     except (RecursionError, ValueError) as exc:
@@ -348,10 +343,10 @@ def _char_table_of(raw: dict) -> CharTable:
     try:
         radicand = raw["radicand"]
         if radicand is not None:
-            radicand = _json_int(radicand, "radicand")
-        sizes = tuple(_json_int(s, "a class size") for s in raw["class_sizes"])
-        power2 = tuple(_json_int(c, "a power2 entry") for c in raw["power2"])
-        power3 = tuple(_json_int(c, "a power3 entry") for c in raw["power3"])
+            radicand = limits._json_int(radicand, "radicand")
+        sizes = tuple(limits._json_int(s, "a class size") for s in raw["class_sizes"])
+        power2 = tuple(limits._json_int(c, "a power2 entry") for c in raw["power2"])
+        power3 = tuple(limits._json_int(c, "a power3 entry") for c in raw["power3"])
         names = raw.get("class_names")
         if names is None:
             names = tuple(f"c{i + 1}" for i in range(len(sizes)))

@@ -9,7 +9,7 @@ import json
 import sys
 import time
 
-from . import groups, perm
+from . import groups, limits, perm
 from ._lazy import _lazy_import
 from .errors import InputError, ThetaDimsError
 
@@ -24,11 +24,6 @@ USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
 METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
 SUITES = ("all", "fixtures", "cross-methods", "conventions")
-
-# largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
-# 10^6 rows 22 s and 750 MB
-LENS_TABLE_MAX_N = 100_000
-
 
 # each group-spec kind: the module and the name of the function that builds
 # its table, and the groups function that builds its class data by arithmetic
@@ -165,24 +160,18 @@ def _compute_dims(args) -> int:
         value = perm.dim_invariants_perm(
             _class_data(args.group), args.module, args.parity, symmetry
         )
-    elif method == "orbit":
-        if args.module != perm.GROUP_ALGEBRA:
+    else:  # orbit or reynolds
+        if method == "orbit" and args.module != perm.GROUP_ALGEBRA:
             raise UsageError("method orbit supports the group algebra only")
-        if _KINDS[kind].class_data:  # the size guard from the order, before the table
-            oracle.check_order_guard(
-                method, _class_data(args.group).order, args.module, args.parity
-            )
-        value = oracle.dim_invariants_orbit(parse_group_spec(args.group), args.parity, symmetry)
-    else:  # reynolds
-        if symmetry != perm.FULL:
+        if method == "reynolds" and symmetry != perm.FULL:
             raise UsageError("method reynolds computes the full symmetry only")
         if _KINDS[kind].class_data:  # the size guard from the order, before the table
             oracle.check_order_guard(
                 method, _class_data(args.group).order, args.module, args.parity
             )
-        value = oracle.dim_invariants_reynolds(
-            parse_group_spec(args.group), args.module, args.parity
-        )
+        G = parse_group_spec(args.group)
+        value = (oracle.dim_invariants_orbit(G, args.parity, symmetry) if method == "orbit"
+                 else oracle.dim_invariants_reynolds(G, args.module, args.parity))
     elapsed = time.perf_counter() - started
 
     record = {
@@ -204,8 +193,8 @@ def _compute_dims(args) -> int:
 
 
 def _cmd_lens_table(args) -> int:
-    if not 0 <= args.max_n <= LENS_TABLE_MAX_N:
-        raise UsageError(f"--max-n must lie in 0..{LENS_TABLE_MAX_N}, got {args.max_n}")
+    if not 0 <= args.max_n <= limits.LENS_TABLE_MAX_N:
+        raise UsageError(f"--max-n must lie in 0..{limits.LENS_TABLE_MAX_N}, got {args.max_n}")
     rows = [dataclasses.asdict(lens.lens_dims(n)) for n in range(1, args.max_n + 1)]
     keys = [f.name for f in dataclasses.fields(lens.LensDims)]
     text = [f"{'n':>3} {'odd C[pi]':>10} {'even C[pi]':>11} {'odd Ker':>8} {'even Ker':>9}"]

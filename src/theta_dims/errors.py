@@ -15,7 +15,7 @@ class NotAGroup(InputError):
 
 
 class FixtureMismatch(ThetaDimsError):
-    """Reference element data does not match the constructed group."""
+    """Reference data, an element fixture or a known order, does not match the built group."""
 
 
 class NonIntegralDimension(ThetaDimsError):

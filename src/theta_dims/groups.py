@@ -11,23 +11,18 @@ Class indices are ordered by smallest member, so every derived quantity is
 deterministic across runs and platforms.
 The class data of a cyclic group and of SL2(F_p) is also built by arithmetic,
 with no table (cyclic_class_data, sl2_class_data).
-A Cayley table file is read by cayley.load_cayley; every JSON input file is
-read through _read_text, which bounds its size before reading.
+A Cayley table file is read by cayley.load_cayley.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import stat
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+from . import limits
 from ._lazy import np
-from .errors import NotAGroup, ParseError, TooLarge
-
-# cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
-TABLE_ENTRY_LIMIT = 1 << 28
+from .errors import FixtureMismatch, NotAGroup
 
 # table entries that a pass over rows of a table gathers at a time
 _CHUNK_ENTRIES = 1 << 16
@@ -41,48 +36,6 @@ def _index_dtype(n: int) -> type:
     if n <= 0xFFFF:
         return np.uint16
     return np.uint32
-
-
-def _check_table_size(n: int) -> None:
-    if n * n > TABLE_ENTRY_LIMIT:
-        raise TooLarge(f"a table of order {n} has {n * n} entries, over {TABLE_ENTRY_LIMIT}")
-
-
-def _json_int(value, what: str) -> int:
-    """value if it is a JSON integer, which excludes booleans; else ParseError."""
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _read_text(path: str | os.PathLike, where: str, limit: int, room: str) -> str:
-    """The text of the UTF-8 file at path; messages call it where.
-
-    The file is opened once, and fstat of that descriptor refuses it, before
-    any byte is read, unless it is a regular file of at most limit bytes, the
-    most that room: a device such as /dev/zero reports no size to trust. At
-    most limit + 1 bytes are read. Every refusal, and any error of the
-    operating system or of decoding, raises ParseError or TooLarge naming where.
-    """
-    try:
-        # a FIFO opens without waiting for a writer, and is then refused
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-        try:
-            info = os.fstat(fd)
-            if not stat.S_ISREG(info.st_mode):
-                raise ParseError(f"cannot read {where}: not a regular file")
-            size = info.st_size
-            if size > limit:
-                raise TooLarge(f"{where}: the file has {size} bytes, over the {limit} that {room}")
-            with open(fd, "rb", closefd=False) as file:
-                data = file.read(size + 1)
-        finally:
-            os.close(fd)
-        if len(data) > size:
-            raise ParseError(f"cannot read {where}: it holds more than its size of {size} bytes")
-        return data.decode("utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a null byte in path, or not UTF-8
-        raise ParseError(f"cannot read {where}: {exc}") from None
 
 
 def _row_chunks(count: int, width: int) -> Iterator[slice]:
@@ -214,7 +167,7 @@ def _check_cyclic_order(n: int) -> None:
     largest table, so that both routes refuse the same orders."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    _check_table_size(n)
+    limits.check_table_size(n)
 
 
 def make_cyclic(n: int) -> GroupTable:
@@ -248,7 +201,8 @@ def make_sl2(p: int) -> GroupTable:
     _check_sl2_prime(p)
     mats = sl2_matrices(p)
     n = len(mats)
-    assert n == p * (p * p - 1)
+    if n != p * (p * p - 1):
+        raise FixtureMismatch(f"enumerated {n} matrices of SL2(F_{p}), not {p * (p * p - 1)}")
     a, b, c, d = np.array(mats, dtype=np.int64).T
     dt = _index_dtype(n)
 
@@ -306,7 +260,7 @@ def make_semidirect_product(N: GroupTable, H: GroupTable, action=None) -> GroupT
     Raises ValueError unless b -> phi_b is a homomorphism H -> Aut(N)."""
     nN, nH = N.order, H.order
     n = nN * nH
-    _check_table_size(n)
+    limits.check_table_size(n)
     dt = _index_dtype(n)
     if action is None:
         left = N.mul_table[:, None, :]  # left[a, b, c] = a phi_b(c) = a c

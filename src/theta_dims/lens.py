@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import _lazy_import, np
-from .errors import HalfwayPoint
+from .errors import HalfwayPoint, SimplificationMismatch
 from .perm import AUG_KERNEL, EVEN, GROUP_ALGEBRA, ODD, PARITIES, _check_choice
 
 # the weight-system kernels; the closed forms need none of it
@@ -131,5 +131,6 @@ def weight_rank(n: int, parity: str) -> int:
         reduced = oracle._rank_of_rows(
             weight_map(n, *mono, parity).coeffs for mono in _orbit_representatives(n, parity)
         )
-        assert reduced == full  # representatives must span the whole image
+        if reduced != full:  # representatives must span the whole image
+            raise SimplificationMismatch(f"orbit representatives span rank {reduced}, not {full}")
     return full

@@ -1,0 +1,92 @@
+"""How much input the package admits: every size bound, and the reader that
+bounds a file before it reads it.
+
+Each bound is read through this module's attribute (limits.X), so that a
+patched bound is seen everywhere. A refusal raises TooLarge or ParseError,
+exit 2 on the command line, before the work the bound guards. The cube guard
+of orbit and reynolds, oracle.check_order_guard, counts monomials and so
+lives in oracle; it reads its two bounds here.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import stat
+
+from .errors import ParseError, TooLarge
+
+# cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
+TABLE_ENTRY_LIMIT = 1 << 28
+# the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
+# group algebra of order 24, so every group of order <= 24 is admitted. One
+# process at the cap (2 cores, numpy 2.4 with OpenBLAS): sl2:3 group-algebra
+# odd, d = 2600, takes 2.7-3.0 s and 299 MB max RSS, the most memory (dense
+# d x d int64 and float64 copies); sl2:3 aug-kernel odd, d = 2300, 4.5-5.3 s
+# and 251 MB, the longest (most of it in _rank_of_rows)
+REYNOLDS_DIM_LIMIT = 2600
+# the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
+# the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
+ORBIT_MONOMIAL_LIMIT = 1 << 23
+# largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
+# 10^6 rows 22 s and 750 MB
+LENS_TABLE_MAX_N = 100_000
+# the longest character table file read: a table of some 450 classes in the
+# layout of dump_char_table, whose O(k^3) orthogonality sums alone would take
+# about 40 minutes at the 6.6 s they take for 64 classes on a 2-core box
+CHAR_TABLE_FILE_LIMIT = 1 << 24
+# the longest element fixture file read: about four times a fixture of
+# SL2(F_13), the largest group make_sl2 builds, in the packaged layout
+FIXTURE_FILE_LIMIT = 1 << 20
+
+
+def check_table_size(n: int) -> None:
+    if n * n > TABLE_ENTRY_LIMIT:
+        raise TooLarge(f"a table of order {n} has {n * n} entries, over {TABLE_ENTRY_LIMIT}")
+
+
+def cayley_file_limit() -> int:
+    """The longest Cayley file read: the most text the largest table under
+    TABLE_ENTRY_LIMIT can need, n*n entries of the width of n - 1, each with a
+    separator and one byte of whitespace, as json.dumps writes them, 4 bytes
+    a row for its brackets and the ", " between rows, and 64 KiB for the rest
+    of the object."""
+    n = math.isqrt(TABLE_ENTRY_LIMIT)
+    return n * n * (len(str(n - 1)) + 2) + 4 * n + (1 << 16)
+
+
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer, which excludes booleans; else ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _read_text(path: str | os.PathLike, where: str, limit: int, room: str) -> str:
+    """The text of the UTF-8 file at path; messages call it where.
+
+    The file is opened once, and fstat of that descriptor refuses it, before
+    any byte is read, unless it is a regular file of at most limit bytes, the
+    most that room: a device such as /dev/zero reports no size to trust. At
+    most limit + 1 bytes are read. Every refusal, and any error of the
+    operating system or of decoding, raises ParseError or TooLarge naming where.
+    """
+    try:
+        # a FIFO opens without waiting for a writer, and is then refused
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise ParseError(f"cannot read {where}: not a regular file")
+            size = info.st_size
+            if size > limit:
+                raise TooLarge(f"{where}: the file has {size} bytes, over the {limit} that {room}")
+            with open(fd, "rb", closefd=False) as file:
+                data = file.read(size + 1)
+        finally:
+            os.close(fd)
+        if len(data) > size:
+            raise ParseError(f"cannot read {where}: it holds more than its size of {size} bytes")
+        return data.decode("utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in path, or not UTF-8
+        raise ParseError(f"cannot read {where}: {exc}") from None

@@ -19,7 +19,7 @@ while `d * max|a| * max|b| < 2^53`: every partial sum is then an integer that
 float64 represents exactly, in any summation order. A missed bound raises
 `ExactnessViolation` instead of rounding. `_rank_of_rows` is fraction-free
 elimination with each row reduced by its content (the gcd of its entries).
-`reynolds` refuses a cube basis of more than `REYNOLDS_DIM_LIMIT` monomials,
+`reynolds` refuses a cube basis of more than `limits.REYNOLDS_DIM_LIMIT` monomials,
 which admits every group of order <= 24.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from . import limits
 from ._lazy import np
 from .errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from .groups import GroupTable, _orbit_labels, generating_set
@@ -43,16 +44,6 @@ from .perm import (
     permutation_of,
 )
 
-# the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
-# group algebra of order 24, so every group of order <= 24 is admitted. One
-# process at the cap (2 cores, numpy 2.4 with OpenBLAS): sl2:3 group-algebra
-# odd, d = 2600, takes 3.7 s and 401 MB max RSS, the most memory (dense
-# d x d int64 and float64 copies); sl2:3 aug-kernel odd, d = 2300, 5.4 s and
-# 331 MB, the longest (most of it in _rank_of_rows)
-REYNOLDS_DIM_LIMIT = 2600
-# the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
-# the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
-ORBIT_MONOMIAL_LIMIT = 1 << 23
 _INT64_LIMIT = (1 << 63) - 1
 # float64 holds every integer of magnitude below 2^53 exactly
 _FLOAT64_EXACT_LIMIT = 1 << 53
@@ -69,7 +60,7 @@ def check_order_guard(method: str, n: int, module: str, parity: str) -> None:
     orbit's node count, or the dimension of reynolds's matrices."""
     k = n if module == GROUP_ALGEBRA else n - 1
     count = math.comb(k, 3) if parity == EVEN else math.comb(k + 2, 3)
-    limit = REYNOLDS_DIM_LIMIT if method == "reynolds" else ORBIT_MONOMIAL_LIMIT
+    limit = limits.REYNOLDS_DIM_LIMIT if method == "reynolds" else limits.ORBIT_MONOMIAL_LIMIT
     if count > limit:
         raise TooLarge(f"{count} monomials exceed the {method} guard {limit}")
 
@@ -173,7 +164,7 @@ def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> in
         raise ExactnessViolation(f"the monomial rank is not a bijection onto range({m})")
 
     # each symmetry generator as a bijection of the nodes; node ids fit int32,
-    # as there are at most 2 * ORBIT_MONOMIAL_LIMIT of them
+    # as there are at most 2 * limits.ORBIT_MONOMIAL_LIMIT of them
     moves = []
     for p in _symmetry_permutations(G, symmetry):
         images, sign = _sort_sign(p[basis], parity)
@@ -270,7 +261,9 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d * max|a| * max|b|; below 2^53 each is an integer that float64 holds
     exactly, whatever order or fused multiply-add the BLAS uses."""
     _check_exact(a.shape[1] * _max_abs(a) * _max_abs(b), _FLOAT64_EXACT_LIMIT, "float64 product")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    product = a.astype(np.float64)  # a's copy is freed by the rebinding, before the cast
+    product = product @ (product if b is a else b.astype(np.float64))
+    return product.astype(np.int64)
 
 
 def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
@@ -284,10 +277,10 @@ def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
     def lift(sigmas) -> np.ndarray:
         return _action_matrix(G, sigmas, module, parity, basis)
 
-    left = lift([CosetElement(False, g, e) for g in range(G.order)])
-    right = lift([CosetElement(False, e, h) for h in range(G.order)])
-    twist = lift([CosetElement(False, e, e), CosetElement(True, e, e)])
-    return _exact_matmul(_exact_matmul(twist, left), right)
+    # each sum is lifted when it is used: I + T and sum_g L_g are freed before sum_h R_h
+    product = lift([CosetElement(False, e, e), CosetElement(True, e, e)])
+    product = _exact_matmul(product, lift([CosetElement(False, g, e) for g in range(G.order)]))
+    return _exact_matmul(product, lift([CosetElement(False, e, h) for h in range(G.order)]))
 
 
 def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:

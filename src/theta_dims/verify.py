@@ -14,15 +14,11 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from . import chartab, groups, lens, oracle, perm
+from . import chartab, groups, lens, limits, oracle, perm
 from .cli import SUITES
 from .errors import FixtureMismatch, ParseError
 
 _SL2F5_SIZES = (1, 1, 30, 20, 20, 12, 12, 12, 12)
-
-# the longest element fixture file read: about four times a fixture of
-# SL2(F_13), the largest group make_sl2 builds, in the packaged layout
-FIXTURE_FILE_LIMIT = 1 << 20
 
 # the battery groups the projector oracle checks, below its own size guard so
 # that the suite stays short; the report states this order
@@ -71,15 +67,15 @@ def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
     """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
     path = Path(path or default_fixture_path())
     where = f"element fixture {str(path)!r}"
-    text = groups._read_text(path, where, FIXTURE_FILE_LIMIT, "a fixture may take")
+    text = limits._read_text(path, where, limits.FIXTURE_FILE_LIMIT, "a fixture may take")
     try:
         raw = json.loads(text)
-        p = groups._json_int(raw["prime"], "fixture prime")
+        p = limits._json_int(raw["prime"], "fixture prime")
         names, mats, labels = [], [], []
         for rec in raw["elements"]:
             (a, b), (c, d) = rec["matrix"]
             names.append(str(rec["name"]))
-            mats.append(tuple(groups._json_int(x, "a matrix entry") for x in (a, b, c, d)))
+            mats.append(tuple(limits._json_int(x, "a matrix entry") for x in (a, b, c, d)))
             labels.append(str(rec["class"]))
     except (RecursionError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot read {where}: {exc!r}") from exc

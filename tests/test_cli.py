@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_dims
-from theta_dims import chartab, cli, groups, lens, perm, verify
+from theta_dims import chartab, cli, groups, lens, limits, oracle, perm, verify
 from theta_dims.errors import InputError, ThetaDimsError
 
 REFERENCE_ROWS = {
@@ -170,7 +170,7 @@ print(json.dumps(sorted(
 # the modules every query executes: the package, the command line, and what
 # parsing the arguments needs
 ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims.errors",
-                 "theta_dims.groups", "theta_dims.perm"]
+                 "theta_dims.groups", "theta_dims.limits", "theta_dims.perm"]
 
 
 @pytest.mark.parametrize("argv,also", [
@@ -324,6 +324,22 @@ def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
     # and sl2:P gives with no table
     monkeypatch.setattr(cli, "parse_group_spec", _no_table)
     code, out, err = run_cli(capsys, "dims", "--parity", "odd", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n,method,message", [
+    (25, "reynolds", "2925 monomials exceed the reynolds guard 2600"),
+    (400, "orbit", "10746800 monomials exceed the orbit guard 8388608"),
+])
+def test_cube_guard_after_a_cayley_table(tmp_path, capsys, monkeypatch, n, method, message):
+    # a cayley: group has no class data before its table is read; oracle then
+    # meets the guard from the table's order, before it lists the cube basis
+    path = tmp_path / f"z{n}.json"
+    path.write_text(json.dumps({"order": n, "mul": groups.make_cyclic(n).mul_table.tolist()}))
+    monkeypatch.setattr(oracle, "_monomials", lambda *args: pytest.fail("listed the basis"))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", f"cayley:{path}", "--parity", "odd", "--method", method
+    )
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -662,17 +678,17 @@ def test_lens_table_single_row(capsys):
     assert out.strip().splitlines()[1] == "1,1,0,0,0"
 
 
-@pytest.mark.parametrize("max_n", [-1, cli.LENS_TABLE_MAX_N + 1])
+@pytest.mark.parametrize("max_n", [-1, limits.LENS_TABLE_MAX_N + 1])
 def test_lens_table_max_n_out_of_range(capsys, max_n):
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "lens-table", "--max-n", str(max_n))
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error:") and f"0..{cli.LENS_TABLE_MAX_N}" in err
+    assert err.startswith("error:") and f"0..{limits.LENS_TABLE_MAX_N}" in err
 
 
 def test_lens_table_max_n_at_the_limit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "LENS_TABLE_MAX_N", 20)
+    monkeypatch.setattr(limits, "LENS_TABLE_MAX_N", 20)
     code, out, _ = run_cli(capsys, "lens-table", "--max-n", "20", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 21
 

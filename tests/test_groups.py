@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import cayley, cli, groups, verify
+from theta_dims import cayley, cli, groups, limits, verify
 from theta_dims.errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # latin square with identity 0 and two-sided inverses that is not associative:
@@ -67,6 +67,14 @@ def test_make_cyclic_basics():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_make_sl2_order_matches_brute_enumeration(p):
     assert groups.make_sl2(p).order == brute_sl2_order(p)
+
+
+def test_make_sl2_traps_a_wrong_element_count(monkeypatch):
+    # a bug trap, not bad input, so it raises under python -O too and exits 1
+    every_matrix = groups.sl2_matrices
+    monkeypatch.setattr(groups, "sl2_matrices", lambda p: every_matrix(p)[:-1])
+    with pytest.raises(FixtureMismatch, match=r"enumerated 23 matrices of SL2\(F_3\), not 24"):
+        groups.make_sl2(3)
 
 
 def test_make_sl2_rejects_bad_p():
@@ -486,7 +494,7 @@ def read_cayley_with_stdlib(text):
     """The reference reading: json.loads, every entry a JSON integer, then
     make_from_cayley."""
     raw = json.loads(text)
-    order, mul = groups._json_int(raw["order"], "order"), raw["mul"]
+    order, mul = limits._json_int(raw["order"], "order"), raw["mul"]
     if not (isinstance(mul, list) and len(mul) == order and all(type(r) is list for r in mul)):
         raise ParseError("mul is not a list of order rows")
     if not all(type(x) is int for r in mul for x in r):
@@ -579,7 +587,7 @@ def test_load_cayley_reads_the_same_rows_for_every_piece_size(tmp_path, monkeypa
 def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
     path = tmp_path / "z4.json"
     path.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
-    monkeypatch.setattr(groups, "TABLE_ENTRY_LIMIT", 15)
+    monkeypatch.setattr(limits, "TABLE_ENTRY_LIMIT", 15)
 
     def no_parsing(*args, **kwargs):
         raise AssertionError("a row was parsed")
@@ -596,13 +604,13 @@ def test_load_cayley_file_size_guard_precedes_reading(tmp_path, monkeypatch):
     path = tmp_path / "z4.json"
     text = json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()})
     path.write_text(" " * (9 * 3 + 4 * 3 + (1 << 16) + 1 - len(text)) + text)
-    monkeypatch.setattr(groups, "TABLE_ENTRY_LIMIT", 15)
+    monkeypatch.setattr(limits, "TABLE_ENTRY_LIMIT", 15)
 
     def no_reading(*args, **kwargs):
         raise AssertionError("the file was read")
 
-    # groups._read_text wraps the descriptor for reading once its size passes
-    monkeypatch.setattr(groups, "open", no_reading, raising=False)
+    # limits._read_text wraps the descriptor for reading once its size passes
+    monkeypatch.setattr(limits, "open", no_reading, raising=False)
     message = "has 65576 bytes, over the 65575 that a table can need"
     with pytest.raises(TooLarge, match=message) as exc:
         cayley.load_cayley(path)
@@ -613,7 +621,7 @@ def test_load_cayley_file_size_guard_precedes_reading(tmp_path, monkeypatch):
 def test_read_text_refuses_a_file_longer_than_its_size():
     # a /proc file is regular but reports a size of 0 bytes
     with pytest.raises(ParseError, match="'/proc/self/stat': it holds more than its size of 0"):
-        groups._read_text("/proc/self/stat", "'/proc/self/stat'", 1 << 20, "a test may take")
+        limits._read_text("/proc/self/stat", "'/proc/self/stat'", 1 << 20, "a test may take")
 
 
 def test_load_cayley_builds_no_object_per_entry(tmp_path):
