@@ -43,7 +43,7 @@ _EXPORTS = {
         "validate_group",
     ),
     "lens": ("LensDims", "lens_dims", "p3_closed", "p3_dp", "weight_map", "weight_rank"),
-    "oracle": ("build_module_actions", "dim_invariants_orbit", "dim_invariants_reynolds"),
+    "oracle": ("dim_invariants_orbit", "dim_invariants_reynolds"),
     "perm": (
         "CosetElement",
         "act",

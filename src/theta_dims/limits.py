@@ -3,9 +3,10 @@ bounds a file before it reads it.
 
 Each bound is read through this module's attribute (limits.X), so that a
 patched bound is seen everywhere. A refusal raises TooLarge or ParseError,
-exit 2 on the command line, before the work the bound guards. The cube guard
-of orbit and reynolds, oracle.check_order_guard, counts monomials and so
-lives in oracle; it reads its two bounds here.
+exit 2 on the command line, before the work the bound guards. The order guard
+of orbit and reynolds, oracle.check_order_guard, counts orbit's graph nodes
+and reynolds's cube monomials and so lives in oracle; it reads its two bounds
+here.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ TABLE_ENTRY_LIMIT = 1 << 28
 # d x d int64 and float64 copies); sl2:3 aug-kernel odd, d = 2300, 4.5-5.3 s
 # and 251 MB, the longest (most of it in _rank_of_rows)
 REYNOLDS_DIM_LIMIT = 2600
-# the orbit method peaks at about 150 bytes per monomial for the wedge and 115 for
-# the symmetric cube (max RSS at sl2:7); this admits sl2:7 (6.4M)
-ORBIT_MONOMIAL_LIMIT = 1 << 23
+# the most graph nodes orbit builds, n^2 odd and 2n^2 even: orders up to 3162
+# odd and 2236 even, sl2:13 in both. Each move (3 plus at most log2 n
+# generators) and each of 5 label arrays takes 4 bytes a node. One process
+# (2 cores, numpy 2.4): sl2:13 odd 3.8-4.4 s and 220 MB max RSS, even 8.3-9.2 s
+# and 411 MB; the worst admitted, Z2^10 x Z3 odd (11 generators), 3.0-3.3 s and 739 MB
+ORBIT_NODE_LIMIT = 10_000_000
 # largest lens-table: on a 2-core box 10^5 rows take 2-3 s and 75-105 MB max RSS,
 # 10^6 rows 22 s and 750 MB
 LENS_TABLE_MAX_N = 100_000

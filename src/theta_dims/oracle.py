@@ -2,15 +2,19 @@
 
 Two routes that share nothing with the character computations:
 
-* orbit counting on the monomial basis of the cubic powers of the group
-  algebra, as the components of the sign double cover of the monomial basis
-  (a wedge orbit dies when some stabilizer element acts by -1);
+* orbit counting for the cubic powers of the group algebra, on the quotient
+  by right multiplication: right multiplication acts freely and commutes with
+  left multiplication and with permuting the three tensor positions, so the
+  monomial orbits are the components of a graph on the n^2 triples (e, a, b),
+  counted on its sign double cover (a wedge orbit dies when some stabilizer
+  element acts by -1);
 * the exact group-average projector on explicit action matrices, whose
   rank is the invariant dimension.
 
-Both build on one vectorized monomial kernel: `_monomials` enumerates the
-basis, `_sort_sign` sorts index triples and gives their wedge sign, and
-`_rank` gives their combinadic rank, which is the basis position.
+The projector builds on one vectorized monomial kernel, which `lens` shares:
+`_monomials` enumerates the basis, `_sort_sign` sorts index triples and gives
+their wedge sign, and `_rank` gives their combinadic rank, which is the basis
+position.
 
 The projector is exact integer arithmetic throughout. `_action_matrix` lifts a
 sum of symmetry elements to one int64 matrix through a single scatter, and
@@ -55,14 +59,18 @@ def _check_exact(bound: int, limit: int, what: str) -> None:
 
 
 def check_order_guard(method: str, n: int, module: str, parity: str) -> None:
-    """Raise TooLarge when method, "orbit" or "reynolds", refuses the cube of
-    the module of a group of order n, from its number of monomials: the
-    orbit's node count, or the dimension of reynolds's matrices."""
-    k = n if module == GROUP_ALGEBRA else n - 1
-    count = math.comb(k, 3) if parity == EVEN else math.comb(k + 2, 3)
-    limit = limits.REYNOLDS_DIM_LIMIT if method == "reynolds" else limits.ORBIT_MONOMIAL_LIMIT
+    """Raise TooLarge when method, "orbit" or "reynolds", refuses a group of
+    order n: orbit from its node count, n^2 or 2n^2 for the wedge's two sheets,
+    reynolds from the dimension of its matrices, the monomial count of the
+    cube of the module."""
+    if method == "orbit":
+        count, limit, what = n * n * (2 if parity == EVEN else 1), limits.ORBIT_NODE_LIMIT, "nodes"
+    else:
+        k = n if module == GROUP_ALGEBRA else n - 1
+        count = math.comb(k, 3) if parity == EVEN else math.comb(k + 2, 3)
+        limit, what = limits.REYNOLDS_DIM_LIMIT, "monomials"
     if count > limit:
-        raise TooLarge(f"{count} monomials exceed the {method} guard {limit}")
+        raise TooLarge(f"{count} {what} exceed the {method} guard {limit}")
 
 
 def _monomials(n: int, parity: str) -> np.ndarray:
@@ -132,49 +140,56 @@ def _rank_of_rows(rows) -> int:
     return rank
 
 
-def _symmetry_permutations(G: GroupTable, symmetry: str) -> list[np.ndarray]:
-    perms = []
-    for s in generating_set(G):
-        perms.append(permutation_of(G, CosetElement(False, s, G.identity)))
-        perms.append(permutation_of(G, CosetElement(False, G.identity, s)))
-    if symmetry == FULL:
-        perms.append(np.asarray(G.inv_table))
-    return perms
-
-
 def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> int:
     """Invariant dimension of the cubic power of the group algebra by orbit
-    counting over monomials, using only the symmetries made from the greedy
-    generating set of G (`generating_set`).
+    counting on the quotient by right multiplication, using only the
+    symmetries made from the greedy generating set of G (`generating_set`).
 
-    Counts the components of the sign double cover of the monomial basis: node
-    i + s*m is monomial i with sign (-1)^s (the symmetric cube has one sheet).
-    A wedge orbit whose two sheets meet dies, since some stabilizer element acts
-    on it by -1; every other orbit covers two components.
+    Monomial orbits are the orbits on ordered triples (x, y, z) of the
+    symmetries and of S3 permuting the positions, which on the wedge acts with
+    its sign. Right multiplication R acts freely and commutes with S3 and with
+    left multiplication L, so each triple is R-equivalent to exactly one
+    (e, a, b): node a*n + b, plus n^2 on the wedge's negated sheet. Moves:
+
+    * swap (a, b) -> (b, a), sign -1;
+    * rotation (a, b) -> (b a^-1, a^-1), the shift (e, a, b) -> (a, b, e)
+      then R by a^-1, sign +1; with the swap it gives all of S3;
+    * conjugation by each generator g, (a, b) -> (g a g^-1, g b g^-1): L_g
+      then R by g^-1, sign +1;
+    * inversion (a, b) -> (a^-1, b^-1) for the full symmetry, sign +1.
+
+    Inversion i does not commute with R, so its move maps the representative
+    alone. That is enough: i(t r) = L_{r^-1}(i t), so the image of any other
+    member t r of the node is in the L-orbit of the representative's image,
+    which the conjugation moves join to it. So the components are the symmetry
+    orbits on monomials. A wedge orbit whose two sheets meet dies, since some
+    stabilizer element acts on it by -1 (a repeated index dies through the
+    swap); every other orbit covers two components.
     """
     _check_choice(parity, PARITIES, "parity")
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     n = G.order
-    wedge = parity == EVEN
     check_order_guard("orbit", n, GROUP_ALGEBRA, parity)
-    basis = _monomials(n, parity)
-    m = len(basis)
-    # the combinadic rank is the node id; it must be a bijection onto range(m)
-    if not np.array_equal(_rank(basis, parity), np.arange(m)):
-        raise ExactnessViolation(f"the monomial rank is not a bijection onto range({m})")
+    wedge, m = parity == EVEN, n * n
+    mul, inv = G.mul_table, G.inv_table
+    a = np.arange(n, dtype=np.int32)[:, None]
+    b = a.T
 
-    # each symmetry generator as a bijection of the nodes; node ids fit int32,
-    # as there are at most 2 * limits.ORBIT_MONOMIAL_LIMIT of them
-    moves = []
-    for p in _symmetry_permutations(G, symmetry):
-        images, sign = _sort_sign(p[basis], parity)
-        target = _rank(images, parity)
-        if wedge:
-            flip = (sign < 0) * m
-            target = np.concatenate([target + flip, target + (m - flip)])
-        moves.append(target.astype(np.int32))
+    def move(x, y, sign: int = 1) -> np.ndarray:
+        # (a, b) -> (x, y) on each sheet; ids fit int32, as limits.ORBIT_NODE_LIMIT does
+        target = (np.asarray(x, dtype=np.int32) * n + y).ravel()
+        if not wedge:
+            return target
+        return np.concatenate([target + m, target] if sign < 0 else [target, target + m])
 
-    label = _orbit_labels(moves, m * (2 if wedge else 1))
+    moves = [move(b, a, -1), move(mul[b, inv[a]], inv[a])]
+    for g in generating_set(G):
+        c = mul[mul[g], inv[g]]
+        moves.append(move(c[a], c[b]))
+    if symmetry == FULL:
+        moves.append(move(inv[a], inv[b]))
+
+    label = _orbit_labels(moves, len(moves[0]))
     roots = label == np.arange(len(label))
     if not wedge:
         return int(np.count_nonzero(roots))
@@ -183,14 +198,6 @@ def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> in
 
 
 # -- explicit matrices and the averaged projector --------------------------------
-
-
-def _symmetry_elements(G: GroupTable):
-    n = G.order
-    for twisted in (False, True):
-        for g in range(n):
-            for h in range(n):
-                yield CosetElement(twisted, g, h)
 
 
 def _cube_basis(G: GroupTable, module: str, parity: str) -> np.ndarray:
@@ -233,21 +240,6 @@ def _action_matrix(G: GroupTable, sigmas, module: str, parity: str, basis):
     matrix = np.zeros((m, m), dtype=np.int64)
     np.add.at(matrix, (_rank(images[keep], parity), columns[keep]), values[keep])
     return matrix
-
-
-def build_module_actions(G: GroupTable, module: str, parity: str) -> tuple[list[np.ndarray], int]:
-    """Explicit integer matrices of every symmetry element on the cubic power.
-
-    Returns one matrix per element of the doubled-and-swapped group, in the
-    order untwisted pairs then twisted pairs (each lexicographic in (g, h)),
-    together with the matrix dimension.
-    """
-    basis = _cube_basis(G, module, parity)
-    matrices = [
-        _action_matrix(G, [sigma], module, parity, basis)
-        for sigma in _symmetry_elements(G)
-    ]
-    return matrices, len(basis)
 
 
 def _max_abs(a: np.ndarray) -> int:

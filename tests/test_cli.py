@@ -81,9 +81,9 @@ def test_dims_closed_form_builds_no_table(capsys):
     "argv",
     [
         ("dims", "--group", "cyclic:100000", "--parity", "odd"),
-        ("dims", "--group", "sl2:13", "--method", "orbit", "--parity", "odd"),
+        ("dims", "--group", "cyclic:2237", "--method", "orbit", "--parity", "even"),
     ],
-    ids=["table-entries", "orbit-monomials"],
+    ids=["table-entries", "orbit-nodes"],
 )
 def test_dims_cost_guards(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -312,9 +312,9 @@ def _no_table(spec):
     (("--group", "cyclic:25", "--method", "reynolds"),
      "2925 monomials exceed the reynolds guard 2600"),
     (("--group", "cyclic:16384", "--method", "orbit"),
-     "733141975040 monomials exceed the orbit guard 8388608"),
-    (("--group", "sl2:13", "--method", "orbit"),
-     "1738613240 monomials exceed the orbit guard 8388608"),
+     "268435456 nodes exceed the orbit guard 10000000"),
+    (("--group", "cyclic:3163", "--method", "orbit"),
+     "10004569 nodes exceed the orbit guard 10000000"),
     (("--group", "sl2:5", "--method", "reynolds"),
      "295240 monomials exceed the reynolds guard 2600"),
 ])
@@ -329,14 +329,17 @@ def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
 
 @pytest.mark.parametrize("n,method,message", [
     (25, "reynolds", "2925 monomials exceed the reynolds guard 2600"),
-    (400, "orbit", "10746800 monomials exceed the orbit guard 8388608"),
+    (400, "orbit", "160000 nodes exceed the orbit guard 150000"),
 ])
 def test_cube_guard_after_a_cayley_table(tmp_path, capsys, monkeypatch, n, method, message):
     # a cayley: group has no class data before its table is read; oracle then
     # meets the guard from the table's order, before it lists the cube basis
+    # (reynolds) or the group's generators (orbit)
     path = tmp_path / f"z{n}.json"
     path.write_text(json.dumps({"order": n, "mul": groups.make_cyclic(n).mul_table.tolist()}))
+    monkeypatch.setattr(limits, "ORBIT_NODE_LIMIT", 150_000)
     monkeypatch.setattr(oracle, "_monomials", lambda *args: pytest.fail("listed the basis"))
+    monkeypatch.setattr(oracle, "generating_set", lambda *args: pytest.fail("built the moves"))
     code, out, err = run_cli(
         capsys, "dims", "--group", f"cayley:{path}", "--parity", "odd", "--method", method
     )
@@ -914,6 +917,33 @@ GOLDEN_OUTPUTS = [
         '"representative":"1","size":1,"square_class":2},{"class":2,"cube_class":0,'
         '"inverse_class":1,"representative":"2","size":1,"square_class":1}],'
         '"group":"cyclic:3","inversion_orbits":2}\n',
+    ),
+    (
+        # what the benchmark checks: md5 2979e1e7fba5487e3ede0e4b60198585
+        ("verify", "all", "--with-orbit-check"),
+        "[fixtures]\n"
+        "classes: 9 classes with sizes {1,1,30,20,20,12,12,12,12}\n"
+        "element fixture: all 120 elements classified correctly\n"
+        "character table: 45 orthogonality sums exact\n"
+        "power maps: computed squares/cubes match the table classes\n"
+        "inversion: acts trivially on all 9 classes\n"
+        "ok\n"
+        "[cross-methods]\n"
+        "orbit oracle: agrees with the perm path on 17 groups\n"
+        "projector oracle: agrees with the perm path on 16 groups (order <= 12)\n"
+        "split identities: hold on every battery group\n"
+        "cyclic table: closed forms, perm path and orbit route agree for n <= 15\n"
+        "ok\n"
+        "[conventions]\n"
+        "squared-power indicators: row1=+1, row2=-1, row3=-1, row4=+1, row5=+1, "
+        "row6=+1, row7=-1, row8=+1, row9=-1\n"
+        "indicator-weighted sums match per-class square-root counts\n"
+        "flip convention: even/odd of the group algebra = 27/65, of the kernel = 27/56\n"
+        "inversion convention (two independent routes agree): aug-kernel/even=27, "
+        "aug-kernel/odd=56, group-algebra/even=27, group-algebra/odd=65\n"
+        "note: flip and inversion values are reported side by side, not equated\n"
+        "orbit oracle confirms the inversion group-algebra values\n"
+        "ok\n",
     ),
 ]
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_perm import draw_relabeling
+from test_perm import REFERENCE_GROUPS, draw_relabeling, unit_actions
 
-from theta_dims import groups, oracle, perm
+from theta_dims import groups, limits, oracle, perm
 from theta_dims.errors import ExactnessViolation, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
@@ -33,6 +33,34 @@ def test_monomial_kernel_against_loops():
             assert (key, sign) == (sorted(t), want), (t, parity)
 
 
+def monomial_orbit_count(G, parity, symmetry):
+    """Reference for dim_invariants_orbit on the whole monomial basis: the
+    components of its sign double cover (node i + s*m is monomial i with sign
+    (-1)^s), with a move for L_g and R_g per generator g, and inversion."""
+    e = G.identity
+    perms = [perm.permutation_of(G, perm.CosetElement(False, s, t))
+             for g in groups.generating_set(G) for s, t in ((g, e), (e, g))]
+    if symmetry == FULL:
+        perms.append(np.asarray(G.inv_table))
+    basis = oracle._monomials(G.order, parity)
+    m = len(basis)
+    assert np.array_equal(oracle._rank(basis, parity), np.arange(m))  # node ids
+    moves = []
+    for p in perms:
+        images, sign = oracle._sort_sign(p[basis], parity)
+        target = oracle._rank(images, parity)
+        if parity == EVEN:
+            flip = (sign < 0) * m
+            target = np.concatenate([target + flip, target + (m - flip)])
+        moves.append(target)
+    label = groups._orbit_labels(moves, 2 * m if parity == EVEN else m)
+    roots = label == np.arange(len(label))
+    if parity != EVEN:
+        return int(np.count_nonzero(roots))
+    killed = np.count_nonzero(roots[:m] & (label[:m] == label[m:]))
+    return int(np.count_nonzero(roots) - killed) // 2
+
+
 def test_orbit_cyclic_examples():
     assert oracle.dim_invariants_orbit(groups.make_cyclic(6), ODD, FULL) == 7
     assert oracle.dim_invariants_orbit(groups.make_cyclic(3), EVEN, FULL) == 0
@@ -47,9 +75,49 @@ def test_orbit_matches_perm_on_battery(data):
         relabeled = draw_relabeling(data, G)
         for parity in (EVEN, ODD):
             for symmetry in (FULL, PI_PI):
-                assert oracle.dim_invariants_orbit(relabeled, parity, symmetry) == (
-                    perm.dim_invariants_perm(G, GROUP_ALGEBRA, parity, symmetry)
-                ), (name, parity, symmetry)
+                got = oracle.dim_invariants_orbit(relabeled, parity, symmetry)
+                assert got == perm.dim_invariants_perm(G, GROUP_ALGEBRA, parity, symmetry), (
+                    name, parity, symmetry
+                )
+                assert got == monomial_orbit_count(relabeled, parity, symmetry), (
+                    name, parity, symmetry
+                )
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(mrk=unit_actions())
+def test_orbit_matches_the_monomial_graph_on_drawn_semidirect_products(mrk):
+    m, r, k = mrk
+    G = groups.make_semidirect_product(
+        groups.make_cyclic(m), groups.make_cyclic(k), groups._unit_action(m, r, k)
+    )
+    for parity in (EVEN, ODD):
+        for symmetry in (FULL, PI_PI):
+            assert oracle.dim_invariants_orbit(G, parity, symmetry) == (
+                monomial_orbit_count(G, parity, symmetry)
+            ), (mrk, parity, symmetry)
+
+
+@pytest.mark.parametrize("name", ["sl2:7", "2O", "Z2xQ8"])
+def test_orbit_matches_perm_past_the_battery(name):
+    G = groups.make_sl2(7) if name == "sl2:7" else REFERENCE_GROUPS[name]
+    for parity in (EVEN, ODD):
+        for symmetry in (FULL, PI_PI):
+            assert oracle.dim_invariants_orbit(G, parity, symmetry) == (
+                perm.dim_invariants_perm(G, GROUP_ALGEBRA, parity, symmetry)
+            ), (name, parity, symmetry)
+
+
+def test_orbit_node_guard_boundary():
+    # n^2 nodes for the symmetric cube, 2n^2 for the wedge; sl2:13 (n = 2184)
+    # is admitted in both parities
+    assert limits.ORBIT_NODE_LIMIT == 10_000_000
+    for parity, largest, refused in [(ODD, 3162, 10004569), (EVEN, 2236, 10008338)]:
+        oracle.check_order_guard("orbit", largest, GROUP_ALGEBRA, parity)
+        with pytest.raises(
+            TooLarge, match=f"^{refused} nodes exceed the orbit guard 10000000$"
+        ):
+            oracle.check_order_guard("orbit", largest + 1, GROUP_ALGEBRA, parity)
 
 
 def test_reynolds_examples():
@@ -96,31 +164,51 @@ def test_reynolds_matches_perm_small_battery():
                 ), (name, module, parity)
 
 
+def _symmetry_elements(G):
+    n = G.order
+    for twisted in (False, True):
+        for g in range(n):
+            for h in range(n):
+                yield perm.CosetElement(twisted, g, h)
+
+
+def build_module_actions(G, module, parity):
+    """Explicit integer matrices of every symmetry element on the cubic power,
+    one per element of the doubled-and-swapped group in the order of
+    _symmetry_elements, with the matrix dimension."""
+    basis = oracle._cube_basis(G, module, parity)
+    matrices = [
+        oracle._action_matrix(G, [sigma], module, parity, basis)
+        for sigma in _symmetry_elements(G)
+    ]
+    return matrices, len(basis)
+
+
 def test_factored_sum_equals_sum_of_all_actions():
     for name, G in groups.battery_groups():
         if G.order > 8:
             continue
         for module in (GROUP_ALGEBRA, AUG_KERNEL):
             for parity in (EVEN, ODD):
-                mats, dim = oracle.build_module_actions(G, module, parity)
+                mats, dim = build_module_actions(G, module, parity)
                 factored = oracle._reynolds_sum(G, module, parity)
                 assert factored.shape == (dim, dim), (name, module, parity)
                 assert np.array_equal(factored, sum(mats)), (name, module, parity)
 
 
 def test_build_module_actions_shapes():
-    mats, dim = oracle.build_module_actions(groups.make_cyclic(2), GROUP_ALGEBRA, ODD)
+    mats, dim = build_module_actions(groups.make_cyclic(2), GROUP_ALGEBRA, ODD)
     assert len(mats) == 8 and dim == 4
     assert all(m.shape == (4, 4) and m.dtype == np.int64 for m in mats)
-    mats, dim = oracle.build_module_actions(groups.make_cyclic(4), AUG_KERNEL, EVEN)
+    mats, dim = build_module_actions(groups.make_cyclic(4), AUG_KERNEL, EVEN)
     assert len(mats) == 32 and dim == 1
     with pytest.raises(TooLarge):
-        oracle.build_module_actions(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
+        build_module_actions(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
 
 
 def test_identity_element_acts_as_identity_matrix():
     G = groups.make_cyclic(3)
-    mats, dim = oracle.build_module_actions(G, AUG_KERNEL, ODD)
+    mats, dim = build_module_actions(G, AUG_KERNEL, ODD)
     # untwisted (0, 0) is the identity for a cyclic group
     assert np.array_equal(mats[0], np.eye(dim, dtype=np.int64))
 
@@ -132,13 +220,8 @@ def test_action_matrices_multiply_like_the_group():
         (S3, GROUP_ALGEBRA, ODD),
         (S3, AUG_KERNEL, EVEN),
     ]:
-        mats, dim = oracle.build_module_actions(G, module, parity)
-        elements = [
-            perm.CosetElement(twisted, g, h)
-            for twisted in (False, True)
-            for g in range(G.order)
-            for h in range(G.order)
-        ]
+        mats, dim = build_module_actions(G, module, parity)
+        elements = list(_symmetry_elements(G))
         lookup = dict(zip(elements, mats))
         rng = random.Random(6)
         for _ in range(20):
@@ -225,13 +308,8 @@ def test_exact_matmul_refuses_at_and_over_the_bound():
 
 
 def test_exactness_traps_raise(monkeypatch):
-    # bounds that hold on every valid input; each raises rather than asserts,
-    # so that they hold under python -O too
-    G = groups.make_cyclic(3)
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_reynolds_sum", lambda *args: np.full((2, 2), 1 << 62))
-        with pytest.raises(ExactnessViolation):
-            oracle.dim_invariants_reynolds(G, GROUP_ALGEBRA, ODD)
-    monkeypatch.setattr(oracle, "_rank", lambda s, parity: np.zeros(s.shape[:-1], np.int64))
+    # a bound that holds on every valid input; it raises rather than asserts,
+    # so that it holds under python -O too
+    monkeypatch.setattr(oracle, "_reynolds_sum", lambda *args: np.full((2, 2), 1 << 62))
     with pytest.raises(ExactnessViolation):
-        oracle.dim_invariants_orbit(G, ODD)
+        oracle.dim_invariants_reynolds(groups.make_cyclic(3), GROUP_ALGEBRA, ODD)
