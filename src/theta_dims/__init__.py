@@ -44,14 +44,7 @@ _EXPORTS = {
     ),
     "lens": ("LensDims", "lens_dims", "p3_closed", "p3_dp", "weight_map", "weight_rank"),
     "oracle": ("dim_invariants_orbit", "dim_invariants_reynolds"),
-    "perm": (
-        "CosetElement",
-        "act",
-        "cube_character",
-        "dim_invariants_perm",
-        "fixed_points",
-        "twisted_coset_average",
-    ),
+    "perm": ("CosetElement", "dim_invariants_perm", "twisted_coset_average"),
     "verify": ("Sl2Fixture", "load_sl2_fixture", "verify_sl2f5_fixture"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

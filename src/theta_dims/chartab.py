@@ -6,16 +6,24 @@ is the 9x9 table of the binary icosahedral group over Q(sqrt(5)), together
 with its class squaring/cubing maps. The module characters are summed here
 from the table; the cube-character step, the module shift and the
 integrality check are those of `perm`.
+
+Each table is held once as integer rows over one common denominator,
+X = (A + B sqrt(d)) / D, and every O(k^3) or O(k^2) sum is an integer product
+on A and B in plain Python ints, exact at any size; `QuadValue` arithmetic is
+left to the O(k) terms of the twisted part and to the messages.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
+from typing import NamedTuple
 
 from . import limits
 from .errors import (
@@ -24,6 +32,7 @@ from .errors import (
     NonRealValue,
     OrthogonalityViolation,
     ParseError,
+    PowerMapViolation,
 )
 from .perm import (
     CONVENTIONS,
@@ -163,10 +172,33 @@ class CharTable:
         if any(not (0 <= c < k) for c in self.power2 + self.power3):
             raise ParseError("power maps must be class indices")
 
+    @functools.cached_property
+    def _integral(self) -> _Integral:
+        """The rows over one common denominator, computed once per table."""
+        values = [v for row in self.rows for v in row]
+        for v in values:
+            if v.b and v.d != self.radicand:
+                raise MixedRadicand(f"entry {v!r} is not in the field of radicand {self.radicand}")
+        den = math.lcm(*{v.a.denominator for v in values}, *{v.b.denominator for v in values})
+
+        def scaled(part: str) -> list[list[int]]:
+            return [
+                [getattr(v, part).numerator * (den // getattr(v, part).denominator) for v in row]
+                for row in self.rows
+            ]
+
+        irrational = any(v.b for v in values)
+        return _Integral(scaled("a"), scaled("b") if irrational else None, den, self.radicand or 0)
+
     def validate(self) -> None:
-        """Check shape, the trivial first row, and exact row orthogonality."""
+        """Check shape, the trivial first row, exact row orthogonality and the
+        power maps, in integer products on the rows over one denominator.
+
+        For k = 2 and 3 every <chi_i o p_k, chi_j> must be an integer, since
+        chi(g^k) is a virtual character. That is necessary, not sufficient: a
+        power map can pass it and still be wrong, such as the square of the
+        builtin table's class a sent to I instead of -I."""
         self._check_shape()
-        k = self.num_classes
         if any(v != 1 for v in self.rows[0]):
             raise ParseError("first row must be the trivial character")
         order = self.order
@@ -176,16 +208,83 @@ class CharTable:
             raise ParseError("the first column must hold integer degrees") from None
         if sum(d * d for d in dims) != order:
             raise ParseError("sum of squared dimensions must equal the group order")
+        form = self._integral
+        scale = order * form.den**2
+        k, sizes = self.num_classes, list(self.class_sizes)
+        rational, irrational = _gram(form, form, sizes)
         for i in range(k):
             for j in range(i, k):
-                total = QuadValue.of(0, self.radicand)
-                for c in range(k):
-                    total = total + self.class_sizes[c] * self.rows[i][c] * self.rows[j][c]
-                expected = order if i == j else 0
-                if total != expected:
+                expected = scale if i == j else 0
+                if rational[i][j] != expected or (irrational and irrational[i][j]):
+                    got = form.value(rational[i][j], irrational[i][j] if irrational else 0,
+                                     form.den**2)
                     raise OrthogonalityViolation(
-                        f"rows ({i}, {j}): got {total!r}, expected {expected}"
+                        f"rows ({i}, {j}): got {got}, expected {expected // form.den**2}"
                     )
+        for power_k, power in ((2, self.power2), (3, self.power3)):
+            rational, irrational = _gram(form.with_columns(power), form, sizes)
+            for i in range(k):
+                for j in range(k):
+                    if rational[i][j] % scale or (irrational and irrational[i][j]):
+                        got = form.value(rational[i][j], irrational[i][j] if irrational else 0,
+                                         scale)
+                        raise PowerMapViolation(
+                            f"power{power_k} map: <chi_{i}(g^{power_k}), chi_{j}> = {got} "
+                            "is not an integer"
+                        )
+
+
+class _Integral(NamedTuple):
+    """A table X as integer rows over one denominator, X = (a + b sqrt(rad)) / den;
+    b is None on a rational table, whose rad is 0."""
+
+    a: list[list[int]]
+    b: list[list[int]] | None
+    den: int
+    rad: int
+
+    def value(self, a: int, b: int, den: int):
+        """(a + b sqrt(rad)) / den: an int or a Fraction if b is 0, else a QuadValue."""
+        if b:
+            return QuadValue(Fraction(a, den), Fraction(b, den), self.rad)
+        return a // den if a % den == 0 else Fraction(a, den)
+
+    def with_columns(self, columns) -> "_Integral":
+        """The table whose column c is this table's column columns[c]."""
+        def pick(rows):
+            return None if rows is None else [[row[c] for c in columns] for row in rows]
+
+        return self._replace(a=pick(self.a), b=pick(self.b))
+
+    def transposed(self) -> "_Integral":
+        def flip(rows):
+            return None if rows is None else [list(col) for col in zip(*rows)]
+
+        return self._replace(a=flip(self.a), b=flip(self.b))
+
+
+def _products(left, right, weights) -> list[list[int]]:
+    """The integer matrix left diag(weights) right^T, of two lists of rows."""
+    left = [list(map(mul, weights, row)) for row in left]
+    return [[sum(map(mul, row, other)) for other in right] for row in left]
+
+
+def _gram(x: _Integral, y: _Integral, weights) -> tuple[list[list[int]], list[list[int]] | None]:
+    """The matrix of sum_c weights[c] x_ic y_jc, times den^2, as its rational
+    and irrational parts P and Q, so that it is (P + Q sqrt(rad)) / den^2; Q is
+    None on a rational table. Each part is one product of rows of length 2k."""
+    if x.b is None:
+        return _products(x.a, y.a, weights), None
+    twice = list(weights) * 2
+    rational = _products(
+        [a + [x.rad * v for v in b] for a, b in zip(x.a, x.b)],
+        [a + b for a, b in zip(y.a, y.b)],
+        twice,
+    )
+    irrational = _products(
+        [a + b for a, b in zip(x.a, x.b)], [b + a for a, b in zip(y.a, y.b)], twice
+    )
+    return rational, irrational
 
 
 def _sl2f5_values():
@@ -230,13 +329,16 @@ def builtin_sl2f5_table() -> CharTable:
 
 def fs_indicator(t: CharTable, i: int) -> int:
     """Squared-power average of row i: +1, -1 or 0 for real tables."""
-    total = QuadValue.of(0, t.radicand)
-    for c in range(t.num_classes):
-        total = total + t.class_sizes[c] * t.rows[i][t.power2[c]]
-    try:
-        value = total.as_fraction() / t.order
-    except ValueError:
-        raise IndicatorOutOfRange(f"row {i}: average {total!r} is irrational") from None
+    form = t._integral
+    # weights[c]: the size of the classes whose square lies in class c
+    weights = [0] * t.num_classes
+    for c, size in zip(t.power2, t.class_sizes):
+        weights[c] += size
+    a = sum(map(mul, weights, form.a[i]))
+    b = sum(map(mul, weights, form.b[i])) if form.b else 0
+    if b:
+        raise IndicatorOutOfRange(f"row {i}: average {form.value(a, b, form.den)!r} is irrational")
+    value = Fraction(a, form.den * t.order)
     if value.denominator != 1 or value not in (-1, 0, 1):
         raise IndicatorOutOfRange(f"row {i}: average {value} is not in -1, 0, +1")
     return int(value)
@@ -247,18 +349,26 @@ def fs_indicators(t: CharTable) -> tuple[int, ...]:
 
 
 def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
-    """Average of the cube character over the doubled group alone."""
+    """Average of the cube character over the doubled group alone.
+
+    Its traces are the entries of X^T X, the group-algebra character at the
+    class pairs. Row orthogonality, X S X^T = n, makes X^T X = n S^-1, so on a
+    table that passes validate each entry is an integer; an irrational one
+    raises OrthogonalityViolation."""
     shift, sign = _shift_sign(module, parity)
-    k, rows, p2, p3 = t.num_classes, t.rows, t.power2, t.power3
-    zero = QuadValue.of(0, t.radicand)
-    # x[c][d]: the group-algebra character at the class pair (c, d)
-    x = [[sum((row[c] * row[d] for row in rows), zero) for d in range(k)] for c in range(k)]
+    k, p2, p3 = t.num_classes, t.power2, t.power3
+    columns = t._integral.transposed()
+    rational, irrational = _gram(columns, columns, [1] * k)
+    if irrational and any(map(any, irrational)):
+        raise OrthogonalityViolation("X^T X has an irrational entry: the rows are not orthogonal")
+    den2 = columns.den**2
+    x = [[columns.value(v, 0, den2) for v in row] for row in rational]
     terms = (
         (t.class_sizes[c] * t.class_sizes[d], x[c][d], x[p2[c]][p2[d]], x[p3[c]][p3[d]])
         for c in range(k)
         for d in range(k)
     )
-    return _cube_sum(terms, shift, sign).as_fraction() / (6 * t.order**2)
+    return Fraction(_cube_sum(terms, shift, sign), 6 * t.order**2)
 
 
 def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> Fraction:
@@ -273,19 +383,28 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    k, rows = t.num_classes, t.rows
+    k = t.num_classes
     nu = fs_indicators(t) if convention == INVERSION else (1,) * k
-    zero = QuadValue.of(0, t.radicand)
+    columns = t._integral.transposed()
+    rad, den = columns.rad, columns.den
+    zeros = [[0] * k] * k
+    col_b = columns.b or zeros
+    # per class c: sum_i nu_i X_ic, and sum_i X_ic^2 (n / |c| on a valid table)
+    weighted = [
+        columns.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), den)
+        for a, b in zip(columns.a, col_b)
+    ]
+    squares = [
+        columns.value(sum(map(mul, a, a)) + rad * sum(map(mul, b, b)), 2 * sum(map(mul, a, b)),
+                      den * den)
+        for a, b in zip(columns.a, col_b)
+    ]
     terms = (
-        (
-            t.class_sizes[c],
-            sum((n * row[c] for n, row in zip(nu, rows)), zero),
-            sum((row[c] * row[c] for row in rows), zero),
-            sum((n * row[t.power3[c]] for n, row in zip(nu, rows)), zero),
-        )
-        for c in range(k)
+        (t.class_sizes[c], weighted[c], squares[c], weighted[t.power3[c]]) for c in range(k)
     )
-    return _cube_sum(terms, shift, sign).as_fraction() / (6 * t.order)
+    total = _cube_sum(terms, shift, sign)
+    total = total.as_fraction() if isinstance(total, QuadValue) else Fraction(total)
+    return total / (6 * t.order)
 
 
 def dim_invariants_chartab(
@@ -326,12 +445,6 @@ def load_char_table(
     table = _char_table_of(raw)
     if fits is not None:
         fits(table)
-    table.validate()
-    return table
-
-
-def char_table_from_dict(raw: dict) -> CharTable:
-    table = _char_table_of(raw)
     table.validate()
     return table
 

@@ -41,6 +41,11 @@ class OrthogonalityViolation(InputError):
     """A character table fails exact row orthogonality."""
 
 
+class PowerMapViolation(InputError):
+    """A character table's square or cube map fails the integrality of
+    <chi_i(g^k), chi_j>."""
+
+
 class NonRealValue(InputError):
     """A declared table value cannot live in the stated real quadratic field."""
 

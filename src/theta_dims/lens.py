@@ -8,6 +8,7 @@ ranks of explicitly computed vectors, giving yet another route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._lazy import _lazy_import, np
@@ -115,6 +116,39 @@ def _orbit_representatives(n: int, parity: str) -> list[list[int]]:
     return basis[np.unique(ranks)].tolist()
 
 
+def _rank_of_rows(rows) -> int:
+    """Exact rank of sparse integer rows, each an iterable of (column, value)
+    pairs, by fraction-free echelon reduction.
+
+    Each pivot row is divided by its content and each pair of lead
+    coefficients by their gcd. Rows are only scaled by nonzero rationals, so
+    the rank is unchanged, and the entries stay small."""
+    pivots: dict = {}
+    rank = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                content = math.gcd(*row.values())
+                pivots[lead] = {k: v // content for k, v in row.items()}
+                rank += 1
+                break
+            piv = pivots[lead]
+            a, b = piv[lead], row[lead]
+            common = math.gcd(a, b)
+            a, b = a // common, b // common
+            # row := a * row - b * piv, whose lead entry cancels
+            if a != 1:
+                row = {k: v * a for k, v in row.items()}
+            for k, v in piv.items():
+                if w := row.get(k, 0) - v * b:
+                    row[k] = w
+                else:
+                    del row[k]
+    return rank
+
+
 def weight_rank(n: int, parity: str) -> int:
     """Exact rank of the span of the weight map over all cubic monomials.
 
@@ -124,11 +158,11 @@ def weight_rank(n: int, parity: str) -> int:
     _check_choice(parity, PARITIES, "parity")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    full = oracle._rank_of_rows(
+    full = _rank_of_rows(
         weight_map(n, *mono, parity).coeffs for mono in oracle._monomials(n, parity).tolist()
     )
     if n <= 12:
-        reduced = oracle._rank_of_rows(
+        reduced = _rank_of_rows(
             weight_map(n, *mono, parity).coeffs for mono in _orbit_representatives(n, parity)
         )
         if reduced != full:  # representatives must span the whole image

@@ -22,9 +22,10 @@ TABLE_ENTRY_LIMIT = 1 << 28
 # the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
 # group algebra of order 24, so every group of order <= 24 is admitted. One
 # process at the cap (2 cores, numpy 2.4 with OpenBLAS): sl2:3 group-algebra
-# odd, d = 2600, takes 2.7-3.0 s and 299 MB max RSS, the most memory (dense
-# d x d int64 and float64 copies); sl2:3 aug-kernel odd, d = 2300, 4.5-5.3 s
-# and 251 MB, the longest (most of it in _rank_of_rows)
+# odd, d = 2600, takes 2.2-2.5 s and 298-299 MB max RSS, the longest and the
+# most memory (dense d x d int64 and float64 copies; the lifted sums and the
+# idempotence product take most of the time); aug-kernel odd, d = 2300,
+# 1.9-2.1 s and 251-252 MB
 REYNOLDS_DIM_LIMIT = 2600
 # the most graph nodes orbit builds, n^2 odd and 2n^2 even: orders up to 3162
 # odd and 2236 even, sl2:13 in both. Each move (3 plus at most log2 n
@@ -36,8 +37,9 @@ ORBIT_NODE_LIMIT = 10_000_000
 # 10^6 rows 22 s and 750 MB
 LENS_TABLE_MAX_N = 100_000
 # the longest character table file read: a table of some 450 classes in the
-# layout of dump_char_table, whose O(k^3) orthogonality sums alone would take
-# about 40 minutes at the 6.6 s they take for 64 classes on a 2-core box
+# layout of dump_char_table. Its validation is O(k^3) integer products: on a
+# 2-core box 2.8 s for the 256 rational classes of Z2^8 and 14 s for the 288
+# classes over Q(sqrt(5)) of 2I x Z2^5, so about a minute at the cap
 CHAR_TABLE_FILE_LIMIT = 1 << 24
 # the longest element fixture file read: about four times a fixture of
 # SL2(F_13), the largest group make_sl2 builds, in the packaged layout

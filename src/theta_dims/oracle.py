@@ -21,8 +21,9 @@ sum of symmetry elements to one int64 matrix through a single scatter, and
 `_exact_matmul` multiplies int64 matrices through float64 BLAS, which is exact
 while `d * max|a| * max|b| < 2^53`: every partial sum is then an integer that
 float64 represents exactly, in any summation order. A missed bound raises
-`ExactnessViolation` instead of rounding. `_rank_of_rows` is fraction-free
-elimination with each row reduced by its content (the gcd of its entries).
+`ExactnessViolation` instead of rounding. The projector's rank is its trace,
+certified by the rank mod a prime of a random sketch of its columns
+(`_sketch`, `_rank_mod_p`), so no elimination runs on the d x d matrix.
 `reynolds` refuses a cube basis of more than `limits.REYNOLDS_DIM_LIMIT` monomials,
 which admits every group of order <= 24.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from . import limits
 from ._lazy import np
@@ -51,6 +53,10 @@ from .perm import (
 _INT64_LIMIT = (1 << 63) - 1
 # float64 holds every integer of magnitude below 2^53 exactly
 _FLOAT64_EXACT_LIMIT = 1 << 53
+# the prime of reynolds's rank sketch: below 2^20, so that d * p^2 < 2^53 for
+# every d <= 8192, above limits.REYNOLDS_DIM_LIMIT; and the seed of each draw
+_SKETCH_PRIME = 1048573
+_SKETCH_SEEDS = (1, 2)
 
 
 def _check_exact(bound: int, limit: int, what: str) -> None:
@@ -105,39 +111,6 @@ def _rank(s: np.ndarray, parity: str) -> np.ndarray:
     if parity != EVEN:
         y, z = y + 1, z + 2
     return z * (z - 1) * (z - 2) // 6 + y * (y - 1) // 2 + x
-
-
-def _rank_of_rows(rows) -> int:
-    """Exact rank of sparse integer rows, each an iterable of (column, value)
-    pairs, by fraction-free echelon reduction.
-
-    Each pivot row is divided by its content and each pair of lead
-    coefficients by their gcd. Rows are only scaled by nonzero rationals, so
-    the rank is unchanged, and the entries stay small."""
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                content = math.gcd(*row.values())
-                pivots[lead] = {k: v // content for k, v in row.items()}
-                rank += 1
-                break
-            piv = pivots[lead]
-            a, b = piv[lead], row[lead]
-            common = math.gcd(a, b)
-            a, b = a // common, b // common
-            # row := a * row - b * piv, whose lead entry cancels
-            if a != 1:
-                row = {k: v * a for k, v in row.items()}
-            for k, v in piv.items():
-                if w := row.get(k, 0) - v * b:
-                    row[k] = w
-                else:
-                    del row[k]
-    return rank
 
 
 def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> int:
@@ -275,13 +248,52 @@ def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
     return _exact_matmul(product, lift([CosetElement(False, e, h) for h in range(G.order)]))
 
 
-def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
-    """Invariant dimension as the exact rank of the group-average projector.
+def _sketch(d: int, columns: int, seed: int) -> np.ndarray:
+    """A d x columns int64 matrix of residues mod _SKETCH_PRIME, fixed by seed.
+    Drawn by the standard library's generator: numpy.random costs the process
+    more memory to import than the whole sketch takes."""
+    raw = random.Random(seed).randbytes(4 * d * columns)
+    words = np.frombuffer(raw, dtype=np.uint32).reshape(d, columns)
+    return (words % _SKETCH_PRIME).astype(np.int64)
 
-    The rank is taken on the integer sum of the action matrices over the
-    doubled-and-swapped group, which is the projector scaled by the size of
-    that group. The sum is formed as (I + T)(sum_g L_g)(sum_h R_h) from three
-    lifted sums: L_g = (g, e), R_h = (e, h), T = tau*(e, e).
+
+def _rank_mod_p(m: np.ndarray) -> int:
+    """Rank over F_p, p = _SKETCH_PRIME, of an int64 matrix of residues in
+    [0, p), by Gaussian elimination on its columns; each product of two
+    residues is below 2^40."""
+    p = _SKETCH_PRIME
+    m = m.copy()
+    rank = 0
+    for col in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not len(nonzero):
+            continue
+        pivot = rank + int(nonzero[0])
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        below = m[rank + 1:]
+        below -= np.outer(below[:, col], m[rank]) % p
+        below %= p
+        rank += 1
+    return rank
+
+
+def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
+    """Invariant dimension as the rank of the group-average projector.
+
+    The integer sum `acc` of the action matrices over the doubled-and-swapped
+    group Gamma is the projector scaled by |Gamma|. It is formed as
+    (I + T)(sum_g L_g)(sum_h R_h) from three lifted sums: L_g = (g, e),
+    R_h = (e, h), T = tau*(e, e). After the exact check acc^2 == |Gamma| acc,
+    acc / |Gamma| is an idempotent, whose rank over Q is its trace
+    t = trace(acc) / |Gamma|. The rank mod p of the sketch (acc mod p) X, for a
+    d x (t + 2) residue matrix X drawn with a fixed seed, is at most the rank
+    of acc over Q, so a sketch rank of t certifies t. A rank above t cannot
+    happen to an idempotent and raises ProjectorNotIdempotent. As p does not
+    divide |Gamma| (at most 2 * 24^2 under the guard), acc mod p is |Gamma|
+    times an idempotent over F_p of trace t, so only the draw of X can lose
+    rank; a rank below t with a second seed too is no chance and raises
+    ExactnessViolation.
     """
     acc = _reynolds_sum(G, module, parity)
     group_size = 2 * G.order**2
@@ -290,12 +302,18 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
         raise ProjectorNotIdempotent(
             f"averaged action is not a projector (module={module}, parity={parity})"
         )
-    rank = _rank_of_rows(
-        ((j, v) for j, v in enumerate(row) if v) for row in acc.tolist()
-    )
     trace = int(np.trace(acc))
-    if trace != rank * group_size:
-        raise ProjectorNotIdempotent(
-            f"projector trace {trace}/{group_size} != rank {rank}"
-        )
-    return rank
+    rank, rest = divmod(trace, group_size)
+    if rest:
+        raise ProjectorNotIdempotent(f"projector trace {trace}/{group_size} is not an integer")
+    residues = acc % _SKETCH_PRIME
+    for seed in _SKETCH_SEEDS:
+        sketch = _exact_matmul(residues, _sketch(len(acc), rank + 2, seed)) % _SKETCH_PRIME
+        found = _rank_mod_p(sketch)
+        if found > rank:
+            raise ProjectorNotIdempotent(f"sketch rank {found} exceeds the projector trace {rank}")
+        if found == rank:
+            return rank
+    raise ExactnessViolation(
+        f"sketch rank stays below the projector trace {rank} after {len(_SKETCH_SEEDS)} seeds"
+    )

