@@ -116,9 +116,6 @@ class QuadValue:
             return f"QuadValue({self.a})"
         return f"QuadValue({self.a} + {self.b}*sqrt({self.d}))"
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} is not rational")
@@ -187,17 +184,18 @@ class CharTable:
                 for row in self.rows
             ]
 
-        irrational = any(v.b for v in values)
-        return _Integral(scaled("a"), scaled("b") if irrational else None, den, self.radicand or 0)
+        return _Integral(scaled("a"), scaled("b"), den, self.radicand or 0)
 
     def validate(self) -> None:
         """Check shape, the trivial first row, exact row orthogonality and the
         power maps, in integer products on the rows over one denominator.
 
-        For k = 2 and 3 every <chi_i o p_k, chi_j> must be an integer, since
-        chi(g^k) is a virtual character. That is necessary, not sufficient: a
-        power map can pass it and still be wrong, such as the square of the
-        builtin table's class a sent to I instead of -I."""
+        The square map must give nonnegative integer multiplicities
+        <(chi_i^2 +- chi_i o p_2) / 2, chi_j>, those of chi_j in Sym^2 chi_i and
+        Lambda^2 chi_i; so <chi_i o p_2, chi_j> is an integer and every
+        indicator is +-1. The cube map must give integers <chi_i o p_3, chi_j>,
+        since chi(g^3) is a virtual character. Both are necessary, not
+        sufficient, for the maps to be right."""
         self._check_shape()
         if any(v != 1 for v in self.rows[0]):
             raise ParseError("first row must be the trivial character")
@@ -209,37 +207,46 @@ class CharTable:
         if sum(d * d for d in dims) != order:
             raise ParseError("sum of squared dimensions must equal the group order")
         form = self._integral
-        scale = order * form.den**2
+        den = form.den
+        scale = order * den**2
         k, sizes = self.num_classes, list(self.class_sizes)
         rational, irrational = _gram(form, form, sizes)
         for i in range(k):
             for j in range(i, k):
                 expected = scale if i == j else 0
-                if rational[i][j] != expected or (irrational and irrational[i][j]):
-                    got = form.value(rational[i][j], irrational[i][j] if irrational else 0,
-                                     form.den**2)
+                if rational[i][j] != expected or irrational[i][j]:
+                    got = form.value(rational[i][j], irrational[i][j], den**2)
                     raise OrthogonalityViolation(
-                        f"rows ({i}, {j}): got {got}, expected {expected // form.den**2}"
+                        f"rows ({i}, {j}): got {got}, expected {expected // den**2}"
                     )
-        for power_k, power in ((2, self.power2), (3, self.power3)):
-            rational, irrational = _gram(form.with_columns(power), form, sizes)
-            for i in range(k):
-                for j in range(k):
-                    if rational[i][j] % scale or (irrational and irrational[i][j]):
-                        got = form.value(rational[i][j], irrational[i][j] if irrational else 0,
-                                         scale)
+        # <chi_i^2, chi_j> times n den^3, and <chi_i o p_2, chi_j> times n den^2
+        square = _gram(form.squared(), form, sizes)
+        power2 = _gram(form.with_columns(self.power2), form, sizes)
+        for i in range(k):
+            for j in range(k):
+                for sign, op in ((1, "+"), (-1, "-")):
+                    a, b = (s[i][j] + sign * den * p[i][j] for s, p in zip(square, power2))
+                    if b or a % (2 * scale * den) or a < 0:
                         raise PowerMapViolation(
-                            f"power{power_k} map: <chi_{i}(g^{power_k}), chi_{j}> = {got} "
-                            "is not an integer"
+                            f"power2 map: <(chi_{i}^2 {op} chi_{i}(g^2))/2, chi_{j}> = "
+                            f"{form.value(a, b, 2 * scale * den)} is not a nonnegative integer"
                         )
+        rational, irrational = _gram(form.with_columns(self.power3), form, sizes)
+        for i in range(k):
+            for j in range(k):
+                if rational[i][j] % scale or irrational[i][j]:
+                    raise PowerMapViolation(
+                        f"power3 map: <chi_{i}(g^3), chi_{j}> = "
+                        f"{form.value(rational[i][j], irrational[i][j], scale)} is not an integer"
+                    )
 
 
 class _Integral(NamedTuple):
     """A table X as integer rows over one denominator, X = (a + b sqrt(rad)) / den;
-    b is None on a rational table, whose rad is 0."""
+    b is all zeros on a rational table, whose rad is 0."""
 
     a: list[list[int]]
-    b: list[list[int]] | None
+    b: list[list[int]]
     den: int
     rad: int
 
@@ -251,16 +258,18 @@ class _Integral(NamedTuple):
 
     def with_columns(self, columns) -> "_Integral":
         """The table whose column c is this table's column columns[c]."""
-        def pick(rows):
-            return None if rows is None else [[row[c] for c in columns] for row in rows]
-
-        return self._replace(a=pick(self.a), b=pick(self.b))
+        return self._replace(a=[[row[c] for c in columns] for row in self.a],
+                             b=[[row[c] for c in columns] for row in self.b])
 
     def transposed(self) -> "_Integral":
-        def flip(rows):
-            return None if rows is None else [list(col) for col in zip(*rows)]
+        return self._replace(a=[list(col) for col in zip(*self.a)],
+                             b=[list(col) for col in zip(*self.b)])
 
-        return self._replace(a=flip(self.a), b=flip(self.b))
+    def squared(self) -> "_Integral":
+        """The table of the squared entries, over den^2."""
+        pairs = [list(zip(a, b)) for a, b in zip(self.a, self.b)]
+        return _Integral([[x * x + self.rad * y * y for x, y in row] for row in pairs],
+                         [[2 * x * y for x, y in row] for row in pairs], self.den**2, self.rad)
 
 
 def _products(left, right, weights) -> list[list[int]]:
@@ -269,12 +278,13 @@ def _products(left, right, weights) -> list[list[int]]:
     return [[sum(map(mul, row, other)) for other in right] for row in left]
 
 
-def _gram(x: _Integral, y: _Integral, weights) -> tuple[list[list[int]], list[list[int]] | None]:
-    """The matrix of sum_c weights[c] x_ic y_jc, times den^2, as its rational
-    and irrational parts P and Q, so that it is (P + Q sqrt(rad)) / den^2; Q is
-    None on a rational table. Each part is one product of rows of length 2k."""
-    if x.b is None:
-        return _products(x.a, y.a, weights), None
+def _gram(x: _Integral, y: _Integral, weights) -> tuple[list[list[int]], list[list[int]]]:
+    """The matrix of sum_c weights[c] x_ic y_jc, times x.den y.den, as its
+    rational and irrational parts P and Q, so that it is
+    (P + Q sqrt(rad)) / (x.den y.den). Each part is one product of rows of
+    length 2k; Q is zeros, with no product, when x and y are both rational."""
+    if not any(map(any, x.b)) and not any(map(any, y.b)):
+        return _products(x.a, y.a, weights), [[0] * len(y.a) for _ in x.a]
     twice = list(weights) * 2
     rational = _products(
         [a + [x.rad * v for v in b] for a, b in zip(x.a, x.b)],
@@ -335,7 +345,7 @@ def fs_indicator(t: CharTable, i: int) -> int:
     for c, size in zip(t.power2, t.class_sizes):
         weights[c] += size
     a = sum(map(mul, weights, form.a[i]))
-    b = sum(map(mul, weights, form.b[i])) if form.b else 0
+    b = sum(map(mul, weights, form.b[i]))
     if b:
         raise IndicatorOutOfRange(f"row {i}: average {form.value(a, b, form.den)!r} is irrational")
     value = Fraction(a, form.den * t.order)
@@ -359,7 +369,7 @@ def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
     k, p2, p3 = t.num_classes, t.power2, t.power3
     columns = t._integral.transposed()
     rational, irrational = _gram(columns, columns, [1] * k)
-    if irrational and any(map(any, irrational)):
+    if any(map(any, irrational)):
         raise OrthogonalityViolation("X^T X has an irrational entry: the rows are not orthogonal")
     den2 = columns.den**2
     x = [[columns.value(v, 0, den2) for v in row] for row in rational]
@@ -387,17 +397,15 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     nu = fs_indicators(t) if convention == INVERSION else (1,) * k
     columns = t._integral.transposed()
     rad, den = columns.rad, columns.den
-    zeros = [[0] * k] * k
-    col_b = columns.b or zeros
     # per class c: sum_i nu_i X_ic, and sum_i X_ic^2 (n / |c| on a valid table)
     weighted = [
         columns.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), den)
-        for a, b in zip(columns.a, col_b)
+        for a, b in zip(columns.a, columns.b)
     ]
     squares = [
         columns.value(sum(map(mul, a, a)) + rad * sum(map(mul, b, b)), 2 * sum(map(mul, a, b)),
                       den * den)
-        for a, b in zip(columns.a, col_b)
+        for a, b in zip(columns.a, columns.b)
     ]
     terms = (
         (t.class_sizes[c], weighted[c], squares[c], weighted[t.power3[c]]) for c in range(k)
@@ -439,10 +447,9 @@ def load_char_table(
     where = f"character table {str(path)!r}"
     text = limits._read_text(path, where, limits.CHAR_TABLE_FILE_LIMIT, "a table may take")
     try:
-        raw = json.loads(text)
-    except (RecursionError, ValueError) as exc:
+        table = _char_table_of(json.loads(text))
+    except (RecursionError, ValueError, ParseError) as exc:
         raise ParseError(f"cannot read {where}: {exc}") from exc
-    table = _char_table_of(raw)
     if fits is not None:
         fits(table)
     table.validate()

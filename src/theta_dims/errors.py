@@ -42,8 +42,9 @@ class OrthogonalityViolation(InputError):
 
 
 class PowerMapViolation(InputError):
-    """A character table's square or cube map fails the integrality of
-    <chi_i(g^k), chi_j>."""
+    """A character table's square map gives a Sym^2 or Lambda^2 multiplicity
+    <(chi_i^2 +- chi_i(g^2)) / 2, chi_j> that is not a nonnegative integer, or
+    its cube map a <chi_i(g^3), chi_j> that is not an integer."""
 
 
 class NonRealValue(InputError):
@@ -51,7 +52,8 @@ class NonRealValue(InputError):
 
 
 class IndicatorOutOfRange(InputError):
-    """A squared-power average landed outside {-1, 0, +1} (table corruption)."""
+    """A squared-power average landed outside {-1, 0, +1} (table corruption);
+    a table that passes validate has every indicator +-1."""
 
 
 class TooLarge(InputError):

@@ -196,6 +196,18 @@ def sl2_matrices(p: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
+def _sl2_times(x, y, p: int):
+    """The product of 2x2 matrices (a, b, c, d) mod p, entries ints or arrays."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def _sl2_inverse(m, p: int):
+    """The inverse (d, -b, -c, a) mod p of a determinant-1 matrix (a, b, c, d)."""
+    a, b, c, d = m
+    return d, -b % p, -c % p, a
+
+
 def make_sl2(p: int) -> GroupTable:
     """2x2 determinant-1 matrices over F_p, enumerated lexicographically."""
     _check_sl2_prime(p)
@@ -203,25 +215,24 @@ def make_sl2(p: int) -> GroupTable:
     n = len(mats)
     if n != p * (p * p - 1):
         raise FixtureMismatch(f"enumerated {n} matrices of SL2(F_{p}), not {p * (p * p - 1)}")
-    a, b, c, d = np.array(mats, dtype=np.int64).T
+    columns = tuple(np.array(mats, dtype=np.int64).T)
     dt = _index_dtype(n)
 
     def code(a, b, c, d):
         return ((a * p + b) * p + c) * p + d
 
     index = np.zeros(p**4, dtype=dt)  # matrix code -> element index
-    index[code(a, b, c, d)] = np.arange(n)
+    index[code(*columns)] = np.arange(n)
     mul = np.empty((n, n), dtype=dt)
-    for i, (ai, bi, ci, di) in enumerate(mats):
-        product = (ai * a + bi * c, ai * b + bi * d, ci * a + di * c, ci * b + di * d)
-        mul[i] = index[code(*(x % p for x in product))]
-    inv = index[code(d, -b % p, -c % p, a)]
+    for i, m in enumerate(mats):
+        mul[i] = index[code(*_sl2_times(m, columns, p))]
+    inv = index[code(*_sl2_inverse(columns, p))]
     e = int(index[code(1, 0, 0, 1)])
     labels = tuple(f"[{ai},{bi};{ci},{di}]" for ai, bi, ci, di in mats)
     return GroupTable(_freeze(mul), _freeze(inv), e, labels)
 
 
-def make_from_cayley(rows, labels: tuple[str, ...] | None = None) -> GroupTable:
+def make_from_cayley(rows) -> GroupTable:
     """Build and fully validate a group from an untrusted multiplication table,
     given as nested lists of ints or an array; load_cayley reads one from a file."""
     mul = _require_valid_index_table(rows)
@@ -232,7 +243,7 @@ def make_from_cayley(rows, labels: tuple[str, ...] | None = None) -> GroupTable:
     identity = int(np.argmax(is_identity))
     # first right inverse of each row; validate_group rejects a row without one
     inv = np.argmax(mul == identity, axis=1).astype(mul.dtype)
-    G = GroupTable(_freeze(mul), _freeze(inv), identity, labels)
+    G = GroupTable(_freeze(mul), _freeze(inv), identity)
     validate_group(G)
     return G
 
@@ -348,20 +359,16 @@ def sl2_class_data(p: int) -> ConjugacyData:
         sizes[c] += 1
         class_of.append(c)
 
-    def times(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
-
     def class_of_matrix(m):
         return number[_sl2_class_key(m, p, squares)]
 
     power2, power3, inverse = [], [], []
     for r in reps:
-        a, b, c, d = m = mats[r]
-        square = times(m, m)
+        m = mats[r]
+        square = _sl2_times(m, m, p)
         power2.append(class_of_matrix(square))
-        power3.append(class_of_matrix(times(square, m)))
-        inverse.append(class_of_matrix((d, -b % p, -c % p, a)))
+        power3.append(class_of_matrix(_sl2_times(square, m, p)))
+        inverse.append(class_of_matrix(_sl2_inverse(m, p)))
     return ConjugacyData(
         tuple(class_of), tuple(reps), tuple(sizes), tuple(power2), tuple(power3), tuple(inverse)
     )

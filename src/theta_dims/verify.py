@@ -2,6 +2,9 @@
 SL2(F5) element fixture (load_sl2_fixture, verify_sl2f5_fixture) they check
 the computed classes against.
 
+`fixtures` and `conventions` read one reference, `_sl2f5`, so a bad fixture
+fails both alike; `cross-methods` computes each group's values once.
+
 Each suite returns (ok, lines). Lines are human-readable and deterministic;
 the first failing check aborts the suite with a counterexample message.
 """
@@ -9,10 +12,12 @@ the first failing check aborts the suite with a counterexample message.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chartab, groups, lens, limits, oracle, perm
 from .cli import SUITES
@@ -128,212 +133,172 @@ def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
     return FixtureReport(tuple(mismatches), label_class)
 
 
-def fixture_class_order(G: groups.GroupTable, fx: Sl2Fixture) -> dict[str, int]:
-    """Map each fixture class label to the computed class index it names."""
+class _Sl2f5(NamedTuple):
+    """SL2(F5) and the references the fixtures and conventions suites read."""
+
+    G: groups.GroupTable
+    cd: groups.ConjugacyData
+    table: chartab.CharTable
+    elements: int  # the element fixture's count
+    to_computed: list[int]  # the computed class index of each table class
+
+
+def _sl2f5(fixture_path) -> _Sl2f5:
+    """SL2(F5), its classes and the builtin table, with the element fixture
+    checked against the classes; a fixture mismatch fails the suite."""
+    G = groups.make_sl2(5)
+    fx = load_sl2_fixture(fixture_path)
     report = verify_sl2f5_fixture(G, fx)
-    if not report.ok:
-        raise FixtureMismatch("; ".join(report.mismatches))
-    return report.label_class
-
-
-def _fixture_to_table_classes(label_class, table):
-    """Computed class index for each table class, via the fixture labels."""
+    _expect(report.ok, f"element fixture mismatches: {report.mismatches[:3]}")
+    table = chartab.builtin_sl2f5_table()
     # fixture labels c1..c9 follow the table's class order
-    return [label_class[f"c{i + 1}"] for i in range(table.num_classes)]
+    labels = [f"c{i + 1}" for i in range(table.num_classes)]
+    _expect(report.label_class.keys() == set(labels), f"fixture labels are not {labels}")
+    return _Sl2f5(G, groups.conjugacy_classes(G), table, len(fx.matrices),
+                  [report.label_class[c] for c in labels])
 
 
 def verify_fixtures(fixture_path=None) -> list[str]:
-    lines = []
-    G = groups.make_sl2(5)
-    _expect(G.order == 120, f"group order {G.order} != 120")
-    cd = groups.conjugacy_classes(G)
-    _expect(cd.num_classes == 9, f"{cd.num_classes} classes != 9")
+    """SL2(F5)'s classes against the element fixture and the builtin table:
+    class sizes, every element's class, the table's orthogonality, power maps
+    and class sizes, and inversion acting trivially on classes."""
+    _, cd, table, elements, to_computed = _sl2f5(fixture_path)
     _expect(
         sorted(cd.sizes) == sorted(_SL2F5_SIZES),
         f"class sizes {sorted(cd.sizes)} != {sorted(_SL2F5_SIZES)}",
     )
-    lines.append("classes: 9 classes with sizes {1,1,30,20,20,12,12,12,12}")
-
-    fx = load_sl2_fixture(fixture_path)
-    report = verify_sl2f5_fixture(G, fx)
-    _expect(report.ok, f"element fixture mismatches: {report.mismatches[:3]}")
-    lines.append(f"element fixture: all {len(fx.matrices)} elements classified correctly")
-
-    table = chartab.builtin_sl2f5_table()
     table.validate()
-    lines.append("character table: 45 orthogonality sums exact")
-
-    to_computed = _fixture_to_table_classes(report.label_class, table)
-    for i in range(table.num_classes):
-        _expect(
-            cd.power2[to_computed[i]] == to_computed[table.power2[i]],
-            f"square of class {table.class_names[i]} disagrees with the power table",
-        )
-        _expect(
-            cd.power3[to_computed[i]] == to_computed[table.power3[i]],
-            f"cube of class {table.class_names[i]} disagrees with the power table",
-        )
-        _expect(
-            cd.sizes[to_computed[i]] == table.class_sizes[i],
-            f"size of class {table.class_names[i]} disagrees with the table",
-        )
-    lines.append("power maps: computed squares/cubes match the table classes")
-
+    for i, c in enumerate(to_computed):
+        name = table.class_names[i]
+        _expect(cd.power2[c] == to_computed[table.power2[i]],
+                f"square of class {name} disagrees with the power table")
+        _expect(cd.power3[c] == to_computed[table.power3[i]],
+                f"cube of class {name} disagrees with the power table")
+        _expect(cd.sizes[c] == table.class_sizes[i],
+                f"size of class {name} disagrees with the table")
     _expect(
         cd.inverse == tuple(range(9)) and cd.inversion_orbits == 9,
         f"inversion on classes is {cd.inverse} with {cd.inversion_orbits} orbits, "
         "expected trivial",
     )
-    lines.append("inversion: acts trivially on all 9 classes")
-    return lines
-
-
-def _lens_third_route(G, orbit_count: int) -> tuple[int, int, int, int]:
-    """The lens.COLUMNS dimensions by orbit counting on the group algebra,
-    extended to the kernel columns through the general split identities."""
-    odd = oracle.dim_invariants_orbit(G, perm.ODD, perm.FULL)
-    even = oracle.dim_invariants_orbit(G, perm.EVEN, perm.FULL)
-    return odd, even, odd - orbit_count, even
+    return [
+        "classes: 9 classes with sizes {1,1,30,20,20,12,12,12,12}",
+        f"element fixture: all {elements} elements classified correctly",
+        "character table: 45 orthogonality sums exact",
+        "power maps: computed squares/cubes match the table classes",
+        "inversion: acts trivially on all 9 classes",
+    ]
 
 
 def verify_cross_methods() -> list[str]:
-    lines = []
+    """The perm path against the other methods, in one pass over the battery
+    groups and Z13..Z15 that computes each group's classes, its eight perm
+    values and each orbit value once. The checks: orbit = perm on the group
+    algebra (both symmetries on the battery, the full one on Z13..Z15);
+    reynolds = perm on the battery up to PROJECTOR_ORDER_LIMIT; the split
+    identities; and the closed forms of Z1..Z15 = perm. The orbit route to
+    the closed forms follows from the first and the third, so it is not
+    counted again."""
     battery = groups.battery_groups()
-    for name, G in battery:
+    lens_only = [(f"Z{n}", groups.make_cyclic(n)) for n in range(13, 16)]
+    by_perm = {}
+    small = 0
+    for index, (name, G) in enumerate(battery + lens_only):
+        in_battery = index < len(battery)
+        cd = groups.conjugacy_classes(G)
+        values = by_perm[name] = {
+            key: perm.dim_invariants_perm(cd, *key)
+            for key in itertools.product(perm.MODULES, perm.PARITIES, perm.SYMMETRIES)
+        }
         for parity in perm.PARITIES:
-            for symmetry in perm.SYMMETRIES:
-                a = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, parity, symmetry)
+            for symmetry in perm.SYMMETRIES if in_battery else (perm.FULL,):
+                a = values[perm.GROUP_ALGEBRA, parity, symmetry]
                 b = oracle.dim_invariants_orbit(G, parity, symmetry)
-                _expect(
-                    a == b,
-                    f"{name} {parity} {symmetry}: perm {a} != orbit {b}",
-                )
-    lines.append(f"orbit oracle: agrees with the perm path on {len(battery)} groups")
+                _expect(a == b, f"{name} {parity} {symmetry}: perm {a} != orbit {b}")
 
-    small = [(name, G) for name, G in battery if G.order <= PROJECTOR_ORDER_LIMIT]
-    for name, G in small:
-        for module in perm.MODULES:
-            for parity in perm.PARITIES:
-                a = perm.dim_invariants_perm(G, module, parity, perm.FULL)
+        if in_battery and G.order <= PROJECTOR_ORDER_LIMIT:
+            small += 1
+            for module, parity in itertools.product(perm.MODULES, perm.PARITIES):
+                a = values[module, parity, perm.FULL]
                 b = oracle.dim_invariants_reynolds(G, module, parity)
-                _expect(
-                    a == b,
-                    f"{name} {module} {parity}: perm {a} != projector rank {b}",
-                )
-    lines.append(
-        f"projector oracle: agrees with the perm path on {len(small)} groups "
-        f"(order <= {PROJECTOR_ORDER_LIMIT})"
-    )
+                _expect(a == b, f"{name} {module} {parity}: perm {a} != projector rank {b}")
 
-    for name, G in battery:
-        orbit_count = groups.conjugacy_classes(G).inversion_orbits
-        even_ca = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.EVEN, perm.FULL)
-        even_ker = perm.dim_invariants_perm(G, perm.AUG_KERNEL, perm.EVEN, perm.FULL)
-        odd_ca = perm.dim_invariants_perm(G, perm.GROUP_ALGEBRA, perm.ODD, perm.FULL)
-        odd_ker = perm.dim_invariants_perm(G, perm.AUG_KERNEL, perm.ODD, perm.FULL)
-        _expect(even_ca == even_ker, f"{name}: even {even_ca} != kernel even {even_ker}")
-        _expect(
-            odd_ca - odd_ker == orbit_count,
-            f"{name}: odd split {odd_ca}-{odd_ker} != inversion orbits {orbit_count}",
+        even_ca, odd_ca, even_ker, odd_ker = (
+            values[module, parity, perm.FULL] for module in perm.MODULES for parity in perm.PARITIES
         )
-    lines.append("split identities: hold on every battery group")
+        _expect(even_ca == even_ker, f"{name}: even {even_ca} != kernel even {even_ker}")
+        orbits = cd.inversion_orbits
+        _expect(odd_ca - odd_ker == orbits,
+                f"{name}: odd split {odd_ca}-{odd_ker} != inversion orbits {orbits}")
 
     for n in range(1, 16):
-        G = groups.make_cyclic(n)
-        closed = lens.lens_dims(n)
-        by_perm = tuple(
-            perm.dim_invariants_perm(G, module, parity, perm.FULL)
-            for module, parity in lens.COLUMNS
-        )
-        by_orbit = _lens_third_route(G, groups.conjugacy_classes(G).inversion_orbits)
-        by_closed = dataclasses.astuple(closed)[1:]
-        _expect(
-            by_perm == by_closed and by_orbit == by_closed,
-            f"n={n}: closed {by_closed}, perm {by_perm}, orbit {by_orbit}",
-        )
-    lines.append("cyclic table: closed forms, perm path and orbit route agree for n <= 15")
-    return lines
+        got = tuple(by_perm[f"Z{n}"][module, parity, perm.FULL] for module, parity in lens.COLUMNS)
+        closed = dataclasses.astuple(lens.lens_dims(n))[1:]
+        _expect(got == closed, f"n={n}: closed {closed}, perm {got}")
+    return [
+        f"orbit oracle: agrees with the perm path on {len(battery)} groups",
+        f"projector oracle: agrees with the perm path on {small} groups "
+        f"(order <= {PROJECTOR_ORDER_LIMIT})",
+        "split identities: hold on every battery group",
+        "cyclic table: closed forms, perm path and orbit route agree for n <= 15",
+    ]
 
 
 def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> list[str]:
-    lines = []
-    G = groups.make_sl2(5)
-    table = chartab.builtin_sl2f5_table()
+    """SL2(F5)'s flip and inversion values from its table; the inversion ones
+    and the twisted parts against the perm path, the indicators against
+    square-root counts, and optionally the orbit count."""
+    G, cd, table, _, to_computed = _sl2f5(fixture_path)
     nus = chartab.fs_indicators(table)
-    lines.append(
-        "squared-power indicators: "
-        + ", ".join(f"row{i + 1}={nu:+d}" for i, nu in enumerate(nus))
-    )
+    lines = ["squared-power indicators: " + ", ".join(
+        f"row{i + 1}={nu:+d}" for i, nu in enumerate(nus)
+    )]
     _expect(nus[0] == 1, "trivial row indicator must be +1")
     _expect(nus[1] == -1, f"second row indicator {nus[1]} != -1")
 
     # the indicator-weighted column sums must count square roots in the group
-    cd = groups.conjugacy_classes(G)
-    fx = load_sl2_fixture(fixture_path)
-    to_computed = _fixture_to_table_classes(fixture_class_order(G, fx), table)
     sqrt_count = [0] * cd.num_classes
     for z in range(G.order):
         sqrt_count[int(cd.class_of[G.mul(z, z)])] += 1
-    for i in range(table.num_classes):
-        weighted = chartab.QuadValue.of(0, table.radicand)
-        for j in range(table.num_classes):
-            weighted = weighted + nus[j] * table.rows[j][i]
-        c = to_computed[i]
+    for i, c in enumerate(to_computed):
+        weighted = sum((nu * row[i] for nu, row in zip(nus, table.rows)), chartab.QuadValue.of(0))
         expected = Fraction(sqrt_count[c], cd.sizes[c])
         _expect(
-            weighted == chartab.QuadValue.of(expected, table.radicand),
+            weighted == expected,
             f"class {table.class_names[i]}: weighted sum {weighted!r} != "
             f"square-root count {expected}",
         )
     lines.append("indicator-weighted sums match per-class square-root counts")
 
-    flip = {
-        (module, parity): chartab.dim_invariants_chartab(table, module, parity, chartab.FLIP)
-        for module in perm.MODULES
-        for parity in perm.PARITIES
-    }
-    expected_flip = {
-        (perm.GROUP_ALGEBRA, perm.EVEN): 27,
-        (perm.GROUP_ALGEBRA, perm.ODD): 65,
-        (perm.AUG_KERNEL, perm.EVEN): 27,
-        (perm.AUG_KERNEL, perm.ODD): 56,
-    }
+    keys = list(itertools.product(perm.MODULES, perm.PARITIES))
+    flip = {key: chartab.dim_invariants_chartab(table, *key, chartab.FLIP) for key in keys}
+    expected_flip = dict(zip(keys, (27, 65, 27, 56)))
     _expect(flip == expected_flip, f"flip-convention values {flip} != {expected_flip}")
-    lines.append(
-        "flip convention: even/odd of the group algebra = 27/65, of the kernel = 27/56"
-    )
+    lines.append("flip convention: even/odd of the group algebra = 27/65, of the kernel = 27/56")
 
-    for module in perm.MODULES:
-        for parity in perm.PARITIES:
-            via_table = chartab.tau_part(table, module, parity, chartab.INVERSION)
-            via_perm = perm.twisted_coset_average(G, module, parity)
-            _expect(
-                via_table == via_perm,
-                f"{module} {parity}: weighted twisted part {via_table} != "
-                f"permutation value {via_perm}",
-            )
     inversion = {}
-    for module in perm.MODULES:
-        for parity in perm.PARITIES:
-            a = chartab.dim_invariants_chartab(table, module, parity, chartab.INVERSION)
-            b = perm.dim_invariants_perm(G, module, parity, perm.FULL)
-            _expect(
-                a == b,
-                f"{module} {parity}: inversion via table {a} != via permutations {b}",
-            )
-            inversion[(module, parity)] = a
+    for module, parity in keys:
+        via_table = chartab.tau_part(table, module, parity, chartab.INVERSION)
+        via_perm = perm.twisted_coset_average(G, module, parity)
+        _expect(
+            via_table == via_perm,
+            f"{module} {parity}: weighted twisted part {via_table} != "
+            f"permutation value {via_perm}",
+        )
+        a = chartab.dim_invariants_chartab(table, module, parity, chartab.INVERSION)
+        b = perm.dim_invariants_perm(cd, module, parity, perm.FULL)
+        _expect(a == b, f"{module} {parity}: inversion via table {a} != via permutations {b}")
+        inversion[module, parity] = a
     lines.append(
         "inversion convention (two independent routes agree): "
-        + ", ".join(
-            f"{m}/{p}={v}" for (m, p), v in sorted(inversion.items())
-        )
+        + ", ".join(f"{m}/{p}={v}" for (m, p), v in sorted(inversion.items()))
     )
     lines.append("note: flip and inversion values are reported side by side, not equated")
 
     if with_orbit_check:
         for parity in perm.PARITIES:
             got = oracle.dim_invariants_orbit(G, parity, perm.FULL)
-            want = inversion[(perm.GROUP_ALGEBRA, parity)]
+            want = inversion[perm.GROUP_ALGEBRA, parity]
             _expect(got == want, f"orbit check {parity}: {got} != {want}")
         lines.append("orbit oracle confirms the inversion group-algebra values")
     return lines

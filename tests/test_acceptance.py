@@ -123,8 +123,9 @@ def test_criterion_04_group_structure():
         assert cd.num_classes == 9
         assert sorted(cd.sizes) == [1, 1, 12, 12, 12, 12, 20, 20, 30]
         fx = verify.load_sl2_fixture()
-        assert verify.verify_sl2f5_fixture(G, fx).ok
-        order_map = verify.fixture_class_order(G, fx)
+        report = verify.verify_sl2f5_fixture(G, fx)
+        assert report.ok
+        order_map = report.label_class
         table = chartab.builtin_sl2f5_table()
         to_computed = [order_map[f"c{i + 1}"] for i in range(9)]
         for i in range(9):

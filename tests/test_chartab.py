@@ -304,8 +304,9 @@ def _size_signature(t):
 
 def test_power_map_check_refuses_edited_maps():
     # every single edit of a power map that keeps the size signature, so that
-    # the fit check passes: the check refuses all of them but one, the square
-    # of class a sent to I instead of -I, as its docstring says
+    # the fit check passes: the check refuses all of them, the square of class
+    # a sent to I instead of -I too, which the Sym^2 and Lambda^2 multiplicities
+    # refuse and the integrality of <chi_i(g^2), chi_j> alone does not
     t = chartab.builtin_sl2f5_table()
     passed, refused = [], 0
     for field in ("power2", "power3"):
@@ -324,7 +325,7 @@ def test_power_map_check_refuses_edited_maps():
                     refused += 1
                 else:
                     passed.append((field, t.class_names[c], t.class_names[target]))
-    assert refused == 32 and passed == [("power2", "a", "I")]
+    assert refused == 33 and passed == []
 
 
 def _sign_table(r):

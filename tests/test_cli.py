@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -460,6 +462,28 @@ def test_a_file_that_is_not_regular_is_refused_unread(tmp_path, what, argv, devi
     assert done.stderr == f"error: cannot read {what} {path!r}: not a regular file\n"
 
 
+def _char_table_without_rows():
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    del raw["rows"]
+    return raw
+
+
+# each JSON file reader on a file that lacks a required key
+@pytest.mark.parametrize("what,argv,make_raw", [
+    ("Cayley table", ("classes", "--group", "cayley:{path}"), lambda: {"order": 1}),
+    ("character table", ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+                         "--char-table", "{path}"), _char_table_without_rows),
+    ("element fixture", ("verify", "fixtures", "--fixture", "{path}"), lambda: {"prime": 5}),
+], ids=["cayley", "char-table", "fixture"])
+def test_a_missing_key_names_the_file(capsys, tmp_path, what, argv, make_raw):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make_raw()))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {what} {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_json_inputs_are_read_as_utf8(tmp_path):
     # the class and element names are free text; the file's encoding, not
     # the locale's, decides how they read
@@ -569,17 +593,23 @@ def test_fitting_char_table_is_still_validated(capsys, tmp_path):
 
 def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):
     # the square of class a moves from -I to I, which keeps the class sizes,
-    # so the fit check passes, and the power-map check of validate passes too
+    # so the fit check passes; the Sym^2 and Lambda^2 multiplicities refuse the
+    # table at load, whatever the query
     power2 = list(chartab.builtin_sl2f5_table().power2)
     power2[2] = 0
     path = tmp_path / "table.json"
     path.write_text(json.dumps(_sl2f5_table_with(power2=power2)))
-    code, out, err = run_cli(
-        capsys, "dims", "--group", "sl2:5", "--parity", "even", "--method", "chartab",
-        "--char-table", str(path), "--convention", "inversion",
-    )
-    assert code == 2 and out == ""
-    assert err == "error: row 8: average 2 is not in -1, 0, +1\n"
+    for module, parity, convention in itertools.product(perm.MODULES, perm.PARITIES,
+                                                        perm.CONVENTIONS):
+        code, out, err = run_cli(
+            capsys, "dims", "--group", "sl2:5", "--module", module, "--parity", parity,
+            "--method", "chartab", "--char-table", str(path), "--convention", convention,
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: power2 map: <(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/2 "
+            "is not a nonnegative integer\n"
+        )
 
 
 def test_dims_char_table_power_map_is_checked(capsys, tmp_path):
@@ -593,7 +623,10 @@ def test_dims_char_table_power_map_is_checked(capsys, tmp_path):
         "--char-table", str(path),
     )
     assert code == 2 and out == ""
-    assert err == "error: power2 map: <chi_1(g^2), chi_0> = -9/10 is not an integer\n"
+    assert err == (
+        "error: power2 map: <(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/20 "
+        "is not a nonnegative integer\n"
+    )
 
 
 def test_dims_builtin_char_table_from_parsed_spec(capsys):
@@ -728,7 +761,7 @@ def test_classes_sl2(capsys):
     # the square/cube columns must agree with the reference power maps
     table = chartab.builtin_sl2f5_table()
     G = groups.make_sl2(5)
-    order_map = verify.fixture_class_order(G, verify.load_sl2_fixture())
+    order_map = verify.verify_sl2f5_fixture(G, verify.load_sl2_fixture()).label_class
     to_computed = [order_map[f"c{i + 1}"] for i in range(9)]
     by_class = {r["class"]: r for r in parsed["classes"]}
     for i in range(9):
@@ -778,7 +811,25 @@ def test_verify_fixture_file_override(capsys, tmp_path, suite):
     path.write_text(json.dumps(raw))
     code, out, _ = run_cli(capsys, "verify", suite, "--fixture", str(path))
     assert code == 1
-    assert "FAIL" in out
+    # both suites read the fixture through one reference, so they fail alike
+    assert out == (
+        f"[{suite}]\n"
+        "FAIL: element fixture mismatches: ('g1: labeled c9, computed class is c3',)\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["fixtures", "conventions"])
+def test_verify_fixture_labels_name_the_table_classes(capsys, tmp_path, suite):
+    # labels k1..k9 classify every element consistently but name no table class
+    raw = json.loads(verify.default_fixture_path().read_text())
+    for rec in raw["elements"]:
+        rec["class"] = rec["class"].replace("c", "k")
+    path = tmp_path / "relabeled.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "verify", suite, "--fixture", str(path))
+    assert code == 1
+    labels = [f"c{i}" for i in range(1, 10)]
+    assert out == f"[{suite}]\nFAIL: fixture labels are not {labels}\n"
 
 
 def test_verify_fixture_order_checked_before_enumeration(capsys, tmp_path):
@@ -822,6 +873,32 @@ def test_verify_conventions_cli(capsys):
     assert code == 0
     assert "row2=-1" in out
     assert "27" in out and "65" in out and "56" in out
+
+
+def test_cross_methods_computes_each_value_once(monkeypatch):
+    # one pass over the 17 battery groups and Z13..Z15: classes once a group,
+    # the calls inside perm included; orbit for 4 symmetry-parity pairs on the
+    # battery and 2 on Z13..Z15; reynolds for 4 module-parity pairs on the 16
+    # battery groups of order <= 12
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(groups, "conjugacy_classes")
+    count(perm, "conjugacy_classes")
+    count(oracle, "dim_invariants_orbit")
+    count(oracle, "dim_invariants_reynolds")
+    verify.verify_cross_methods()
+    assert calls["conjugacy_classes"] <= 20
+    assert calls["dim_invariants_orbit"] == 17 * 4 + 3 * 2 == 74
+    assert calls["dim_invariants_reynolds"] == 16 * 4 == 64
 
 
 GOLDEN_OUTPUTS = [
