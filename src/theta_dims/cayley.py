@@ -17,7 +17,7 @@ from json.scanner import py_make_scanner
 
 from . import groups, limits
 from ._lazy import np
-from .errors import ParseError, TooLarge
+from .errors import InputError, ParseError, TooLarge
 
 # characters of a table's rows read at a time, rounded up to the end of a row
 _PIECE_CHARS = 1 << 20
@@ -196,4 +196,7 @@ def load_cayley(path: str | os.PathLike) -> groups.GroupTable:
         raise ParseError(f"{where}: 'mul' must be a list of rows, got {mul!r:.40}")
     if len(mul) != order:
         raise ParseError(f"{where} has {len(mul)} rows, 'order' says {order}")
-    return groups.make_from_cayley(mul)
+    try:
+        return groups.make_from_cayley(mul)
+    except InputError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

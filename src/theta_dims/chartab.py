@@ -28,6 +28,7 @@ from typing import NamedTuple
 from . import limits
 from .errors import (
     IndicatorOutOfRange,
+    InputError,
     MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
@@ -54,8 +55,8 @@ class QuadValue:
     d: int | None = None
 
     def __post_init__(self):
-        if self.d is not None and self.d < 2:
-            raise NonRealValue(f"radicand must be >= 2 or None, got {self.d}")
+        if self.d is not None and (self.d < 2 or math.isqrt(self.d) ** 2 == self.d):
+            raise NonRealValue(f"radicand must be a non-square >= 2 or None, got {self.d}")
         if self.b != 0 and self.d is None:
             raise NonRealValue("irrational part requires a radicand")
 
@@ -450,9 +451,14 @@ def load_char_table(
         table = _char_table_of(json.loads(text))
     except (RecursionError, ValueError, ParseError) as exc:
         raise ParseError(f"cannot read {where}: {exc}") from exc
+    except InputError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     if fits is not None:
         fits(table)
-    table.validate()
+    try:
+        table.validate()
+    except InputError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     return table
 
 

@@ -6,8 +6,9 @@ element tau*(g,h) sends x to h x^-1 g^-1). Everything here is exact: traces
 are integer fixed-point counts, and the single division happens at the end.
 
 Both cosets are summed over classes, with fixed points counted by the
-orbit–stabilizer lemma from class sizes and power maps; `_coset_sum` is the
-direct sum over explicit permutations that the tests compare them with.
+orbit–stabilizer lemma from class sizes and power maps; `_coset_terms` is the
+direct route the tests compare them with, one tally per coset of the fixed
+points of explicit permutations that takes no module or parity.
 
 The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
 `_as_dimension`; `chartab` passes its character sums to the same three.
@@ -16,6 +17,7 @@ The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,16 +98,16 @@ def _as_dimension(average: Fraction, **context) -> int:
     return int(average)
 
 
-def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
-    """Reference for the class-data sums: `_cube_sum` over every (g, h) of one
-    coset, directly, in O(n^3). Each pair's traces are the fixed-point counts
-    of its permutation, the square and the cube, formed by explicit composition
-    a chunk of rows h at a time (`_row_chunks`). Only `twisted_coset_average`
-    and the tests call it."""
+def _coset_terms(G: GroupTable, twisted: bool) -> list[tuple[int, int, int, int]]:
+    """Reference for the class-data sums: the `_cube_sum` terms (w, t1, t2, t3)
+    of one coset, directly, in O(n^3), w the number of pairs (g, h) whose
+    permutation, square and cube fix t1, t2 and t3 points. The powers are
+    formed by explicit composition a chunk of rows h at a time (`_row_chunks`).
+    Only `twisted_coset_average` and the tests call it."""
     n = G.order
     mul, inv = G.mul_table, G.inv_table
     idx = np.arange(n, dtype=mul.dtype)
-    counts: tuple[list[int], ...] = ([], [], [])
+    tally: Counter[tuple[int, int, int]] = Counter()
     for g in range(n):
         inv_gx = inv[mul[g]]
         for rows in _row_chunks(n, n):
@@ -116,9 +118,8 @@ def _coset_sum(G: GroupTable, shift: int, sign: int, twisted: bool) -> int:
             offsets = np.arange(0, p1.size, n)[:, None]
             p2 = np.take(p1, p1 + offsets)
             p3 = np.take(p1, p2 + offsets)
-            for out, p in zip(counts, (p1, p2, p3)):
-                out.extend(np.count_nonzero(p == idx, axis=1).tolist())
-    return _cube_sum(zip(itertools.repeat(1), *counts), shift, sign)
+            tally.update(zip(*(np.count_nonzero(p == idx, 1).tolist() for p in (p1, p2, p3))))
+    return [(w, *traces) for traces, w in tally.items()]
 
 
 def _root_counts(sizes: tuple[int, ...], power: tuple[int, ...]) -> list[int]:
@@ -190,21 +191,21 @@ def dim_invariants_perm(
     )
 
 
-def twisted_coset_average(
-    G: GroupTable, module: str = GROUP_ALGEBRA, parity: str = EVEN
-) -> Fraction:
-    """Average of the cube character over the twisted coset only.
+def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], Fraction]:
+    """Average of the cube character over the twisted coset only, by (module, parity).
 
-    Computed twice: directly over all pairs (g, h) by `_coset_sum`, and with
-    fixed points counted by the orbit–stabilizer lemma from class sizes and
-    power maps, as `dim_invariants_perm` does. The two routes must agree exactly.
+    Computed twice: directly over all pairs (g, h) from one `_coset_terms` tally,
+    and with fixed points counted by the orbit–stabilizer lemma from class sizes
+    and power maps, as `dim_invariants_perm` does. The two routes must agree exactly.
     """
-    shift, sign = _shift_sign(module, parity)
-    n = G.order
-    direct = Fraction(_coset_sum(G, shift, sign, twisted=True), 6 * n * n)
-    reduced = Fraction(_class_sums(conjugacy_classes(G), shift, sign)[1], 6 * n * n)
-    if direct != reduced:
-        raise SimplificationMismatch(
-            f"direct twisted average {direct} != reduced class-sum value {reduced}"
-        )
-    return direct
+    n, terms, cd = G.order, _coset_terms(G, twisted=True), conjugacy_classes(G)
+    averages = {}
+    for module, parity in itertools.product(MODULES, PARITIES):
+        shift, sign = _shift_sign(module, parity)
+        direct = Fraction(_cube_sum(terms, shift, sign), 6 * n * n)
+        reduced = Fraction(_class_sums(cd, shift, sign)[1], 6 * n * n)
+        if direct != reduced:
+            raise SimplificationMismatch(f"{module} {parity}: direct twisted average "
+                                         f"{direct} != reduced class-sum value {reduced}")
+        averages[module, parity] = direct
+    return averages

@@ -82,7 +82,7 @@ def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
             names.append(str(rec["name"]))
             mats.append(tuple(limits._json_int(x, "a matrix entry") for x in (a, b, c, d)))
             labels.append(str(rec["class"]))
-    except (RecursionError, KeyError, TypeError, ValueError) as exc:
+    except (RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"cannot read {where}: {exc!r}") from exc
     return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
 
@@ -276,10 +276,10 @@ def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> lis
     _expect(flip == expected_flip, f"flip-convention values {flip} != {expected_flip}")
     lines.append("flip convention: even/odd of the group algebra = 27/65, of the kernel = 27/56")
 
-    inversion = {}
+    inversion, twisted = {}, perm.twisted_coset_average(G)
     for module, parity in keys:
         via_table = chartab.tau_part(table, module, parity, chartab.INVERSION)
-        via_perm = perm.twisted_coset_average(G, module, parity)
+        via_perm = twisted[module, parity]
         _expect(
             via_table == via_perm,
             f"{module} {parity}: weighted twisted part {via_table} != "

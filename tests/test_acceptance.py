@@ -228,6 +228,7 @@ def test_criterion_10_convention_report(capsys):
 
         t = chartab.builtin_sl2f5_table()
         G = groups.make_sl2(5)
+        twisted = perm.twisted_coset_average(G)
         # the two independent inversion routes must agree exactly
         for module in perm.MODULES:
             for parity in perm.PARITIES:
@@ -236,7 +237,7 @@ def test_criterion_10_convention_report(capsys):
                 ) == perm.dim_invariants_perm(G, module, parity, perm.FULL)
                 assert chartab.tau_part(
                     t, module, parity, chartab.INVERSION
-                ) == perm.twisted_coset_average(G, module, parity)
+                ) == twisted[module, parity]
 
 
 def test_criterion_10_orbit_confirmation_flagged():

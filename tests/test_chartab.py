@@ -44,6 +44,9 @@ def test_quad_errors_and_coercions():
         QuadValue(Fraction(1), Fraction(1), None)
     with pytest.raises(NonRealValue):
         QuadValue(Fraction(1), Fraction(1), -5)
+    # Q[x]/(x^2 - 4) is no field: 2 - sqrt(4) would be a nonzero zero divisor
+    with pytest.raises(NonRealValue, match="non-square"):
+        QuadValue(Fraction(2), Fraction(-1), 4)
     assert QuadValue.of(3, 5) == QuadValue.of(3)
     # comparing across radicands is an inequality, not an arithmetic error
     assert QuadValue(Fraction(1), Fraction(1), 2) != QuadValue(Fraction(1), Fraction(1), 5)
@@ -260,12 +263,10 @@ def test_tau_part_flip_values():
 
 def test_tau_part_inversion_matches_perm_module():
     t = chartab.builtin_sl2f5_table()
-    G = groups.make_sl2(5)
+    twisted = perm.twisted_coset_average(groups.make_sl2(5))
     for module in perm.MODULES:
         for parity in perm.PARITIES:
-            assert chartab.tau_part(t, module, parity, INVERSION) == perm.twisted_coset_average(
-                G, module, parity
-            )
+            assert chartab.tau_part(t, module, parity, INVERSION) == twisted[module, parity]
 
 
 def test_diagonal_part_matches_perm_pipi():

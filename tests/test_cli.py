@@ -13,7 +13,7 @@ import pytest
 
 import theta_dims
 from theta_dims import chartab, cli, groups, lens, limits, oracle, perm, verify
-from theta_dims.errors import InputError, ThetaDimsError
+from theta_dims.errors import InputError, SimplificationMismatch, ThetaDimsError
 
 REFERENCE_ROWS = {
     1: "1,1,0,0,0",
@@ -484,6 +484,54 @@ def test_a_missing_key_names_the_file(capsys, tmp_path, what, argv, make_raw):
     assert "Traceback" not in err
 
 
+def _builtin_table_edited(edit):
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    edit(raw)
+    return raw
+
+
+def _z2_table_over_sqrt4():
+    # -1 written as 1 - sqrt(4): orthogonal over the reals, not in Q[x]/(x^2 - 4)
+    raw = _sign_table(1)
+    raw["radicand"] = 4
+    raw["rows"][1][1].update(a_num=1, b_num=-1)
+    return raw
+
+
+CHAR_TABLE_ARGV = ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
+                   "--char-table", "{path}")
+
+
+# each file that parses but is refused later, by the value checks of the
+# reader, the table's validation or the group axioms
+@pytest.mark.parametrize("what,argv,make_raw,message", [
+    ("character table", CHAR_TABLE_ARGV,
+     lambda: _builtin_table_edited(lambda t: t["rows"][1][0].update(a_den=0)), "zero denominator"),
+    ("character table", CHAR_TABLE_ARGV,
+     lambda: _builtin_table_edited(lambda t: t.update(radicand=None)), "with no radicand"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t.update(radicand=1)), "radicand must be a non-square >= 2 or None, got 1"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["rows"][1].__setitem__(2, t["rows"][1][3])), "rows (0, 1): got -30, expected 0"),
+    ("character table", CHAR_TABLE_ARGV,
+     lambda: _builtin_table_edited(lambda t: t["power2"].__setitem__(3, 4)), "= 1/6 is not a"),
+    ("character table", ("dims", "--group", "cyclic:2", *CHAR_TABLE_ARGV[3:]),
+     _z2_table_over_sqrt4, "radicand must be a non-square >= 2 or None, got 4"),
+    ("Cayley table", ("classes", "--group", "cayley:{path}"),
+     lambda: {"order": 2, "mul": [[0, 1], [0, 1]]}, "no two-sided identity element"),
+    ("element fixture", ("verify", "fixtures", "--fixture", "{path}"),
+     lambda: {"prime": "5", "elements": []}, "fixture prime must be an integer, got '5'"),
+], ids=["zero-denominator", "no-radicand", "radicand-1", "not-orthogonal", "power-map",
+        "square-radicand", "no-identity", "fixture-prime"])
+def test_a_refused_file_names_the_file(capsys, tmp_path, what, argv, make_raw, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make_raw()))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert re.match(f"error: (cannot read )?{what} {re.escape(repr(str(path)))}: ", err)
+    assert message in err and "Traceback" not in err
+
+
 def test_json_inputs_are_read_as_utf8(tmp_path):
     # the class and element names are free text; the file's encoding, not
     # the locale's, decides how they read
@@ -607,8 +655,8 @@ def test_dims_char_table_indicator_out_of_range(capsys, tmp_path):
         )
         assert code == 2 and out == ""
         assert err == (
-            "error: power2 map: <(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/2 "
-            "is not a nonnegative integer\n"
+            f"error: character table {str(path)!r}: power2 map: "
+            "<(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/2 is not a nonnegative integer\n"
         )
 
 
@@ -624,8 +672,8 @@ def test_dims_char_table_power_map_is_checked(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err == (
-        "error: power2 map: <(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/20 "
-        "is not a nonnegative integer\n"
+        f"error: character table {str(path)!r}: power2 map: "
+        "<(chi_1^2 + chi_1(g^2))/2, chi_0> = 1/20 is not a nonnegative integer\n"
     )
 
 
@@ -875,30 +923,59 @@ def test_verify_conventions_cli(capsys):
     assert "27" in out and "65" in out and "56" in out
 
 
+def count_calls(monkeypatch, *targets):
+    """A Counter, by name, of the calls to each (module, name) in targets."""
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 def test_cross_methods_computes_each_value_once(monkeypatch):
     # one pass over the 17 battery groups and Z13..Z15: classes once a group,
     # the calls inside perm included; orbit for 4 symmetry-parity pairs on the
     # battery and 2 on Z13..Z15; reynolds for 4 module-parity pairs on the 16
     # battery groups of order <= 12
-    calls = collections.Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(groups, "conjugacy_classes")
-    count(perm, "conjugacy_classes")
-    count(oracle, "dim_invariants_orbit")
-    count(oracle, "dim_invariants_reynolds")
+    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
+                        (oracle, "dim_invariants_orbit"), (oracle, "dim_invariants_reynolds"))
     verify.verify_cross_methods()
     assert calls["conjugacy_classes"] <= 20
     assert calls["dim_invariants_orbit"] == 17 * 4 + 3 * 2 == 74
     assert calls["dim_invariants_reynolds"] == 16 * 4 == 64
+
+
+def test_conventions_counts_each_coset_once(monkeypatch):
+    # one direct pass over the twisted coset of SL2(F5) for all four
+    # module-parity pairs: one `_row_chunks` call per element g
+    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
+                        (perm, "_row_chunks"))
+    verify.verify_conventions(True)
+    assert calls["conjugacy_classes"] <= 3
+    assert calls["_row_chunks"] == 120
+
+
+def test_twisted_coset_average_trap(capsys, monkeypatch):
+    # a bug trap, not bad input: the direct and class-sum routes disagree
+    class_sums = perm._class_sums
+
+    def off_by_one(cd, shift, sign):
+        untwisted, twisted = class_sums(cd, shift, sign)
+        return untwisted, twisted + 1
+
+    monkeypatch.setattr(perm, "_class_sums", off_by_one)
+    with pytest.raises(SimplificationMismatch, match="^group-algebra even: "):
+        perm.twisted_coset_average(groups.make_sl2(5))
+    code, out, err = run_cli(capsys, "verify", "conventions")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: group-algebra even: direct twisted average ")
 
 
 GOLDEN_OUTPUTS = [

@@ -213,33 +213,31 @@ def brute_twisted_average(G, module, parity):
 
 
 def test_twisted_coset_average_examples():
-    Z1 = groups.make_cyclic(1)
-    assert perm.twisted_coset_average(Z1, GROUP_ALGEBRA, ODD) == 1
-    assert perm.twisted_coset_average(Z1, GROUP_ALGEBRA, EVEN) == 0
+    Z1 = perm.twisted_coset_average(groups.make_cyclic(1))
+    assert (Z1[GROUP_ALGEBRA, ODD], Z1[GROUP_ALGEBRA, EVEN]) == (1, 0)
     Z2 = groups.make_cyclic(2)
-    assert perm.twisted_coset_average(Z2, GROUP_ALGEBRA, ODD) == 2
-    assert perm.twisted_coset_average(Z2, GROUP_ALGEBRA, EVEN) == 0
+    twisted = perm.twisted_coset_average(Z2)
+    assert (twisted[GROUP_ALGEBRA, ODD], twisted[GROUP_ALGEBRA, EVEN]) == (2, 0)
     assert brute_twisted_average(Z2, GROUP_ALGEBRA, ODD) == 2
     assert brute_twisted_average(Z2, GROUP_ALGEBRA, EVEN) == 0
 
 
 def test_twisted_coset_average_matches_brute():
     for name, G in small_battery(8):
+        twisted = perm.twisted_coset_average(G)
         for module in (GROUP_ALGEBRA, AUG_KERNEL):
             for parity in (EVEN, ODD):
-                assert perm.twisted_coset_average(G, module, parity) == brute_twisted_average(
-                    G, module, parity
-                )
+                assert twisted[module, parity] == brute_twisted_average(G, module, parity)
 
 
 def test_full_is_average_of_coset_halves():
     for name, G in small_battery(24):
+        twisted = perm.twisted_coset_average(G)
         for module in (GROUP_ALGEBRA, AUG_KERNEL):
             for parity in (EVEN, ODD):
                 full = perm.dim_invariants_perm(G, module, parity, FULL)
                 pipi = perm.dim_invariants_perm(G, module, parity, PI_PI)
-                twisted = perm.twisted_coset_average(G, module, parity)
-                assert Fraction(full) == (Fraction(pipi) + twisted) / 2
+                assert Fraction(full) == (Fraction(pipi) + twisted[module, parity]) / 2
 
 
 def test_augmentation_split():
@@ -287,10 +285,10 @@ def draw_relabeling(data, G):
 def test_reduced_route_equals_direct_sums(data):
     for G in REFERENCE_GROUPS.values():
         G = draw_relabeling(data, G)
+        terms = [perm._coset_terms(G, twisted) for twisted in (False, True)]
         for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
             shift, sign = perm._shift_sign(module, parity)
-            untwisted = perm._coset_sum(G, shift, sign, twisted=False)
-            twisted = perm._coset_sum(G, shift, sign, twisted=True)
+            untwisted, twisted = (perm._cube_sum(t, shift, sign) for t in terms)
             pair_count = G.order**2
             assert perm.dim_invariants_perm(G, module, parity, PI_PI) == Fraction(
                 untwisted, 6 * pair_count
@@ -319,10 +317,10 @@ def test_methods_agree_on_drawn_semidirect_products(mrk):
     groups.validate_group(G)
     pair_count = G.order**2
     dims = {}
+    terms = [perm._coset_terms(G, twisted) for twisted in (False, True)]
     for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
         shift, sign = perm._shift_sign(module, parity)
-        untwisted = perm._coset_sum(G, shift, sign, twisted=False)
-        twisted = perm._coset_sum(G, shift, sign, twisted=True)
+        untwisted, twisted = (perm._cube_sum(t, shift, sign) for t in terms)
         pipi = perm.dim_invariants_perm(G, module, parity, PI_PI)
         dims[module, parity] = perm.dim_invariants_perm(G, module, parity, FULL)
         assert pipi == Fraction(untwisted, 6 * pair_count)
@@ -360,11 +358,11 @@ def test_q8_by_z3_is_binary_tetrahedral():
 
 
 def _coset_sums(G):
+    terms = [perm._coset_terms(G, twisted) for twisted in (False, True)]
     return [
-        perm._coset_sum(G, *perm._shift_sign(module, parity), twisted)
-        for module, parity, twisted in itertools.product(
-            (GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD), (False, True)
-        )
+        perm._cube_sum(t, *perm._shift_sign(module, parity))
+        for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
+        for t in terms
     ]
 
 
@@ -381,7 +379,7 @@ def _coset_sums(G):
     ids=["sl2:2", "F21", "cyclic:37"],
 )
 def test_row_chunks_of_four_rows(monkeypatch, G):
-    # 6, 21 and 37 rows h per g in _coset_sum: every chunking ends on a partial chunk
+    # 6, 21 and 37 rows h per g in _coset_terms: every chunking ends on a partial chunk
     default = _coset_sums(G)
     cd = groups.conjugacy_classes(G)
     assert default == [
