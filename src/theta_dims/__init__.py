@@ -32,7 +32,6 @@ _EXPORTS = {
         "ConjugacyData",
         "GroupTable",
         "battery_groups",
-        "class_power_map",
         "conjugacy_classes",
         "cyclic_class_data",
         "make_cyclic",

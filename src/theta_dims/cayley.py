@@ -17,7 +17,7 @@ from json.scanner import py_make_scanner
 
 from . import groups, limits
 from ._lazy import np
-from .errors import InputError, ParseError, TooLarge
+from .errors import ParseError
 
 # characters of a table's rows read at a time, rounded up to the end of a row
 _PIECE_CHARS = 1 << 20
@@ -174,29 +174,24 @@ def load_cayley(path: str | os.PathLike) -> groups.GroupTable:
     """Read and fully validate a Cayley table file, JSON {"order": n, "mul":
     [[...], ...]} whose n rows each hold n integers in 0..n-1.
 
-    The file is read by limits._read_text, which refuses anything but a
-    regular file of at most limits.cayley_file_limit() bytes before reading.
-    The rows are read as text by _read_rows, with no Python object per entry;
-    the rest of the file follows the standard JSON rules. Any other array of
-    arrays in the file must be such rows too.
+    The file is read by limits.read_input, which refuses anything but a
+    regular file of at most limits.cayley_file_limit() bytes before reading
+    and names the file in every refusal. The rows are read as text by
+    _read_rows, with no Python object per entry; the rest of the file follows
+    the standard JSON rules. Any other array of arrays in the file must be
+    such rows too.
     """
-    where = f"Cayley table {str(path)!r}"
-    text = limits._read_text(path, where, limits.cayley_file_limit(), "a table can need")
-    try:
-        raw = _RowsDecoder().decode(text)
-        del text  # free the text before the table is validated
-        if not isinstance(raw, dict):
-            raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
-        order, mul = limits._json_int(raw["order"], "'order'"), raw["mul"]
-    except TooLarge as exc:
-        raise TooLarge(f"{where}: {exc}") from None
-    except (RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"cannot read {where}: {exc}") from None
+    return limits.read_input(path, "Cayley table", _decode, groups.make_from_cayley)
+
+
+def _decode(text: str) -> np.ndarray:
+    """The 'mul' rows of a Cayley file's text, their count checked against 'order'."""
+    raw = _RowsDecoder().decode(text)
+    if not isinstance(raw, dict):
+        raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
+    order, mul = limits._json_int(raw["order"], "'order'"), raw["mul"]
     if not isinstance(mul, np.ndarray):
-        raise ParseError(f"{where}: 'mul' must be a list of rows, got {mul!r:.40}")
+        raise ParseError(f"'mul' must be a list of rows, got {mul!r:.40}")
     if len(mul) != order:
-        raise ParseError(f"{where} has {len(mul)} rows, 'order' says {order}")
-    try:
-        return groups.make_from_cayley(mul)
-    except InputError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        raise ParseError(f"'mul' has {len(mul)} rows, 'order' says {order}")
+    return mul

@@ -28,7 +28,6 @@ from typing import NamedTuple
 from . import limits
 from .errors import (
     IndicatorOutOfRange,
-    InputError,
     MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
@@ -428,11 +427,8 @@ def dim_invariants_chartab(
 
 
 def _fraction_from(rec, num_key, den_key) -> Fraction:
-    try:
-        num = limits._json_int(rec[num_key], num_key)
-        den = limits._json_int(rec[den_key], den_key)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad rational entry {rec!r}") from exc
+    num = limits._json_int(rec[num_key], num_key)
+    den = limits._json_int(rec[den_key], den_key)
     if den == 0:
         raise NonRealValue(f"zero denominator in {rec!r}")
     return Fraction(num, den)
@@ -442,54 +438,46 @@ def load_char_table(
     path: str | Path, fits: Callable[[CharTable], None] | None = None
 ) -> CharTable:
     """Load and validate a character table from its JSON file format, a
-    regular file of at most limits.CHAR_TABLE_FILE_LIMIT bytes. fits, when given,
-    sees the table once its shape is checked and before the O(k^3)
+    regular file of at most limits.CHAR_TABLE_FILE_LIMIT bytes read by
+    limits.read_input, which names the file in every refusal. fits, when
+    given, sees the table once its shape is checked and before the O(k^3)
     orthogonality sums of validate, and raises if the table cannot serve."""
-    where = f"character table {str(path)!r}"
-    text = limits._read_text(path, where, limits.CHAR_TABLE_FILE_LIMIT, "a table may take")
-    try:
-        table = _char_table_of(json.loads(text))
-    except (RecursionError, ValueError, ParseError) as exc:
-        raise ParseError(f"cannot read {where}: {exc}") from exc
-    except InputError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-    if fits is not None:
-        fits(table)
-    try:
+
+    def build(table: CharTable) -> CharTable:
+        if fits is not None:
+            fits(table)
         table.validate()
-    except InputError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-    return table
+        return table
+
+    return limits.read_input(
+        path, "character table", lambda text: _char_table_of(json.loads(text)), build
+    )
 
 
 def _char_table_of(raw: dict) -> CharTable:
     """The table that raw encodes, its shape checked but not yet validated."""
     if not isinstance(raw, dict):
         raise ParseError("character table file must hold a JSON object")
-    try:
-        radicand = raw["radicand"]
-        if radicand is not None:
-            radicand = limits._json_int(radicand, "radicand")
-        sizes = tuple(limits._json_int(s, "a class size") for s in raw["class_sizes"])
-        power2 = tuple(limits._json_int(c, "a power2 entry") for c in raw["power2"])
-        power3 = tuple(limits._json_int(c, "a power3 entry") for c in raw["power3"])
-        names = raw.get("class_names")
-        if names is None:
-            names = tuple(f"c{i + 1}" for i in range(len(sizes)))
-        else:
-            names = tuple(str(s) for s in names)
-        rows = []
-        for raw_row in raw["rows"]:
-            row = []
-            for rec in raw_row:
-                a = _fraction_from(rec, "a_num", "a_den")
-                b = _fraction_from(rec, "b_num", "b_den")
-                if b != 0 and radicand is None:
-                    raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
-                row.append(QuadValue(a, b, radicand if b != 0 else None))
-            rows.append(tuple(row))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed field: {exc!r}") from exc
+    radicand = raw["radicand"]
+    if radicand is not None:
+        radicand = limits._json_int(radicand, "radicand")
+    sizes = tuple(limits._json_int(s, "a class size") for s in raw["class_sizes"])
+    power2 = tuple(limits._json_int(c, "a power2 entry") for c in raw["power2"])
+    power3 = tuple(limits._json_int(c, "a power3 entry") for c in raw["power3"])
+    names = raw.get("class_names")
+    if names is None:
+        names = [f"c{i + 1}" for i in range(len(sizes))]
+    names = tuple(map(str, names))
+    rows = []
+    for raw_row in raw["rows"]:
+        row = []
+        for rec in raw_row:
+            a = _fraction_from(rec, "a_num", "a_den")
+            b = _fraction_from(rec, "b_num", "b_den")
+            if b != 0 and radicand is None:
+                raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
+            row.append(QuadValue(a, b, radicand if b != 0 else None))
+        rows.append(tuple(row))
     table = CharTable(radicand, names, sizes, power2, power3, tuple(rows))
     table._check_shape()
     return table

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--with-orbit-check",
         action="store_true",
-        help="also confirm the big-group values by orbit counting (slow)",
+        help="also confirm SL2(F5)'s group-algebra values by orbit counting",
     )
     ver.add_argument("--fixture", help="element fixture JSON (default: packaged copy)")
     ver.set_defaults(func=_cmd_verify)

@@ -69,19 +69,6 @@ class GroupTable:
     def inv(self, x: int) -> int:
         return int(self.inv_table[x])
 
-    def pow(self, g: int, k: int) -> int:
-        """g**k by repeated squaring; k >= 0."""
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
-        acc = self.identity
-        base = int(g)
-        while k:
-            if k & 1:
-                acc = int(self.mul_table[acc, base])
-            base = int(self.mul_table[base, base])
-            k >>= 1
-        return acc
-
     def label(self, x: int) -> str:
         if self.labels is None:
             return str(int(x))
@@ -375,11 +362,15 @@ def sl2_class_data(p: int) -> ConjugacyData:
 
 
 def class_power_map(G: GroupTable, cd: ConjugacyData, k: int) -> tuple[int, ...]:
-    """For each class [r], the class of r**k. Well-defined for any k >= 2;
-    conjugacy_classes gives k = 2 and 3 as power2 and power3."""
+    """For each class [r], the class of r**k, from k - 1 products of every
+    representative at once. Well-defined for any k >= 2; conjugacy_classes
+    gives k = 2 and 3 as power2 and power3."""
     if k < 2:
         raise ValueError(f"power map needs k >= 2, got {k}")
-    return tuple(int(cd.class_of[G.pow(r, k)]) for r in cd.reps)
+    power = np.array(cd.reps)
+    for _ in range(k - 1):
+        power = G.mul_table[power, cd.reps]
+    return tuple(np.asarray(cd.class_of)[power].tolist())
 
 
 def _orbit_labels(moves: list[np.ndarray], size: int) -> np.ndarray:

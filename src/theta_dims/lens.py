@@ -80,12 +80,6 @@ class WeightVector:
     parity: str
     coeffs: tuple[tuple[tuple[int, int, int], int], ...]  # sorted, nonzero
 
-    def as_dict(self) -> dict[tuple[int, int, int], int]:
-        return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
     """The two-term difference pattern of a cubic monomial, canonicalized.

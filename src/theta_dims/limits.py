@@ -1,5 +1,6 @@
-"""How much input the package admits: every size bound, and the reader that
-bounds a file before it reads it.
+"""How much input the package admits: every size bound, and read_input, the
+one reader of input files, which bounds a file before it reads it and names
+the file in every refusal.
 
 Each bound is read through this module's attribute (limits.X), so that a
 patched bound is seen everywhere. A refusal raises TooLarge or ParseError,
@@ -14,8 +15,9 @@ from __future__ import annotations
 import math
 import os
 import stat
+from collections.abc import Callable
 
-from .errors import ParseError, TooLarge
+from .errors import InputError, ParseError, TooLarge
 
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
 TABLE_ENTRY_LIMIT = 1 << 28
@@ -68,31 +70,56 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _read_text(path: str | os.PathLike, where: str, limit: int, room: str) -> str:
-    """The text of the UTF-8 file at path; messages call it where.
-
-    The file is opened once, and fstat of that descriptor refuses it, before
-    any byte is read, unless it is a regular file of at most limit bytes, the
-    most that room: a device such as /dev/zero reports no size to trust. At
-    most limit + 1 bytes are read. Every refusal, and any error of the
-    operating system or of decoding, raises ParseError or TooLarge naming where.
-    """
+def _read_text(path: str | os.PathLike, limit: int, room: str) -> str:
+    """The text of the UTF-8 file at path. The file is opened once, and fstat
+    of that descriptor refuses it before any byte is read unless it is a
+    regular file of at most limit bytes, the most that room: a device such as
+    /dev/zero reports no size to trust. At most limit + 1 bytes are read."""
+    # a FIFO opens without waiting for a writer, and is then refused
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
     try:
-        # a FIFO opens without waiting for a writer, and is then refused
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise ParseError("not a regular file")
+        size = info.st_size
+        if size > limit:
+            raise TooLarge(f"the file has {size} bytes, over the {limit} that {room}")
+        with open(fd, "rb", closefd=False) as file:
+            data = file.read(size + 1)
+    finally:
+        os.close(fd)
+    if len(data) > size:
+        raise ParseError(f"it holds more than its size of {size} bytes")
+    return data.decode("utf-8")
+
+
+# each kind of input file: the most bytes read of it, and what they are the most of
+_FILE_BOUNDS = {
+    "Cayley table": (cayley_file_limit, "a table can need"),
+    "character table": (lambda: CHAR_TABLE_FILE_LIMIT, "a table may take"),
+    "element fixture": (lambda: FIXTURE_FILE_LIMIT, "a fixture may take"),
+}
+
+
+def read_input(path: str | os.PathLike, kind: str, decode: Callable, build: Callable):
+    """build(decode(text)), text being the file at path read by _read_text
+    under the bound of its kind in _FILE_BOUNDS; the text is freed before build.
+
+    Every refusal names the file by one rule. An error of opening or decoding
+    (OSError, ValueError, TypeError, RecursionError, and KeyError as "missing
+    key 'k'") and any ParseError raise ParseError("cannot read <kind> '<path>':
+    ..."); any other InputError keeps its type under "<kind> '<path>': "."""
+    limit, room = _FILE_BOUNDS[kind]
+    where = f"{kind} {str(path)!r}"
+    try:
         try:
-            info = os.fstat(fd)
-            if not stat.S_ISREG(info.st_mode):
-                raise ParseError(f"cannot read {where}: not a regular file")
-            size = info.st_size
-            if size > limit:
-                raise TooLarge(f"{where}: the file has {size} bytes, over the {limit} that {room}")
-            with open(fd, "rb", closefd=False) as file:
-                data = file.read(size + 1)
-        finally:
-            os.close(fd)
-        if len(data) > size:
-            raise ParseError(f"cannot read {where}: it holds more than its size of {size} bytes")
-        return data.decode("utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a null byte in path, or not UTF-8
+            raw = decode(_read_text(path, limit(), room))
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}") from None
+        except (OSError, RecursionError, TypeError, ValueError) as exc:
+            raise ParseError(str(exc)) from None
+        return build(raw)
+    except ParseError as exc:
         raise ParseError(f"cannot read {where}: {exc}") from None
+    except InputError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

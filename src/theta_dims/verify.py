@@ -2,8 +2,9 @@
 SL2(F5) element fixture (load_sl2_fixture, verify_sl2f5_fixture) they check
 the computed classes against.
 
-`fixtures` and `conventions` read one reference, `_sl2f5`, so a bad fixture
-fails both alike; `cross-methods` computes each group's values once.
+`fixtures` and `conventions` read one reference, `_sl2f5`, which run_suite
+builds once per run, so the fixture is read once and a bad one fails both
+alike; `cross-methods` computes each group's values once.
 
 Each suite returns (ok, lines). Lines are human-readable and deterministic;
 the first failing check aborts the suite with a counterexample message.
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from . import chartab, groups, lens, limits, oracle, perm
 from .cli import SUITES
-from .errors import FixtureMismatch, ParseError
+from .errors import FixtureMismatch
 
 _SL2F5_SIZES = (1, 1, 30, 20, 20, 12, 12, 12, 12)
 
@@ -58,6 +59,7 @@ class FixtureReport:
 
     mismatches: tuple[str, ...] = ()
     label_class: dict[str, int] = dataclasses.field(default_factory=dict)  # by majority vote
+    classes: groups.ConjugacyData | None = None  # the group's, as computed for the vote
 
     @property
     def ok(self) -> bool:
@@ -69,21 +71,21 @@ def default_fixture_path() -> Path:
 
 
 def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
-    """Load an element fixture file ({prime, elements:[{name, matrix, class}]})."""
-    path = Path(path or default_fixture_path())
-    where = f"element fixture {str(path)!r}"
-    text = limits._read_text(path, where, limits.FIXTURE_FILE_LIMIT, "a fixture may take")
-    try:
-        raw = json.loads(text)
-        p = limits._json_int(raw["prime"], "fixture prime")
-        names, mats, labels = [], [], []
-        for rec in raw["elements"]:
-            (a, b), (c, d) = rec["matrix"]
-            names.append(str(rec["name"]))
-            mats.append(tuple(limits._json_int(x, "a matrix entry") for x in (a, b, c, d)))
-            labels.append(str(rec["class"]))
-    except (RecursionError, KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"cannot read {where}: {exc!r}") from exc
+    """Load an element fixture file ({prime, elements:[{name, matrix, class}]})
+    through limits.read_input, which names the file in every refusal."""
+    path = path or default_fixture_path()
+    return limits.read_input(path, "element fixture", _fixture_of, lambda fx: fx)
+
+
+def _fixture_of(text: str) -> Sl2Fixture:
+    raw = json.loads(text)
+    p = limits._json_int(raw["prime"], "fixture prime")
+    names, mats, labels = [], [], []
+    for rec in raw["elements"]:
+        (a, b), (c, d) = rec["matrix"]
+        names.append(str(rec["name"]))
+        mats.append(tuple(limits._json_int(x, "a matrix entry") for x in (a, b, c, d)))
+        labels.append(str(rec["class"]))
     return Sl2Fixture(p, tuple(names), tuple(mats), tuple(labels))
 
 
@@ -130,7 +132,7 @@ def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
         cidx = int(cd.class_of[index[mat]])
         if cidx != label_class[label]:
             mismatches.append(f"{name}: labeled {label}, computed class is {class_label[cidx]}")
-    return FixtureReport(tuple(mismatches), label_class)
+    return FixtureReport(tuple(mismatches), label_class, cd)
 
 
 class _Sl2f5(NamedTuple):
@@ -139,7 +141,6 @@ class _Sl2f5(NamedTuple):
     G: groups.GroupTable
     cd: groups.ConjugacyData
     table: chartab.CharTable
-    elements: int  # the element fixture's count
     to_computed: list[int]  # the computed class index of each table class
 
 
@@ -154,15 +155,15 @@ def _sl2f5(fixture_path) -> _Sl2f5:
     # fixture labels c1..c9 follow the table's class order
     labels = [f"c{i + 1}" for i in range(table.num_classes)]
     _expect(report.label_class.keys() == set(labels), f"fixture labels are not {labels}")
-    return _Sl2f5(G, groups.conjugacy_classes(G), table, len(fx.matrices),
-                  [report.label_class[c] for c in labels])
+    return _Sl2f5(G, report.classes, table, [report.label_class[c] for c in labels])
 
 
-def verify_fixtures(fixture_path=None) -> list[str]:
+def verify_fixtures(reference=None) -> list[str]:
     """SL2(F5)'s classes against the element fixture and the builtin table:
     class sizes, every element's class, the table's orthogonality, power maps
-    and class sizes, and inversion acting trivially on classes."""
-    _, cd, table, elements, to_computed = _sl2f5(fixture_path)
+    and class sizes, and inversion acting trivially on classes. reference is
+    the fixture's _sl2f5, by default the shipped fixture's."""
+    G, cd, table, to_computed = reference or _sl2f5(None)
     _expect(
         sorted(cd.sizes) == sorted(_SL2F5_SIZES),
         f"class sizes {sorted(cd.sizes)} != {sorted(_SL2F5_SIZES)}",
@@ -183,7 +184,7 @@ def verify_fixtures(fixture_path=None) -> list[str]:
     )
     return [
         "classes: 9 classes with sizes {1,1,30,20,20,12,12,12,12}",
-        f"element fixture: all {elements} elements classified correctly",
+        f"element fixture: all {G.order} elements classified correctly",
         "character table: 45 orthogonality sums exact",
         "power maps: computed squares/cubes match the table classes",
         "inversion: acts trivially on all 9 classes",
@@ -244,11 +245,12 @@ def verify_cross_methods() -> list[str]:
     ]
 
 
-def verify_conventions(with_orbit_check: bool = False, fixture_path=None) -> list[str]:
+def verify_conventions(with_orbit_check: bool = False, reference=None) -> list[str]:
     """SL2(F5)'s flip and inversion values from its table; the inversion ones
     and the twisted parts against the perm path, the indicators against
-    square-root counts, and optionally the orbit count."""
-    G, cd, table, _, to_computed = _sl2f5(fixture_path)
+    square-root counts, and optionally the orbit count. reference is as for
+    verify_fixtures."""
+    G, cd, table, to_computed = reference or _sl2f5(None)
     nus = chartab.fs_indicators(table)
     lines = ["squared-power indicators: " + ", ".join(
         f"row{i + 1}={nu:+d}" for i, nu in enumerate(nus)
@@ -312,15 +314,18 @@ def run_suite(
         raise ValueError(f"suite must be one of {SUITES}, got {name!r}")
     chosen = ("fixtures", "cross-methods", "conventions") if name == "all" else (name,)
     lines: list[str] = []
+    reference = None  # fixtures' and conventions' _sl2f5, built by the first of them
     for suite in chosen:
         lines.append(f"[{suite}]")
         try:
+            if suite != "cross-methods":
+                reference = reference or _sl2f5(fixture_path)
             if suite == "fixtures":
-                lines += verify_fixtures(fixture_path)
+                lines += verify_fixtures(reference)
             elif suite == "cross-methods":
                 lines += verify_cross_methods()
             else:
-                lines += verify_conventions(with_orbit_check, fixture_path)
+                lines += verify_conventions(with_orbit_check, reference)
         except (VerifyFailure, FixtureMismatch) as exc:
             lines.append(f"FAIL: {exc}")
             return False, lines

@@ -179,14 +179,17 @@ def test_trivial_table_valid():
 
 
 def test_parse_errors(tmp_path):
+    # the file reader renders each as "cannot read", a missing key by its name
     path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(ParseError):
-        chartab.load_char_table(path)
-    with pytest.raises(ParseError):
-        char_table_from_dict({"radicand": 5})
-    with pytest.raises(ParseError):
-        char_table_from_dict([1, 2, 3])
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    del raw["rows"][2][1]["a_den"]
+    for text, detail in (("not json", "Expecting value"),
+                         ('{"radicand": 5}', "missing key 'class_sizes'"),
+                         ("[1, 2, 3]", "character table file must hold a JSON object"),
+                         (json.dumps(raw), "missing key 'a_den'")):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^cannot read character table .*: {detail}"):
+            chartab.load_char_table(path)
     raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
     raw["radicand"] = None
     with pytest.raises(NonRealValue):

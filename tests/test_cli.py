@@ -468,20 +468,20 @@ def _char_table_without_rows():
     return raw
 
 
-# each JSON file reader on a file that lacks a required key
-@pytest.mark.parametrize("what,argv,make_raw", [
-    ("Cayley table", ("classes", "--group", "cayley:{path}"), lambda: {"order": 1}),
+# each JSON file reader on a file that lacks a required key: one rendering
+@pytest.mark.parametrize("what,argv,make_raw,key", [
+    ("Cayley table", ("classes", "--group", "cayley:{path}"), lambda: {"order": 1}, "mul"),
     ("character table", ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
-                         "--char-table", "{path}"), _char_table_without_rows),
-    ("element fixture", ("verify", "fixtures", "--fixture", "{path}"), lambda: {"prime": 5}),
+                         "--char-table", "{path}"), _char_table_without_rows, "rows"),
+    ("element fixture", ("verify", "fixtures", "--fixture", "{path}"), lambda: {"prime": 5},
+     "elements"),
 ], ids=["cayley", "char-table", "fixture"])
-def test_a_missing_key_names_the_file(capsys, tmp_path, what, argv, make_raw):
+def test_a_missing_key_names_the_file(capsys, tmp_path, what, argv, make_raw, key):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_raw()))
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read {what} {str(path)!r}: ")
-    assert "Traceback" not in err
+    assert err == f"error: cannot read {what} {str(path)!r}: missing key {key!r}\n"
 
 
 def _builtin_table_edited(edit):
@@ -519,10 +519,14 @@ CHAR_TABLE_ARGV = ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "c
      _z2_table_over_sqrt4, "radicand must be a non-square >= 2 or None, got 4"),
     ("Cayley table", ("classes", "--group", "cayley:{path}"),
      lambda: {"order": 2, "mul": [[0, 1], [0, 1]]}, "no two-sided identity element"),
+    ("Cayley table", ("classes", "--group", "cayley:{path}"),
+     lambda: {"order": 3, "mul": [[0, 1], [1, 0]]}, "'mul' has 2 rows, 'order' says 3"),
+    ("Cayley table", ("classes", "--group", "cayley:{path}"),
+     lambda: {"order": 2, "mul": 5}, "'mul' must be a list of rows, got 5"),
     ("element fixture", ("verify", "fixtures", "--fixture", "{path}"),
      lambda: {"prime": "5", "elements": []}, "fixture prime must be an integer, got '5'"),
 ], ids=["zero-denominator", "no-radicand", "radicand-1", "not-orthogonal", "power-map",
-        "square-radicand", "no-identity", "fixture-prime"])
+        "square-radicand", "no-identity", "row-count", "scalar-mul", "fixture-prime"])
 def test_a_refused_file_names_the_file(capsys, tmp_path, what, argv, make_raw, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_raw()))
@@ -958,8 +962,25 @@ def test_conventions_counts_each_coset_once(monkeypatch):
     calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
                         (perm, "_row_chunks"))
     verify.verify_conventions(True)
-    assert calls["conjugacy_classes"] <= 3
+    assert calls["conjugacy_classes"] == 2
     assert calls["_row_chunks"] == 120
+
+
+def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
+    # fixtures and conventions share one reference: SL2(F5) is built and the
+    # fixture read once, and its classes are computed for the fixture's class
+    # vote and once more inside perm.twisted_coset_average
+    calls = count_calls(monkeypatch, (verify, "load_sl2_fixture"))
+    sl2_primes, class_orders = collections.Counter(), collections.Counter()
+    make_sl2 = groups.make_sl2
+    monkeypatch.setattr(groups, "make_sl2", lambda p: sl2_primes.update([p]) or make_sl2(p))
+    for module in (groups, perm):
+        classes = module.conjugacy_classes
+        monkeypatch.setattr(module, "conjugacy_classes",
+                            lambda G, classes=classes: class_orders.update([G.order]) or classes(G))
+    code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
+    assert code == 0 and out.endswith("ok\n")
+    assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 2)
 
 
 def test_twisted_coset_average_trap(capsys, monkeypatch):

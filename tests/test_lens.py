@@ -49,11 +49,11 @@ def test_lens_dims_rows():
 
 
 def test_weight_map_examples():
-    assert weight_map(6, 0, 1, 2, "even").is_zero()
+    assert weight_map(6, 0, 1, 2, "even").coeffs == ()
     w = weight_map(6, 0, 1, 3, "even")
-    assert w.as_dict() == {(1, 2, 3): 1, (3, 4, 5): -1}
+    assert dict(w.coeffs) == {(1, 2, 3): 1, (3, 4, 5): -1}
     w = weight_map(3, 0, 0, 0, "odd")
-    assert w.as_dict() == {(0, 0, 0): 2}
+    assert dict(w.coeffs) == {(0, 0, 0): 2}
 
 
 def test_weight_map_well_definedness_random():
