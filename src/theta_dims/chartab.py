@@ -8,9 +8,10 @@ from the table; the cube-character step, the module shift and the
 integrality check are those of `perm`.
 
 Each table is held once as integer rows over one common denominator,
-X = (A + B sqrt(d)) / D, and every O(k^3) or O(k^2) sum is an integer product
-on A and B in plain Python ints, exact at any size; `QuadValue` arithmetic is
-left to the O(k) terms of the twisted part and to the messages.
+X = (A + B sqrt(d)) / D. Only `CharTable.validate` forms table products, as
+integer products on A and B in plain Python ints, exact at any size. Once it
+holds, X^T X = n S^-1 (S the class sizes): the dimensions read their diagonal
+part off the class sizes, and characters only in the O(k) twisted-part terms.
 """
 
 from __future__ import annotations
@@ -254,22 +255,23 @@ class _Integral(NamedTuple):
         """(a + b sqrt(rad)) / den: an int or a Fraction if b is 0, else a QuadValue."""
         if b:
             return QuadValue(Fraction(a, den), Fraction(b, den), self.rad)
-        return a // den if a % den == 0 else Fraction(a, den)
+        return _quotient(a, den)
 
     def with_columns(self, columns) -> "_Integral":
         """The table whose column c is this table's column columns[c]."""
         return self._replace(a=[[row[c] for c in columns] for row in self.a],
                              b=[[row[c] for c in columns] for row in self.b])
 
-    def transposed(self) -> "_Integral":
-        return self._replace(a=[list(col) for col in zip(*self.a)],
-                             b=[list(col) for col in zip(*self.b)])
-
     def squared(self) -> "_Integral":
         """The table of the squared entries, over den^2."""
         pairs = [list(zip(a, b)) for a, b in zip(self.a, self.b)]
         return _Integral([[x * x + self.rad * y * y for x, y in row] for row in pairs],
                          [[2 * x * y for x, y in row] for row in pairs], self.den**2, self.rad)
+
+
+def _quotient(a: int, den: int) -> int | Fraction:
+    """a / den, an int when den divides a."""
+    return a // den if a % den == 0 else Fraction(a, den)
 
 
 def _products(left, right, weights) -> list[list[int]]:
@@ -359,30 +361,27 @@ def fs_indicators(t: CharTable) -> tuple[int, ...]:
 
 
 def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
-    """Average of the cube character over the doubled group alone.
+    """Average of the cube character over the doubled group alone, on a table
+    that has passed validate.
 
     Its traces are the entries of X^T X, the group-algebra character at the
-    class pairs. Row orthogonality, X S X^T = n, makes X^T X = n S^-1, so on a
-    table that passes validate each entry is an integer; an irrational one
-    raises OrthogonalityViolation."""
+    class pairs. Row orthogonality, X S X^T = n, which validate proves, makes
+    X^T X = n S^-1: the trace at (c, d) is n / |c| if c = d, else 0."""
     shift, sign = _shift_sign(module, parity)
-    k, p2, p3 = t.num_classes, t.power2, t.power3
-    columns = t._integral.transposed()
-    rational, irrational = _gram(columns, columns, [1] * k)
-    if any(map(any, irrational)):
-        raise OrthogonalityViolation("X^T X has an irrational entry: the rows are not orthogonal")
-    den2 = columns.den**2
-    x = [[columns.value(v, 0, den2) for v in row] for row in rational]
+    k, n, sizes, p2, p3 = t.num_classes, t.order, t.class_sizes, t.power2, t.power3
+    x = [[_quotient(n, size) if c == d else 0 for d in range(k)] for c, size in enumerate(sizes)]
     terms = (
-        (t.class_sizes[c] * t.class_sizes[d], x[c][d], x[p2[c]][p2[d]], x[p3[c]][p3[d]])
+        (sizes[c] * sizes[d], x[c][d], x[p2[c]][p2[d]], x[p3[c]][p3[d]])
         for c in range(k)
         for d in range(k)
     )
-    return Fraction(_cube_sum(terms, shift, sign), 6 * t.order**2)
+    return Fraction(_cube_sum(terms, shift, sign), 6 * n**2)
 
 
 def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> Fraction:
-    """Average of the cube character over the twisted coset, via single sums.
+    """Average of the cube character over the twisted coset, via single sums,
+    on a table that has passed validate: sum_i X_ic^2 is n / |c| as in
+    diagonal_part, and the characters enter only through sum_i nu_i X_ic.
 
     With the "flip" convention the involution swaps the two tensor factors on
     each isotypic block, so its trace weights every row by +1. With the
@@ -393,26 +392,21 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    k = t.num_classes
+    k, n = t.num_classes, t.order
     nu = fs_indicators(t) if convention == INVERSION else (1,) * k
-    columns = t._integral.transposed()
-    rad, den = columns.rad, columns.den
-    # per class c: sum_i nu_i X_ic, and sum_i X_ic^2 (n / |c| on a valid table)
+    form = t._integral
+    # per class c: sum_i nu_i X_ic; sum_i X_ic^2 is (X^T X)_cc = n / |c|
     weighted = [
-        columns.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), den)
-        for a, b in zip(columns.a, columns.b)
-    ]
-    squares = [
-        columns.value(sum(map(mul, a, a)) + rad * sum(map(mul, b, b)), 2 * sum(map(mul, a, b)),
-                      den * den)
-        for a, b in zip(columns.a, columns.b)
+        form.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), form.den)
+        for a, b in zip(zip(*form.a), zip(*form.b))
     ]
     terms = (
-        (t.class_sizes[c], weighted[c], squares[c], weighted[t.power3[c]]) for c in range(k)
+        (size, weighted[c], _quotient(n, size), weighted[t.power3[c]])
+        for c, size in enumerate(t.class_sizes)
     )
     total = _cube_sum(terms, shift, sign)
     total = total.as_fraction() if isinstance(total, QuadValue) else Fraction(total)
-    return total / (6 * t.order)
+    return total / (6 * n)
 
 
 def dim_invariants_chartab(
@@ -470,8 +464,12 @@ def _char_table_of(raw: dict) -> CharTable:
     names = tuple(map(str, names))
     rows = []
     for raw_row in raw["rows"]:
+        if not isinstance(raw_row, list):
+            raise ParseError(f"a character row must be a list of objects, got {raw_row!r:.40}")
         row = []
         for rec in raw_row:
+            if not isinstance(rec, dict):
+                raise ParseError(f"a character value must be a JSON object, got {rec!r:.40}")
             a = _fraction_from(rec, "a_num", "a_den")
             b = _fraction_from(rec, "b_num", "b_den")
             if b != 0 and radicand is None:

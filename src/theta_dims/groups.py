@@ -183,6 +183,11 @@ def sl2_matrices(p: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
+def _sl2_label(m) -> str:
+    """The label "[a,b;c,d]" of the matrix (a, b, c, d) in make_sl2."""
+    return "[{},{};{},{}]".format(*m)
+
+
 def _sl2_times(x, y, p: int):
     """The product of 2x2 matrices (a, b, c, d) mod p, entries ints or arrays."""
     (a, b, c, d), (e, f, g, h) = x, y
@@ -215,7 +220,7 @@ def make_sl2(p: int) -> GroupTable:
         mul[i] = index[code(*_sl2_times(m, columns, p))]
     inv = index[code(*_sl2_inverse(columns, p))]
     e = int(index[code(1, 0, 0, 1)])
-    labels = tuple(f"[{ai},{bi};{ci},{di}]" for ai, bi, ci, di in mats)
+    labels = tuple(map(_sl2_label, mats))
     return GroupTable(_freeze(mul), _freeze(inv), e, labels)
 
 
@@ -440,8 +445,12 @@ def generating_set(G: GroupTable) -> list[int]:
 def make_quaternion8() -> GroupTable:
     """The quaternion group Q8 as the subgroup of SL2(F_3) generated by
     i = [0,1;2,0] and j = [1,1;1,2], for which i^2 = j^2 = -I and ji = -ij."""
-    G = make_sl2(3)
-    return _subgroup(G, [G.labels.index("[0,1;2,0]"), G.labels.index("[1,1;1,2]")])
+    return _quaternion8_in(make_sl2(3))
+
+
+def _quaternion8_in(G: GroupTable) -> GroupTable:
+    """make_quaternion8's Q8 inside G = make_sl2(3)."""
+    return _subgroup(G, [G.labels.index(_sl2_label(m)) for m in ((0, 1, 2, 0), (1, 1, 1, 2))])
 
 
 def _unit_action(m: int, r: int, k: int) -> list[list[int]]:
@@ -457,7 +466,8 @@ def battery_groups() -> list[tuple[str, GroupTable]]:
     Z2 = make_cyclic(2)
     groups.append(("Z2xZ2", make_semidirect_product(Z2, Z2)))
     groups.append(("S3", make_semidirect_product(make_cyclic(3), Z2, _unit_action(3, -1, 2))))
-    groups.append(("Q8", make_quaternion8()))
+    SL2F3 = make_sl2(3)
+    groups.append(("Q8", _quaternion8_in(SL2F3)))
     groups.append(("D4", make_semidirect_product(make_cyclic(4), Z2, _unit_action(4, -1, 2))))
-    groups.append(("SL2F3", make_sl2(3)))
+    groups.append(("SL2F3", SL2F3))
     return groups

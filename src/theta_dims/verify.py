@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import chartab, groups, lens, limits, oracle, perm
 from .cli import SUITES
-from .errors import FixtureMismatch
+from .errors import FixtureMismatch, ParseError
 
 _SL2F5_SIZES = (1, 1, 30, 20, 20, 12, 12, 12, 12)
 
@@ -79,10 +79,19 @@ def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
 
 def _fixture_of(text: str) -> Sl2Fixture:
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
     p = limits._json_int(raw["prime"], "fixture prime")
+    elements = raw["elements"]
+    if not isinstance(elements, list) or not all(isinstance(rec, dict) for rec in elements):
+        raise ParseError(f"'elements' must be a list of objects, got {elements!r:.40}")
     names, mats, labels = [], [], []
-    for rec in raw["elements"]:
-        (a, b), (c, d) = rec["matrix"]
+    for rec in elements:
+        matrix = rec["matrix"]
+        if not (isinstance(matrix, list) and len(matrix) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in matrix)):
+            raise ParseError(f"an element's 'matrix' must be a 2x2 matrix, got {matrix!r:.40}")
+        (a, b), (c, d) = matrix
         names.append(str(rec["name"]))
         mats.append(tuple(limits._json_int(x, "a matrix entry") for x in (a, b, c, d)))
         labels.append(str(rec["class"]))
@@ -90,35 +99,35 @@ def _fixture_of(text: str) -> Sl2Fixture:
 
 
 def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
-    """Check the fixture against G = make_sl2(fx.prime).
+    """Check the fixture against G = make_sl2(fx.prime), whose labels name
+    its elements' matrices.
 
     Structural failures (wrong cardinality, bad determinants, no bijection
-    with the enumerated elements) raise FixtureMismatch. Per-element class
+    with G's elements) raise FixtureMismatch. Per-element class
     disagreements are collected in the returned report.
     """
     p = fx.prime
-    # |SL2(F_p)| = p (p^2 - 1), checked before any matrix is enumerated
+    # |SL2(F_p)| = p (p^2 - 1), checked before any label is compared
     if G.order != p * (p * p - 1):
         raise FixtureMismatch(f"group order {G.order} != {p * (p * p - 1)}")
-    expected = groups.sl2_matrices(p)
-    if len(fx.matrices) != len(expected):
-        raise FixtureMismatch(
-            f"fixture lists {len(fx.matrices)} elements, expected {len(expected)}"
-        )
+    if len(fx.matrices) != G.order:
+        raise FixtureMismatch(f"fixture lists {len(fx.matrices)} elements, expected {G.order}")
     for name, (a, b, c, d) in zip(fx.names, fx.matrices):
         if (a * d - b * c) % p != 1:
             raise FixtureMismatch(f"{name} has determinant != 1 mod {p}")
-    index = {m: i for i, m in enumerate(expected)}
-    if set(fx.matrices) != set(index):
-        missing = sorted(set(index) - set(fx.matrices))[:3]
-        raise FixtureMismatch(f"fixture is not a bijection; e.g. missing {missing}")
+    index = {label: i for i, label in enumerate(G.labels)}
+    listed = [groups._sl2_label(m) for m in fx.matrices]
+    present = set(listed)
+    missing = [label for label in G.labels if label not in present]
+    if missing:
+        raise FixtureMismatch(f"fixture is not a bijection; e.g. missing {missing[:3]}")
 
     cd = groups.conjugacy_classes(G)
     # pick the label <-> computed-class correspondence by majority vote, then
     # flag the elements that disagree with it
     votes: dict[str, Counter] = defaultdict(Counter)
-    for mat, label in zip(fx.matrices, fx.class_labels):
-        votes[label][int(cd.class_of[index[mat]])] += 1
+    for element, label in zip(listed, fx.class_labels):
+        votes[label][int(cd.class_of[index[element]])] += 1
     if len(votes) != cd.num_classes:
         raise FixtureMismatch(
             f"fixture names {len(votes)} classes, group has {cd.num_classes}"
@@ -128,8 +137,8 @@ def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
         raise FixtureMismatch("fixture labels do not separate the computed classes")
     class_label = {v: k for k, v in label_class.items()}
     mismatches = []
-    for name, mat, label in zip(fx.names, fx.matrices, fx.class_labels):
-        cidx = int(cd.class_of[index[mat]])
+    for name, element, label in zip(fx.names, listed, fx.class_labels):
+        cidx = int(cd.class_of[index[element]])
         if cidx != label_class[label]:
             mismatches.append(f"{name}: labeled {label}, computed class is {class_label[cidx]}")
     return FixtureReport(tuple(mismatches), label_class, cd)

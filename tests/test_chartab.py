@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -232,30 +233,57 @@ def test_diagonal_part_values():
     assert chartab.diagonal_part(t, perm.GROUP_ALGEBRA, perm.ODD) == 71
 
 
-def test_diagonal_part_matches_independent_expansion():
-    # test-local rewrite of the double class sum, kept deliberately naive
+def _two_tables():
+    """The builtin table of 2I and that of 2I x Z2, both validated."""
     t = chartab.builtin_sl2f5_table()
-    for module, shift in ((perm.GROUP_ALGEBRA, 0), (perm.AUG_KERNEL, 1)):
-        for parity, sign in ((perm.EVEN, -1), (perm.ODD, 1)):
-            total = QuadValue.of(0, 5)
-            for c in range(9):
-                for d in range(9):
-                    x1 = sum(
-                        (t.value(i, c) * t.value(i, d) for i in range(9)),
-                        QuadValue.of(0, 5),
-                    ) - shift
-                    x2 = sum(
-                        (t.value(i, t.power2[c]) * t.value(i, t.power2[d]) for i in range(9)),
-                        QuadValue.of(0, 5),
-                    ) - shift
-                    x3 = sum(
-                        (t.value(i, t.power3[c]) * t.value(i, t.power3[d]) for i in range(9)),
-                        QuadValue.of(0, 5),
-                    ) - shift
-                    w = t.class_sizes[c] * t.class_sizes[d]
-                    total = total + w * (x1 * x1 * x1 + sign * 3 * x2 * x1 + 2 * x3)
-            expected = total.as_fraction() / (6 * 120 * 120)
+    product = _product_table(t, _sign_table(1))
+    product.validate()
+    return {"2I": t, "2IxZ2": product}
+
+
+def test_diagonal_part_matches_independent_expansion():
+    # test-local rewrite of the double class sum, kept deliberately naive:
+    # X^T X summed from the characters, not read off the class sizes
+    for t in _two_tables().values():
+        k, zero = t.num_classes, QuadValue.of(0, 5)
+        xtx = [[sum((t.value(i, c) * t.value(i, d) for i in range(k)), zero) for d in range(k)]
+               for c in range(k)]
+        for (module, shift), (parity, sign) in itertools.product(
+            ((perm.GROUP_ALGEBRA, 0), (perm.AUG_KERNEL, 1)), ((perm.EVEN, -1), (perm.ODD, 1))
+        ):
+            total = zero
+            for c, d in itertools.product(range(k), repeat=2):
+                x1 = xtx[c][d] - shift
+                x2 = xtx[t.power2[c]][t.power2[d]] - shift
+                x3 = xtx[t.power3[c]][t.power3[d]] - shift
+                w = t.class_sizes[c] * t.class_sizes[d]
+                total = total + w * (x1 * x1 * x1 + sign * 3 * x2 * x1 + 2 * x3)
+            expected = total.as_fraction() / (6 * t.order**2)
             assert chartab.diagonal_part(t, module, parity) == expected
+
+
+def test_dimensions_form_no_table_product(monkeypatch):
+    # once validate holds, every dimension reads X^T X off the class sizes:
+    # with the product kernels made to raise, each value is still the same
+    tables = _two_tables()
+    keys = [(module, parity, convention) for module in perm.MODULES
+            for parity in perm.PARITIES for convention in perm.CONVENTIONS]
+
+    def values():
+        return {
+            (name, key): (chartab.diagonal_part(t, *key[:2]), chartab.tau_part(t, *key),
+                          chartab.dim_invariants_chartab(t, *key))
+            for name, t in tables.items() for key in keys
+        }
+
+    expected = values()
+
+    def refuse(*args):
+        raise AssertionError("a dimension formed a table product")
+
+    monkeypatch.setattr(chartab, "_gram", refuse)
+    monkeypatch.setattr(chartab, "_products", refuse)
+    assert values() == expected
 
 
 def test_tau_part_flip_values():

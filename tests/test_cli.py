@@ -318,7 +318,8 @@ def _no_table(spec):
     (("--group", "cyclic:3163", "--method", "orbit"),
      "10004569 nodes exceed the orbit guard 10000000"),
     (("--group", "sl2:5", "--method", "reynolds"),
-     "295240 monomials exceed the reynolds guard 2600"),
+     "295240 monomials exceed the reynolds guard 2600"),    (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "closed-form"),
+     "method closed-form computes the full symmetry only"),
 ])
 def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
     # a cyclic:16384 table is 512 MB; these refusals need only the arguments,
@@ -523,10 +524,24 @@ CHAR_TABLE_ARGV = ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "c
      lambda: {"order": 3, "mul": [[0, 1], [1, 0]]}, "'mul' has 2 rows, 'order' says 3"),
     ("Cayley table", ("classes", "--group", "cayley:{path}"),
      lambda: {"order": 2, "mul": 5}, "'mul' must be a list of rows, got 5"),
+    ("Cayley table", ("classes", "--group", "cayley:{path}"),
+     lambda: [[0]], "expected a JSON object, got ndarray"),
     ("element fixture", ("verify", "fixtures", "--fixture", "{path}"),
      lambda: {"prime": "5", "elements": []}, "fixture prime must be an integer, got '5'"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["class_names"].pop()), "table blocks disagree on the number of classes"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["rows"][4].pop()), "character rows must be square with the class count"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["class_sizes"].__setitem__(2, 0)), "class sizes must be positive"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["power3"].__setitem__(5, 9)), "power maps must be class indices"),
+    ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
+        lambda t: t["rows"].reverse()), "first row must be the trivial character"),
 ], ids=["zero-denominator", "no-radicand", "radicand-1", "not-orthogonal", "power-map",
-        "square-radicand", "no-identity", "row-count", "scalar-mul", "fixture-prime"])
+        "square-radicand", "no-identity", "row-count", "scalar-mul", "cayley-not-an-object",
+        "fixture-prime", "blocks-disagree", "row-length", "size-zero", "power-map-range",
+        "first-row"])
 def test_a_refused_file_names_the_file(capsys, tmp_path, what, argv, make_raw, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_raw()))
@@ -705,6 +720,7 @@ BAD_CAYLEY_ROWS = {
     "cayley-short-row": (2, '{"order":2,"mul":[[0,1],[1]]}'),
     "cayley-space-in-row": (2, '{"order":2,"mul":[[0,1],[1 0]]}'),
     "cayley-space-splits-entry": (2, '{"order":2,"mul":[[0,1 0],[1,0]]}'),
+    "cayley-non-ascii": (2, '{"order":2,"mul":[[0,1],[1,\u00e90]]}'),
 }
 
 
@@ -726,30 +742,60 @@ BAD_JSON_INPUTS = {
     "fixture-float-prime": ("fixture", {"prime": 5.0, "elements": []}),
     "fixture-bool-entry": ("fixture", {"prime": 5, "elements": [
         {"name": "g", "matrix": [[True, 0], [0, 1]], "class": "1"}]}),
+    "fixture-not-an-object": ("fixture", []),
+    "fixture-element-scalar": ("fixture", {"prime": 5, "elements": [5]}),
+    "fixture-matrix-scalar": ("fixture", {"prime": 5, "elements": [
+        {"name": "g", "matrix": 5, "class": "1"}]}),
+    "char-entry-scalar": ("char", _builtin_table_edited(lambda t: t["rows"][0].__setitem__(0, 5))),
+    "char-row-scalar": ("char", _builtin_table_edited(lambda t: t["rows"].__setitem__(0, 5))),
 }
+
+# the refusal of some BAD_JSON_INPUTS, after "error: cannot read <kind> '<path>': "
+BAD_JSON_MESSAGES = {
+    "fixture-not-an-object": "expected a JSON object, got list",
+    "fixture-element-scalar": "'elements' must be a list of objects, got [5]",
+    "fixture-matrix-scalar": "an element's 'matrix' must be a 2x2 matrix, got 5",
+    "char-entry-scalar": "a character value must be a JSON object, got 5",
+    "char-row-scalar": "a character row must be a list of objects, got 5",
+    "cayley-non-ascii": "rows must be 2 lists of 2 integers in 0..1: found a character outside ASCII",
+}
+
+
+def _run_bad_json_input(capsys, tmp_path, case):
+    """Run the command that reads BAD_JSON_INPUTS[case]; (code, out, err, the
+    file's kind as messages name it, its path)."""
+    kind, payload = BAD_JSON_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")
+    what, argv = {
+        "char": ("character table", ("dims", "--group", "sl2:5", "--parity", "odd",
+                                     "--method", "chartab", "--char-table", str(path))),
+        "cayley": ("Cayley table", ("dims", "--group", f"cayley:{path}", "--parity", "odd")),
+        "fixture": ("element fixture", ("verify", "fixtures", "--fixture", str(path))),
+    }[kind]
+    return (*run_cli(capsys, *argv), what, path)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_JSON_INPUTS))
 def test_bad_json_inputs_are_usage_errors(capsys, tmp_path, case):
-    kind, payload = BAD_JSON_INPUTS[case]
-    path = tmp_path / "input.json"
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    argv = {
-        "char": ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
-                 "--char-table", str(path)),
-        "cayley": ("dims", "--group", f"cayley:{path}", "--parity", "odd"),
-        "fixture": ("verify", "fixtures", "--fixture", str(path)),
-    }[kind]
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err, _, _ = _run_bad_json_input(capsys, tmp_path, case)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_MESSAGES))
+def test_bad_json_inputs_say_what_was_expected(capsys, tmp_path, case):
+    code, out, err, what, path = _run_bad_json_input(capsys, tmp_path, case)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {what} {str(path)!r}: {BAD_JSON_MESSAGES[case]}\n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CAYLEY_ROWS))
 def test_bad_cayley_rows_name_file_and_range(capsys, tmp_path, case):
     n, text = BAD_CAYLEY_ROWS[case]
     path = tmp_path / "table.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "classes", "--group", f"cayley:{path}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and repr(str(path)) in err
@@ -884,6 +930,36 @@ def test_verify_fixture_labels_name_the_table_classes(capsys, tmp_path, suite):
     assert out == f"[{suite}]\nFAIL: fixture labels are not {labels}\n"
 
 
+def _relabel_one_of_each(first, second):
+    """Give one element of class first the label second and one of second first."""
+    def relabel(raw):
+        a = next(rec for rec in raw["elements"] if rec["class"] == first)
+        b = next(rec for rec in raw["elements"] if rec["class"] == second)
+        a["class"], b["class"] = second, first
+    return relabel
+
+
+def _merge_labels(raw):
+    """Label every element of class c9 as c8."""
+    for rec in raw["elements"]:
+        rec["class"] = rec["class"].replace("c9", "c8")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_merge_labels, "fixture names 8 classes, group has 9"),
+    # -I (c2, one element) labeled c3: c2 names one element of c3, whose label
+    # c3 keeps its majority, so both labels vote for the class of c3
+    (_relabel_one_of_each("c2", "c3"), "fixture labels do not separate the computed classes"),
+], ids=["class-count", "not-separated"])
+def test_verify_fixture_labels_must_match_the_classes(capsys, tmp_path, edit, message):
+    raw = json.loads(verify.default_fixture_path().read_text())
+    edit(raw)
+    path = tmp_path / "relabeled.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "verify", "fixtures", "--fixture", str(path))
+    assert (code, out) == (1, f"[fixtures]\nFAIL: {message}\n")
+
+
 def test_verify_fixture_order_checked_before_enumeration(capsys, tmp_path):
     # SL2(F_1009) has over 10^9 elements; none of them may be listed
     raw = json.loads(verify.default_fixture_path().read_text())
@@ -981,6 +1057,17 @@ def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
     assert code == 0 and out.endswith("ok\n")
     assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 2)
+
+
+def test_verify_all_enumerates_each_sl2_once(capsys, monkeypatch):
+    # make_sl2 lists the matrices; the fixture check reads them off the
+    # table's labels, and the battery's Q8 is a subgroup of its own SL2(F3)
+    primes = collections.Counter()
+    sl2_matrices = groups.sl2_matrices
+    monkeypatch.setattr(groups, "sl2_matrices", lambda p: primes.update([p]) or sl2_matrices(p))
+    code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
+    assert code == 0 and out.endswith("ok\n")
+    assert primes == {5: 1, 3: 1}
 
 
 def test_twisted_coset_average_trap(capsys, monkeypatch):
