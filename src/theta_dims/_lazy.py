@@ -7,7 +7,10 @@ bytecode each sibling module is compiled from source. So the layers bind
 `np` from here, `cli` binds the modules of the verbs and methods it does not
 always run (`cayley`, `chartab`, `lens`, `oracle`, `verify`) through
 `_lazy_import`, and `lens` binds `oracle` the same way; a query executes
-only the modules it touches.
+only the modules it touches. The same holds for the standard library:
+`perm` binds `fractions` (which imports `decimal`) here, for its refusals
+and its twisted-coset check, and the modules a short query runs keep their
+records in NamedTuples rather than dataclasses, which import `inspect`.
 """
 
 from __future__ import annotations

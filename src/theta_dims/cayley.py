@@ -188,7 +188,9 @@ def _decode(text: str) -> np.ndarray:
     """The 'mul' rows of a Cayley file's text, their count checked against 'order'."""
     raw = _RowsDecoder().decode(text)
     if not isinstance(raw, dict):
-        raise ParseError(f"expected a JSON object, got {type(raw).__name__}")
+        # an array of rows decodes to an index array, but the file holds a list
+        kind = "list" if isinstance(raw, np.ndarray) else type(raw).__name__
+        raise ParseError(f"expected a JSON object, got {kind}")
     order, mul = limits._json_int(raw["order"], "'order'"), raw["mul"]
     if not isinstance(mul, np.ndarray):
         raise ParseError(f"'mul' must be a list of rows, got {mul!r:.40}")

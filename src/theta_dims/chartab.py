@@ -455,15 +455,19 @@ def _char_table_of(raw: dict) -> CharTable:
     radicand = raw["radicand"]
     if radicand is not None:
         radicand = limits._json_int(radicand, "radicand")
-    sizes = tuple(limits._json_int(s, "a class size") for s in raw["class_sizes"])
-    power2 = tuple(limits._json_int(c, "a power2 entry") for c in raw["power2"])
-    power3 = tuple(limits._json_int(c, "a power3 entry") for c in raw["power3"])
+
+    def ints(key: str, what: str) -> tuple[int, ...]:
+        return tuple(limits._json_int(v, what) for v in limits._json_list(raw[key], repr(key)))
+
+    sizes = ints("class_sizes", "a class size")
+    power2 = ints("power2", "a power2 entry")
+    power3 = ints("power3", "a power3 entry")
     names = raw.get("class_names")
     if names is None:
         names = [f"c{i + 1}" for i in range(len(sizes))]
-    names = tuple(map(str, names))
+    names = tuple(map(str, limits._json_list(names, "'class_names'")))
     rows = []
-    for raw_row in raw["rows"]:
+    for raw_row in limits._json_list(raw["rows"], "'rows'"):
         if not isinstance(raw_row, list):
             raise ParseError(f"a character row must be a list of objects, got {raw_row!r:.40}")
         row = []

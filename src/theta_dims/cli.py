@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import json
 import sys
 import time
@@ -154,7 +153,7 @@ def _compute_dims(args) -> int:
             raise UsageError("method closed-form applies to cyclic groups only")
         if symmetry != perm.FULL:
             raise UsageError("method closed-form computes the full symmetry only")
-        dims = dataclasses.astuple(lens.lens_dims(arg))[1:]
+        dims = tuple(lens.lens_dims(arg))[1:]
         value = dims[lens.COLUMNS.index((args.module, args.parity))]
     elif method == "perm":
         value = perm.dim_invariants_perm(
@@ -195,8 +194,8 @@ def _compute_dims(args) -> int:
 def _cmd_lens_table(args) -> int:
     if not 0 <= args.max_n <= limits.LENS_TABLE_MAX_N:
         raise UsageError(f"--max-n must lie in 0..{limits.LENS_TABLE_MAX_N}, got {args.max_n}")
-    rows = [dataclasses.asdict(lens.lens_dims(n)) for n in range(1, args.max_n + 1)]
-    keys = [f.name for f in dataclasses.fields(lens.LensDims)]
+    rows = [lens.lens_dims(n)._asdict() for n in range(1, args.max_n + 1)]
+    keys = list(lens.LensDims._fields)
     text = [f"{'n':>3} {'odd C[pi]':>10} {'even C[pi]':>11} {'odd Ker':>8} {'even Ker':>9}"]
     text += [
         f"{r['n']:>3} {r['odd_group_algebra']:>10} {r['even_group_algebra']:>11} "

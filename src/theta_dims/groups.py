@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import limits
 from ._lazy import np
@@ -50,14 +50,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
-    """A finite group on indices 0..order-1 with full lookup tables."""
+def _is(a, b) -> bool:
+    return a is b
+
+
+def _is_not(a, b) -> bool:
+    return a is not b
+
+
+class GroupTable(NamedTuple):
+    """A finite group on indices 0..order-1 with full lookup tables.
+
+    Compared and hashed by identity: a tuple's elementwise == would compare
+    the arrays."""
 
     mul_table: np.ndarray  # shape (n, n)
     inv_table: np.ndarray  # shape (n,)
     identity: int
     labels: tuple[str, ...] | None = None
+
+    __eq__, __ne__, __hash__ = _is, _is_not, object.__hash__
 
     @property
     def order(self) -> int:
@@ -75,10 +87,10 @@ class GroupTable:
         return self.labels[int(x)]
 
 
-@dataclass(frozen=True, eq=False)
-class ConjugacyData:
+class ConjugacyData(NamedTuple):
     """Partition of a group into conjugacy classes, ordered by class minimum,
-    with the class of the square, cube and inverse of each class."""
+    with the class of the square, cube and inverse of each class. Compared
+    and hashed by identity, as GroupTable is: class_of may be an array."""
 
     class_of: Sequence[int]  # element index -> class index; an array, or a range
     reps: tuple[int, ...]  # smallest member of each class
@@ -86,6 +98,8 @@ class ConjugacyData:
     power2: tuple[int, ...]  # class of r^2 for each representative r
     power3: tuple[int, ...]  # class of r^3
     inverse: tuple[int, ...]  # class of r^-1
+
+    __eq__, __ne__, __hash__ = _is, _is_not, object.__hash__
 
     @property
     def num_classes(self) -> int:

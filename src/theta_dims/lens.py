@@ -9,7 +9,7 @@ ranks of explicitly computed vectors, giving yet another route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import _lazy_import, np
 from .errors import HalfwayPoint, SimplificationMismatch
@@ -44,8 +44,7 @@ def p3_closed(m: int) -> int:
     return (q + 6) // 12
 
 
-@dataclass(frozen=True)
-class LensDims:
+class LensDims(NamedTuple):
     """The four invariant dimensions for the cyclic group of order n."""
 
     n: int
@@ -72,8 +71,7 @@ def lens_dims(n: int) -> LensDims:
     return LensDims(n, *dims)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """A sparse signed combination of canonical cubic monomials mod n."""
 
     n: int

@@ -70,6 +70,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    """value if it is a JSON array; else ParseError."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r:.40}")
+    return value
+
+
 def _read_text(path: str | os.PathLike, limit: int, room: str) -> str:
     """The text of the UTF-8 file at path. The file is opened once, and fstat
     of that descriptor refuses it before any byte is read unless it is a

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-from ._lazy import np
+from ._lazy import _lazy_import, np
 from .errors import NonIntegralDimension, SimplificationMismatch
 from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
+
+# only a refusal and the twisted-coset check form a Fraction
+fractions = _lazy_import("fractions")
 
 GROUP_ALGEBRA = "group-algebra"
 AUG_KERNEL = "aug-kernel"
@@ -50,8 +52,7 @@ def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class CosetElement:
+class CosetElement(NamedTuple):
     """An element of the doubled-and-swapped symmetry group, acting on basis
     indices by x -> g x h^-1 (untwisted) or x -> h x^-1 g^-1 (twisted)."""
 
@@ -90,12 +91,15 @@ def _cube_sum(terms, shift: int, sign: int):
     return total
 
 
-def _as_dimension(average: Fraction, **context) -> int:
-    """The average as an int; NonIntegralDimension unless a nonnegative integer."""
-    if average.denominator != 1 or average < 0:
+def _as_dimension(total, den: int = 1, **context) -> int:
+    """total / den as an int, total an int or a Fraction and den a positive
+    int; NonIntegralDimension unless a nonnegative integer."""
+    quotient, remainder = divmod(total.numerator, total.denominator * den)
+    if remainder or quotient < 0:
         where = ", ".join(f"{key}={value}" for key, value in context.items())
-        raise NonIntegralDimension(f"average {average} is not a nonnegative integer ({where})")
-    return int(average)
+        raise NonIntegralDimension(f"average {fractions.Fraction(total, den)} "
+                                   f"is not a nonnegative integer ({where})")
+    return quotient
 
 
 def _coset_terms(G: GroupTable, twisted: bool) -> list[tuple[int, int, int, int]]:
@@ -186,12 +190,10 @@ def dim_invariants_perm(
     total, group_size = untwisted, n * n
     if symmetry == FULL:
         total, group_size = untwisted + twisted, 2 * n * n
-    return _as_dimension(
-        Fraction(total, 6 * group_size), module=module, parity=parity, symmetry=symmetry
-    )
+    return _as_dimension(total, 6 * group_size, module=module, parity=parity, symmetry=symmetry)
 
 
-def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], Fraction]:
+def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], fractions.Fraction]:
     """Average of the cube character over the twisted coset only, by (module, parity).
 
     Computed twice: directly over all pairs (g, h) from one `_coset_terms` tally,
@@ -202,8 +204,8 @@ def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], Fraction]:
     averages = {}
     for module, parity in itertools.product(MODULES, PARITIES):
         shift, sign = _shift_sign(module, parity)
-        direct = Fraction(_cube_sum(terms, shift, sign), 6 * n * n)
-        reduced = Fraction(_class_sums(cd, shift, sign)[1], 6 * n * n)
+        direct = fractions.Fraction(_cube_sum(terms, shift, sign), 6 * n * n)
+        reduced = fractions.Fraction(_class_sums(cd, shift, sign)[1], 6 * n * n)
         if direct != reduced:
             raise SimplificationMismatch(f"{module} {parity}: direct twisted average "
                                          f"{direct} != reduced class-sum value {reduced}")

@@ -243,7 +243,7 @@ def verify_cross_methods() -> list[str]:
 
     for n in range(1, 16):
         got = tuple(by_perm[f"Z{n}"][module, parity, perm.FULL] for module, parity in lens.COLUMNS)
-        closed = dataclasses.astuple(lens.lens_dims(n))[1:]
+        closed = tuple(lens.lens_dims(n))[1:]
         _expect(got == closed, f"n={n}: closed {closed}, perm {got}")
     return [
         f"orbit oracle: agrees with the perm path on {len(battery)} groups",

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import json
 import os
@@ -152,6 +151,45 @@ def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
         capture_output=True, text=True, timeout=60, env=package_env(), check=True,
     )
     assert done.stdout == f"{loads_numpy}\n"
+
+
+# runs argv through cli.main and prints which of dataclasses, inspect,
+# fractions and decimal it executed that the bare interpreter had not loaded;
+# a module registered lazily and never touched is still of the LazyLoader's
+# module class
+STDLIB_PROBE = """
+import contextlib, importlib.util, io, json, sys
+before = set(sys.modules)
+from theta_dims import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(
+    name for name in ("dataclasses", "inspect", "fractions", "decimal")
+    if name in sys.modules and name not in before
+    and type(sys.modules[name]) is not importlib.util._LazyModule
+)))
+"""
+
+
+@pytest.mark.parametrize("argv,loads", [
+    ((), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
+    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
+    (("dims", "--group", "sl2:7", "--parity", "even", "--module", "aug-kernel"), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), []),
+    (("lens-table",), []),
+    # the probe sees them load: chartab's values are exact Fractions in dataclasses
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"),
+     ["dataclasses", "decimal", "fractions", "inspect"]),
+], ids=["import", "perm-cyclic", "perm-sl2-5", "perm-sl2-7", "closed-form", "lens-table",
+        "chartab-sl2"])
+def test_short_queries_skip_dataclasses_and_fractions(argv, loads):
+    done = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, *argv],
+        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
+    )
+    assert json.loads(done.stdout) == loads
 
 
 # runs argv through cli.main and prints the package modules it executed; a
@@ -373,7 +411,7 @@ def test_dims_perm_cyclic_16384_from_arithmetic(capsys, monkeypatch):
     # the largest order the table guard admits, answered with no table
     monkeypatch.setattr(cli, "parse_group_spec", _no_table)
     monkeypatch.setattr(groups, "make_cyclic", _no_table)
-    expected = dataclasses.astuple(lens.lens_dims(16384))[1:]
+    expected = tuple(lens.lens_dims(16384))[1:]
     for (module, parity), want in zip(lens.COLUMNS, expected):
         code, out, _ = run_cli(
             capsys,
@@ -525,7 +563,7 @@ CHAR_TABLE_ARGV = ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "c
     ("Cayley table", ("classes", "--group", "cayley:{path}"),
      lambda: {"order": 2, "mul": 5}, "'mul' must be a list of rows, got 5"),
     ("Cayley table", ("classes", "--group", "cayley:{path}"),
-     lambda: [[0]], "expected a JSON object, got ndarray"),
+     lambda: [[0]], "expected a JSON object, got list"),
     ("element fixture", ("verify", "fixtures", "--fixture", "{path}"),
      lambda: {"prime": "5", "elements": []}, "fixture prime must be an integer, got '5'"),
     ("character table", CHAR_TABLE_ARGV, lambda: _builtin_table_edited(
@@ -728,6 +766,9 @@ BAD_JSON_INPUTS = {
     "char-rows-scalar": ("char", _sl2f5_table_with(rows=5)),
     "char-rows-not-lists": ("char", _sl2f5_table_with(rows=list(range(9)))),
     "char-names-scalar": ("char", _sl2f5_table_with(class_names=5)),
+    "char-sizes-scalar": ("char", _sl2f5_table_with(class_sizes=5)),
+    "char-power2-scalar": ("char", _sl2f5_table_with(power2=5)),
+    "char-power3-scalar": ("char", _sl2f5_table_with(power3=5)),
     "char-empty": ("char", {"radicand": None, "class_sizes": [], "power2": [], "power3": [],
                             "rows": []}),
     "char-float-den": ("char", _first_entry_with(a_den=1.5)),
@@ -757,6 +798,11 @@ BAD_JSON_MESSAGES = {
     "fixture-matrix-scalar": "an element's 'matrix' must be a 2x2 matrix, got 5",
     "char-entry-scalar": "a character value must be a JSON object, got 5",
     "char-row-scalar": "a character row must be a list of objects, got 5",
+    "char-rows-scalar": "'rows' must be a list, got 5",
+    "char-names-scalar": "'class_names' must be a list, got 5",
+    "char-sizes-scalar": "'class_sizes' must be a list, got 5",
+    "char-power2-scalar": "'power2' must be a list, got 5",
+    "char-power3-scalar": "'power3' must be a list, got 5",
     "cayley-non-ascii": "rows must be 2 lists of 2 integers in 0..1: found a character outside ASCII",
 }
 

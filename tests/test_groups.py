@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import cayley, cli, groups, limits, verify
+from theta_dims import cayley, cli, groups, lens, limits, perm, verify
 from theta_dims.errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # latin square with identity 0 and two-sided inverses that is not associative:
@@ -337,17 +336,43 @@ def test_inversion_orbit_count_cyclic():
         assert groups.conjugacy_classes(groups.make_cyclic(n)).inversion_orbits == n // 2 + 1
 
 
+def test_table_records_compare_by_identity():
+    # equal arrays in two records, and a plain tuple of the same fields, are
+    # still other objects: a tuple's elementwise == would compare the arrays
+    for make in (lambda: groups.make_cyclic(6),
+                 lambda: groups.conjugacy_classes(groups.make_cyclic(6))):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert not a == b and a != b
+        assert not a == tuple(a) and a != tuple(a)
+        assert not tuple(a) == a and tuple(a) != a
+        assert hash(a) == object.__hash__(a) and {a: 1, b: 2}[a] == 1
+
+
+@pytest.mark.parametrize("record", [
+    groups.make_cyclic(3),
+    groups.cyclic_class_data(3),
+    perm.CosetElement(False, 0, 1),
+    lens.lens_dims(6),
+    lens.WeightVector(3, perm.ODD, ()),
+], ids=lambda record: type(record).__name__)
+def test_records_refuse_attribute_assignment(record):
+    for name in (type(record)._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
 # every order below 131, the order of sl2:7 and a large power of two
 CYCLIC_ORDERS = [*range(1, 131), 336, 4096]
 
 
 def assert_same_class_data(arithmetic, table, order):
     """Every field and property of two ConjugacyData records agree."""
-    for f in dataclasses.fields(groups.ConjugacyData):
-        a, t = getattr(arithmetic, f.name), getattr(table, f.name)
-        if f.name == "class_of":
+    for name in groups.ConjugacyData._fields:
+        a, t = getattr(arithmetic, name), getattr(table, name)
+        if name == "class_of":
             a, t = list(a), t.tolist()
-        assert a == t, (order, f.name)
+        assert a == t, (order, name)
     assert arithmetic.order == table.order == order
     assert arithmetic.inversion_orbits == table.inversion_orbits
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,23 @@ def test_cube_character_examples():
     assert cube_character(2, 2, 2, ODD) == 4
     with pytest.raises(ValueError):
         cube_character(1, 1, 1, "both")
+
+
+@pytest.mark.parametrize("total,den", [
+    (0, 1), (12, 6), (7, 2), (-6, 6), (-7, 6), (Fraction(12), 1), (Fraction(7, 2), 1),
+    (Fraction(3, 2), 3), (Fraction(-4, 3), 2),
+])
+def test_as_dimension_takes_ints_and_fractions_alike(total, den):
+    # the int division of perm and the Fraction averages of chartab share one
+    # check, which refuses what is not a nonnegative integer with its average
+    average = Fraction(total, den)
+    if average.denominator == 1 and average >= 0:
+        assert perm._as_dimension(total, den, module=AUG_KERNEL) == average
+        return
+    with pytest.raises(perm.NonIntegralDimension, match=re.escape(
+        f"average {average} is not a nonnegative integer (module={AUG_KERNEL})"
+    )):
+        perm._as_dimension(total, den, module=AUG_KERNEL)
 
 
 def _wedge_and_sym_traces(sigma):
