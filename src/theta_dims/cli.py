@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import json
 import sys
 import time
 
@@ -18,6 +17,9 @@ chartab = _lazy_import(f"{__package__}.chartab")
 lens = _lazy_import(f"{__package__}.lens")
 oracle = _lazy_import(f"{__package__}.oracle")
 verify = _lazy_import(f"{__package__}.verify")
+# and so do the standard library's writers of --format json and csv
+csv = _lazy_import("csv")
+json = _lazy_import("json")
 
 USAGE_EXIT = 2
 FORMATS = ("text", "csv", "json")
@@ -46,12 +48,16 @@ def _to_json(obj) -> str:
 
 def _write(fmt: str, payload, keys, rows, text_lines) -> int:
     """Print one result: payload as canonical JSON, rows as CSV under the
-    header keys, or the text lines."""
+    header keys, each field quoted only where it holds a comma, a quote or a
+    line break, or the text lines."""
     if fmt == "json":
         sys.stdout.write(_to_json(payload))
         return 0
     if fmt == "csv":
-        text_lines = [",".join(keys)] + [",".join(str(row[k]) for k in keys) for row in rows]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([row[k] for k in keys] for row in rows)
+        return 0
     for line in text_lines:
         print(line)
     return 0

@@ -17,7 +17,9 @@ their wedge sign, and `_rank` gives their combinadic rank, which is the basis
 position.
 
 The projector is exact integer arithmetic throughout. `_action_matrix` lifts a
-sum of symmetry elements to one int64 matrix through a single scatter, and
+sum of basis permutations to one int64 matrix through a single scatter;
+`_reynolds_sum` passes it arrays of the group table itself: the identity with
+the inversion table, the rows of the multiplication table and its columns.
 `_exact_matmul` multiplies int64 matrices through float64 BLAS, which is exact
 while `d * max|a| * max|b| < 2^53`: every partial sum is then an integer that
 float64 represents exactly, in any summation order. A missed bound raises
@@ -38,17 +40,7 @@ from . import limits
 from ._lazy import np
 from .errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from .groups import GroupTable, _orbit_labels, generating_set
-from .perm import (
-    EVEN,
-    FULL,
-    GROUP_ALGEBRA,
-    MODULES,
-    PARITIES,
-    SYMMETRIES,
-    CosetElement,
-    _check_choice,
-    permutation_of,
-)
+from .perm import EVEN, FULL, GROUP_ALGEBRA, MODULES, PARITIES, SYMMETRIES, _check_choice
 
 _INT64_LIMIT = (1 << 63) - 1
 # float64 holds every integer of magnitude below 2^53 exactly
@@ -181,20 +173,21 @@ def _cube_basis(G: GroupTable, module: str, parity: str) -> np.ndarray:
     return _monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
 
 
-def _action_matrix(G: GroupTable, sigmas, module: str, parity: str, basis):
-    """Dense integer matrix of the sum of the elements of sigmas acting on the
-    cubic monomial basis; row and column i belong to the monomial of rank i.
+def _action_matrix(G: GroupTable, perms, module: str, parity: str, basis):
+    """Dense integer matrix of the sum of the basis permutations in perms, a
+    (k, n) array with one permutation per row, acting on the cubic monomial
+    basis; row and column i belong to the monomial of rank i.
 
     For the group algebra the module basis is e_x and a monomial has one image
     term. For the augmentation kernel slot x is f_x' = e_x' - e_1 with
     x' = x + (x >= identity); f_x' goes to f_p[x'] - f_p[1] with f_1 = 0, so a
     monomial has 2^3 image terms, less those that choose the identity. The
-    image terms of every element are added into the matrix by one scatter.
+    image terms of every permutation are added into the matrix by one scatter.
     """
-    p = np.array([permutation_of(G, sigma) for sigma in sigmas], dtype=np.int64)
+    p = np.asarray(perms, dtype=np.int64)
     m = len(basis)
     if module == GROUP_ALGEBRA:
-        terms = p[:, basis][:, None]  # elements, (k, 1, m, 3)
+        terms = p[:, basis][:, None]  # permutations, (k, 1, m, 3)
         values = np.ones(terms.shape[:-1], dtype=np.int64)
     else:
         e = G.identity
@@ -202,7 +195,7 @@ def _action_matrix(G: GroupTable, sigmas, module: str, parity: str, basis):
         moved = p[:, slot + (slot >= e)]
         options = np.stack([moved, np.broadcast_to(p[:, e, None], moved.shape)], axis=1)
         choice = np.array(list(itertools.product((0, 1), repeat=3)))
-        chosen = options[:, choice[:, None, :], basis]  # elements, (k, 8, m, 3)
+        chosen = options[:, choice[:, None, :], basis]  # permutations, (k, 8, m, 3)
         coeff = 1 - 2 * (choice.sum(axis=1, keepdims=True) & 1)
         values = np.where((chosen != e).all(axis=-1), coeff, 0)
         terms = chosen - (chosen > e)
@@ -232,20 +225,23 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
-    """Sum of the action matrices of all 2n^2 symmetry elements: untwisted (g, h)
-    is (g, e) after (e, h) and twisted (g, h) is tau*(e, e) after it, so the
-    sum is (I + T)(sum_g L_g)(sum_h R_h) with L_g = (g, e), R_h = (e, h),
-    T = tau*(e, e), and I the action of (e, e)."""
+    """Sum of the action matrices of all 2n^2 symmetry elements: untwisted (g, h),
+    x -> g x h^-1, is L_g after R_h, and twisted (g, h) is T after it, so the
+    sum is (I + T)(sum_g L_g)(sum_h R_h) with L_g: x -> g x, R_h: x -> x h^-1,
+    T: x -> x^-1 and I the identity. Each sum is lifted from the table's own
+    arrays: I and T are arange(n) and the inversion table, row g of the
+    multiplication table is L_g, and row h of its transpose, x -> x h, is
+    R_{h^-1}, which gives the same sum over h."""
     basis = _cube_basis(G, module, parity)
-    e = G.identity
+    mul = G.mul_table
 
-    def lift(sigmas) -> np.ndarray:
-        return _action_matrix(G, sigmas, module, parity, basis)
+    def lift(perms) -> np.ndarray:
+        return _action_matrix(G, perms, module, parity, basis)
 
     # each sum is lifted when it is used: I + T and sum_g L_g are freed before sum_h R_h
-    product = lift([CosetElement(False, e, e), CosetElement(True, e, e)])
-    product = _exact_matmul(product, lift([CosetElement(False, g, e) for g in range(G.order)]))
-    return _exact_matmul(product, lift([CosetElement(False, e, h) for h in range(G.order)]))
+    product = lift([np.arange(G.order), G.inv_table])
+    product = _exact_matmul(product, lift(mul))
+    return _exact_matmul(product, lift(mul.T))
 
 
 def _sketch(d: int, columns: int, seed: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import NamedTuple
 
 from ._lazy import _lazy_import, np
 from .errors import NonIntegralDimension, SimplificationMismatch
@@ -50,23 +49,6 @@ def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> str:
     if value not in allowed:
         raise ValueError(f"{what} must be one of {allowed}, got {value!r}")
     return value
-
-
-class CosetElement(NamedTuple):
-    """An element of the doubled-and-swapped symmetry group, acting on basis
-    indices by x -> g x h^-1 (untwisted) or x -> h x^-1 g^-1 (twisted)."""
-
-    twisted: bool
-    g: int
-    h: int
-
-
-def permutation_of(G: GroupTable, sigma: CosetElement) -> np.ndarray:
-    """The full permutation array of sigma on basis indices."""
-    mul, inv = G.mul_table, G.inv_table
-    if sigma.twisted:
-        return mul[mul[sigma.h, inv], inv[sigma.g]]
-    return mul[mul[sigma.g], inv[sigma.h]]
 
 
 def _shift_sign(module: str, parity: str) -> tuple[int, int]:

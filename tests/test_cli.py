@@ -1,4 +1,6 @@
 import collections
+import csv
+import io
 import itertools
 import json
 import os
@@ -153,23 +155,35 @@ def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
     assert done.stdout == f"{loads_numpy}\n"
 
 
-# runs argv through cli.main and prints which of dataclasses, inspect,
-# fractions and decimal it executed that the bare interpreter had not loaded;
-# a module registered lazily and never touched is still of the LazyLoader's
-# module class
+# runs argv[2:] through cli.main and prints which of the standard library
+# modules named in argv[1] (comma-separated) it executed that the bare
+# interpreter had not loaded; a module registered lazily and never touched is
+# still of the LazyLoader's module class. The probe imports json to print, so
+# it reads sys.modules before that import.
 STDLIB_PROBE = """
-import contextlib, importlib.util, io, json, sys
+import contextlib, importlib.util, io, sys
 before = set(sys.modules)
 from theta_dims import cli
-if sys.argv[1:]:
+if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(
-    name for name in ("dataclasses", "inspect", "fractions", "decimal")
+        assert cli.main(sys.argv[2:]) == 0
+loaded = sorted(
+    name for name in sys.argv[1].split(",")
     if name in sys.modules and name not in before
     and type(sys.modules[name]) is not importlib.util._LazyModule
-)))
+)
+import json
+print(json.dumps(loaded))
 """
+
+
+def stdlib_loaded(names, argv):
+    """The modules among names that running argv executed, by STDLIB_PROBE."""
+    done = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, ",".join(names), *argv],
+        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
+    )
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("argv,loads", [
@@ -185,11 +199,22 @@ print(json.dumps(sorted(
 ], ids=["import", "perm-cyclic", "perm-sl2-5", "perm-sl2-7", "closed-form", "lens-table",
         "chartab-sl2"])
 def test_short_queries_skip_dataclasses_and_fractions(argv, loads):
-    done = subprocess.run(
-        [sys.executable, "-c", STDLIB_PROBE, *argv],
-        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
-    )
-    assert json.loads(done.stdout) == loads
+    assert stdlib_loaded(("dataclasses", "inspect", "fractions", "decimal"), argv) == loads
+
+
+@pytest.mark.parametrize("argv,loads", [
+    ((), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
+    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
+    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), []),
+    (("lens-table",), []),
+    # the probe sees each load for its own format
+    (("lens-table", "--format", "csv"), ["csv"]),
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--format", "json"), ["json"]),
+], ids=["import", "perm-cyclic", "perm-sl2-5", "closed-form", "lens-table", "lens-table-csv",
+        "perm-sl2-5-json"])
+def test_json_and_csv_load_only_for_their_format(argv, loads):
+    assert stdlib_loaded(("json", "csv"), argv) == loads
 
 
 # runs argv through cli.main and prints the package modules it executed; a
@@ -927,6 +952,34 @@ def test_classes_csv_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classes", "--group", "sl2:3"),
+    ("classes", "--group", "sl2:5"),
+    ("dims", "--group", "cayley:{z4}", "--parity", "odd"),
+    ("lens-table", "--max-n", "6"),
+], ids=["classes-sl2-3", "classes-sl2-5", "dims-cayley-comma-path", "lens-table"])
+def test_csv_rows_read_back_as_the_json_fields(capsys, tmp_path, argv):
+    # sl2 representatives and this file's path hold commas
+    z4 = tmp_path / "a,b" / "z4.json"
+    z4.parent.mkdir()
+    z4.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
+    argv = [arg.format(z4=z4) for arg in argv]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    records = payload["classes"] if argv[0] == "classes" else payload
+    records = records if isinstance(records, list) else [records]
+    assert [dict(zip(header, row)) for row in rows] == [
+        {key: str(value) for key, value in record.items()} for record in records
+    ]
+    if argv[0] == "dims":
+        assert rows[0][header.index("group")] == f"cayley:{z4}"
+
+
 def test_classes_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "classes", "--group", "cyclic:6", "--format", "json")
     assert code == 0
@@ -1225,13 +1278,13 @@ GOLDEN_OUTPUTS = [
     (
         ("classes", "--group", "sl2:3", "--format", "csv"),
         "class,representative,size,square_class,cube_class,inverse_class\n"
-        "0,[0,1;2,0],6,6,0,0\n"
-        "1,[0,1;2,1],4,2,6,3\n"
-        "2,[0,1;2,2],4,4,5,4\n"
-        "3,[0,2;1,1],4,4,6,1\n"
-        "4,[0,2;1,2],4,2,5,2\n"
-        "5,[1,0;0,1],1,5,5,5\n"
-        "6,[2,0;0,2],1,5,6,6\n",
+        '0,"[0,1;2,0]",6,6,0,0\n'
+        '1,"[0,1;2,1]",4,2,6,3\n'
+        '2,"[0,1;2,2]",4,4,5,4\n'
+        '3,"[0,2;1,1]",4,4,6,1\n'
+        '4,"[0,2;1,2]",4,2,5,2\n'
+        '5,"[1,0;0,1]",1,5,5,5\n'
+        '6,"[2,0;0,2]",1,5,6,6\n',
     ),
     (
         ("classes", "--group", "cyclic:3", "--format", "json"),

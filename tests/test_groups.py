@@ -352,7 +352,6 @@ def test_table_records_compare_by_identity():
 @pytest.mark.parametrize("record", [
     groups.make_cyclic(3),
     groups.cyclic_class_data(3),
-    perm.CosetElement(False, 0, 1),
     lens.lens_dims(6),
     lens.WeightVector(3, perm.ODD, ()),
 ], ids=lambda record: type(record).__name__)

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_perm import REFERENCE_GROUPS, compose, draw_relabeling, unit_actions
+from test_perm import (
+    REFERENCE_GROUPS,
+    CosetElement,
+    compose,
+    draw_relabeling,
+    permutation_of,
+    unit_actions,
+)
 
 from theta_dims import groups, lens, limits, oracle, perm
 from theta_dims.errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
@@ -38,7 +45,7 @@ def monomial_orbit_count(G, parity, symmetry):
     components of its sign double cover (node i + s*m is monomial i with sign
     (-1)^s), with a move for L_g and R_g per generator g, and inversion."""
     e = G.identity
-    perms = [perm.permutation_of(G, perm.CosetElement(False, s, t))
+    perms = [permutation_of(G, CosetElement(False, s, t))
              for g in groups.generating_set(G) for s, t in ((g, e), (e, g))]
     if symmetry == FULL:
         perms.append(np.asarray(G.inv_table))
@@ -169,7 +176,7 @@ def _symmetry_elements(G):
     for twisted in (False, True):
         for g in range(n):
             for h in range(n):
-                yield perm.CosetElement(twisted, g, h)
+                yield CosetElement(twisted, g, h)
 
 
 def build_module_actions(G, module, parity):
@@ -178,7 +185,7 @@ def build_module_actions(G, module, parity):
     _symmetry_elements, with the matrix dimension."""
     basis = oracle._cube_basis(G, module, parity)
     matrices = [
-        oracle._action_matrix(G, [sigma], module, parity, basis)
+        oracle._action_matrix(G, [permutation_of(G, sigma)], module, parity, basis)
         for sigma in _symmetry_elements(G)
     ]
     return matrices, len(basis)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,11 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_dims import groups, oracle, perm
-from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI, CosetElement
+from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
 
 def small_battery(limit=24):
     return [(name, G) for name, G in groups.battery_groups() if G.order <= limit]
+
+
+class CosetElement(NamedTuple):
+    """An element of the doubled-and-swapped symmetry group, acting on basis
+    indices by x -> g x h^-1 (untwisted) or x -> h x^-1 g^-1 (twisted)."""
+
+    twisted: bool
+    g: int
+    h: int
+
+
+def permutation_of(G, sigma):
+    """The full permutation array of sigma on basis indices, from whole rows
+    of the table; `act` is the same map one index at a time."""
+    mul, inv = G.mul_table, G.inv_table
+    if sigma.twisted:
+        return mul[mul[sigma.h, inv], inv[sigma.g]]
+    return mul[mul[sigma.g], inv[sigma.h]]
 
 
 def act(G, sigma, x):
@@ -37,7 +56,7 @@ def compose(G, s, t):
 
 def fixed_points(G, sigma):
     """Number of basis indices fixed by sigma (its permutation character)."""
-    return int((perm.permutation_of(G, sigma) == np.arange(G.order)).sum())
+    return int((permutation_of(G, sigma) == np.arange(G.order)).sum())
 
 
 def cube_character(c1, c2, c3, parity):
