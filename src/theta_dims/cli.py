@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import os
 import sys
 import time
 
@@ -290,7 +291,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so that a reader gone early is caught here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit does not raise again, and exit as a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -24,10 +24,10 @@ TABLE_ENTRY_LIMIT = 1 << 28
 # the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
 # group algebra of order 24, so every group of order <= 24 is admitted. One
 # process at the cap (2 cores, numpy 2.4 with OpenBLAS, three runs each):
-# sl2:3 group-algebra odd, d = 2600, takes 1.4-1.7 s and 297-298 MB max RSS,
-# the longest and the most memory (dense d x d int64 and float64 copies; the
-# lifted sums and the idempotence product take most of the time); aug-kernel
-# odd, d = 2300, 1.2-1.3 s and 251 MB
+# sl2:3 group-algebra odd, d = 2600, takes 1.6-1.9 s and 297 MB max RSS, the
+# most memory (dense d x d int64 and float64 copies; the lifted sums and the
+# idempotence product take most of the time); aug-kernel odd, d = 2300,
+# 1.5-2.0 s and 251 MB
 REYNOLDS_DIM_LIMIT = 2600
 # the most graph nodes orbit builds, n^2 odd and 2n^2 even: orders up to 3162
 # odd and 2236 even, sl2:13 in both. Each move (3 plus at most log2 n

@@ -23,9 +23,10 @@ the inversion table, the rows of the multiplication table and its columns.
 `_exact_matmul` multiplies int64 matrices through float64 BLAS, which is exact
 while `d * max|a| * max|b| < 2^53`: every partial sum is then an integer that
 float64 represents exactly, in any summation order. A missed bound raises
-`ExactnessViolation` instead of rounding. The projector's rank is its trace,
-certified by the rank mod a prime of a random sketch of its columns
-(`_sketch`, `_rank_mod_p`), so no elimination runs on the d x d matrix.
+`ExactnessViolation` instead of rounding. The summed action is |Gamma| times
+the projector, Gamma the symmetry group; once it is checked exactly to square
+to |Gamma| times itself, the projector's rank is its trace, so no elimination
+runs on the d x d matrix.
 `reynolds` refuses a cube basis of more than `limits.REYNOLDS_DIM_LIMIT` monomials,
 which admits every group of order <= 24.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 
 from . import limits
 from ._lazy import np
@@ -45,10 +45,6 @@ from .perm import EVEN, FULL, GROUP_ALGEBRA, MODULES, PARITIES, SYMMETRIES, _che
 _INT64_LIMIT = (1 << 63) - 1
 # float64 holds every integer of magnitude below 2^53 exactly
 _FLOAT64_EXACT_LIMIT = 1 << 53
-# the prime of reynolds's rank sketch: below 2^20, so that d * p^2 < 2^53 for
-# every d <= 8192, above limits.REYNOLDS_DIM_LIMIT; and the seed of each draw
-_SKETCH_PRIME = 1048573
-_SKETCH_SEEDS = (1, 2)
 
 
 def _check_exact(bound: int, limit: int, what: str) -> None:
@@ -244,36 +240,6 @@ def _reynolds_sum(G: GroupTable, module: str, parity: str) -> np.ndarray:
     return _exact_matmul(product, lift(mul.T))
 
 
-def _sketch(d: int, columns: int, seed: int) -> np.ndarray:
-    """A d x columns int64 matrix of residues mod _SKETCH_PRIME, fixed by seed.
-    Drawn by the standard library's generator: numpy.random costs the process
-    more memory to import than the whole sketch takes."""
-    raw = random.Random(seed).randbytes(4 * d * columns)
-    words = np.frombuffer(raw, dtype=np.uint32).reshape(d, columns)
-    return (words % _SKETCH_PRIME).astype(np.int64)
-
-
-def _rank_mod_p(m: np.ndarray) -> int:
-    """Rank over F_p, p = _SKETCH_PRIME, of an int64 matrix of residues in
-    [0, p), by Gaussian elimination on its columns; each product of two
-    residues is below 2^40."""
-    p = _SKETCH_PRIME
-    m = m.copy()
-    rank = 0
-    for col in range(m.shape[1]):
-        nonzero = np.flatnonzero(m[rank:, col])
-        if not len(nonzero):
-            continue
-        pivot = rank + int(nonzero[0])
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
-        below = m[rank + 1:]
-        below -= np.outer(below[:, col], m[rank]) % p
-        below %= p
-        rank += 1
-    return rank
-
-
 def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
     """Invariant dimension as the rank of the group-average projector.
 
@@ -281,15 +247,10 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
     group Gamma is the projector scaled by |Gamma|. It is formed as
     (I + T)(sum_g L_g)(sum_h R_h) from three lifted sums: L_g = (g, e),
     R_h = (e, h), T = tau*(e, e). After the exact check acc^2 == |Gamma| acc,
-    acc / |Gamma| is an idempotent, whose rank over Q is its trace
-    t = trace(acc) / |Gamma|. The rank mod p of the sketch (acc mod p) X, for a
-    d x (t + 2) residue matrix X drawn with a fixed seed, is at most the rank
-    of acc over Q, so a sketch rank of t certifies t. A rank above t cannot
-    happen to an idempotent and raises ProjectorNotIdempotent. As p does not
-    divide |Gamma| (at most 2 * 24^2 under the guard), acc mod p is |Gamma|
-    times an idempotent over F_p of trace t, so only the draw of X can lose
-    rank; a rank below t with a second seed too is no chance and raises
-    ExactnessViolation.
+    acc / |Gamma| is an idempotent over Q, and the rank of an idempotent is its
+    trace: the dimension is trace(acc) / |Gamma|. A failed check, or a trace
+    that |Gamma| does not divide, raises ProjectorNotIdempotent; a product
+    outside the int64 or float64 bounds raises ExactnessViolation.
     """
     acc = _reynolds_sum(G, module, parity)
     group_size = 2 * G.order**2
@@ -302,14 +263,4 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
     rank, rest = divmod(trace, group_size)
     if rest:
         raise ProjectorNotIdempotent(f"projector trace {trace}/{group_size} is not an integer")
-    residues = acc % _SKETCH_PRIME
-    for seed in _SKETCH_SEEDS:
-        sketch = _exact_matmul(residues, _sketch(len(acc), rank + 2, seed)) % _SKETCH_PRIME
-        found = _rank_mod_p(sketch)
-        if found > rank:
-            raise ProjectorNotIdempotent(f"sketch rank {found} exceeds the projector trace {rank}")
-        if found == rank:
-            return rank
-    raise ExactnessViolation(
-        f"sketch rank stays below the projector trace {rank} after {len(_SKETCH_SEEDS)} seeds"
-    )
+    return rank

@@ -913,6 +913,22 @@ def test_lens_table_max_n_at_the_limit(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 21
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_reader_that_closes_early_ends_the_writer_quietly(fmt):
+    # `lens-table --max-n 100000 | head -1`: 4.9 MB of output, far more than a
+    # pipe buffers, so the writes after the reader leaves fail with EPIPE
+    with subprocess.Popen(
+        [sys.executable, "-m", "theta_dims", "lens-table", "--max-n", "100000",
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141  # 128 + SIGPIPE, as the shell reports
+    assert err == b""
+
+
 def test_lens_table_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "lens-table", "--max-n", "4", "--format", "json")
     assert code == 0

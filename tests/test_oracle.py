@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from test_perm import (
     unit_actions,
 )
 
-from theta_dims import groups, lens, limits, oracle, perm
+from theta_dims import cli, groups, lens, limits, oracle, perm
 from theta_dims.errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
@@ -322,58 +323,20 @@ def test_exactness_traps_raise(monkeypatch):
         oracle.dim_invariants_reynolds(groups.make_cyclic(3), GROUP_ALGEBRA, ODD)
 
 
-def brute_rank_mod_p(rows, p):
-    """Rank over F_p by plain Gauss-Jordan elimination on Python ints."""
-    m = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def test_rank_mod_p_against_gaussian_oracle():
-    p = oracle._SKETCH_PRIME
-    rng = random.Random(12)
-    for _ in range(40):
-        rows, cols, inner = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 9)
-        # a product through `inner` columns, so that ranks below min(rows, cols)
-        # occur; entries up to p - 1 exercise the reduction mod p
-        top = rng.choice([2, p - 1])
-        left = [[rng.randint(0, top) for _ in range(inner)] for _ in range(rows)]
-        right = [[rng.randint(0, top) for _ in range(cols)] for _ in range(inner)]
-        m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] if inner
-             else [0] * cols for row in left]
-        m.append([(x - 2 * y) % p for x, y in zip(m[0], m[-1])])
-        assert oracle._rank_mod_p(np.array(m, dtype=np.int64)) == brute_rank_mod_p(m, p), m
-
-
-def test_sketch_rank_branches(monkeypatch):
-    # acc = |Gamma| P for the projector P of trace 1: cyclic:3, aug-kernel odd
+def test_idempotence_trap_raises(monkeypatch, capsys):
+    # within the int64 and float64 bounds, but acc = S + I for the true sum S
+    # of cyclic:3 squares to |Gamma| S + 2S + I, not |Gamma| (S + I)
     G = groups.make_cyclic(3)
-    assert oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD) == 1
-    calls = []
-
-    def short(m):
-        calls.append(m.shape)
-        return 0
-
-    monkeypatch.setattr(oracle, "_rank_mod_p", short)
-    with pytest.raises(ExactnessViolation, match="after 2 seeds"):
+    true_sum = oracle._reynolds_sum(G, AUG_KERNEL, ODD)
+    broken = true_sum + np.eye(len(true_sum), dtype=np.int64)
+    monkeypatch.setattr(oracle, "_reynolds_sum", lambda *args: broken)
+    message = "averaged action is not a projector (module=aug-kernel, parity=odd)"
+    with pytest.raises(ProjectorNotIdempotent, match=re.escape(message)):
         oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD)
-    assert calls == [(4, 3), (4, 3)]  # d x (t + 2), once per seed
-    monkeypatch.setattr(oracle, "_rank_mod_p", lambda m: 2)
-    with pytest.raises(ProjectorNotIdempotent, match="sketch rank 2 exceeds"):
-        oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD)
+    code = cli.main(["dims", "--group", "cyclic:3", "--module", AUG_KERNEL,
+                     "--parity", ODD, "--method", "reynolds"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
 def test_reynolds_matches_perm_on_sl2f3():
