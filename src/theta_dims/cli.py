@@ -140,6 +140,8 @@ def _char_table_for(args) -> chartab.CharTable:
 def _compute_dims(args) -> int:
     method = args.method
     convention = _resolve_convention(method, args.convention)
+    if args.char_table and method != "chartab":
+        raise UsageError(f"method {method} reads no character table")
     symmetry = args.symmetry
     # the spec's syntax, the method's arguments and the order guards are
     # checked before any table is built
@@ -239,6 +241,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.fixture and args.suite == "cross-methods":
+        raise UsageError("suite cross-methods reads no element fixture")
     ok, lines = verify.run_suite(
         args.suite, with_orbit_check=args.with_orbit_check, fixture_path=args.fixture
     )

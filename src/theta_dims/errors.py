@@ -66,9 +66,4 @@ class ProjectorNotIdempotent(ThetaDimsError):
 
 class ExactnessViolation(ThetaDimsError):
     """A bound that keeps integer arithmetic exact failed: a float64 or int64
-    product could round or wrap, or the monomial rank is not a bijection (bug
-    trap)."""
-
-
-class HalfwayPoint(ThetaDimsError):
-    """A nearest-integer rounding hit an exact .5 tie (provably impossible)."""
+    product could round or wrap (bug trap)."""

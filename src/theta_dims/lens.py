@@ -3,7 +3,8 @@
 For the cyclic group of order n the four invariant dimensions reduce to
 p3(n), p3(n-6), p3(n-3), p3(n-6), where p3(m) counts partitions of m into
 at most three parts. The weight-system maps realize the same numbers as
-ranks of explicitly computed vectors, giving yet another route.
+the exact rank of the images of all cubic monomials, giving yet another
+route.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from typing import NamedTuple
 
 from ._lazy import _lazy_import, np
-from .errors import HalfwayPoint, SimplificationMismatch
 from .perm import AUG_KERNEL, EVEN, GROUP_ALGEBRA, ODD, PARITIES, _check_choice
 
 # the weight-system kernels; the closed forms need none of it
@@ -35,13 +35,12 @@ def p3_dp(m: int) -> int:
 
 
 def p3_closed(m: int) -> int:
-    """Partitions of m into at most three parts: nearest integer to (m+3)^2/12."""
+    """Partitions of m into at most three parts: nearest integer to (m+3)^2/12.
+
+    No tie can occur: a square is 0, 1, 4 or 9 mod 12, never 6."""
     if m < 0:
         raise ValueError(f"closed form needs m >= 0, got {m}")
-    q = (m + 3) ** 2
-    if q % 12 == 6:
-        raise HalfwayPoint(f"(m+3)^2 = {q} sits exactly between multiples of 12")
-    return (q + 6) // 12
+    return ((m + 3) ** 2 + 6) // 12
 
 
 class LensDims(NamedTuple):
@@ -100,14 +99,6 @@ def weight_map(n: int, a: int, b: int, c: int, parity: str) -> WeightVector:
     return WeightVector(n, parity, coeffs)
 
 
-def _orbit_representatives(n: int, parity: str) -> list[list[int]]:
-    """One monomial per orbit under index shifts and negation: the least in rank."""
-    basis = oracle._monomials(n, parity)
-    images = np.stack([basis, -basis])[:, None] + np.arange(n)[:, None, None]
-    ranks = oracle._rank(oracle._sort_sign(images % n, parity)[0], parity).min(axis=(0, 1))
-    return basis[np.unique(ranks)].tolist()
-
-
 def _rank_of_rows(rows) -> int:
     """Exact rank of sparse integer rows, each an iterable of (column, value)
     pairs, by fraction-free echelon reduction.
@@ -144,19 +135,11 @@ def _rank_of_rows(rows) -> int:
 def weight_rank(n: int, parity: str) -> int:
     """Exact rank of the span of the weight map over all cubic monomials.
 
-    Orbit representatives span the same space; for small n both ranks are
-    computed and checked against each other.
-    """
+    The map is constant up to sign on orbits of index shifts and negation, so
+    a rank over orbit representatives could only repeat this one."""
     _check_choice(parity, PARITIES, "parity")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    full = _rank_of_rows(
+    return _rank_of_rows(
         weight_map(n, *mono, parity).coeffs for mono in oracle._monomials(n, parity).tolist()
     )
-    if n <= 12:
-        reduced = _rank_of_rows(
-            weight_map(n, *mono, parity).coeffs for mono in _orbit_representatives(n, parity)
-        )
-        if reduced != full:  # representatives must span the whole image
-            raise SimplificationMismatch(f"orbit representatives span rank {reduced}, not {full}")
-    return full

@@ -248,9 +248,9 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
     (I + T)(sum_g L_g)(sum_h R_h) from three lifted sums: L_g = (g, e),
     R_h = (e, h), T = tau*(e, e). After the exact check acc^2 == |Gamma| acc,
     acc / |Gamma| is an idempotent over Q, and the rank of an idempotent is its
-    trace: the dimension is trace(acc) / |Gamma|. A failed check, or a trace
-    that |Gamma| does not divide, raises ProjectorNotIdempotent; a product
-    outside the int64 or float64 bounds raises ExactnessViolation.
+    trace: the dimension is trace(acc) / |Gamma|. A failed check raises
+    ProjectorNotIdempotent; a product outside the int64 or float64 bounds
+    raises ExactnessViolation.
     """
     acc = _reynolds_sum(G, module, parity)
     group_size = 2 * G.order**2
@@ -259,8 +259,4 @@ def dim_invariants_reynolds(G: GroupTable, module: str, parity: str) -> int:
         raise ProjectorNotIdempotent(
             f"averaged action is not a projector (module={module}, parity={parity})"
         )
-    trace = int(np.trace(acc))
-    rank, rest = divmod(trace, group_size)
-    if rest:
-        raise ProjectorNotIdempotent(f"projector trace {trace}/{group_size} is not an integer")
-    return rank
+    return int(np.trace(acc)) // group_size

@@ -363,6 +363,18 @@ def test_dims_usage_errors(capsys):
     )
 
 
+@pytest.mark.parametrize("argv,message", [
+    *[(("dims", "--group", "sl2:5", "--parity", "odd", "--method", method,
+        "--char-table", "/nonexistent.json"), f"method {method} reads no character table")
+      for method in ("perm", "orbit", "reynolds", "closed-form")],
+    (("verify", "cross-methods", "--fixture", "/nonexistent.json"),
+     "suite cross-methods reads no element fixture"),
+], ids=["perm", "orbit", "reynolds", "closed-form", "verify-cross-methods"])
+def test_a_file_option_the_query_never_reads_is_refused(capsys, argv, message):
+    # the file is refused unread, as --convention flip is off chartab
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def _no_table(spec):
     pytest.fail(f"built the group of {spec}")
 
@@ -1172,6 +1184,16 @@ def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
     assert code == 0 and out.endswith("ok\n")
     assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 2)
+
+
+def test_verify_all_validates_the_builtin_table_once(capsys, monkeypatch):
+    # builtin_sl2f5_table validates the table it builds; the fixtures suite
+    # reads that table and does not validate it again
+    chartab.builtin_sl2f5_table.cache_clear()
+    calls = count_calls(monkeypatch, (chartab.CharTable, "validate"))
+    code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
+    assert code == 0 and out.endswith("ok\n")
+    assert calls["validate"] == 1
 
 
 def test_verify_all_enumerates_each_sl2_once(capsys, monkeypatch):

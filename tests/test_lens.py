@@ -4,7 +4,6 @@ import random
 import pytest
 
 from theta_dims import lens
-from theta_dims.errors import SimplificationMismatch
 from theta_dims.lens import lens_dims, p3_closed, p3_dp, weight_map, weight_rank
 
 
@@ -101,14 +100,6 @@ def test_weight_rank_matches_partition_counts():
     for n in range(1, 21):
         assert weight_rank(n, "odd") == p3_dp(n), n
         assert weight_rank(n, "even") == p3_dp(n - 6), n
-
-
-def test_weight_rank_traps_representatives_that_span_less(monkeypatch):
-    # a bug trap, not bad input, so it raises under python -O too and exits 1
-    representatives = lens._orbit_representatives
-    monkeypatch.setattr(lens, "_orbit_representatives", lambda n, p: representatives(n, p)[1:])
-    with pytest.raises(SimplificationMismatch, match="span rank 6, not 7"):
-        weight_rank(6, "odd")
 
 
 def test_lens_dims_internal_identities():

@@ -344,13 +344,25 @@ def unit_actions(draw):
     return m, draw(st.sampled_from(units)), k
 
 
-@settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(mrk=unit_actions())
-def test_methods_agree_on_drawn_semidirect_products(mrk):
-    m, r, k = mrk
-    G = groups.make_semidirect_product(
-        groups.make_cyclic(m), groups.make_cyclic(k), groups._unit_action(m, r, k)
-    )
+# ordered pairs of battery groups of order > 1 whose direct product has order <= 48
+DIRECT_FACTORS = [
+    (A, B) for (_, A), (_, B) in itertools.product(small_battery(), repeat=2)
+    if A.order > 1 and B.order > 1 and A.order * B.order <= 48
+]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_methods_agree_on_drawn_semidirect_products(data):
+    # Z_m x| Z_k by a unit action, or a relabeled direct product A x B
+    if data.draw(st.booleans(), label="direct"):
+        A, B = data.draw(st.sampled_from(DIRECT_FACTORS))
+        G = draw_relabeling(data, groups.make_semidirect_product(A, B))
+    else:
+        m, r, k = data.draw(unit_actions())
+        G = groups.make_semidirect_product(
+            groups.make_cyclic(m), groups.make_cyclic(k), groups._unit_action(m, r, k)
+        )
     groups.validate_group(G)
     pair_count = G.order**2
     dims = {}
@@ -365,6 +377,8 @@ def test_methods_agree_on_drawn_semidirect_products(mrk):
         if module == GROUP_ALGEBRA:
             assert oracle.dim_invariants_orbit(G, parity, PI_PI) == pipi
             assert oracle.dim_invariants_orbit(G, parity, FULL) == dims[module, parity]
+        if G.order <= 12:  # the order up to which verify checks the projector
+            assert oracle.dim_invariants_reynolds(G, module, parity) == dims[module, parity]
     assert dims[GROUP_ALGEBRA, EVEN] == dims[AUG_KERNEL, EVEN]
     assert (
         dims[GROUP_ALGEBRA, ODD] - dims[AUG_KERNEL, ODD]
