@@ -117,7 +117,7 @@ def _char_table_for(args) -> chartab.CharTable:
     """The table for --group: the --char-table file or the builtin one. The
     table's classes must match the group's in size and in the sizes of their
     square and cube classes; that is necessary, not proof the table is G's."""
-    if not args.char_table and _split_group_spec(args.group) != ("sl2", 5):
+    if args.char_table is None and _split_group_spec(args.group) != ("sl2", 5):
         raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
     cd = _class_data(args.group)
     group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
@@ -129,7 +129,7 @@ def _char_table_for(args) -> chartab.CharTable:
                 "in size or in the sizes of their square and cube classes"
             )
 
-    if not args.char_table:
+    if args.char_table is None:
         table = chartab.builtin_sl2f5_table()
         fits(table)
         return table
@@ -140,7 +140,7 @@ def _char_table_for(args) -> chartab.CharTable:
 def _compute_dims(args) -> int:
     method = args.method
     convention = _resolve_convention(method, args.convention)
-    if args.char_table and method != "chartab":
+    if args.char_table is not None and method != "chartab":
         raise UsageError(f"method {method} reads no character table")
     symmetry = args.symmetry
     # the spec's syntax, the method's arguments and the order guards are
@@ -171,15 +171,11 @@ def _compute_dims(args) -> int:
     else:  # orbit or reynolds
         if method == "orbit" and args.module != perm.GROUP_ALGEBRA:
             raise UsageError("method orbit supports the group algebra only")
-        if method == "reynolds" and symmetry != perm.FULL:
-            raise UsageError("method reynolds computes the full symmetry only")
         if _KINDS[kind].class_data:  # the size guard from the order, before the table
-            oracle.check_order_guard(
-                method, _class_data(args.group).order, args.module, args.parity
-            )
+            oracle.check_order_guard(method, _class_data(args.group).order, args.parity)
         G = parse_group_spec(args.group)
         value = (oracle.dim_invariants_orbit(G, args.parity, symmetry) if method == "orbit"
-                 else oracle.dim_invariants_reynolds(G, args.module, args.parity))
+                 else oracle.dim_invariants_reynolds(G, args.module, args.parity, symmetry))
     elapsed = time.perf_counter() - started
 
     record = {
@@ -241,7 +237,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.fixture and args.suite == "cross-methods":
+    if args.fixture is not None and args.suite == "cross-methods":
         raise UsageError("suite cross-methods reads no element fixture")
     ok, lines = verify.run_suite(
         args.suite, with_orbit_check=args.with_orbit_check, fixture_path=args.fixture

@@ -6,7 +6,7 @@ Each bound is read through this module's attribute (limits.X), so that a
 patched bound is seen everywhere. A refusal raises TooLarge or ParseError,
 exit 2 on the command line, before the work the bound guards. The order guard
 of orbit and reynolds, oracle.check_order_guard, counts orbit's graph nodes
-and reynolds's cube monomials and so lives in oracle; it reads its two bounds
+and reynolds's orbit sums and so lives in oracle; it reads its two bounds
 here.
 """
 
@@ -21,13 +21,13 @@ from .errors import InputError, ParseError, TooLarge
 
 # cap on n*n for the tables built here; 1 << 28 entries is 512 MiB at uint16
 TABLE_ENTRY_LIMIT = 1 << 28
-# the largest matrix dimension reynolds builds: C(26, 3), the odd cube of the
-# group algebra of order 24, so every group of order <= 24 is admitted. One
-# process at the cap (2 cores, numpy 2.4 with OpenBLAS, three runs each):
-# sl2:3 group-algebra odd, d = 2600, takes 1.6-1.9 s and 297 MB max RSS, the
-# most memory (dense d x d int64 and float64 copies; the lifted sums and the
-# idempotence product take most of the time); aug-kernel odd, d = 2300,
-# 1.5-2.0 s and 251 MB
+# the largest matrix dimension reynolds builds, counted as oracle.check_order_guard
+# bounds the orbit sums of a cube, (n^2 + 5n + 2)/6: every group of order <= 122
+# is admitted. The worst admitted is cyclic:122, whose odd cube has d = 2542;
+# one process (2 cores, numpy 2.4 with OpenBLAS, three runs each) of it takes
+# 0.8-1.0 s and 194 MB max RSS, either module (dense d x d int64 and float64
+# copies; the idempotence product takes most of the time); sl2:5 odd, d = 2467,
+# 0.7-1.0 s and 185 MB
 REYNOLDS_DIM_LIMIT = 2600
 # the most graph nodes orbit builds, n^2 odd and 2n^2 even: orders up to 3162
 # odd and 2236 even, sl2:13 in both. Each move (3 plus at most log2 n

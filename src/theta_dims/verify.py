@@ -71,7 +71,8 @@ def default_fixture_path() -> Path:
 def load_sl2_fixture(path: str | Path | None = None) -> Sl2Fixture:
     """Load an element fixture file ({prime, elements:[{name, matrix, class}]})
     through limits.read_input, which names the file in every refusal."""
-    path = path or default_fixture_path()
+    if path is None:
+        path = default_fixture_path()
     return limits.read_input(path, "element fixture", _fixture_of, lambda fx: fx)
 
 

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_perm import REFERENCE_GROUPS
 
 import theta_dims
 from theta_dims import chartab, cli, groups, lens, limits, oracle, perm, verify
@@ -124,113 +125,114 @@ def test_dims_perm_cyclic_4096_process():
     assert dims["perm"] == dims["closed-form"]
 
 
-# runs argv through cli.main and prints whether any numpy submodule was imported
-NUMPY_PROBE = """
-import contextlib, io, sys
-from theta_dims import cli
-if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:]) == 0
-print(any(name.startswith("numpy.") for name in sys.modules))
-"""
-
-
-@pytest.mark.parametrize("argv,loads_numpy", [
-    ((), False),
-    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), False),
-    (("lens-table",), False),
-    (("dims", "--group", "cyclic:336", "--parity", "odd"), False),
-    (("dims", "--group", "sl2:5", "--parity", "odd"), False),
-    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"), False),
-    # the probe sees numpy load
-    (("classes", "--group", "sl2:5"), True),
-    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "orbit"), True),
-], ids=["import", "closed-form", "lens-table", "perm-cyclic", "perm-sl2", "chartab-sl2",
-        "classes-sl2", "orbit-sl2"])
-def test_numpy_loads_only_where_a_query_needs_it(argv, loads_numpy):
-    done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
-        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
-    )
-    assert done.stdout == f"{loads_numpy}\n"
-
-
-# runs argv[2:] through cli.main and prints which of the standard library
-# modules named in argv[1] (comma-separated) it executed that the bare
-# interpreter had not loaded; a module registered lazily and never touched is
-# still of the LazyLoader's module class. The probe imports json to print, so
-# it reads sys.modules before that import.
-STDLIB_PROBE = """
+# runs argv through cli.main and prints, as JSON, the modules it executed that
+# the bare interpreter had not loaded. A module registered lazily and never
+# touched is still of the LazyLoader's module class, which type() reads
+# without loading it. The probe reads sys.modules before its own import of
+# json, which it needs to print.
+MODULES_PROBE = """
 import contextlib, importlib.util, io, sys
 before = set(sys.modules)
 from theta_dims import cli
-if sys.argv[2:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[2:]) == 0
-loaded = sorted(
-    name for name in sys.argv[1].split(",")
-    if name in sys.modules and name not in before
-    and type(sys.modules[name]) is not importlib.util._LazyModule
-)
-import json
-print(json.dumps(loaded))
-"""
-
-
-def stdlib_loaded(names, argv):
-    """The modules among names that running argv executed, by STDLIB_PROBE."""
-    done = subprocess.run(
-        [sys.executable, "-c", STDLIB_PROBE, ",".join(names), *argv],
-        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
-    )
-    return json.loads(done.stdout)
-
-
-@pytest.mark.parametrize("argv,loads", [
-    ((), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
-    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
-    (("dims", "--group", "sl2:7", "--parity", "even", "--module", "aug-kernel"), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), []),
-    (("lens-table",), []),
-    # the probe sees them load: chartab's values are exact Fractions in dataclasses
-    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"),
-     ["dataclasses", "decimal", "fractions", "inspect"]),
-], ids=["import", "perm-cyclic", "perm-sl2-5", "perm-sl2-7", "closed-form", "lens-table",
-        "chartab-sl2"])
-def test_short_queries_skip_dataclasses_and_fractions(argv, loads):
-    assert stdlib_loaded(("dataclasses", "inspect", "fractions", "decimal"), argv) == loads
-
-
-@pytest.mark.parametrize("argv,loads", [
-    ((), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
-    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"), []),
-    (("lens-table",), []),
-    # the probe sees each load for its own format
-    (("lens-table", "--format", "csv"), ["csv"]),
-    (("dims", "--group", "sl2:5", "--parity", "odd", "--format", "json"), ["json"]),
-], ids=["import", "perm-cyclic", "perm-sl2-5", "closed-form", "lens-table", "lens-table-csv",
-        "perm-sl2-5-json"])
-def test_json_and_csv_load_only_for_their_format(argv, loads):
-    assert stdlib_loaded(("json", "csv"), argv) == loads
-
-
-# runs argv through cli.main and prints the package modules it executed; a
-# module that _lazy registered and nothing touched is still of the
-# LazyLoader's module class, which type() reads without loading it
-MODULES_PROBE = """
-import contextlib, importlib.util, io, json, sys
-from theta_dims import cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(
+executed = sorted(
     name for name, module in sys.modules.items()
-    if name.partition(".")[0] == "theta_dims" and type(module) is not importlib.util._LazyModule
-)))
+    if name not in before and type(module) is not importlib.util._LazyModule
+)
+import json
+print(json.dumps(executed))
 """
+
+# each query the module tests probe, by id; {z4} is a Cayley file of Z4
+PROBED_QUERIES = {
+    "import": (),
+    "closed-form": ("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"),
+    "lens-table": ("lens-table",),
+    "lens-table-csv": ("lens-table", "--format", "csv"),
+    "perm-cyclic": ("dims", "--group", "cyclic:336", "--parity", "odd"),
+    "perm-sl2-5": ("dims", "--group", "sl2:5", "--parity", "odd"),
+    "perm-sl2-5-json": ("dims", "--group", "sl2:5", "--parity", "odd", "--format", "json"),
+    "perm-sl2-7": ("dims", "--group", "sl2:7", "--parity", "even", "--module", "aug-kernel"),
+    "chartab-sl2": ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"),
+    "classes-sl2": ("classes", "--group", "sl2:5"),
+    "orbit-sl2": ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "orbit"),
+    "classes-cayley": ("classes", "--group", "cayley:{z4}"),
+}
+
+
+@pytest.fixture(scope="module")
+def executed_modules(tmp_path_factory):
+    """The modules each query of PROBED_QUERIES executes, by MODULES_PROBE,
+    one interpreter per query, started on first use."""
+    z4 = tmp_path_factory.mktemp("probe") / "z4.json"
+    z4.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
+    probed = {}
+
+    def executed(query: str) -> list[str]:
+        if query not in probed:
+            argv = [a.format(z4=z4) for a in PROBED_QUERIES[query]]
+            done = subprocess.run(
+                [sys.executable, "-c", MODULES_PROBE, *argv],
+                capture_output=True, text=True, timeout=60, env=package_env(), check=True,
+            )
+            probed[query] = json.loads(done.stdout)
+        return probed[query]
+
+    return executed
+
+
+def by_query(*cases):
+    """Parameters (query, expected), each with its query as its id."""
+    return [pytest.param(query, expected, id=query) for query, expected in cases]
+
+
+@pytest.mark.parametrize("query,loads_numpy", [
+    *by_query(("import", False), ("closed-form", False), ("lens-table", False),
+              ("perm-cyclic", False)),
+    pytest.param("perm-sl2-5", False, id="perm-sl2"),
+    *by_query(("chartab-sl2", False),
+              # the probe sees numpy load
+              ("classes-sl2", True), ("orbit-sl2", True)),
+])
+def test_numpy_loads_only_where_a_query_needs_it(executed_modules, query, loads_numpy):
+    assert any(name.startswith("numpy.") for name in executed_modules(query)) == loads_numpy
+
+
+def stdlib_loaded(names, modules):
+    """The modules among names that a probed query executed."""
+    return sorted(name for name in names if name in modules)
+
+
+@pytest.mark.parametrize("query,loads", by_query(
+    ("import", []),
+    ("perm-cyclic", []),
+    ("perm-sl2-5", []),
+    ("perm-sl2-7", []),
+    ("closed-form", []),
+    ("lens-table", []),
+    # the probe sees them load: chartab's values are exact Fractions in dataclasses
+    ("chartab-sl2", ["dataclasses", "decimal", "fractions", "inspect"]),
+))
+def test_short_queries_skip_dataclasses_and_fractions(executed_modules, query, loads):
+    names = ("dataclasses", "inspect", "fractions", "decimal")
+    assert stdlib_loaded(names, executed_modules(query)) == loads
+
+
+@pytest.mark.parametrize("query,loads", by_query(
+    ("import", []),
+    ("perm-cyclic", []),
+    ("perm-sl2-5", []),
+    ("closed-form", []),
+    ("lens-table", []),
+    # the probe sees each load for its own format
+    ("lens-table-csv", ["csv"]),
+    ("perm-sl2-5-json", ["json"]),
+))
+def test_json_and_csv_load_only_for_their_format(executed_modules, query, loads):
+    assert stdlib_loaded(("json", "csv"), executed_modules(query)) == loads
+
 
 # the modules every query executes: the package, the command line, and what
 # parsing the arguments needs
@@ -238,27 +240,19 @@ ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims
                  "theta_dims.groups", "theta_dims.limits", "theta_dims.perm"]
 
 
-@pytest.mark.parametrize("argv,also", [
-    ((), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd"), []),
-    (("dims", "--group", "sl2:5", "--parity", "odd"), []),
-    (("dims", "--group", "sl2:7", "--parity", "even", "--module", "aug-kernel"), []),
-    (("dims", "--group", "cyclic:336", "--parity", "odd", "--method", "closed-form"),
-     ["theta_dims.lens"]),
-    (("lens-table",), ["theta_dims.lens"]),
-    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"),
-     ["theta_dims.chartab"]),
-    (("classes", "--group", "cayley:{z4}"), ["theta_dims.cayley"]),
-], ids=["import", "perm-cyclic", "perm-sl2-5", "perm-sl2-7", "closed-form", "lens-table",
-        "chartab-sl2", "classes-cayley"])
-def test_a_query_executes_only_the_modules_it_runs(tmp_path, argv, also):
-    z4 = tmp_path / "z4.json"
-    z4.write_text(json.dumps({"order": 4, "mul": groups.make_cyclic(4).mul_table.tolist()}))
-    done = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, *(a.format(z4=z4) for a in argv)],
-        capture_output=True, text=True, timeout=60, env=package_env(), check=True,
-    )
-    assert json.loads(done.stdout) == sorted(ENTRY_MODULES + also)
+@pytest.mark.parametrize("query,also", by_query(
+    ("import", []),
+    ("perm-cyclic", []),
+    ("perm-sl2-5", []),
+    ("perm-sl2-7", []),
+    ("closed-form", ["theta_dims.lens"]),
+    ("lens-table", ["theta_dims.lens"]),
+    ("chartab-sl2", ["theta_dims.chartab"]),
+    ("classes-cayley", ["theta_dims.cayley"]),
+))
+def test_a_query_executes_only_the_modules_it_runs(executed_modules, query, also):
+    package = [name for name in executed_modules(query) if name.partition(".")[0] == "theta_dims"]
+    assert package == sorted(ENTRY_MODULES + also)
 
 
 # imports each module of the package first in a module table cleared of the
@@ -347,7 +341,7 @@ def test_dims_usage_errors(capsys):
         ("dims", "--group", "cyclic:5", "--parity", "odd", "--method", "perm", "--convention", "flip"),
         ("dims", "--group", "cyclic:5", "--parity", "odd", "--method", "chartab"),
         ("dims", "--group", "cyclic:5", "--module", "aug-kernel", "--parity", "odd", "--method", "orbit"),
-        ("dims", "--group", "cyclic:25", "--parity", "odd", "--method", "reynolds"),
+        ("dims", "--group", "cyclic:123", "--parity", "odd", "--method", "reynolds"),
         ("dims", "--group", "sl2:5", "--parity", "odd", "--method", "closed-form"),
         ("dims", "--group", "cyclic:0", "--parity", "odd"),
         ("dims", "--group", "cyclic:16385", "--parity", "odd"),
@@ -375,6 +369,36 @@ def test_a_file_option_the_query_never_reads_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "perm", "--char-table", ""),
+     "method perm reads no character table"),
+    (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab", "--char-table", ""),
+     "cannot read character table '': "),
+    (("verify", "fixtures", "--fixture", ""), "cannot read element fixture '': "),
+], ids=["perm-char-table", "chartab-char-table", "verify-fixture"])
+def test_an_empty_file_option_names_no_file(capsys, argv, message):
+    # "" is a path that names no file, not the builtin table or the packaged fixture
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_reynolds_pi_pi_equals_perm(capsys, tmp_path):
+    # reynolds answers both symmetries: on the battery and 2O, read as Cayley tables
+    for name, G in [*groups.battery_groups(), ("2O", REFERENCE_GROUPS["2O"])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"order": G.order, "mul": G.mul_table.tolist()}))
+        for module, parity in lens.COLUMNS:
+            code, out, _ = run_cli(
+                capsys, "dims", "--group", f"cayley:{path}", "--module", module,
+                "--parity", parity, "--symmetry", "pi-pi", "--method", "reynolds",
+                "--format", "json",
+            )
+            assert code == 0 and json.loads(out)["dimension"] == (
+                perm.dim_invariants_perm(G, module, parity, perm.PI_PI)
+            ), (name, module, parity)
+
+
 def _no_table(spec):
     pytest.fail(f"built the group of {spec}")
 
@@ -385,15 +409,15 @@ def _no_table(spec):
     (("--group", "cyclic:16384", "--module", "aug-kernel", "--method", "orbit"),
      "method orbit supports the group algebra only"),
     (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "reynolds"),
-     "method reynolds computes the full symmetry only"),
-    (("--group", "cyclic:25", "--method", "reynolds"),
-     "2925 monomials exceed the reynolds guard 2600"),
+     "44752896 orbit sums exceed the reynolds guard 2600"),
+    (("--group", "cyclic:123", "--method", "reynolds"),
+     "2624 orbit sums exceed the reynolds guard 2600"),
     (("--group", "cyclic:16384", "--method", "orbit"),
      "268435456 nodes exceed the orbit guard 10000000"),
     (("--group", "cyclic:3163", "--method", "orbit"),
      "10004569 nodes exceed the orbit guard 10000000"),
-    (("--group", "sl2:5", "--method", "reynolds"),
-     "295240 monomials exceed the reynolds guard 2600"),    (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "closed-form"),
+    (("--group", "sl2:7", "--method", "reynolds"),
+     "19096 orbit sums exceed the reynolds guard 2600"),    (("--group", "cyclic:16384", "--symmetry", "pi-pi", "--method", "closed-form"),
      "method closed-form computes the full symmetry only"),
 ])
 def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
@@ -406,17 +430,17 @@ def test_argument_errors_precede_the_table(capsys, monkeypatch, argv, message):
 
 
 @pytest.mark.parametrize("n,method,message", [
-    (25, "reynolds", "2925 monomials exceed the reynolds guard 2600"),
+    (123, "reynolds", "2624 orbit sums exceed the reynolds guard 2600"),
     (400, "orbit", "160000 nodes exceed the orbit guard 150000"),
 ])
 def test_cube_guard_after_a_cayley_table(tmp_path, capsys, monkeypatch, n, method, message):
     # a cayley: group has no class data before its table is read; oracle then
-    # meets the guard from the table's order, before it lists the cube basis
+    # meets the guard from the table's order, before it lists the orbit sums
     # (reynolds) or the group's generators (orbit)
     path = tmp_path / f"z{n}.json"
     path.write_text(json.dumps({"order": n, "mul": groups.make_cyclic(n).mul_table.tolist()}))
     monkeypatch.setattr(limits, "ORBIT_NODE_LIMIT", 150_000)
-    monkeypatch.setattr(oracle, "_monomials", lambda *args: pytest.fail("listed the basis"))
+    monkeypatch.setattr(oracle, "_orbit_sums", lambda *args: pytest.fail("listed the basis"))
     monkeypatch.setattr(oracle, "generating_set", lambda *args: pytest.fail("built the moves"))
     code, out, err = run_cli(
         capsys, "dims", "--group", f"cayley:{path}", "--parity", "odd", "--method", method

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -17,7 +18,7 @@ from test_perm import (
     unit_actions,
 )
 
-from theta_dims import cli, groups, lens, limits, oracle, perm
+from theta_dims import chartab, cli, groups, lens, limits, oracle, perm
 from theta_dims.errors import ExactnessViolation, ProjectorNotIdempotent, TooLarge
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
@@ -32,13 +33,14 @@ def test_monomial_kernel_against_loops():
             assert basis.dtype == np.int64 and basis.shape[1:] == (3,)
             assert sorted(map(tuple, basis.tolist())) == list(combos(range(n), 3))
             assert np.array_equal(oracle._rank(basis, parity), np.arange(len(basis)))
-    triples = np.array(list(itertools.product(range(4), repeat=3)))
-    for parity in (EVEN, ODD):
-        keys, signs = oracle._sort_sign(triples, parity)
-        for t, key, sign in zip(triples.tolist(), keys.tolist(), signs.tolist()):
-            inversions = sum(t[i] > t[j] for i, j in ((0, 1), (0, 2), (1, 2)))
-            want = 1 if parity == ODD else (-1) ** inversions * (len(set(t)) == 3)
-            assert (key, sign) == (sorted(t), want), (t, parity)
+    for degree in (2, 3):
+        tuples = np.array(list(itertools.product(range(4), repeat=degree)))
+        for parity in (EVEN, ODD):
+            keys, signs = oracle._sort_sign(tuples, parity)
+            for t, key, sign in zip(tuples.tolist(), keys.tolist(), signs.tolist()):
+                inversions = sum(t[i] > t[j] for i, j in itertools.combinations(range(degree), 2))
+                want = 1 if parity == ODD else (-1) ** inversions * (len(set(t)) == degree)
+                assert (key, sign) == (sorted(t), want), (t, parity)
 
 
 def monomial_orbit_count(G, parity, symmetry):
@@ -121,11 +123,11 @@ def test_orbit_node_guard_boundary():
     # is admitted in both parities
     assert limits.ORBIT_NODE_LIMIT == 10_000_000
     for parity, largest, refused in [(ODD, 3162, 10004569), (EVEN, 2236, 10008338)]:
-        oracle.check_order_guard("orbit", largest, GROUP_ALGEBRA, parity)
+        oracle.check_order_guard("orbit", largest, parity)
         with pytest.raises(
             TooLarge, match=f"^{refused} nodes exceed the orbit guard 10000000$"
         ):
-            oracle.check_order_guard("orbit", largest + 1, GROUP_ALGEBRA, parity)
+            oracle.check_order_guard("orbit", largest + 1, parity)
 
 
 def test_reynolds_examples():
@@ -134,20 +136,34 @@ def test_reynolds_examples():
     assert oracle.dim_invariants_reynolds(groups.make_cyclic(5), AUG_KERNEL, EVEN) == 0
 
 
-def test_reynolds_size_guard():
-    # the cap is on the matrix dimension: order 24 is the largest group algebra
-    # admitted, and each cube is refused from its first order past the cap
-    with pytest.raises(TooLarge, match="^2925 monomials exceed the reynolds guard 2600$"):
-        oracle.dim_invariants_reynolds(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
-    with pytest.raises(TooLarge, match="^2925 monomials exceed the reynolds guard 2600$"):
-        oracle.dim_invariants_reynolds(groups.make_cyclic(26), AUG_KERNEL, ODD)
-    for module, parity, largest in [
-        (GROUP_ALGEBRA, ODD, 24), (AUG_KERNEL, ODD, 25),
-        (GROUP_ALGEBRA, EVEN, 26), (AUG_KERNEL, EVEN, 27),
-    ]:
-        oracle.check_order_guard("reynolds", largest, module, parity)
+def test_reynolds_size_guard(monkeypatch):
+    # the cap is on the orbit sums of the cube, at most (n^2 + 5n + 2)/6 of
+    # them whatever the module and parity: order 122 is the largest admitted,
+    # and order 123 is refused before its basis is listed
+    monkeypatch.setattr(oracle, "_orbit_sums", lambda *args: pytest.fail("listed the basis"))
+    with pytest.raises(TooLarge, match="^2624 orbit sums exceed the reynolds guard 2600$"):
+        oracle.dim_invariants_reynolds(groups.make_cyclic(123), GROUP_ALGEBRA, ODD)
+    for parity in (EVEN, ODD):
+        oracle.check_order_guard("reynolds", 122, parity)
         with pytest.raises(TooLarge):
-            oracle.check_order_guard("reynolds", largest + 1, module, parity)
+            oracle.check_order_guard("reynolds", 123, parity)
+
+
+def _order_three_count(G):
+    x = np.arange(G.order)
+    return int(np.count_nonzero(G.mul_table[G.mul_table[x, x], x] == G.identity)) - 1
+
+
+def test_orbit_sums_are_the_burnside_count():
+    # (C(n+2, 3) + N3 n/3)/n in the odd cube and (C(n, 3) + N3 n/3)/n in the
+    # even one: only the identity and the order-3 elements fix a monomial,
+    # n/3 of them each; the guard's (n^2 + 5n + 2)/6 bounds both
+    for name, G in [*groups.battery_groups(), ("2O", REFERENCE_GROUPS["2O"])]:
+        n, n3 = G.order, _order_three_count(G)
+        for parity, monomials in ((ODD, math.comb(n + 2, 3)), (EVEN, math.comb(n, 3))):
+            reps, _, _ = oracle._orbit_sums(G, 3, parity)
+            assert len(reps) * n == monomials + n3 * n // 3, (name, parity)
+            assert len(reps) <= (n * n + 5 * n + 2) // 6, (name, parity)
 
 
 def test_reynolds_matches_perm_past_the_order_12_cap():
@@ -180,13 +196,95 @@ def _symmetry_elements(G):
                 yield CosetElement(twisted, g, h)
 
 
+# -- the full-space lift: the reference for the staged sum ----------------------
+
+
+def cube_basis(G, module, parity):
+    """Monomial basis of the cubic power of the module, in rank order."""
+    return oracle._monomials(G.order if module == GROUP_ALGEBRA else G.order - 1, parity)
+
+
+def action_matrix(G, perms, module, parity, basis):
+    """Dense integer matrix of the sum of the basis permutations in perms, a
+    (k, n) array with one permutation per row, acting on the cubic monomial
+    basis; row and column i belong to the monomial of rank i.
+
+    For the group algebra the module basis is e_x and a monomial has one image
+    term. For the augmentation kernel slot x is f_x' = e_x' - e_1 with
+    x' = x + (x >= identity); f_x' goes to f_p[x'] - f_p[1] with f_1 = 0, so a
+    monomial has 2^3 image terms, less those that choose the identity. The
+    image terms of every permutation are added into the matrix by one scatter.
+    """
+    p = np.asarray(perms, dtype=np.int64)
+    m = len(basis)
+    if module == GROUP_ALGEBRA:
+        terms = p[:, basis][:, None]  # permutations, (k, 1, m, 3)
+        values = np.ones(terms.shape[:-1], dtype=np.int64)
+    else:
+        e = G.identity
+        slot = np.arange(G.order - 1)
+        moved = p[:, slot + (slot >= e)]
+        options = np.stack([moved, np.broadcast_to(p[:, e, None], moved.shape)], axis=1)
+        choice = np.array(list(itertools.product((0, 1), repeat=3)))
+        chosen = options[:, choice[:, None, :], basis]  # permutations, (k, 8, m, 3)
+        coeff = 1 - 2 * (choice.sum(axis=1, keepdims=True) & 1)
+        values = np.where((chosen != e).all(axis=-1), coeff, 0)
+        terms = chosen - (chosen > e)
+    images, sign = oracle._sort_sign(terms, parity)
+    values = values * sign
+    keep = values != 0
+    columns = np.broadcast_to(np.arange(m), values.shape)
+    matrix = np.zeros((m, m), dtype=np.int64)
+    np.add.at(matrix, (oracle._rank(images[keep], parity), columns[keep]), values[keep])
+    return matrix
+
+
+def full_space_sum(G, module, parity, symmetry=FULL):
+    """Sum of the action matrices of all symmetry elements on the whole cube of
+    the module: untwisted (g, h), x -> g x h^-1, is L_g after R_h, and twisted
+    (g, h) is T after it, so the sum is (sum_g L_g)(sum_h R_h) for pi-pi and
+    (I + T) times that for full, with L_g: x -> g x, R_h: x -> x h^-1,
+    T: x -> x^-1 and I the identity. Each sum is lifted from the table's own
+    arrays: I and T are arange(n) and the inversion table, row g of the
+    multiplication table is L_g, and row h of its transpose, x -> x h, is
+    R_{h^-1}, which gives the same sum over h."""
+    basis = cube_basis(G, module, parity)
+
+    def lift(perms):
+        return action_matrix(G, perms, module, parity, basis)
+
+    product = lift(G.mul_table) @ lift(G.mul_table.T)
+    if symmetry == PI_PI:
+        return product
+    return lift([np.arange(G.order), G.inv_table]) @ product
+
+
+def full_space_dimension(G, module, parity, symmetry):
+    """The invariant dimension as the trace of the projector on the whole
+    cube of the module, the kernel's computed on V0 itself."""
+    acc = full_space_sum(G, module, parity, symmetry)
+    scale = G.order**2 * (2 if symmetry == FULL else 1)
+    assert np.array_equal(acc @ acc, scale * acc)
+    return int(np.trace(acc)) // scale
+
+
+def test_staged_dimension_equals_the_full_space_lift():
+    for name, G in groups.battery_groups():
+        if G.order > 8:
+            continue
+        for key in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD), (FULL, PI_PI)):
+            assert oracle.dim_invariants_reynolds(G, *key) == (
+                full_space_dimension(G, *key)
+            ), (name, key)
+
+
 def build_module_actions(G, module, parity):
     """Explicit integer matrices of every symmetry element on the cubic power,
     one per element of the doubled-and-swapped group in the order of
     _symmetry_elements, with the matrix dimension."""
-    basis = oracle._cube_basis(G, module, parity)
+    basis = cube_basis(G, module, parity)
     matrices = [
-        oracle._action_matrix(G, [permutation_of(G, sigma)], module, parity, basis)
+        action_matrix(G, [permutation_of(G, sigma)], module, parity, basis)
         for sigma in _symmetry_elements(G)
     ]
     return matrices, len(basis)
@@ -199,7 +297,7 @@ def test_factored_sum_equals_sum_of_all_actions():
         for module in (GROUP_ALGEBRA, AUG_KERNEL):
             for parity in (EVEN, ODD):
                 mats, dim = build_module_actions(G, module, parity)
-                factored = oracle._reynolds_sum(G, module, parity)
+                factored = full_space_sum(G, module, parity)
                 assert factored.shape == (dim, dim), (name, module, parity)
                 assert np.array_equal(factored, sum(mats)), (name, module, parity)
 
@@ -210,8 +308,6 @@ def test_build_module_actions_shapes():
     assert all(m.shape == (4, 4) and m.dtype == np.int64 for m in mats)
     mats, dim = build_module_actions(groups.make_cyclic(4), AUG_KERNEL, EVEN)
     assert len(mats) == 32 and dim == 1
-    with pytest.raises(TooLarge):
-        build_module_actions(groups.make_cyclic(25), GROUP_ALGEBRA, ODD)
 
 
 def test_identity_element_acts_as_identity_matrix():
@@ -318,19 +414,19 @@ def test_exact_matmul_refuses_at_and_over_the_bound():
 def test_exactness_traps_raise(monkeypatch):
     # a bound that holds on every valid input; it raises rather than asserts,
     # so that it holds under python -O too
-    monkeypatch.setattr(oracle, "_reynolds_sum", lambda *args: np.full((2, 2), 1 << 62))
+    monkeypatch.setattr(oracle, "_staged_sum", lambda *args: (np.full((2, 2), 1 << 62), 6))
     with pytest.raises(ExactnessViolation):
         oracle.dim_invariants_reynolds(groups.make_cyclic(3), GROUP_ALGEBRA, ODD)
 
 
 def test_idempotence_trap_raises(monkeypatch, capsys):
     # within the int64 and float64 bounds, but acc = S + I for the true sum S
-    # of cyclic:3 squares to |Gamma| S + 2S + I, not |Gamma| (S + I)
+    # of the cube of cyclic:3 squares to scale S + 2S + I, not scale (S + I)
     G = groups.make_cyclic(3)
-    true_sum = oracle._reynolds_sum(G, AUG_KERNEL, ODD)
+    true_sum, scale = oracle._staged_sum(G, 3, ODD, FULL)
     broken = true_sum + np.eye(len(true_sum), dtype=np.int64)
-    monkeypatch.setattr(oracle, "_reynolds_sum", lambda *args: broken)
-    message = "averaged action is not a projector (module=aug-kernel, parity=odd)"
+    monkeypatch.setattr(oracle, "_staged_sum", lambda *args: (broken, scale))
+    message = "averaged action is not a projector (degree=3, parity=odd, symmetry=full)"
     with pytest.raises(ProjectorNotIdempotent, match=re.escape(message)):
         oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD)
     code = cli.main(["dims", "--group", "cyclic:3", "--module", AUG_KERNEL,
@@ -340,8 +436,26 @@ def test_idempotence_trap_raises(monkeypatch, capsys):
 
 
 def test_reynolds_matches_perm_on_sl2f3():
-    # aug-kernel odd, d = C(25, 3) = 2300: the longest cube the guard admits
+    # aug-kernel odd: the whole cube of V0 has C(25, 3) = 2300 monomials, and
+    # the cube of V 111 orbit sums
     G = groups.make_sl2(3)
     assert oracle.dim_invariants_reynolds(G, AUG_KERNEL, ODD) == (
         perm.dim_invariants_perm(G, AUG_KERNEL, ODD, FULL)
     )
+
+
+def test_twisted_part_from_both_symmetries():
+    # dim under full is the mean of the two coset averages, and dim under
+    # pi-pi the untwisted one, so 2 full - pi-pi is the twisted average:
+    # against the direct coset sum on 2O, and against the character table
+    # on sl2:5 in one column (59, 50, 21 and 21 in all four)
+    G = REFERENCE_GROUPS["2O"]
+    twisted = perm.twisted_coset_average(G)
+    for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
+        full, pipi = (oracle.dim_invariants_reynolds(G, module, parity, symmetry)
+                      for symmetry in (FULL, PI_PI))
+        assert 2 * full - pipi == twisted[module, parity], (module, parity)
+    G, table = groups.make_sl2(5), chartab.builtin_sl2f5_table()
+    full, pipi = (oracle.dim_invariants_reynolds(G, GROUP_ALGEBRA, EVEN, symmetry)
+                  for symmetry in (FULL, PI_PI))
+    assert 2 * full - pipi == chartab.tau_part(table, GROUP_ALGEBRA, EVEN, chartab.INVERSION) == 21
