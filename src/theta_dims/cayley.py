@@ -2,9 +2,13 @@
 
 load_cayley reads the rows from the text straight into one index array, with
 no Python object per entry, through a JSON array hook; the rest of the file
-follows the standard JSON rules. The table is then built and fully validated
-by groups.make_from_cayley. The groups functions are called through the
-module attribute, so that a wrapper or patch on groups is seen.
+follows the standard JSON rules. The rows are counted once, in a serial pass
+that cuts them into pieces of about a megabyte, and the pieces are parsed on
+up to two threads, as np.fromstring releases the GIL; every thread has
+stopped before the rows are returned. The table is then built and fully
+validated by groups.make_from_cayley. The groups functions are called through
+the module attribute, so that a wrapper or patch on groups is seen; the
+threads call none of them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
 
@@ -21,6 +26,12 @@ from .errors import ParseError
 
 # characters of a table's rows read at a time, rounded up to the end of a row
 _PIECE_CHARS = 1 << 20
+# threads that read pieces at once, the calling one among them: np.fromstring
+# and most numpy steps release the GIL, but about 40% of a piece's work holds
+# it, so a third thread would gain little; each piece in flight holds about
+# 6 MB of temporaries
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 _WHITESPACE = b" \t\n\r"
 _MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
 _MARKS_TO_SPACES = bytes.maketrans(b"[],", b"   ")
@@ -71,20 +82,20 @@ def _bad_rows(n: int, detail: str) -> ParseError:
     return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
 
 
-def _read_whole_rows(raw: bytes, n: int, first: int, out: np.ndarray) -> int:
+def _read_whole_rows(raw: bytes, n: int, rows: np.ndarray, before: int) -> None:
     """Read the rows that raw lists, the text between the '[' of a row and the
-    ']' of the same or a later row, into out; returns how many there are. Rows
-    are numbered from first in messages.
+    ']' of the same or a later row, into rows, which has one row for each of
+    them. In messages, rows are numbered from before + 1.
 
-    Raises ParseError unless the text is rows of n JSON integers in 0..n-1.
-    It must be ASCII, keep "-" directly before a digit, and hold only the byte
-    pairs of _ALLOWED_PAIRS once whitespace is removed; its commas and
-    brackets must spell rows of n - 1 commas joined by "],["; np.fromstring
+    Raises ParseError unless the text is len(rows) rows of n JSON integers in
+    0..n-1. It must be ASCII, keep "-" directly before a digit, and hold only
+    the byte pairs of _ALLOWED_PAIRS once whitespace is removed; its commas
+    and brackets must spell rows of n - 1 commas joined by "],["; np.fromstring
     must read n integers a row from it with all marks as spaces, which
     refuses whitespace inside a number; and the digits must number exactly
     the decimal widths of the entries, which refuses leading zeros.
     """
-    k = raw.count(b"[") + 1
+    k = len(rows)
     if not raw.isascii():
         raise _bad_rows(n, "found a character outside ASCII")
     text = raw
@@ -100,19 +111,19 @@ def _read_whole_rows(raw: bytes, n: int, first: int, out: np.ndarray) -> int:
     digits = len(text) - len(marks)
     del text
     marks = marks.replace(b"-", b"")
-    rows = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
-    if marks != rows:
-        size = min(len(marks), len(rows))
-        differ = np.frombuffer(marks, np.uint8, size) != np.frombuffer(rows, np.uint8, size)
+    spelled = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
+    if marks != spelled:
+        size = min(len(marks), len(spelled))
+        differ = np.frombuffer(marks, np.uint8, size) != np.frombuffer(spelled, np.uint8, size)
         at = int(np.argmax(differ)) if differ.any() else size
-        raise _bad_rows(n, f"row {first + marks.count(b'[', 0, at)} does not hold {n} entries")
-    del marks, rows
+        raise _bad_rows(n, f"row {before + marks.count(b'[', 0, at)} does not hold {n} entries")
+    del marks, spelled
     values = np.fromstring(raw.translate(_MARKS_TO_SPACES), dtype=np.int64, sep=" ")
     if len(values) != k * n:
         raise _bad_rows(n, "whitespace splits an entry")
     if values.min() < 0 or values.max() >= n:
         raise _bad_rows(n, f"found {int(values[(values < 0) | (values >= n)][0])}")
-    entries = out[:k].reshape(-1)
+    entries = rows.reshape(-1)
     entries[:] = values
     del values
     widths = entries.size + sum(
@@ -120,32 +131,82 @@ def _read_whole_rows(raw: bytes, n: int, first: int, out: np.ndarray) -> int:
     )
     if digits != widths:
         raise _bad_rows(n, "an entry has a leading zero")
-    return k
 
 
 def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
     """The n x n index array whose rows s[start:stop] lists: the text between
     the '[' of the first row and the ']' of the last.
 
-    Raises TooLarge from the row count before any entry is read. The text is
-    read by _read_whole_rows in pieces of whole rows, each ending at the
-    first ']' from _PIECE_CHARS on; the text between two pieces must be "],["
-    and whitespace. As each such text holds one of the n - 1 '[' counted in
-    n, the pieces hold n rows in all.
+    The text is read in pieces of whole rows, each ending at the first ']'
+    from _PIECE_CHARS on; the text between two pieces must be "],[" and
+    whitespace. One serial pass finds the pieces, checks the text between
+    them and counts each piece's rows, its '[' and one more; as each text
+    between pieces holds one '[', the pieces hold n rows in all. After a bad
+    text between pieces the rest of the text is counted too, so that n
+    counts every '[' of s[start:stop] either way.
+
+    Raises TooLarge from n before any entry is read. The pieces are then read
+    by _read_whole_rows on up to _WORKERS threads (_read_pieces), each into
+    its own rows of the one index array. The refusal is the first fault in
+    the text: that of the first piece that has one, else a bad text between
+    pieces, named by the row before it.
     """
-    n = s.count("[", start, stop) + 1
-    limits.check_table_size(n)
-    out = np.empty((n, n), dtype=groups._index_dtype(n))
+    pieces = []  # (start, end, rows before the piece, rows in it)
     filled = 0
     while True:
         end = s.find("]", min(start + _PIECE_CHARS, stop), stop)
         end = stop if end < 0 else end
-        filled += _read_whole_rows(s[start:end].encode(), n, filled + 1, out[filled:])
+        rows = s.count("[", start, end) + 1
+        pieces.append((start, end, filled, rows))
+        filled += rows
         if end == stop:
-            return out
+            n, bad_after = filled, None
+            break
         start = s.find("[", end, stop) + 1
         if not start or s[end:start].encode().translate(None, _WHITESPACE) != b"],[":
-            raise _bad_rows(n, f"unexpected text after row {filled}")
+            n, bad_after = filled + s.count("[", end, stop), filled
+            break
+    limits.check_table_size(n)
+    out = np.empty((n, n), dtype=groups._index_dtype(n))
+    _read_pieces(s, pieces, n, out)
+    if bad_after is not None:
+        raise _bad_rows(n, f"unexpected text after row {bad_after}")
+    return out
+
+
+def _read_pieces(s: str, pieces: list[tuple[int, int, int, int]], n: int, out: np.ndarray) -> None:
+    """Read each piece (start, end, rows before it, rows in it) of s into its
+    rows of out by _read_whole_rows, on this thread and up to _WORKERS - 1
+    more, all stopped before this returns or raises. Threads take pieces in
+    text order and take none after a piece has failed, so every piece before
+    the first failing one is read; its error is raised."""
+    order = iter(range(len(pieces)))
+    lock = threading.Lock()
+    faults = {}
+
+    def work():
+        while True:
+            with lock:
+                i = None if faults else next(order, None)
+            if i is None:
+                return
+            start, end, before, rows = pieces[i]
+            try:
+                _read_whole_rows(s[start:end].encode(), n, out[before:before + rows], before)
+            except Exception as error:  # raised below, so no half-read table is returned
+                with lock:
+                    faults[i] = error
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(pieces)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if faults:
+        raise faults[min(faults)]
 
 
 def _parse_array(s_and_end: tuple[str, int], scan_once):

@@ -2,6 +2,9 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -616,9 +619,90 @@ def test_load_cayley_reads_the_same_rows_for_every_piece_size(tmp_path, monkeypa
     mul = groups.make_cyclic(12).mul_table
     path = tmp_path / "z12.json"
     path.write_text(json.dumps({"order": 12, "mul": mul.tolist()}, separators=separators))
-    for chars in range(1, path.stat().st_size + 1):
+    for workers, chars in itertools.product([1, 2], range(1, path.stat().st_size + 1)):
+        monkeypatch.setattr(cayley, "_WORKERS", workers)
         monkeypatch.setattr(cayley, "_PIECE_CHARS", chars)
         assert np.array_equal(cayley.load_cayley(path).mul_table, mul)
+
+
+Z5_ROWS = "[[0,1,2,3,4],[1,2,3,4,0],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]"
+# the rows of Z5 with faults, and the refusal, which names the first of them
+# in the text
+CAYLEY_FIRST_FAULTS = {
+    "short-rows-2-and-4": (
+        "[[0,1,2,3,4],[1,2,3,4],[2,3,4,0,1],[3,4,0,1],[4,0,1,2,3]]",
+        "row 2 does not hold 5 entries",
+    ),
+    "entry-in-row-2-then-separator-after-row-3": (
+        "[[0,1,2,3,4],[1,2,3,4,7],[2,3,4,0,1],x[3,4,0,1,2],[4,0,1,2,3]]",
+        "found 7",
+    ),
+    "separator-after-row-2": (
+        "[[0,1,2,3,4],[1,2,3,4,0][2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "unexpected text after row 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(CAYLEY_FIRST_FAULTS))
+def test_load_cayley_refuses_the_first_fault_in_the_text(tmp_path, monkeypatch, case, workers):
+    # a piece per row, so that each fault is in its own piece, read by either thread
+    monkeypatch.setattr(cayley, "_PIECE_CHARS", 1)
+    monkeypatch.setattr(cayley, "_WORKERS", workers)
+    rows, detail = CAYLEY_FIRST_FAULTS[case]
+    path = tmp_path / "z5.json"
+    path.write_text(f'{{"order":5,"mul":{rows}}}')
+    with pytest.raises(ParseError) as exc:
+        cayley.load_cayley(path)
+    rule = "rows must be 5 lists of 5 integers in 0..4"
+    assert str(exc.value) == f"cannot read Cayley table {str(path)!r}: {rule}: {detail}"
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_load_cayley_leaves_no_thread_running(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(cayley, "_PIECE_CHARS", 1)
+    monkeypatch.setattr(cayley, "_WORKERS", 2)
+    read_whole_rows = cayley._read_whole_rows
+
+    def slow_read_whole_rows(*args):
+        time.sleep(0.005)  # so that a thread left running is still running below
+        return read_whole_rows(*args)
+
+    monkeypatch.setattr(cayley, "_read_whole_rows", slow_read_whole_rows)
+    rows = Z5_ROWS.replace("[1,2,3,4,0]", "[1,2,3,4,7]") if fault else Z5_ROWS
+    path = tmp_path / "z5.json"
+    path.write_text(f'{{"order":5,"mul":{rows}}}')
+    threads = threading.active_count()
+    if fault:
+        with pytest.raises(ParseError, match="found 7$"):  # from the second piece
+            cayley.load_cayley(path)
+    else:
+        assert np.array_equal(cayley.load_cayley(path).mul_table, groups.make_cyclic(5).mul_table)
+    assert threading.active_count() == threads
+
+
+def test_load_cayley_pieces_under_frequent_thread_switches(tmp_path, monkeypatch):
+    # four threads, switching every few bytecodes: a piece left unread, or a
+    # later fault raised first, shows here
+    monkeypatch.setattr(cayley, "_PIECE_CHARS", 1)
+    monkeypatch.setattr(cayley, "_WORKERS", 4)
+    mul = groups.make_cyclic(40).mul_table
+    rows = mul.tolist()
+    for r in range(1, 40, 3):
+        rows[r] = rows[r][:-1]  # a short row 2, 5, 8, ...
+    good, bad = tmp_path / "z40.json", tmp_path / "short.json"
+    good.write_text(json.dumps({"order": 40, "mul": mul.tolist()}))
+    bad.write_text(json.dumps({"order": 40, "mul": rows}))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(cayley.load_cayley(good).mul_table, mul)
+            with pytest.raises(ParseError, match="row 2 does not hold 40 entries$"):
+                cayley.load_cayley(bad)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
