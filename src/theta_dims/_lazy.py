@@ -8,8 +8,9 @@ bytecode each sibling module is compiled from source. So the layers bind
 always run (`cayley`, `chartab`, `lens`, `oracle`, `verify`) through
 `_lazy_import`, and `lens` binds `oracle` the same way; a query executes
 only the modules it touches. The same holds for the standard library:
-`perm` binds `fractions` (which imports `decimal`) here, for its refusals
-and its twisted-coset check, `cli` binds `json` and `csv` for the output
+`perm` binds `fractions` (which imports `decimal`) here, since only its
+refusals and the direct twisted averages that `verify` and the tests read
+form a Fraction, `cli` binds `json` and `csv` for the output
 formats of those names, and the modules a short query runs keep their
 records in NamedTuples rather than dataclasses, which import `inspect`.
 """

@@ -114,11 +114,14 @@ def _class_power_sizes(sizes, power2, power3) -> list[tuple[int, int, int]]:
 
 
 def _char_table_for(args) -> chartab.CharTable:
-    """The table for --group: the --char-table file or the builtin one. The
-    table's classes must match the group's in size and in the sizes of their
-    square and cube classes; that is necessary, not proof the table is G's."""
-    if args.char_table is None and _split_group_spec(args.group) != ("sl2", 5):
-        raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
+    """The table for --group: the builtin one for sl2:5, whose classes
+    `verify fixtures` matches with SL2(F5)'s one by one, or the --char-table
+    file. A file's classes must match the group's in size and in the sizes of
+    their square and cube classes; that is necessary, not proof the table is G's."""
+    if args.char_table is None:
+        if _split_group_spec(args.group) != ("sl2", 5):
+            raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
+        return chartab.builtin_sl2f5_table()
     cd = _class_data(args.group)
     group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
 
@@ -129,10 +132,6 @@ def _char_table_for(args) -> chartab.CharTable:
                 "in size or in the sizes of their square and cube classes"
             )
 
-    if args.char_table is None:
-        table = chartab.builtin_sl2f5_table()
-        fits(table)
-        return table
     # checked before the table's orthogonality sums, which take O(k^3)
     return chartab.load_char_table(args.char_table, fits)
 

@@ -25,10 +25,6 @@ class NonIntegralDimension(ThetaDimsError):
     """
 
 
-class SimplificationMismatch(ThetaDimsError):
-    """The reduced sum over classes disagrees with the direct sum over the coset."""
-
-
 class MixedRadicand(InputError):
     """Arithmetic attempted between quadratic values over different radicands."""
 
@@ -49,11 +45,6 @@ class PowerMapViolation(InputError):
 
 class NonRealValue(InputError):
     """A declared table value cannot live in the stated real quadratic field."""
-
-
-class IndicatorOutOfRange(InputError):
-    """A squared-power average landed outside {-1, 0, +1} (table corruption);
-    a table that passes validate has every indicator +-1."""
 
 
 class TooLarge(InputError):

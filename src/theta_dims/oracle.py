@@ -25,9 +25,8 @@ dim S^3 V0^Gamma = dim S^3 V^Gamma - dim S^2 V^Gamma and
 dim Λ^3 V0^Gamma = dim Λ^3 V^Gamma - dim Λ^2 V^Gamma: the kernel's cube
 has the invariants of the group algebra's cube less those of its square.
 
-`lens` shares the monomial kernel: `_monomials` enumerates the cube basis,
-`_sort_sign` sorts index tuples and gives their wedge sign, and `_rank` gives
-the combinadic rank of triples, which is the basis position.
+`lens` shares the monomial kernel: `_monomials` enumerates the cube basis
+and `_sort_sign` sorts index tuples and gives their wedge sign.
 
 The projector is exact integer arithmetic throughout. `_exact_matmul`
 multiplies int64 matrices through float64 BLAS, which is exact while
@@ -78,8 +77,8 @@ def check_order_guard(method: str, n: int, parity: str) -> None:
 
 def _monomials(n: int, parity: str) -> np.ndarray:
     """Basis of the alternating ("even") or symmetric ("odd") cube on n points:
-    sorted index triples as an (m, 3) int64 array, listed in rank order (row i
-    has `_rank` i)."""
+    sorted index triples (x, y, z) as an (m, 3) int64 array, listed in
+    colexicographic order: by z, then y, then x."""
     k = n if parity == EVEN else n + 2
     z, y = np.tril_indices(k, -1)  # pairs y < z, ordered by z, then y
     x = np.arange(int(y.sum())) - np.repeat(np.cumsum(y) - y, y)
@@ -102,15 +101,6 @@ def _sort_sign(tuples: np.ndarray, parity: str) -> tuple[np.ndarray, np.ndarray]
     sign = 1 - 2 * (inversions & 1)
     sign *= (s[..., 1:] != s[..., :-1]).all(axis=-1)
     return s, sign
-
-
-def _rank(s: np.ndarray, parity: str) -> np.ndarray:
-    """Combinadic rank of sorted index triples among the monomials of `parity`."""
-    # int64 up front: the rank arithmetic overflows narrow index dtypes
-    x, y, z = np.moveaxis(s.astype(np.int64), -1, 0)
-    if parity != EVEN:
-        y, z = y + 1, z + 2
-    return z * (z - 1) * (z - 2) // 6 + y * (y - 1) // 2 + x
 
 
 def dim_invariants_orbit(G: GroupTable, parity: str, symmetry: str = FULL) -> int:

@@ -7,7 +7,7 @@ are integer fixed-point counts, and the single division happens at the end.
 
 Both cosets are summed over classes, with fixed points counted by the
 orbit–stabilizer lemma from class sizes and power maps; `_coset_terms` is the
-direct route the tests compare them with, one tally per coset of the fixed
+direct route for the tests and `verify`, one tally per coset of the fixed
 points of explicit permutations that takes no module or parity.
 
 The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
@@ -20,10 +20,10 @@ import itertools
 from collections import Counter
 
 from ._lazy import _lazy_import, np
-from .errors import NonIntegralDimension, SimplificationMismatch
+from .errors import NonIntegralDimension
 from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
-# only a refusal and the twisted-coset check form a Fraction
+# only a refusal and the direct twisted-coset averages form a Fraction
 fractions = _lazy_import("fractions")
 
 GROUP_ALGEBRA = "group-algebra"
@@ -176,20 +176,14 @@ def dim_invariants_perm(
 
 
 def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], fractions.Fraction]:
-    """Average of the cube character over the twisted coset only, by (module, parity).
+    """Average of the cube character over the twisted coset only, by (module,
+    parity), directly over all pairs (g, h) from one `_coset_terms` tally.
 
-    Computed twice: directly over all pairs (g, h) from one `_coset_terms` tally,
-    and with fixed points counted by the orbit–stabilizer lemma from class sizes
-    and power maps, as `dim_invariants_perm` does. The two routes must agree exactly.
-    """
-    n, terms, cd = G.order, _coset_terms(G, twisted=True), conjugacy_classes(G)
-    averages = {}
-    for module, parity in itertools.product(MODULES, PARITIES):
-        shift, sign = _shift_sign(module, parity)
-        direct = fractions.Fraction(_cube_sum(terms, shift, sign), 6 * n * n)
-        reduced = fractions.Fraction(_class_sums(cd, shift, sign)[1], 6 * n * n)
-        if direct != reduced:
-            raise SimplificationMismatch(f"{module} {parity}: direct twisted average "
-                                         f"{direct} != reduced class-sum value {reduced}")
-        averages[module, parity] = direct
-    return averages
+    The class-sum route gives the same average as 2 full - pi-pi of
+    `dim_invariants_perm`; `verify conventions` checks that they agree."""
+    n, terms = G.order, _coset_terms(G, twisted=True)
+    return {
+        (module, parity): fractions.Fraction(_cube_sum(terms, *_shift_sign(module, parity)),
+                                             6 * n * n)
+        for module, parity in itertools.product(MODULES, PARITIES)
+    }

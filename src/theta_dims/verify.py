@@ -278,18 +278,20 @@ def verify_conventions(with_orbit_check: bool = False, reference=None) -> list[s
     _expect(flip == expected_flip, f"flip-convention values {flip} != {expected_flip}")
     lines.append("flip convention: even/odd of the group algebra = 27/65, of the kernel = 27/56")
 
+    # the twisted average directly, from the class sums as 2 full - pi-pi
+    # (full averages the two cosets, pi-pi is the untwisted one), from the table
     inversion, twisted = {}, perm.twisted_coset_average(G)
     for module, parity in keys:
+        direct = twisted[module, parity]
+        full = perm.dim_invariants_perm(cd, module, parity, perm.FULL)
+        reduced = 2 * full - perm.dim_invariants_perm(cd, module, parity, perm.PI_PI)
+        _expect(direct == reduced, f"{module} {parity}: direct twisted average {direct} "
+                                   f"!= reduced class-sum value {reduced}")
         via_table = chartab.tau_part(table, module, parity, chartab.INVERSION)
-        via_perm = twisted[module, parity]
-        _expect(
-            via_table == via_perm,
-            f"{module} {parity}: weighted twisted part {via_table} != "
-            f"permutation value {via_perm}",
-        )
+        _expect(via_table == direct, f"{module} {parity}: weighted twisted part {via_table} "
+                                     f"!= permutation value {direct}")
         a = chartab.dim_invariants_chartab(table, module, parity, chartab.INVERSION)
-        b = perm.dim_invariants_perm(cd, module, parity, perm.FULL)
-        _expect(a == b, f"{module} {parity}: inversion via table {a} != via permutations {b}")
+        _expect(a == full, f"{module} {parity}: inversion via table {a} != via permutations {full}")
         inversion[module, parity] = a
     lines.append(
         "inversion convention (two independent routes agree): "

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from theta_dims import chartab, groups, lens, perm
 from theta_dims.chartab import FLIP, INVERSION, CharTable, QuadValue
 from theta_dims.errors import (
-    IndicatorOutOfRange,
     InputError,
     MixedRadicand,
     NonRealValue,
@@ -215,18 +214,6 @@ def test_fs_indicator_class_sum_oracle():
     assert chartab.fs_indicators(t) == (1, -1, -1, 1, 1, 1, -1, 1, -1)
 
 
-def test_fs_indicator_rejects_corrupt_table():
-    t = chartab.builtin_sl2f5_table()
-    rows = [list(r) for r in t.rows]
-    rows[1][0] = QuadValue.of(3, 5)  # no longer a character
-    broken = CharTable(
-        t.radicand, t.class_names, t.class_sizes, t.power2, t.power3,
-        tuple(tuple(r) for r in rows),
-    )
-    with pytest.raises(IndicatorOutOfRange):
-        chartab.fs_indicator(broken, 1)
-
-
 def test_diagonal_part_values():
     t = chartab.builtin_sl2f5_table()
     assert chartab.diagonal_part(t, perm.GROUP_ALGEBRA, perm.EVEN) == 33
@@ -393,6 +380,23 @@ def _z2_power(r):
     for _ in range(r - 1):
         G = groups.make_semidirect_product(G, z2)
     return G
+
+
+def test_fs_indicators_of_validated_tables_are_signs():
+    # validate fixes every indicator to +-1: fs_indicator returns its integer
+    # quotient unchecked, so it must equal the exact average
+    # (1/n) sum_c |c| chi_i(c^2), summed here in QuadValue from the rows
+    builtin = chartab.builtin_sl2f5_table()
+    tables = {"2I": builtin, "Z2^3": _sign_table(3)}
+    tables |= {f"2IxZ2^{r}": _product_table(builtin, _sign_table(r)) for r in (1, 2)}
+    for name, t in tables.items():
+        t.validate()
+        nus = chartab.fs_indicators(t)
+        assert set(nus) <= {1, -1}, name
+        for row, nu in zip(t.rows, nus):
+            total = sum((size * row[c2] for size, c2 in zip(t.class_sizes, t.power2)),
+                        QuadValue.of(0))
+            assert total * Fraction(1, t.order) == nu, name
 
 
 @pytest.mark.parametrize("name", ["Z2^4", "Z2^6", "2IxZ2"])

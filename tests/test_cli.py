@@ -15,7 +15,7 @@ from test_perm import REFERENCE_GROUPS
 
 import theta_dims
 from theta_dims import chartab, cli, groups, lens, limits, oracle, perm, verify
-from theta_dims.errors import InputError, SimplificationMismatch, ThetaDimsError
+from theta_dims.errors import InputError, ThetaDimsError
 
 REFERENCE_ROWS = {
     1: "1,1,0,0,0",
@@ -1189,14 +1189,13 @@ def test_conventions_counts_each_coset_once(monkeypatch):
     calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
                         (perm, "_row_chunks"))
     verify.verify_conventions(True)
-    assert calls["conjugacy_classes"] == 2
+    assert calls["conjugacy_classes"] == 1
     assert calls["_row_chunks"] == 120
 
 
 def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
-    # fixtures and conventions share one reference: SL2(F5) is built and the
-    # fixture read once, and its classes are computed for the fixture's class
-    # vote and once more inside perm.twisted_coset_average
+    # fixtures and conventions share one reference: SL2(F5) is built, the
+    # fixture read and its classes computed once, for the fixture's class vote
     calls = count_calls(monkeypatch, (verify, "load_sl2_fixture"))
     sl2_primes, class_orders = collections.Counter(), collections.Counter()
     make_sl2 = groups.make_sl2
@@ -1207,7 +1206,7 @@ def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
                             lambda G, classes=classes: class_orders.update([G.order]) or classes(G))
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
     assert code == 0 and out.endswith("ok\n")
-    assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 2)
+    assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 1)
 
 
 def test_verify_all_validates_the_builtin_table_once(capsys, monkeypatch):
@@ -1231,20 +1230,37 @@ def test_verify_all_enumerates_each_sl2_once(capsys, monkeypatch):
     assert primes == {5: 1, 3: 1}
 
 
-def test_twisted_coset_average_trap(capsys, monkeypatch):
-    # a bug trap, not bad input: the direct and class-sum routes disagree
-    class_sums = perm._class_sums
+def _plus_one_on_inversion(f):
+    return lambda *args: f(*args) + (args[-1] == chartab.INVERSION)
 
-    def off_by_one(cd, shift, sign):
-        untwisted, twisted = class_sums(cd, shift, sign)
-        return untwisted, twisted + 1
 
-    monkeypatch.setattr(perm, "_class_sums", off_by_one)
-    with pytest.raises(SimplificationMismatch, match="^group-algebra even: "):
-        perm.twisted_coset_average(groups.make_sl2(5))
-    code, out, err = run_cli(capsys, "verify", "conventions")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: group-algebra even: direct twisted average ")
+@pytest.mark.parametrize("target, wrap, flags, fail", [
+    ((perm, "_coset_terms"), lambda f: lambda G, twisted: f(G, twisted) + [(1, 2, 0, 0)], (),
+     "group-algebra even: direct twisted average "),
+    ((chartab, "tau_part"), _plus_one_on_inversion, (),
+     "group-algebra even: weighted twisted part "),
+    ((chartab, "dim_invariants_chartab"), _plus_one_on_inversion, (),
+     "group-algebra even: inversion via table "),
+    ((oracle, "dim_invariants_orbit"), lambda f: lambda *args: f(*args) + 1,
+     ("--with-orbit-check",), "orbit check even: "),
+], ids=["direct-twisted", "table-twisted", "inversion", "orbit"])
+def test_conventions_route_disagreement_is_a_fail_line(capsys, monkeypatch, target, wrap, flags,
+                                                       fail):
+    # each two-route check of the suite reports a disagreement as its FAIL line
+    monkeypatch.setattr(*target, wrap(getattr(*target)))
+    code, out, err = run_cli(capsys, "verify", "conventions", *flags)
+    assert (code, err) == (1, "")
+    assert out.startswith(f"[conventions]\nFAIL: {fail}") and out.count("\n") == 2, out
+
+
+def test_dims_chartab_builtin_computes_no_class_data(capsys, monkeypatch):
+    # the builtin table is fixed data for sl2:5, checked by verify fixtures
+    monkeypatch.setattr(groups, "sl2_class_data", lambda p: pytest.fail("computed class data"))
+    monkeypatch.setattr(groups, "conjugacy_classes", lambda G: pytest.fail("computed classes"))
+    code, out, err = run_cli(
+        capsys, "dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"
+    )
+    assert (code, err) == (0, "") and "dimension: 65\n" in out
 
 
 GOLDEN_OUTPUTS = [

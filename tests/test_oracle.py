@@ -23,6 +23,16 @@ from theta_dims.errors import ExactnessViolation, ProjectorNotIdempotent, TooLar
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
 
+def _rank(s, parity):
+    """Combinadic rank of sorted index triples among the monomials of `parity`:
+    the position of each in `oracle._monomials`."""
+    # int64 up front: the rank arithmetic overflows narrow index dtypes
+    x, y, z = np.moveaxis(s.astype(np.int64), -1, 0)
+    if parity != EVEN:
+        y, z = y + 1, z + 2
+    return z * (z - 1) * (z - 2) // 6 + y * (y - 1) // 2 + x
+
+
 def test_monomial_kernel_against_loops():
     for n in range(8):
         for parity, combos in (
@@ -32,7 +42,7 @@ def test_monomial_kernel_against_loops():
             basis = oracle._monomials(n, parity)
             assert basis.dtype == np.int64 and basis.shape[1:] == (3,)
             assert sorted(map(tuple, basis.tolist())) == list(combos(range(n), 3))
-            assert np.array_equal(oracle._rank(basis, parity), np.arange(len(basis)))
+            assert np.array_equal(_rank(basis, parity), np.arange(len(basis)))
     for degree in (2, 3):
         tuples = np.array(list(itertools.product(range(4), repeat=degree)))
         for parity in (EVEN, ODD):
@@ -54,11 +64,11 @@ def monomial_orbit_count(G, parity, symmetry):
         perms.append(np.asarray(G.inv_table))
     basis = oracle._monomials(G.order, parity)
     m = len(basis)
-    assert np.array_equal(oracle._rank(basis, parity), np.arange(m))  # node ids
+    assert np.array_equal(_rank(basis, parity), np.arange(m))  # node ids
     moves = []
     for p in perms:
         images, sign = oracle._sort_sign(p[basis], parity)
-        target = oracle._rank(images, parity)
+        target = _rank(images, parity)
         if parity == EVEN:
             flip = (sign < 0) * m
             target = np.concatenate([target + flip, target + (m - flip)])
@@ -235,7 +245,7 @@ def action_matrix(G, perms, module, parity, basis):
     keep = values != 0
     columns = np.broadcast_to(np.arange(m), values.shape)
     matrix = np.zeros((m, m), dtype=np.int64)
-    np.add.at(matrix, (oracle._rank(images[keep], parity), columns[keep]), values[keep])
+    np.add.at(matrix, (_rank(images[keep], parity), columns[keep]), values[keep])
     return matrix
 
 

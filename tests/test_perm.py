@@ -350,14 +350,31 @@ DIRECT_FACTORS = [
     if A.order > 1 and B.order > 1 and A.order * B.order <= 48
 ]
 
+SL2_GROUPS = {p: groups.make_sl2(p) for p in (3, 5, 7)}
+
+
+def draw_sl2_subgroup(data):
+    """The subgroup of SL2(F_p), p = 3, 5 or 7, generated by one or two drawn
+    elements, or, if that has order over 48, the cyclic subgroup of the first
+    one (element orders in SL2(F_7) are at most 14); nothing is filtered out."""
+    S = SL2_GROUPS[data.draw(st.sampled_from(sorted(SL2_GROUPS)), label="p")]
+    gens = data.draw(st.lists(st.integers(0, S.order - 1), min_size=1, max_size=2),
+                     label="generators")
+    G = groups._subgroup(S, gens)
+    return G if G.order <= 48 else groups._subgroup(S, gens[:1])
+
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_methods_agree_on_drawn_semidirect_products(data):
-    # Z_m x| Z_k by a unit action, or a relabeled direct product A x B
-    if data.draw(st.booleans(), label="direct"):
+    # Z_m x| Z_k by a unit action, a relabeled direct product A x B, or a
+    # relabeled subgroup of SL2(F_p)
+    kind = data.draw(st.sampled_from(("unit action", "direct", "sl2 subgroup")), label="kind")
+    if kind == "direct":
         A, B = data.draw(st.sampled_from(DIRECT_FACTORS))
         G = draw_relabeling(data, groups.make_semidirect_product(A, B))
+    elif kind == "sl2 subgroup":
+        G = draw_relabeling(data, draw_sl2_subgroup(data))
     else:
         m, r, k = data.draw(unit_actions())
         G = groups.make_semidirect_product(
@@ -367,6 +384,7 @@ def test_methods_agree_on_drawn_semidirect_products(data):
     pair_count = G.order**2
     dims = {}
     terms = [perm._coset_terms(G, twisted) for twisted in (False, True)]
+    direct = perm.twisted_coset_average(G)
     for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD)):
         shift, sign = perm._shift_sign(module, parity)
         untwisted, twisted = (perm._cube_sum(t, shift, sign) for t in terms)
@@ -374,11 +392,13 @@ def test_methods_agree_on_drawn_semidirect_products(data):
         dims[module, parity] = perm.dim_invariants_perm(G, module, parity, FULL)
         assert pipi == Fraction(untwisted, 6 * pair_count)
         assert dims[module, parity] == Fraction(untwisted + twisted, 12 * pair_count)
+        # the identity verify conventions checks the direct route against
+        assert direct[module, parity] == 2 * dims[module, parity] - pipi
         if module == GROUP_ALGEBRA:
             assert oracle.dim_invariants_orbit(G, parity, PI_PI) == pipi
             assert oracle.dim_invariants_orbit(G, parity, FULL) == dims[module, parity]
-        if G.order <= 12:  # the order up to which verify checks the projector
-            assert oracle.dim_invariants_reynolds(G, module, parity) == dims[module, parity]
+        assert oracle.dim_invariants_reynolds(G, module, parity, PI_PI) == pipi
+        assert oracle.dim_invariants_reynolds(G, module, parity, FULL) == dims[module, parity]
     assert dims[GROUP_ALGEBRA, EVEN] == dims[AUG_KERNEL, EVEN]
     assert (
         dims[GROUP_ALGEBRA, ODD] - dims[AUG_KERNEL, ODD]
