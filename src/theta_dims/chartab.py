@@ -3,15 +3,15 @@
 Character values live in Q(sqrt(d)) for a single squarefree d per table
 (or plain Q). Only real-valued tables are supported; the one shipped here
 is the 9x9 table of the binary icosahedral group over Q(sqrt(5)), together
-with its class squaring/cubing maps. The module characters are summed here
-from the table; the cube-character step, the module shift and the
-integrality check are those of `perm`.
+with its class squaring/cubing maps. The dimensions are `perm`'s class sums
+on the table's class sizes and power maps; the characters give only the
+twisted coset's count per class, sum_i nu_i chi_i(c) (`_coset_roots`), which
+under "inversion" is the class's square-root count. The module shift and the
+integrality check are `perm`'s too.
 
 Each table is held once as integer rows over one common denominator,
 X = (A + B sqrt(d)) / D. Only `CharTable.validate` forms table products, as
-integer products on A and B in plain Python ints, exact at any size. Once it
-holds, X^T X = n S^-1 (S the class sizes): the dimensions read their diagonal
-part off the class sizes, and characters only in the O(k) twisted-part terms.
+integer products on A and B in plain Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -37,10 +37,14 @@ from .errors import (
 from .perm import (
     CONVENTIONS,
     FLIP,
+    FULL,
     INVERSION,
+    PI_PI,
+    SYMMETRIES,
     _as_dimension,
     _check_choice,
-    _cube_sum,
+    _class_sums,
+    _quotient,
     _shift_sign,
 )
 
@@ -268,11 +272,6 @@ class _Integral(NamedTuple):
                          [[2 * x * y for x, y in row] for row in pairs], self.den**2, self.rad)
 
 
-def _quotient(a: int, den: int) -> int | Fraction:
-    """a / den, an int when den divides a."""
-    return a // den if a % den == 0 else Fraction(a, den)
-
-
 def _products(left, right, weights) -> list[list[int]]:
     """The integer matrix left diag(weights) right^T, of two lists of rows."""
     left = [list(map(mul, weights, row)) for row in left]
@@ -356,27 +355,27 @@ def fs_indicators(t: CharTable) -> tuple[int, ...]:
 
 
 def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
-    """Average of the cube character over the doubled group alone, on a table
-    that has passed validate.
+    """Average of the cube character over the doubled group alone: `perm`'s
+    untwisted class sum on the table's class sizes and power maps."""
+    untwisted, _ = _class_sums(t.class_sizes, t.power2, t.power3, *_shift_sign(module, parity))
+    return Fraction(untwisted, 6 * t.order**2)
 
-    Its traces are the entries of X^T X, the group-algebra character at the
-    class pairs. Row orthogonality, X S X^T = n, which validate proves, makes
-    X^T X = n S^-1: the trace at (c, d) is n / |c| if c = d, else 0."""
-    shift, sign = _shift_sign(module, parity)
-    k, n, sizes, p2, p3 = t.num_classes, t.order, t.class_sizes, t.power2, t.power3
-    x = [[_quotient(n, size) if c == d else 0 for d in range(k)] for c, size in enumerate(sizes)]
-    terms = (
-        (sizes[c] * sizes[d], x[c][d], x[p2[c]][p2[d]], x[p3[c]][p3[d]])
-        for c in range(k)
-        for d in range(k)
-    )
-    return Fraction(_cube_sum(terms, shift, sign), 6 * n**2)
+
+def _coset_roots(t: CharTable, convention: str) -> list:
+    """sum_i nu_i X_ic for each class c, on a table that has passed validate:
+    an int or a Fraction, or a QuadValue where irrational. Under "inversion"
+    nu_i is the squared-power indicator, and by Frobenius–Schur the sum counts
+    the square roots of an element of c; under "flip" every nu_i is 1."""
+    nu = fs_indicators(t) if convention == INVERSION else (1,) * t.num_classes
+    form = t._integral
+    return [form.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), form.den)
+            for a, b in zip(zip(*form.a), zip(*form.b))]
 
 
 def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> Fraction:
-    """Average of the cube character over the twisted coset, via single sums,
-    on a table that has passed validate: sum_i X_ic^2 is n / |c| as in
-    diagonal_part, and the characters enter only through sum_i nu_i X_ic.
+    """Average of the cube character over the twisted coset, on a table that
+    has passed validate: `perm`'s twisted class sum, with the sums of
+    `_coset_roots` in place of the square-root counts.
 
     With the "flip" convention the involution swaps the two tensor factors on
     each isotypic block, so its trace weights every row by +1. With the
@@ -387,27 +386,21 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    k, n = t.num_classes, t.order
-    nu = fs_indicators(t) if convention == INVERSION else (1,) * k
-    form = t._integral
-    # per class c: sum_i nu_i X_ic; sum_i X_ic^2 is (X^T X)_cc = n / |c|
-    weighted = [
-        form.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), form.den)
-        for a, b in zip(zip(*form.a), zip(*form.b))
-    ]
-    terms = (
-        (size, weighted[c], _quotient(n, size), weighted[t.power3[c]])
-        for c, size in enumerate(t.class_sizes)
-    )
-    total = _cube_sum(terms, shift, sign)
-    total = total.as_fraction() if isinstance(total, QuadValue) else Fraction(total)
-    return total / (6 * n)
+    _, twisted = _class_sums(t.class_sizes, t.power2, t.power3, shift, sign,
+                             _coset_roots(t, convention))
+    twisted = twisted.as_fraction() if isinstance(twisted, QuadValue) else twisted
+    return Fraction(twisted, 6 * t.order**2)
 
 
 def dim_invariants_chartab(
-    t: CharTable, module: str, parity: str, convention: str = FLIP
+    t: CharTable, module: str, parity: str, convention: str = FLIP, symmetry: str = FULL
 ) -> int:
-    """Invariant dimension: average of the diagonal and twisted-coset parts."""
+    """Invariant dimension: the diagonal part alone for symmetry "pi-pi",
+    else the average of the diagonal and twisted-coset parts."""
+    _check_choice(symmetry, SYMMETRIES, "symmetry")
+    if symmetry == PI_PI:
+        return _as_dimension(diagonal_part(t, module, parity),
+                             module=module, parity=parity, symmetry=symmetry)
     dim = (diagonal_part(t, module, parity) + tau_part(t, module, parity, convention)) / 2
     return _as_dimension(dim, module=module, parity=parity, convention=convention)
 

@@ -147,14 +147,9 @@ def _compute_dims(args) -> int:
     kind, arg = _split_group_spec(args.group)
     started = time.perf_counter()
     if method == "chartab":
-        table = _char_table_for(args)
-        if symmetry == perm.FULL:
-            value = chartab.dim_invariants_chartab(table, args.module, args.parity, convention)
-        else:
-            value = perm._as_dimension(
-                chartab.diagonal_part(table, args.module, args.parity),
-                module=args.module, parity=args.parity, symmetry=symmetry,
-            )
+        value = chartab.dim_invariants_chartab(
+            _char_table_for(args), args.module, args.parity, convention, symmetry
+        )
     elif method == "closed-form":
         # the closed form needs only the order, so no table is built
         if kind != "cyclic":
@@ -238,6 +233,8 @@ def _cmd_classes(args) -> int:
 def _cmd_verify(args) -> int:
     if args.fixture is not None and args.suite == "cross-methods":
         raise UsageError("suite cross-methods reads no element fixture")
+    if args.with_orbit_check and args.suite not in ("all", "conventions"):
+        raise UsageError(f"suite {args.suite} takes no --with-orbit-check")
     ok, lines = verify.run_suite(
         args.suite, with_orbit_check=args.with_orbit_check, fixture_path=args.fixture
     )

@@ -280,12 +280,10 @@ def make_semidirect_product(N: GroupTable, H: GroupTable, action=None) -> GroupT
     limits.check_table_size(n)
     dt = _index_dtype(n)
     if action is None:
-        left = N.mul_table[:, None, :]  # left[a, b, c] = a phi_b(c) = a c
-        first_inv = N.inv_table[:, None]  # first_inv[a, b] = phi_{b^-1}(a^-1) = a^-1
-    else:
-        action = _check_action(N, H, np.asarray(action))
-        left = N.mul_table[:, action]
-        first_inv = action[H.inv_table[None, :], N.inv_table[:, None]]
+        action = np.broadcast_to(np.arange(nN), (nH, nN))
+    action = _check_action(N, H, np.asarray(action))
+    left = N.mul_table[:, action]  # left[a, b, c] = a phi_b(c)
+    first_inv = action[H.inv_table[None, :], N.inv_table[:, None]]  # phi_{b^-1}(a^-1)
     mul = np.empty((n, n), dtype=dt)
     # entry [a, b, c, d] of this view is the product of (a, b) and (c, d)
     np.add(

@@ -11,7 +11,8 @@ direct route for the tests and `verify`, one tally per coset of the fixed
 points of explicit permutations that takes no module or parity.
 
 The cube-character step is written once, in `_shift_sign`, `_cube_sum` and
-`_as_dimension`; `chartab` passes its character sums to the same three.
+`_as_dimension`; `chartab` passes its character sums to the same three,
+through `_class_sums`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ._lazy import _lazy_import, np
 from .errors import NonIntegralDimension
 from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
-# only a refusal and the direct twisted-coset averages form a Fraction
+# only refusals, direct twisted averages and inexact table quotients form Fractions
 fractions = _lazy_import("fractions")
 
 GROUP_ALGEBRA = "group-algebra"
@@ -84,6 +85,11 @@ def _as_dimension(total, den: int = 1, **context) -> int:
     return quotient
 
 
+def _quotient(a: int, b: int):
+    """a / b, an int when b divides a, else a Fraction."""
+    return a // b if a % b == 0 else fractions.Fraction(a, b)
+
+
 def _coset_terms(G: GroupTable, twisted: bool) -> list[tuple[int, int, int, int]]:
     """Reference for the class-data sums: the `_cube_sum` terms (w, t1, t2, t3)
     of one coset, directly, in O(n^3), w the number of pairs (g, h) whose
@@ -108,16 +114,16 @@ def _coset_terms(G: GroupTable, twisted: bool) -> list[tuple[int, int, int, int]
     return [(w, *traces) for traces, w in tally.items()]
 
 
-def _root_counts(sizes: tuple[int, ...], power: tuple[int, ...]) -> list[int]:
+def _root_counts(sizes: tuple[int, ...], power: tuple[int, ...]) -> list:
     """For each class C, the number of k-th roots of one element of C, where
     power maps each class D to the class of D^k: the sum of |D| over D^k = C, over |C|."""
     roots = [0] * len(sizes)
     for d, c in enumerate(power):
         roots[c] += sizes[d]
-    return [r // s for r, s in zip(roots, sizes)]
+    return [_quotient(r, s) for r, s in zip(roots, sizes)]
 
 
-def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
+def _class_sums(sizes, power2, power3, shift: int, sign: int, roots2=None) -> tuple:
     """The untwisted and twisted coset sums, from class sizes and the square and
     cube class maps alone, with fixed points counted by the orbit–stabilizer lemma.
 
@@ -129,11 +135,15 @@ def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
     element of D. tau*(e, r) fixes the square roots of r, its square is (r, r)
     and its cube tau*(r, r^2), so it has traces r2(C), z(C), r2(C^3);
     tau*(g, h) is conjugate to tau*(e, h g), n pairs per product.
+
+    roots2, by default r2 from the square map, is what the twisted coset reads;
+    `chartab` passes sum_i nu_i chi_i(C), the same counts by Frobenius–Schur.
+    Every quotient is exact, and an int on a group's class data.
     """
-    n = cd.order
-    sq, cu = cd.power2, cd.power3
-    z = [n // size for size in cd.sizes]
-    r2, r3 = _root_counts(cd.sizes, sq), _root_counts(cd.sizes, cu)
+    n, sq, cu = sum(sizes), power2, power3
+    z = [_quotient(n, size) for size in sizes]
+    r2, r3 = _root_counts(sizes, sq), _root_counts(sizes, cu)
+    roots2 = r2 if roots2 is None else roots2
 
     def one(t1: int, t2: int, t3: int) -> int:
         return _cube_sum([(1, t1, t2, t3)], shift, sign)
@@ -144,9 +154,9 @@ def _class_sums(cd: ConjugacyData, shift: int, sign: int) -> tuple[int, int]:
     untwisted = sum(
         size * (size * (one(z[c], z[sq[c]], z[cu[c]]) - one(0, z[sq[c]], z[cu[c]]))
                 + n * (base + per_root2 * r2[sq[c]] + per_root3 * r3[cu[c]]))
-        for c, size in enumerate(cd.sizes)
+        for c, size in enumerate(sizes)
     )
-    twisted = n * _cube_sum(zip(cd.sizes, r2, z, [r2[c] for c in cu]), shift, sign)
+    twisted = n * _cube_sum(zip(sizes, roots2, z, [roots2[c] for c in cu]), shift, sign)
     return untwisted, twisted
 
 
@@ -168,7 +178,7 @@ def dim_invariants_perm(
     _check_choice(symmetry, SYMMETRIES, "symmetry")
     cd = G if isinstance(G, ConjugacyData) else conjugacy_classes(G)
     n = cd.order
-    untwisted, twisted = _class_sums(cd, shift, sign)
+    untwisted, twisted = _class_sums(cd.sizes, cd.power2, cd.power3, shift, sign)
     total, group_size = untwisted, n * n
     if symmetry == FULL:
         total, group_size = untwisted + twisted, 2 * n * n

@@ -258,12 +258,12 @@ def verify_conventions(with_orbit_check: bool = False, reference=None) -> list[s
     )]
     _expect(nus[1] == -1, f"second row indicator {nus[1]} != -1")
 
-    # the indicator-weighted column sums must count square roots in the group
+    # the indicator-weighted column sums tau_part reads must count square roots
     sqrt_count = [0] * cd.num_classes
     for z in range(G.order):
         sqrt_count[int(cd.class_of[G.mul(z, z)])] += 1
-    for i, c in enumerate(to_computed):
-        weighted = sum((nu * row[i] for nu, row in zip(nus, table.rows)), chartab.QuadValue.of(0))
+    roots = chartab._coset_roots(table, chartab.INVERSION)
+    for i, (c, weighted) in enumerate(zip(to_computed, roots)):
         expected = Fraction(sqrt_count[c], cd.sizes[c])
         _expect(
             weighted == expected,

@@ -399,6 +399,18 @@ def test_fs_indicators_of_validated_tables_are_signs():
             assert total * Fraction(1, t.order) == nu, name
 
 
+def test_coset_roots_are_square_root_counts():
+    # Frobenius-Schur: under inversion, the weighted column sums that tau_part
+    # gives perm's twisted class sum are the square-root counts of the power map
+    builtin = chartab.builtin_sl2f5_table()
+    tables = {"2I": builtin, "Z2^3": _sign_table(3)}
+    tables |= {f"2IxZ2^{r}": _product_table(builtin, _sign_table(r)) for r in (1, 2)}
+    for name, t in tables.items():
+        t.validate()
+        roots = perm._root_counts(t.class_sizes, t.power2)
+        assert chartab._coset_roots(t, INVERSION) == roots, name
+
+
 @pytest.mark.parametrize("name", ["Z2^4", "Z2^6", "2IxZ2"])
 def test_product_tables_equal_perm(name):
     # Z2^r: every element an involution and every indicator +1, so the flip

@@ -369,6 +369,14 @@ def test_a_file_option_the_query_never_reads_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("suite", ["fixtures", "cross-methods"])
+def test_orbit_check_on_a_suite_without_it_is_refused(capsys, suite):
+    # only conventions, alone or in all, runs the orbit check
+    assert run_cli(capsys, "verify", suite, "--with-orbit-check") == (
+        2, "", f"error: suite {suite} takes no --with-orbit-check\n"
+    )
+
+
 @pytest.mark.parametrize("argv,message", [
     (("dims", "--group", "sl2:5", "--parity", "odd", "--method", "perm", "--char-table", ""),
      "method perm reads no character table"),
@@ -1251,6 +1259,26 @@ def test_conventions_route_disagreement_is_a_fail_line(capsys, monkeypatch, targ
     code, out, err = run_cli(capsys, "verify", "conventions", *flags)
     assert (code, err) == (1, "")
     assert out.startswith(f"[conventions]\nFAIL: {fail}") and out.count("\n") == 2, out
+
+
+def test_dims_chartab_pi_pi_equals_perm(capsys):
+    # pi-pi is the diagonal part alone, which reads no convention
+    def dimension(*argv):
+        code, out, err = run_cli(capsys, "dims", "--group", "sl2:5", *argv, "--symmetry",
+                                 "pi-pi", "--format", "json")
+        assert (code, err) == (0, ""), argv
+        return json.loads(out)["dimension"]
+
+    values = {}
+    for module, parity in lens.COLUMNS:
+        query = ("--module", module, "--parity", parity)
+        values[module, parity] = dimension(*query, "--method", "perm")
+        for convention in perm.CONVENTIONS:
+            assert dimension(*query, "--method", "chartab", "--convention", convention) == (
+                values[module, parity]
+            ), (module, parity, convention)
+    assert values[perm.GROUP_ALGEBRA, perm.ODD] == 71
+    assert values[perm.GROUP_ALGEBRA, perm.EVEN] == 33
 
 
 def test_dims_chartab_builtin_computes_no_class_data(capsys, monkeypatch):

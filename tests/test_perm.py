@@ -456,7 +456,8 @@ def test_row_chunks_of_four_rows(monkeypatch, G):
     assert default == [
         total
         for module, parity in itertools.product((GROUP_ALGEBRA, AUG_KERNEL), (EVEN, ODD))
-        for total in perm._class_sums(cd, *perm._shift_sign(module, parity))
+        for total in perm._class_sums(cd.sizes, cd.power2, cd.power3,
+                                      *perm._shift_sign(module, parity))
     ]
     monkeypatch.setattr(groups, "_CHUNK_ENTRIES", 4 * G.order)
     assert [s.stop - s.start for s in groups._row_chunks(9, G.order)] == [4, 4, 1]
