@@ -6,8 +6,8 @@ takes longer than most queries that need no array at all (`closed-form`,
 bytecode each sibling module is compiled from source. So the layers bind
 `np` from here, `cli` binds the modules of the verbs and methods it does not
 always run (`cayley`, `chartab`, `lens`, `oracle`, `verify`) through
-`_lazy_import`, and `lens` binds `oracle` the same way; a query executes
-only the modules it touches. The same holds for the standard library:
+`_lazy_import`, and `lens` and `chartab` bind `oracle` the same way; a query
+executes only the modules it touches. The same holds for the standard library:
 `perm` binds `fractions` (which imports `decimal`) here, since only its
 refusals and the direct twisted averages that `verify` and the tests read
 form a Fraction, `cli` binds `json` and `csv` for the output

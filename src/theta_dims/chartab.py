@@ -10,8 +10,9 @@ under "inversion" is the class's square-root count. The module shift and the
 integrality check are `perm`'s too.
 
 Each table is held once as integer rows over one common denominator,
-X = (A + B sqrt(d)) / D. Only `CharTable.validate` forms table products, as
-integer products on A and B in plain Python ints, exact at any size.
+X = (A + B sqrt(d)) / D. Only `CharTable.validate` forms table products, one
+`oracle._exact_matmul` product of int64 arrays per Gram part; so a file table
+loads numpy and `oracle`, and the builtin one, fixed data, loads neither.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -27,12 +27,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import limits
+from ._lazy import _lazy_import, np
 from .errors import (
     MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
     ParseError,
     PowerMapViolation,
+    TooLarge,
 )
 from .perm import (
     CONVENTIONS,
@@ -47,6 +49,9 @@ from .perm import (
     _quotient,
     _shift_sign,
 )
+
+# the exact product kernel, which only validate runs
+oracle = _lazy_import(f"{__package__}.oracle")
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,26 @@ class CharTable:
                 for row in self.rows
             ]
 
-        return _Integral(scaled("a"), scaled("b"), den, self.radicand or 0)
+        rad = self.radicand if any(v.b for v in values) else 0
+        return _Integral(scaled("a"), scaled("b"), den, rad)
 
     def validate(self) -> None:
         """Check shape, the trivial first row, exact row orthogonality and the
-        power maps, in integer products on the rows over one denominator.
+        power maps, in Gram products of the rows over one denominator (`_gram`).
 
         The square map must give nonnegative integer multiplicities
         <(chi_i^2 +- chi_i o p_2) / 2, chi_j>, those of chi_j in Sym^2 chi_i and
         Lambda^2 chi_i; so <chi_i o p_2, chi_j> is an integer and every
         indicator is +-1. The cube map must give integers <chi_i o p_3, chi_j>,
         since chi(g^3) is a virtual character. Both are necessary, not
-        sufficient, for the maps to be right."""
+        sufficient, for the maps to be right. Each check names its first
+        failing pair (i, j) in row-major order, with i <= j for orthogonality
+        and + before - for the square map.
+
+        Every product and intermediate is an integer below 2^53 if the squared
+        table's Gram is, 2k terms of at most a class size times (1 + 2 rad) top^3,
+        top the largest integer entry (at least den, from the trivial row); a
+        table past that bound is refused with TooLarge before any array is formed."""
         self._check_shape()
         if any(v != 1 for v in self.rows[0]):
             raise ParseError("first row must be the trivial character")
@@ -211,43 +224,43 @@ class CharTable:
         if sum(d * d for d in dims) != order:
             raise ParseError("sum of squared dimensions must equal the group order")
         form = self._integral
-        den = form.den
-        scale = order * den**2
-        k, sizes = self.num_classes, list(self.class_sizes)
-        rational, irrational = _gram(form, form, sizes)
-        for i in range(k):
-            for j in range(i, k):
-                expected = scale if i == j else 0
-                if rational[i][j] != expected or irrational[i][j]:
-                    got = form.value(rational[i][j], irrational[i][j], den**2)
-                    raise OrthogonalityViolation(
-                        f"rows ({i}, {j}): got {got}, expected {expected // den**2}"
-                    )
-        # <chi_i^2, chi_j> times n den^3, and <chi_i o p_2, chi_j> times n den^2
-        square = _gram(form.squared(), form, sizes)
-        power2 = _gram(form.with_columns(self.power2), form, sizes)
-        for i in range(k):
-            for j in range(k):
-                for sign, op in ((1, "+"), (-1, "-")):
-                    a, b = (s[i][j] + sign * den * p[i][j] for s, p in zip(square, power2))
-                    if b or a % (2 * scale * den) or a < 0:
-                        raise PowerMapViolation(
-                            f"power2 map: <(chi_{i}^2 {op} chi_{i}(g^2))/2, chi_{j}> = "
-                            f"{form.value(a, b, 2 * scale * den)} is not a nonnegative integer"
-                        )
-        rational, irrational = _gram(form.with_columns(self.power3), form, sizes)
-        for i in range(k):
-            for j in range(k):
-                if rational[i][j] % scale or irrational[i][j]:
-                    raise PowerMapViolation(
-                        f"power3 map: <chi_{i}(g^3), chi_{j}> = "
-                        f"{form.value(rational[i][j], irrational[i][j], scale)} is not an integer"
-                    )
+        k, den, rad, most = self.num_classes, form.den, form.rad, max(self.class_sizes)
+        top = max(abs(v) for part in (form.a, form.b) for row in part for v in row)
+        if 2 * k * most * (1 + 2 * rad) * top**3 >= oracle._FLOAT64_EXACT_LIMIT:
+            raise TooLarge(f"entries up to {top} over {den} and class sizes up to {most} "
+                           "may take the validation products past 2^53")
+        a, b = x = np.array([form.a, form.b], dtype=np.int64)
+        sizes, scale = self.class_sizes, order * den**2
+        # <chi_i, chi_j> times n den^2
+        rational, irrational = _gram(x, x, sizes, rad)
+        bad = np.triu((rational != scale * np.eye(k, dtype=np.int64)) | (irrational != 0))
+        for i, j in np.argwhere(bad)[:1].tolist():  # the first, in row-major order
+            got = form.value(int(rational[i, j]), int(irrational[i, j]), den**2)
+            raise OrthogonalityViolation(f"rows ({i}, {j}): got {got}, expected {order * (i == j)}")
+        # <chi_i^2, chi_j> times n den^3, and <chi_i o p_2, chi_j> times n den^2;
+        # their sum and difference, on the last axis, over 2 n den^3
+        square = _gram((a * a + rad * b * b, 2 * a * b), x, sizes, rad)
+        power2 = _gram(x[..., self.power2], x, sizes, rad)
+        rational, irrational = (s[..., None] + np.array([1, -1]) * den * p[..., None]
+                                for s, p in zip(square, power2))
+        bad = (irrational != 0) | (rational % (2 * scale * den) != 0) | (rational < 0)
+        for i, j, s in np.argwhere(bad)[:1].tolist():
+            raise PowerMapViolation(
+                f"power2 map: <(chi_{i}^2 {'+-'[s]} chi_{i}(g^2))/2, chi_{j}> = "
+                f"{form.value(int(rational[i, j, s]), int(irrational[i, j, s]), 2 * scale * den)}"
+                " is not a nonnegative integer"
+            )
+        rational, irrational = _gram(x[..., self.power3], x, sizes, rad)
+        for i, j in np.argwhere((rational % scale != 0) | (irrational != 0))[:1].tolist():
+            raise PowerMapViolation(
+                f"power3 map: <chi_{i}(g^3), chi_{j}> = "
+                f"{form.value(int(rational[i, j]), int(irrational[i, j]), scale)} is not an integer"
+            )
 
 
 class _Integral(NamedTuple):
     """A table X as integer rows over one denominator, X = (a + b sqrt(rad)) / den;
-    b is all zeros on a rational table, whose rad is 0."""
+    rad is 0 where b is all zeros."""
 
     a: list[list[int]]
     b: list[list[int]]
@@ -260,40 +273,19 @@ class _Integral(NamedTuple):
             return QuadValue(Fraction(a, den), Fraction(b, den), self.rad)
         return _quotient(a, den)
 
-    def with_columns(self, columns) -> "_Integral":
-        """The table whose column c is this table's column columns[c]."""
-        return self._replace(a=[[row[c] for c in columns] for row in self.a],
-                             b=[[row[c] for c in columns] for row in self.b])
 
-    def squared(self) -> "_Integral":
-        """The table of the squared entries, over den^2."""
-        pairs = [list(zip(a, b)) for a, b in zip(self.a, self.b)]
-        return _Integral([[x * x + self.rad * y * y for x, y in row] for row in pairs],
-                         [[2 * x * y for x, y in row] for row in pairs], self.den**2, self.rad)
-
-
-def _products(left, right, weights) -> list[list[int]]:
-    """The integer matrix left diag(weights) right^T, of two lists of rows."""
-    left = [list(map(mul, weights, row)) for row in left]
-    return [[sum(map(mul, row, other)) for other in right] for row in left]
-
-
-def _gram(x: _Integral, y: _Integral, weights) -> tuple[list[list[int]], list[list[int]]]:
-    """The matrix of sum_c weights[c] x_ic y_jc, times x.den y.den, as its
-    rational and irrational parts P and Q, so that it is
-    (P + Q sqrt(rad)) / (x.den y.den). Each part is one product of rows of
-    length 2k; Q is zeros, with no product, when x and y are both rational."""
-    if not any(map(any, x.b)) and not any(map(any, y.b)):
-        return _products(x.a, y.a, weights), [[0] * len(y.a) for _ in x.a]
-    twice = list(weights) * 2
-    rational = _products(
-        [a + [x.rad * v for v in b] for a, b in zip(x.a, x.b)],
-        [a + b for a, b in zip(y.a, y.b)],
-        twice,
-    )
-    irrational = _products(
-        [a + b for a, b in zip(x.a, x.b)], [b + a for a, b in zip(y.a, y.b)], twice
-    )
+def _gram(x, y, weights, rad: int):
+    """The matrix of sum_c weights[c] x_ic y_jc for two tables x and y, each a
+    pair (a, b) of int64 arrays that stands for a + b sqrt(rad), as its
+    rational and irrational parts (P, Q): the matrix is P + Q sqrt(rad). Each
+    part is one `oracle._exact_matmul` product of rows of length 2k; with rad
+    0, where b is all zeros, P is one of rows of length k and Q is zeros."""
+    (xa, xb), (ya, yb) = x, y
+    if not rad:
+        return oracle._exact_matmul(xa * weights, ya.T), np.zeros((len(xa), len(ya)), np.int64)
+    twice = np.concatenate([weights, weights])
+    rational = oracle._exact_matmul(np.hstack([xa, rad * xb]) * twice, np.hstack([ya, yb]).T)
+    irrational = oracle._exact_matmul(np.hstack([xa, xb]) * twice, np.hstack([yb, ya]).T)
     return rational, irrational
 
 
@@ -320,12 +312,13 @@ def _sl2f5_values():
 
 @functools.cache
 def builtin_sl2f5_table() -> CharTable:
-    """The 9-class character table of SL2(F5) over Q(sqrt(5)), validated."""
+    """The 9-class character table of SL2(F5) over Q(sqrt(5)): fixed data,
+    validated by `verify`, which also matches its classes with SL2(F5)'s."""
     names = ("I", "-I", "a", "b", "b'", "c", "c'", "-c", "-c'")
     sizes = (1, 1, 30, 20, 20, 12, 12, 12, 12)
     power2 = (0, 0, 1, 3, 3, 6, 5, 6, 5)
     power3 = (0, 1, 2, 0, 1, 6, 5, 8, 7)
-    table = CharTable(
+    return CharTable(
         radicand=5,
         class_names=names,
         class_sizes=sizes,
@@ -333,12 +326,10 @@ def builtin_sl2f5_table() -> CharTable:
         power3=power3,
         rows=tuple(tuple(row) for row in _sl2f5_values()),
     )
-    table.validate()
-    return table
 
 
-def fs_indicator(t: CharTable, i: int) -> int:
-    """Squared-power average of row i, on a table that has passed validate:
+def fs_indicators(t: CharTable) -> tuple[int, ...]:
+    """Squared-power average of each row, on a table that has passed validate:
     there it is +-1. validate makes (<chi_i^2, 1> +- nu_i) / 2 nonnegative
     integers with no irrational part, and <chi_i^2, 1> = <chi_i, chi_i> = 1 by
     row orthogonality of a real table."""
@@ -347,11 +338,11 @@ def fs_indicator(t: CharTable, i: int) -> int:
     weights = [0] * t.num_classes
     for c, size in zip(t.power2, t.class_sizes):
         weights[c] += size
-    return sum(map(mul, weights, form.a[i])) // (form.den * t.order)
+    return tuple(sum(map(mul, weights, row)) // (form.den * t.order) for row in form.a)
 
 
-def fs_indicators(t: CharTable) -> tuple[int, ...]:
-    return tuple(fs_indicator(t, i) for i in range(t.num_classes))
+def fs_indicator(t: CharTable, i: int) -> int:
+    return fs_indicators(t)[i]
 
 
 def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
@@ -384,12 +375,16 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     the odd powers of the coset element; the even power lands back in the
     doubled group and stays unweighted.
     """
+    return _parts(t, module, parity, convention)[1]
+
+
+def _parts(t: CharTable, module: str, parity: str, convention: str) -> tuple[Fraction, ...]:
+    """The diagonal and twisted-coset parts, from one `_class_sums` call."""
     shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    _, twisted = _class_sums(t.class_sizes, t.power2, t.power3, shift, sign,
-                             _coset_roots(t, convention))
-    twisted = twisted.as_fraction() if isinstance(twisted, QuadValue) else twisted
-    return Fraction(twisted, 6 * t.order**2)
+    sums = _class_sums(t.class_sizes, t.power2, t.power3, shift, sign, _coset_roots(t, convention))
+    return tuple(Fraction(s.as_fraction() if isinstance(s, QuadValue) else s, 6 * t.order**2)
+                 for s in sums)
 
 
 def dim_invariants_chartab(
@@ -401,7 +396,7 @@ def dim_invariants_chartab(
     if symmetry == PI_PI:
         return _as_dimension(diagonal_part(t, module, parity),
                              module=module, parity=parity, symmetry=symmetry)
-    dim = (diagonal_part(t, module, parity) + tau_part(t, module, parity, convention)) / 2
+    dim = sum(_parts(t, module, parity, convention)) / 2
     return _as_dimension(dim, module=module, parity=parity, convention=convention)
 
 
@@ -416,18 +411,12 @@ def _fraction_from(rec, num_key, den_key) -> Fraction:
     return Fraction(num, den)
 
 
-def load_char_table(
-    path: str | Path, fits: Callable[[CharTable], None] | None = None
-) -> CharTable:
+def load_char_table(path: str | Path) -> CharTable:
     """Load and validate a character table from its JSON file format, a
     regular file of at most limits.CHAR_TABLE_FILE_LIMIT bytes read by
-    limits.read_input, which names the file in every refusal. fits, when
-    given, sees the table once its shape is checked and before the O(k^3)
-    orthogonality sums of validate, and raises if the table cannot serve."""
+    limits.read_input, which names the file in every refusal."""
 
     def build(table: CharTable) -> CharTable:
-        if fits is not None:
-            fits(table)
         table.validate()
         return table
 
@@ -437,7 +426,7 @@ def load_char_table(
 
 
 def _char_table_of(raw: dict) -> CharTable:
-    """The table that raw encodes, its shape checked but not yet validated."""
+    """The table that raw encodes, not yet validated."""
     if not isinstance(raw, dict):
         raise ParseError("character table file must hold a JSON object")
     radicand = raw["radicand"]
@@ -468,9 +457,7 @@ def _char_table_of(raw: dict) -> CharTable:
                 raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
             row.append(QuadValue(a, b, radicand if b != 0 else None))
         rows.append(tuple(row))
-    table = CharTable(radicand, names, sizes, power2, power3, tuple(rows))
-    table._check_shape()
-    return table
+    return CharTable(radicand, names, sizes, power2, power3, tuple(rows))
 
 
 def char_table_to_dict(t: CharTable) -> dict:

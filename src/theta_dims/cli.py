@@ -123,17 +123,14 @@ def _char_table_for(args) -> chartab.CharTable:
             raise UsageError("method chartab needs --char-table FILE (builtin only for sl2:5)")
         return chartab.builtin_sl2f5_table()
     cd = _class_data(args.group)
-    group_side = _class_power_sizes(cd.sizes, cd.power2, cd.power3)
-
-    def fits(table: chartab.CharTable) -> None:
-        if _class_power_sizes(table.class_sizes, table.power2, table.power3) != group_side:
-            raise UsageError(
-                f"the character table does not fit group {args.group}: its classes differ "
-                "in size or in the sizes of their square and cube classes"
-            )
-
-    # checked before the table's orthogonality sums, which take O(k^3)
-    return chartab.load_char_table(args.char_table, fits)
+    table = chartab.load_char_table(args.char_table)
+    if (_class_power_sizes(table.class_sizes, table.power2, table.power3)
+            != _class_power_sizes(cd.sizes, cd.power2, cd.power3)):
+        raise UsageError(
+            f"the character table does not fit group {args.group}: its classes differ "
+            "in size or in the sizes of their square and cube classes"
+        )
+    return table
 
 
 def _compute_dims(args) -> int:

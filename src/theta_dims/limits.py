@@ -39,9 +39,11 @@ ORBIT_NODE_LIMIT = 10_000_000
 # 10^6 rows 22 s and 750 MB
 LENS_TABLE_MAX_N = 100_000
 # the longest character table file read: a table of some 450 classes in the
-# layout of dump_char_table. Its validation is O(k^3) integer products: on a
-# 2-core box 2.8 s for the 256 rational classes of Z2^8 and 14 s for the 288
-# classes over Q(sqrt(5)) of 2I x Z2^5, so about a minute at the cap
+# layout of dump_char_table. Its validation is one BLAS product per Gram part;
+# reading the file takes most of a query. The largest product of the test
+# tables under the cap, 2I x 2I x Z2^2 (324 classes over Q(sqrt(5)), 7.5 MiB),
+# takes 0.75-0.82 s and 78 MB max RSS to read and validate in one process on a
+# 2-core box, of which validate is 0.13 s; Z2^9 (512 classes) is 18.6 MiB
 CHAR_TABLE_FILE_LIMIT = 1 << 24
 # the longest element fixture file read: about four times a fixture of
 # SL2(F_13), the largest group make_sl2 builds, in the packaged layout

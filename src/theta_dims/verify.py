@@ -154,12 +154,14 @@ class _Sl2f5(NamedTuple):
 
 def _sl2f5(fixture_path) -> _Sl2f5:
     """SL2(F5), its classes and the builtin table, with the element fixture
-    checked against the classes; a fixture mismatch fails the suite."""
+    checked against the classes and the table validated, once per run; a
+    fixture mismatch fails the suite."""
     G = groups.make_sl2(5)
     fx = load_sl2_fixture(fixture_path)
     report = verify_sl2f5_fixture(G, fx)
     _expect(report.ok, f"element fixture mismatches: {report.mismatches[:3]}")
     table = chartab.builtin_sl2f5_table()
+    table.validate()
     # fixture labels c1..c9 follow the table's class order
     labels = [f"c{i + 1}" for i in range(table.num_classes)]
     _expect(report.label_class.keys() == set(labels), f"fixture labels are not {labels}")
@@ -170,8 +172,8 @@ def verify_fixtures(reference=None) -> list[str]:
     """SL2(F5)'s classes against the element fixture and the builtin table:
     every element's class (checked in _sl2f5), each class's size, square and
     cube, and inversion acting trivially on classes. The table was validated
-    when builtin_sl2f5_table built it. reference is the fixture's _sl2f5, by
-    default the shipped fixture's."""
+    in _sl2f5. reference is the fixture's _sl2f5, by default the shipped
+    fixture's."""
     G, cd, table, to_computed = reference or _sl2f5(None)
     for i, c in enumerate(to_computed):
         name = table.class_names[i]

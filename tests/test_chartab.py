@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from theta_dims.errors import (
     OrthogonalityViolation,
     ParseError,
     PowerMapViolation,
+    TooLarge,
 )
 
 def char_table_from_dict(raw):
@@ -106,11 +109,180 @@ def test_sign_flip_is_caught(tmp_path):
         char_table_from_dict(raw)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(raw))
-    seen = []
     with pytest.raises(OrthogonalityViolation):
-        chartab.load_char_table(path, fits=seen.append)
-    # the fit check saw the table before the orthogonality sums refused it
-    assert [t.class_sizes for t in seen] == [chartab.builtin_sl2f5_table().class_sizes]
+        chartab.load_char_table(path)
+
+
+def _pairing(rows, sizes, f, j):
+    """sum_c |c| f(c) chi_j(c), in QuadValue."""
+    return sum((size * f(c) * x for c, (size, x) in enumerate(zip(sizes, rows[j]))),
+               QuadValue.of(0))
+
+
+def _shown(v):
+    return repr(v) if v.b else str(v.a)
+
+
+def _orthogonality_failure(t):
+    """The message of validate's first failing row pair, from naive QuadValue
+    sums over i <= j in row-major order; None if every pair holds."""
+    n = t.order
+    for i, j in itertools.combinations_with_replacement(range(t.num_classes), 2):
+        total = _pairing(t.rows, t.class_sizes, lambda c: t.rows[i][c], j)
+        if total != n * (i == j):
+            return f"rows ({i}, {j}): got {_shown(total)}, expected {n * (i == j)}"
+    return None
+
+
+@functools.cache
+def _square_map_failure(rows, sizes, power2):
+    """The message of validate's first failing Sym^2 or Lambda^2 multiplicity,
+    from naive QuadValue sums, row-major and + before -; None if all hold.
+    Cached, since the cube map edits share one square map."""
+    n = sum(sizes)
+    for i, j in itertools.product(range(len(sizes)), repeat=2):
+        row = rows[i]
+        for op, sign in (("+", 1), ("-", -1)):
+            m = _pairing(rows, sizes, lambda c: row[c] * row[c] + sign * row[power2[c]], j)
+            m = m * Fraction(1, 2 * n)
+            if m.b or m.a.denominator != 1 or m.a < 0:
+                return (f"power2 map: <(chi_{i}^2 {op} chi_{i}(g^2))/2, chi_{j}> = {_shown(m)} "
+                        "is not a nonnegative integer")
+    return None
+
+
+def _power_map_failure(t):
+    """The message of validate's first failing power-map check: the square
+    map's, then the cube map's, row-major; None if every check holds."""
+    failure = _square_map_failure(t.rows, t.class_sizes, t.power2)
+    if failure:
+        return failure
+    for i, j in itertools.product(range(t.num_classes), repeat=2):
+        m = _pairing(t.rows, t.class_sizes, lambda c: t.rows[i][t.power3[c]], j)
+        m = m * Fraction(1, t.order)
+        if m.b or m.a.denominator != 1:
+            return f"power3 map: <chi_{i}(g^3), chi_{j}> = {_shown(m)} is not an integer"
+    return None
+
+
+def test_each_sign_flip_names_the_first_failing_pair(tmp_path):
+    # negating one entry of a row i > 0 changes its class sums with every
+    # other row; validate names the first failing pair as the naive sums do.
+    # A zero entry reads back as the same table, and the trivial row is
+    # refused by its own check
+    builtin = chartab.builtin_sl2f5_table()
+    path = tmp_path / "table.json"
+    named = set()
+    for i, c in itertools.product(range(builtin.num_classes), repeat=2):
+        raw = chartab.char_table_to_dict(builtin)
+        raw["rows"][i][c]["a_num"] *= -1
+        raw["rows"][i][c]["b_num"] *= -1
+        path.write_text(json.dumps(raw))
+        if builtin.value(i, c) == 0:
+            assert chartab.load_char_table(path) == builtin
+            continue
+        if i == 0:
+            with pytest.raises(ParseError, match="first row must be the trivial character"):
+                chartab.load_char_table(path)
+            continue
+        expected = _orthogonality_failure(chartab._char_table_of(raw))
+        with pytest.raises(OrthogonalityViolation) as refused:
+            chartab.load_char_table(path)
+        assert str(refused.value) == f"character table {str(path)!r}: {expected}"
+        named.add(expected.partition(":")[0])
+    assert named == {f"rows (0, {i})" for i in range(1, builtin.num_classes)}
+
+
+def test_a_swap_in_a_row_names_the_first_failing_pair():
+    # two entries of row i swapped between classes of size 12 keep its sum
+    # and its square sum, so row 0 and the diagonal still hold: the first
+    # failing pair lies off row 0, where the scan order shows
+    builtin = chartab.builtin_sl2f5_table()
+    named = set()
+    for i in range(1, builtin.num_classes):
+        for c, d in itertools.combinations(range(5, 9), 2):
+            row = list(builtin.rows[i])
+            row[c], row[d] = row[d], row[c]
+            table = dataclasses.replace(builtin, rows=(*builtin.rows[:i], tuple(row),
+                                                       *builtin.rows[i + 1:]))
+            expected = _orthogonality_failure(table) or _power_map_failure(table)
+            try:
+                table.validate()
+            except (OrthogonalityViolation, PowerMapViolation) as exc:
+                assert str(exc) == expected
+                named.add(expected.partition(":")[0])
+            else:
+                assert expected is None
+    assert len(named) > 1 and "rows (0, 1)" not in named, named
+
+
+def test_each_power_map_edit_names_the_first_failing_multiplicity():
+    # every single edit of the square or cube map, whether or not it keeps
+    # the class sizes, and the square map sending every class to I on the
+    # table whose second row has degree 3, where <(chi_1^2 - chi_1(g^2))/2, 1>
+    # = (1 - 3)/2 fails after its + sum (1 + 3)/2 = 2 holds: validate's
+    # refusal, or none, is the naive scan's
+    builtin = chartab.builtin_sl2f5_table()
+    assert _orthogonality_failure(builtin) is None
+    rows = builtin.rows
+    tables = [builtin, dataclasses.replace(builtin, rows=(rows[0], rows[3], *rows[1:3], *rows[4:]),
+                                           power2=(0,) * 9)]
+    for field in ("power2", "power3"):
+        for c, target in itertools.product(range(builtin.num_classes), repeat=2):
+            edited = list(getattr(builtin, field))
+            if edited[c] != target:
+                edited[c] = target
+                tables.append(dataclasses.replace(builtin, **{field: tuple(edited)}))
+    kinds = set()
+    for table in tables:
+        expected = _power_map_failure(table)
+        try:
+            table.validate()
+        except PowerMapViolation as exc:
+            assert str(exc) == expected
+            kinds.add((expected[:6], " - " in expected))
+        else:
+            assert expected is None, table
+    # each kind of refusal occurs: the square map's + and - and the cube map's
+    assert kinds == {("power2", False), ("power2", True), ("power3", False)}, kinds
+
+
+def _huge_numerator():
+    """The builtin table with a numerator of 10^30 off the trivial row and the degrees."""
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    raw["rows"][1][2]["a_num"] = 10**30
+    return raw
+
+
+def _huge_class():
+    """Classes of sizes 1 and 10^16 with degrees 1 and 10^8: the sum of the
+    squared degrees is the order."""
+    def value(a):
+        return {"a_num": a, "a_den": 1, "b_num": 0, "b_den": 1}
+
+    return {"radicand": None, "class_sizes": [1, 10**16], "power2": [0, 0], "power3": [0, 1],
+            "rows": [[value(1), value(1)], [value(10**8), value(0)]]}
+
+
+# tables whose validation products would leave the exact range of int64 and float64
+BEYOND_EXACT_RANGE = {"numerator": _huge_numerator, "class-size": _huge_class}
+
+
+@pytest.mark.parametrize("case", BEYOND_EXACT_RANGE)
+def test_a_table_beyond_the_exact_range_is_too_large(tmp_path, case):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(BEYOND_EXACT_RANGE[case]()))
+    with pytest.raises(TooLarge, match=f"^character table {re.escape(repr(str(path)))}: "):
+        chartab.load_char_table(path)
+
+
+def test_validate_at_288_classes_is_fast():
+    # the 288 classes of 2I x Z2^5 over Q(sqrt(5)): one BLAS product per Gram
+    # part; the products in Python ints took 10 s
+    table = _product_table(chartab.builtin_sl2f5_table(), _sign_table(5))
+    started = time.perf_counter()
+    table.validate()
+    assert time.perf_counter() - started < 2
 
 
 # the builtin table as dump_char_table writes it (test_round_trip checks that)
@@ -269,7 +441,6 @@ def test_dimensions_form_no_table_product(monkeypatch):
         raise AssertionError("a dimension formed a table product")
 
     monkeypatch.setattr(chartab, "_gram", refuse)
-    monkeypatch.setattr(chartab, "_products", refuse)
     assert values() == expected
 
 

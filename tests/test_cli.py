@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_chartab import BEYOND_EXACT_RANGE
 from test_perm import REFERENCE_GROUPS
 
 import theta_dims
@@ -728,21 +729,19 @@ def _sign_table(r):
     }
 
 
-def test_char_table_fit_precedes_orthogonality(capsys, monkeypatch, tmp_path):
-    # 32 classes of size 1 cannot fit cyclic:2; that shows from the sizes,
-    # before the O(k^3) orthogonality sums of validate
-    def no_sums(table):
-        raise AssertionError("the orthogonality sums ran")
-
-    monkeypatch.setattr(chartab.CharTable, "validate", no_sums)
-    path = tmp_path / "z2_5.json"
-    path.write_text(json.dumps(_sign_table(5)))
+@pytest.mark.parametrize("case", BEYOND_EXACT_RANGE)
+def test_char_table_beyond_the_exact_range_exits_2(capsys, tmp_path, case):
+    # refused before any int64 array is formed: no OverflowError traceback,
+    # no ExactnessViolation (exit 1), and no fit check reached
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(BEYOND_EXACT_RANGE[case]()))
     code, out, err = run_cli(
-        capsys, "dims", "--group", "cyclic:2", "--parity", "odd", "--method", "chartab",
+        capsys, "dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab",
         "--char-table", str(path),
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "does not fit group cyclic:2" in err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: character table {str(path)!r}: entries up to ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_fitting_char_table_is_still_validated(capsys, tmp_path):
@@ -1218,8 +1217,8 @@ def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
 
 
 def test_verify_all_validates_the_builtin_table_once(capsys, monkeypatch):
-    # builtin_sl2f5_table validates the table it builds; the fixtures suite
-    # reads that table and does not validate it again
+    # builtin_sl2f5_table returns fixed data; verify._sl2f5 validates it once
+    # per run, for both the fixtures and the conventions suite
     chartab.builtin_sl2f5_table.cache_clear()
     calls = count_calls(monkeypatch, (chartab.CharTable, "validate"))
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
