@@ -197,8 +197,11 @@ class CharTable:
         return _Integral(scaled("a"), scaled("b"), den, rad)
 
     def validate(self) -> None:
-        """Check shape, the trivial first row, exact row orthogonality and the
-        power maps, in Gram products of the rows over one denominator (`_gram`).
+        """Check shape, the trivial first row, integer degrees, exact row
+        orthogonality, the power maps, in Gram products of the rows over one
+        denominator (`_gram`), and last that every degree is positive: a
+        negated faithful row keeps orthogonality and the power-map
+        multiplicities, so only its degree refuses it.
 
         The square map must give nonnegative integer multiplicities
         <(chi_i^2 +- chi_i o p_2) / 2, chi_j>, those of chi_j in Sym^2 chi_i and
@@ -256,6 +259,10 @@ class CharTable:
                 f"power3 map: <chi_{i}(g^3), chi_{j}> = "
                 f"{form.value(int(rational[i, j]), int(irrational[i, j]), scale)} is not an integer"
             )
+        # last, so that a table the checks above refuse keeps its message
+        for i, d in enumerate(dims):
+            if d <= 0:
+                raise ParseError(f"the first column must hold positive degrees, row {i} has {d}")
 
 
 class _Integral(NamedTuple):

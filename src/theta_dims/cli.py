@@ -281,6 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS starts its worker threads when numpy loads, and by default an
+    # idle one spins about 2^28 cycles (~0.1 s) before it sleeps: CPU spent
+    # even by queries that never call BLAS. 4 is the least value OpenBLAS
+    # takes, and waking sleeping workers cost no measurable time between
+    # back-to-back products. Set here, before anything loads numpy, since the
+    # command owns its process; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

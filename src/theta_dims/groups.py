@@ -243,10 +243,18 @@ def make_from_cayley(rows) -> GroupTable:
     given as nested lists of ints or an array; load_cayley reads one from a file."""
     mul = _require_valid_index_table(rows)
     idx = np.arange(mul.shape[0])
-    is_identity = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
-    if not is_identity.any():
+    # an identity e has e*0 = 0, so only those rows are candidates (one in a
+    # group); each is checked on its own row and column, a chunk of them at a
+    # time, and the first that passes is the identity
+    candidates = np.flatnonzero(mul[:, 0] == 0)
+    for chunk in _row_chunks(len(candidates), len(idx)):
+        e = candidates[chunk]
+        is_identity = (mul[e] == idx).all(axis=1) & (mul[:, e] == idx[:, None]).all(axis=0)
+        if is_identity.any():
+            identity = int(e[np.argmax(is_identity)])
+            break
+    else:
         raise NotAGroup("no two-sided identity element")
-    identity = int(np.argmax(is_identity))
     # first right inverse of each row; validate_group rejects a row without one
     inv = np.argmax(mul == identity, axis=1).astype(mul.dtype)
     G = GroupTable(_freeze(mul), _freeze(inv), identity)

@@ -25,9 +25,10 @@ TABLE_ENTRY_LIMIT = 1 << 28
 # bounds the orbit sums of a cube, (n^2 + 5n + 2)/6: every group of order <= 122
 # is admitted. The worst admitted is cyclic:122, whose odd cube has d = 2542;
 # one process (2 cores, numpy 2.4 with OpenBLAS, three runs each) of it takes
-# 0.8-1.0 s and 194 MB max RSS, either module (dense d x d int64 and float64
-# copies; the idempotence product takes most of the time); sl2:5 odd, d = 2467,
-# 0.7-1.0 s and 185 MB
+# 0.60-0.73 s wall, 0.89-1.11 s CPU and 194 MB max RSS, either module (dense
+# d x d int64 and float64 copies; the idempotence product, on both cores,
+# takes most of the time); sl2:5 odd, d = 2467, 0.54-0.69 s wall, 0.80-1.00 s
+# CPU and 185 MB
 REYNOLDS_DIM_LIMIT = 2600
 # the most graph nodes orbit builds, n^2 odd and 2n^2 even: orders up to 3162
 # odd and 2236 even, sl2:13 in both. Each move (3 plus at most log2 n

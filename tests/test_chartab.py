@@ -113,6 +113,23 @@ def test_sign_flip_is_caught(tmp_path):
         chartab.load_char_table(path)
 
 
+@pytest.mark.parametrize("row", [1, 2, 6, 8])
+def test_a_negated_faithful_row_is_refused(tmp_path, row):
+    # a faithful row of 2I occurs in no chi_j^2, so negating it keeps
+    # orthogonality and every power-map multiplicity; its degree refuses it
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    for value in raw["rows"][row]:
+        value["a_num"] *= -1
+        value["b_num"] *= -1
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    degree = chartab.builtin_sl2f5_table().irrep_dims[row]
+    with pytest.raises(ParseError) as refused:
+        chartab.load_char_table(path)
+    assert str(refused.value) == (f"cannot read character table {str(path)!r}: the first "
+                                  f"column must hold positive degrees, row {row} has {-degree}")
+
+
 def _pairing(rows, sizes, f, j):
     """sum_c |c| f(c) chi_j(c), in QuadValue."""
     return sum((size * f(c) * x for c, (size, x) in enumerate(zip(sizes, rows[j]))),

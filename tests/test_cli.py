@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -254,6 +255,81 @@ ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims
 def test_a_query_executes_only_the_modules_it_runs(executed_modules, query, also):
     package = [name for name in executed_modules(query) if name.partition(".")[0] == "theta_dims"]
     assert package == sorted(ENTRY_MODULES + also)
+
+
+def run_reaped(argv, env):
+    """One `python -m theta_dims` process, reaped with os.wait4: its exit code,
+    wall time and user plus system CPU time."""
+    started = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "theta_dims", *argv], env=env,
+                             stdout=subprocess.DEVNULL)
+    watchdog = threading.Timer(60, child.kill)
+    watchdog.start()
+    try:
+        _, status, usage = os.wait4(child.pid, 0)
+    finally:
+        watchdog.cancel()
+    wall = time.perf_counter() - started
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped, so Popen must not wait
+    return child.returncode, wall, usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "fixtures"),
+    ("classes", "--group", "sl2:5"),
+    ("dims", "--group", "cyclic:12", "--parity", "odd", "--method", "reynolds"),
+], ids=["verify-fixtures", "classes-sl2", "reynolds-cyclic"])
+def test_a_numpy_query_spends_no_cpu_beyond_its_wall_time(argv):
+    # each runs on one thread, so CPU time above wall time is OpenBLAS's idle
+    # workers spinning (about 0.1 s each by default) instead of sleeping
+    env = package_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    code, wall, cpu = run_reaped(argv, env)
+    assert code == 0
+    assert cpu <= wall + 0.03
+
+
+# prints OPENBLAS_THREAD_TIMEOUT as it reads when numpy's core extension, which
+# loads OpenBLAS, is first imported: under cli.main(argv), or with no argv under
+# an import of every module of the package and of numpy, as a library caller's
+BLAS_ENV_PROBE = """
+import contextlib, importlib, io, json, os, pkgutil, sys
+seen = []
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy._core._multiarray_umath" and not seen:
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.addaudithook(hook)
+import theta_dims
+from theta_dims import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    code = 0
+    for module in pkgutil.iter_modules(theta_dims.__path__):
+        vars(importlib.import_module(f"theta_dims.{module.name}"))
+    import numpy
+print(json.dumps([code, seen]))
+"""
+
+
+@pytest.mark.parametrize("argv,user,expected", [
+    (("classes", "--group", "sl2:5"), None, "4"),
+    (("classes", "--group", "sl2:5"), "28", "28"),
+    ((), None, None),
+], ids=["cli", "cli-user-value", "library"])
+def test_openblas_thread_timeout_is_set_by_the_cli_alone(argv, user, expected):
+    env = package_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if user is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_ENV_PROBE, *argv],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    )
+    assert json.loads(done.stdout) == [0, [expected]]
 
 
 # imports each module of the package first in a module table cleared of the
@@ -657,6 +733,24 @@ def test_a_refused_file_names_the_file(capsys, tmp_path, what, argv, make_raw, m
     assert (code, out) == (2, "")
     assert re.match(f"error: (cannot read )?{what} {re.escape(repr(str(path)))}: ", err)
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", [1, 2, 6, 8])
+def test_a_negated_faithful_row_exits_2(capsys, tmp_path, row):
+    # each passes orthogonality and the power maps; row 1 read 21, not 27
+    def negate(raw):
+        for value in raw["rows"][row]:
+            value["a_num"] *= -1
+            value["b_num"] *= -1
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_builtin_table_edited(negate)))
+    code, out, err = run_cli(capsys, "dims", "--group", "sl2:5", "--parity", "even",
+                             "--method", "chartab", "--char-table", str(path))
+    degree = chartab.builtin_sl2f5_table().irrep_dims[row]
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read character table {str(path)!r}: the first column "
+                   f"must hold positive degrees, row {row} has {-degree}\n")
 
 
 def test_json_inputs_are_read_as_utf8(tmp_path):

@@ -164,6 +164,20 @@ def test_make_from_cayley_rejections():
         groups.make_from_cayley([[0, 1], [1, False]])
 
 
+def test_identity_search_tests_every_candidate(monkeypatch):
+    # 0 in every row of column 0 makes every element a candidate: rows that
+    # are only left identities are refused with the message of a table with
+    # none, and a two-sided identity past the first chunk of candidates is found
+    n = 512
+    rows = [list(range(n)) for _ in range(n)]
+    with pytest.raises(NotAGroup, match="^no two-sided identity element$"):
+        groups.make_from_cayley(rows)
+    for i in range(n):
+        rows[i][400] = i
+    monkeypatch.setattr(groups, "validate_group", lambda G: None)
+    assert groups.make_from_cayley(rows).identity == 400
+
+
 def test_associativity_checks_every_generator():
     # Z2 x NONASSOC_LOOP with (h, l) at index 2*l + h: the first greedy
     # generator (1, 0) is associative, the second one (0, 1) is not
