@@ -3,12 +3,13 @@
 load_cayley reads the rows from the text straight into one index array, with
 no Python object per entry, through a JSON array hook; the rest of the file
 follows the standard JSON rules. The rows are counted once, in a serial pass
-that cuts them into pieces of about a megabyte, and the pieces are parsed on
-up to two threads, as np.fromstring releases the GIL; every thread has
-stopped before the rows are returned. The table is then built and fully
-validated by groups.make_from_cayley. The groups functions are called through
-the module attribute, so that a wrapper or patch on groups is seen; the
-threads call none of them.
+that cuts them into pieces of about 256 KB, and each piece is parsed by
+elementwise digit arithmetic on its bytes (_digit_runs), on up to two
+threads, as numpy's steps release the GIL; every thread has stopped before
+the rows are returned. The table is then built and fully validated by
+groups.make_from_cayley. The groups functions are called through the module
+attribute, so that a wrapper or patch on groups is seen; the threads call
+none of them.
 """
 
 from __future__ import annotations
@@ -19,22 +20,25 @@ import re
 import threading
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
+from typing import NamedTuple
 
 from . import groups, limits
 from ._lazy import np
 from .errors import ParseError
 
 # characters of a table's rows read at a time, rounded up to the end of a row
-_PIECE_CHARS = 1 << 20
-# threads that read pieces at once, the calling one among them: np.fromstring
-# and most numpy steps release the GIL, but about 40% of a piece's work holds
-# it, so a third thread would gain little; each piece in flight holds about
-# 6 MB of temporaries
+_PIECE_CHARS = 1 << 18
+# threads that read pieces at once, the calling one among them: numpy's steps
+# release the GIL, but about a fifth of a piece's work holds it (the byte
+# translations, the encoding and each call's overhead) and the steps are short,
+# so the threads mostly wait on each other: in-process the rows of the 21 MB
+# sl2:13 file read in a median 106 ms on two threads and 110 ms on one (15
+# runs each, 2-core box); each piece in flight holds about 3 MB of
+# temporaries, 12 bytes per byte of text
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _WHITESPACE = b" \t\n\r"
 _MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
-_MARKS_TO_SPACES = bytes.maketrans(b"[],", b"   ")
 # with whitespace removed, the only byte pairs a table of integers can hold; a
 # pair with any other character, an empty entry such as "[," or ",]", "[[" or
 # "]]", and a "-" before anything but a digit are all missing here ("d" is any
@@ -82,24 +86,62 @@ def _bad_rows(n: int, detail: str) -> ParseError:
     return ParseError(f"rows must be {n} lists of {n} integers in 0..{n - 1}: {detail}")
 
 
+class _Runs(NamedTuple):
+    """The maximal runs of digits of a text that starts and ends with a non-digit."""
+
+    ends: np.ndarray  # the index in the text of each run's last digit
+    values: np.ndarray  # the value of each run's last `width` digits
+    big: np.ndarray  # the indices of the runs with a nonzero digit before their last `width`
+    leading_zero: bool  # whether some run of two or more digits starts with a 0
+
+
+def _digit_runs(text: bytes, width: int) -> _Runs:
+    """The digit runs of text, read elementwise: each run's value is the sum
+    of its last width digits times their powers of ten, each term masked by
+    whether the bytes from its digit to the run's end are all digits."""
+    u = np.frombuffer(text, np.uint8)
+    d = u - 48
+    dig = d < 10
+    ends = np.flatnonzero(dig[:-1] > dig[1:])
+    dtype = np.min_scalar_type(10**width - 1).type
+    acc = d.astype(dtype)
+    scratch = np.empty_like(acc)
+    run = dig.copy()  # after step j, run[i] says that text[i - j:i + 1] is all digits
+    for j in range(1, width + 1):
+        run[j:] &= dig[:-j]
+        if j < width:
+            np.multiply(d[:-j], dtype(10**j), out=scratch[j:])
+            scratch[j:] *= run[j:]
+            acc[j:] += scratch[j:]
+    big = np.empty(0, dtype=np.intp)
+    if run.any():  # a run of more than width digits: out of range unless it has leading zeros
+        big = np.searchsorted(ends, np.flatnonzero(run[width:] & (u[:-width] > 48)))
+    zero = u[1:-1] == 48
+    zero &= dig[2:]
+    return _Runs(ends, np.take(acc, ends), big, bool(np.greater(zero, dig[:-2]).any()))
+
+
 def _read_whole_rows(raw: bytes, n: int, rows: np.ndarray, before: int) -> None:
     """Read the rows that raw lists, the text between the '[' of a row and the
     ']' of the same or a later row, into rows, which has one row for each of
-    them. In messages, rows are numbered from before + 1.
+    them and as many as raw has '[' and one more. In messages, rows are
+    numbered from before + 1.
 
     Raises ParseError unless the text is len(rows) rows of n JSON integers in
     0..n-1. It must be ASCII, keep "-" directly before a digit, and hold only
-    the byte pairs of _ALLOWED_PAIRS once whitespace is removed; its commas
-    and brackets must spell rows of n - 1 commas joined by "],["; np.fromstring
-    must read n integers a row from it with all marks as spaces, which
-    refuses whitespace inside a number; and the digits must number exactly
-    the decimal widths of the entries, which refuses leading zeros.
+    the byte pairs of _ALLOWED_PAIRS once whitespace is removed. Its entries
+    are read by _digit_runs; under those pairs, its commas and brackets spell
+    rows of n - 1 commas joined by "],[" exactly when it has n entries a row,
+    a ']' after each row's last entry and "],[" after each row but the last,
+    and no other ']'. The whitespace must split no entry, and no entry may
+    have a leading zero.
     """
     k = len(rows)
     if not raw.isascii():
         raise _bad_rows(n, "found a character outside ASCII")
     text = raw
-    if any(w in raw for w in _WHITESPACE):
+    stripped = any(w in raw for w in _WHITESPACE)
+    if stripped:
         text = raw.translate(None, _WHITESPACE)
         if b"-" in raw and any(p in raw for p in _MINUS_SPACE):
             raise _bad_rows(n, "found '-' before whitespace")
@@ -107,30 +149,36 @@ def _read_whole_rows(raw: bytes, n: int, rows: np.ndarray, before: int) -> None:
     bad = _first_bad_pair(text)
     if bad is not None:
         raise _bad_rows(n, f"unexpected text at {text[max(bad - 9, 0):bad + 9].decode()!r}")
-    marks = text.translate(None, b"0123456789")
-    digits = len(text) - len(marks)
-    del text
-    marks = marks.replace(b"-", b"")
-    spelled = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
-    if marks != spelled:
+    runs = _digit_runs(text, len(str(n - 1)))
+    u = np.frombuffer(text, np.uint8)
+    row_ends = runs.ends[n - 1::n]
+    if not (len(runs.ends) == k * n and np.count_nonzero(u == ord("]")) == k
+            and (u[row_ends + 1] == ord("]")).all() and (u[row_ends[:-1] + 3] == ord("[")).all()):
+        marks = text.translate(None, b"0123456789-")
+        spelled = b"[" + b"],[".join([b"," * (n - 1)] * k) + b"]"
         size = min(len(marks), len(spelled))
         differ = np.frombuffer(marks, np.uint8, size) != np.frombuffer(spelled, np.uint8, size)
         at = int(np.argmax(differ)) if differ.any() else size
         raise _bad_rows(n, f"row {before + marks.count(b'[', 0, at)} does not hold {n} entries")
-    del marks, spelled
-    values = np.fromstring(raw.translate(_MARKS_TO_SPACES), dtype=np.int64, sep=" ")
-    if len(values) != k * n:
-        raise _bad_rows(n, "whitespace splits an entry")
-    if values.min() < 0 or values.max() >= n:
-        raise _bad_rows(n, f"found {int(values[(values < 0) | (values >= n)][0])}")
-    entries = rows.reshape(-1)
-    entries[:] = values
-    del values
-    widths = entries.size + sum(
-        int(np.count_nonzero(entries >= 10**e)) for e in range(1, len(str(n - 1)))
-    )
-    if digits != widths:
+    if stripped:
+        dig = np.frombuffer(raw, np.uint8) - 48 < 10
+        if np.count_nonzero(dig[1:] > dig[:-1]) + dig[0] != k * n:
+            raise _bad_rows(n, "whitespace splits an entry")
+    bad = runs.values >= n
+    bad[runs.big] = True
+    if b"-" in text:
+        negative = np.searchsorted(runs.ends, np.flatnonzero(u == ord("-")))
+        bad[negative] |= runs.values[negative] != 0
+    if bad.any():
+        end = int(runs.ends[np.argmax(bad)]) + 1
+        start = len(text[:end].rstrip(b"0123456789"))
+        digits = text[start:end].lstrip(b"0").decode()
+        if len(digits) > 30:
+            digits = f"{digits[:20]}... ({len(digits)} digits)"
+        raise _bad_rows(n, f"found {'-' if text[start - 1] == ord('-') else ''}{digits}")
+    if runs.leading_zero:
         raise _bad_rows(n, "an entry has a leading zero")
+    rows.reshape(-1)[:] = runs.values
 
 
 def _read_rows(s: str, start: int, stop: int) -> np.ndarray:

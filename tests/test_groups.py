@@ -609,6 +609,10 @@ def cayley_texts(draw):
 @example(text='{"order":3,"mul":[[0,1,2,1],[2,0],[2,0,1]]}')
 @example(text='{"order":2,"mul":[[0,1],[1,99999999999999999999]]}')
 @example(text='{"order":2,"mul":[[0,1],[1,0],5]]}')
+@example(text='{"order":2,"mul":[[0,1],1,[0]]}')
+@example(text='{"order":2,"mul":[[0,[1],1,0]]}')
+@example(text='{"order":2,"mul":[[0,1],[1,-0]]}')
+@example(text='{"order":2,"mul":[[0,1],-[1,0]]}')
 def test_load_cayley_agrees_with_stdlib_reading(tmp_path, monkeypatch, text):
     path = tmp_path / "table.json"
     path.write_text(text)
@@ -641,7 +645,7 @@ def test_load_cayley_reads_the_same_rows_for_every_piece_size(tmp_path, monkeypa
 
 Z5_ROWS = "[[0,1,2,3,4],[1,2,3,4,0],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]"
 # the rows of Z5 with faults, and the refusal, which names the first of them
-# in the text
+# in the text (None: the rows are read)
 CAYLEY_FIRST_FAULTS = {
     "short-rows-2-and-4": (
         "[[0,1,2,3,4],[1,2,3,4],[2,3,4,0,1],[3,4,0,1],[4,0,1,2,3]]",
@@ -655,6 +659,28 @@ CAYLEY_FIRST_FAULTS = {
         "[[0,1,2,3,4],[1,2,3,4,0][2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
         "unexpected text after row 2",
     ),
+    # an entry longer than the width of 4 that is in range all the same
+    "leading-zero-03": (
+        "[[0,1,2,3,4],[1,2,03,4,0],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "an entry has a leading zero",
+    ),
+    "leading-zero-00": (
+        "[[0,1,2,3,4],[1,2,3,4,0],[2,3,4,00,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "an entry has a leading zero",
+    ),
+    "entry-123456": (
+        "[[0,1,2,3,4],[1,2,3,4,123456],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "found 123456",
+    ),
+    "entry-minus-3": (
+        "[[0,1,2,3,4],[1,2,-3,4,0],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "found -3",
+    ),
+    "loose-entry-between-rows-2-and-3": (
+        "[[0,1,2,3,4],[1,2,3,4,0],5,[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]",
+        "unexpected text after row 2",
+    ),
+    "minus-0": ("[[0,1,2,3,4],[1,2,3,4,-0],[2,3,4,0,1],[3,4,0,1,2],[4,0,1,2,3]]", None),
 }
 
 
@@ -667,6 +693,9 @@ def test_load_cayley_refuses_the_first_fault_in_the_text(tmp_path, monkeypatch, 
     rows, detail = CAYLEY_FIRST_FAULTS[case]
     path = tmp_path / "z5.json"
     path.write_text(f'{{"order":5,"mul":{rows}}}')
+    if detail is None:
+        assert np.array_equal(cayley.load_cayley(path).mul_table, groups.make_cyclic(5).mul_table)
+        return
     with pytest.raises(ParseError) as exc:
         cayley.load_cayley(path)
     rule = "rows must be 5 lists of 5 integers in 0..4"
@@ -727,10 +756,41 @@ def test_load_cayley_guard_precedes_parsing(tmp_path, monkeypatch):
     def no_parsing(*args, **kwargs):
         raise AssertionError("a row was parsed")
 
-    monkeypatch.setattr(np, "fromstring", no_parsing)
+    monkeypatch.setattr(cayley, "_digit_runs", no_parsing)
     with pytest.raises(TooLarge, match="order 4 has 16 entries, over 15") as exc:
         cayley.load_cayley(path)
     assert repr(str(path)) in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 10000, 16384])
+def test_digit_runs_read_each_width_exactly(n):
+    # one row of order n, read directly: a table of 5-digit entries is too
+    # large for these tests
+    width = len(str(n - 1))
+    row = list(range(n - 1, -1, -1))
+    raw = ",".join(map(str, row)).encode()
+    runs = cayley._digit_runs(b"[" + raw + b"]", width)
+    assert runs.values.tolist() == row  # n - 1 = 16383 too, which uint16 would hold but not 99999
+    assert len(runs.big) == 0 and not runs.leading_zero
+    out = np.empty((1, n), dtype=groups._index_dtype(n))
+    cayley._read_whole_rows(raw, n, out, 0)
+    assert out[0].tolist() == row
+
+    def refusal(last):
+        with pytest.raises(ParseError) as exc:
+            cayley._read_whole_rows(raw[:raw.rindex(b",") + 1] + last.encode(), n, out, 0)
+        return str(exc.value).split(": ", 1)[1]
+
+    # 65536 and 99999 wrap to 0 and 34463 in uint16; 10**width is one digit
+    # over the width, and the rest are over every fixed width
+    for entry in [n, 10**width, 65536, 99999, 10**19, 10**20 + 7, -(10**20), -3]:
+        assert refusal(str(entry)) == f"found {entry}"
+    assert refusal("-" + "0" * 30 + "12") == "found -12"
+    assert refusal("9" * 100) == f"found {'9' * 20}... (100 digits)"
+    for entry in ["0" + str(n - 1), "00", "-00", "0" * 40]:
+        assert refusal(entry) == "an entry has a leading zero"
+    cayley._read_whole_rows(raw[:raw.rindex(b",") + 1] + b"-0", n, out, 0)
+    assert out[0].tolist() == row
 
 
 def test_load_cayley_file_size_guard_precedes_reading(tmp_path, monkeypatch):
