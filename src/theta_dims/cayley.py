@@ -3,13 +3,11 @@
 load_cayley reads the rows from the text straight into one index array, with
 no Python object per entry, through a JSON array hook; the rest of the file
 follows the standard JSON rules. The rows are counted once, in a serial pass
-that cuts them into pieces of about 256 KB, and each piece is parsed by
-elementwise digit arithmetic on its bytes (_digit_runs), on up to two
-threads, as numpy's steps release the GIL; every thread has stopped before
-the rows are returned. The table is then built and fully validated by
-groups.make_from_cayley. The groups functions are called through the module
-attribute, so that a wrapper or patch on groups is seen; the threads call
-none of them.
+that cuts them into pieces of about 256 KB, and each piece in turn is
+parsed by elementwise digit arithmetic on its bytes (_digit_runs). The table
+is then built and fully validated by groups.make_from_cayley. The groups
+functions are called through the module attribute, so that a wrapper or
+patch on groups is seen.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
 from typing import NamedTuple
@@ -26,17 +23,10 @@ from . import groups, limits
 from ._lazy import np
 from .errors import ParseError
 
-# characters of a table's rows read at a time, rounded up to the end of a row
+# characters of a table's rows read at a time, rounded up to the end of a row:
+# reading a piece holds about 3 MB of temporaries, 12 bytes per byte of text,
+# so a large table is read in pieces rather than all at once
 _PIECE_CHARS = 1 << 18
-# threads that read pieces at once, the calling one among them: numpy's steps
-# release the GIL, but about a fifth of a piece's work holds it (the byte
-# translations, the encoding and each call's overhead) and the steps are short,
-# so the threads mostly wait on each other: in-process the rows of the 21 MB
-# sl2:13 file read in a median 106 ms on two threads and 110 ms on one (15
-# runs each, 2-core box); each piece in flight holds about 3 MB of
-# temporaries, 12 bytes per byte of text
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 _WHITESPACE = b" \t\n\r"
 _MINUS_SPACE = tuple(b"-" + bytes([w]) for w in _WHITESPACE)
 # with whitespace removed, the only byte pairs a table of integers can hold; a
@@ -194,10 +184,10 @@ def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
     counts every '[' of s[start:stop] either way.
 
     Raises TooLarge from n before any entry is read. The pieces are then read
-    by _read_whole_rows on up to _WORKERS threads (_read_pieces), each into
-    its own rows of the one index array. The refusal is the first fault in
-    the text: that of the first piece that has one, else a bad text between
-    pieces, named by the row before it.
+    in text order by _read_whole_rows, each into its own rows of the one index
+    array. The refusal is the first fault in the text: that of the first piece
+    that has one, raised before any later piece is read, else a bad text
+    between pieces, named by the row before it.
     """
     pieces = []  # (start, end, rows before the piece, rows in it)
     filled = 0
@@ -216,45 +206,11 @@ def _read_rows(s: str, start: int, stop: int) -> np.ndarray:
             break
     limits.check_table_size(n)
     out = np.empty((n, n), dtype=groups._index_dtype(n))
-    _read_pieces(s, pieces, n, out)
+    for start, end, before, rows in pieces:
+        _read_whole_rows(s[start:end].encode(), n, out[before:before + rows], before)
     if bad_after is not None:
         raise _bad_rows(n, f"unexpected text after row {bad_after}")
     return out
-
-
-def _read_pieces(s: str, pieces: list[tuple[int, int, int, int]], n: int, out: np.ndarray) -> None:
-    """Read each piece (start, end, rows before it, rows in it) of s into its
-    rows of out by _read_whole_rows, on this thread and up to _WORKERS - 1
-    more, all stopped before this returns or raises. Threads take pieces in
-    text order and take none after a piece has failed, so every piece before
-    the first failing one is read; its error is raised."""
-    order = iter(range(len(pieces)))
-    lock = threading.Lock()
-    faults = {}
-
-    def work():
-        while True:
-            with lock:
-                i = None if faults else next(order, None)
-            if i is None:
-                return
-            start, end, before, rows = pieces[i]
-            try:
-                _read_whole_rows(s[start:end].encode(), n, out[before:before + rows], before)
-            except Exception as error:  # raised below, so no half-read table is returned
-                with lock:
-                    faults[i] = error
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_WORKERS, len(pieces)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if faults:
-        raise faults[min(faults)]
 
 
 def _parse_array(s_and_end: tuple[str, int], scan_once):
