@@ -680,10 +680,14 @@ CAYLEY_FIRST_FAULTS = {
 }
 
 
+@pytest.mark.parametrize("rows_per_piece", [1, 2])
 @pytest.mark.parametrize("case", sorted(CAYLEY_FIRST_FAULTS))
-def test_load_cayley_refuses_the_first_fault_in_the_text(tmp_path, monkeypatch, case):
-    # a piece per row, so that each fault is in its own piece
-    monkeypatch.setattr(cayley, "_PIECE_CHARS", 1)
+def test_load_cayley_refuses_the_first_fault_in_the_text(tmp_path, monkeypatch, case, rows_per_piece):
+    # a piece per row, so that each fault is in its own piece; or two rows a
+    # piece (a piece ends at the first ']' from 10 characters on, one past a
+    # whole row of Z5), so that the faults of rows 1 and 2 share a piece and
+    # those of rows 2 and 4 do not
+    monkeypatch.setattr(cayley, "_PIECE_CHARS", 1 if rows_per_piece == 1 else len("0,1,2,3,4") + 1)
     rows, detail = CAYLEY_FIRST_FAULTS[case]
     path = tmp_path / "z5.json"
     path.write_text(f'{{"order":5,"mul":{rows}}}')
