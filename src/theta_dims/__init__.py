@@ -18,7 +18,6 @@ _EXPORTS = {
     "cayley": ("load_cayley",),
     "chartab": (
         "CharTable",
-        "QuadValue",
         "builtin_sl2f5_table",
         "diagonal_part",
         "dim_invariants_chartab",

@@ -11,8 +11,9 @@ executes only the modules it touches. The same holds for the standard library:
 `perm` binds `fractions` (which imports `decimal`) here, since only its
 refusals and the direct twisted averages that `verify` and the tests read
 form a Fraction, `cli` binds `json` and `csv` for the output
-formats of those names, and the modules a short query runs keep their
-records in NamedTuples rather than dataclasses, which import `inspect`.
+formats of those names, `chartab` binds `json` for its file format, and the
+modules a short query runs keep their records in NamedTuples rather than
+dataclasses, which import `inspect`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exact invariant dimensions from a real quadratic character table.
 
-Character values live in Q(sqrt(d)) for a single squarefree d per table
+Character values live in Q(sqrt(d)) for a single non-square d >= 2 per table
 (or plain Q). Only real-valued tables are supported; the one shipped here
 is the 9x9 table of the binary icosahedral group over Q(sqrt(5)), together
 with its class squaring/cubing maps. The dimensions are `perm`'s class sums
@@ -9,8 +9,10 @@ twisted coset's count per class, sum_i nu_i chi_i(c) (`_coset_roots`), which
 under "inversion" is the class's square-root count. The module shift and the
 integrality check are `perm`'s too.
 
-Each table is held once as integer rows over one common denominator,
-X = (A + B sqrt(d)) / D. Only `CharTable.validate` forms table products, one
+A table is held once, as integer rows over one denominator,
+X = (A + B sqrt(d)) / D, with D the lcm of the entries' reduced denominators:
+a table file is read straight into these integers, and the builtin table is
+integer data over D = 2. Only `CharTable.validate` forms table products, one
 `oracle._exact_matmul` product of int64 arrays per Gram part; so a file table
 loads numpy and `oracle`, and the builtin one, fixed data, loads neither.
 """
@@ -18,24 +20,14 @@ loads numpy and `oracle`, and the builtin one, fixed data, loads neither.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
 from . import limits
 from ._lazy import _lazy_import, np
-from .errors import (
-    MixedRadicand,
-    NonRealValue,
-    OrthogonalityViolation,
-    ParseError,
-    PowerMapViolation,
-    TooLarge,
-)
+from .errors import NonRealValue, OrthogonalityViolation, ParseError, PowerMapViolation, TooLarge
 from .perm import (
     CONVENTIONS,
     FLIP,
@@ -50,103 +42,36 @@ from .perm import (
     _shift_sign,
 )
 
-# the exact product kernel, which only validate runs
+# the exact product kernel, which only validate runs, and the JSON of the
+# file format, which only reading or writing a file needs
 oracle = _lazy_import(f"{__package__}.oracle")
+json = _lazy_import("json")
 
 
-@dataclass(frozen=True)
-class QuadValue:
-    """A value a + b*sqrt(d) with exact rational a, b; d=None means plain Q."""
+def _shown(a: int, b: int, den: int, rad: int | None) -> str:
+    """(a + b sqrt(rad)) / den, den > 0, as a message prints it: p/q in lowest
+    terms, p alone where q is 1, and QuadValue(p/q + r/s*sqrt(rad)) where b is not 0."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int | None = None
+    def part(x: int) -> str:
+        g = math.gcd(x, den)
+        return f"{x // g}" if g == den else f"{x // g}/{den // g}"
 
-    def __post_init__(self):
-        if self.d is not None and (self.d < 2 or math.isqrt(self.d) ** 2 == self.d):
-            raise NonRealValue(f"radicand must be a non-square >= 2 or None, got {self.d}")
-        if self.b != 0 and self.d is None:
-            raise NonRealValue("irrational part requires a radicand")
-
-    @staticmethod
-    def of(x, d: int | None = None) -> "QuadValue":
-        if isinstance(x, QuadValue):
-            return x
-        return QuadValue(Fraction(x), Fraction(0), d)
-
-    def _join(self, other: "QuadValue") -> int | None:
-        if self.d is None:
-            return other.d
-        if other.d is None or other.d == self.d:
-            return self.d
-        raise MixedRadicand(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-
-    def __add__(self, other) -> "QuadValue":
-        other = QuadValue.of(other)
-        return QuadValue(self.a + other.a, self.b + other.b, self._join(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadValue":
-        return QuadValue(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> "QuadValue":
-        return self + (-QuadValue.of(other))
-
-    def __rsub__(self, other) -> "QuadValue":
-        return QuadValue.of(other) + (-self)
-
-    def __mul__(self, other) -> "QuadValue":
-        other = QuadValue.of(other)
-        d = self._join(other)
-        rad = d if d is not None else 0
-        return QuadValue(
-            self.a * other.a + self.b * other.b * rad,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadValue.of(other)
-        if not isinstance(other, QuadValue):
-            return NotImplemented
-        if self.a != other.a or self.b != other.b:
-            return False
-        return self.b == 0 or self.d == other.d
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d if self.b else None))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadValue({self.a})"
-        return f"QuadValue({self.a} + {self.b}*sqrt({self.d}))"
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is not rational")
-        return self.a
-
-    def as_int(self) -> int:
-        q = self.as_fraction()
-        if q.denominator != 1:
-            raise ValueError(f"{self!r} is not an integer")
-        return int(q)
+    return f"QuadValue({part(a)} + {part(b)}*sqrt({rad}))" if b else part(a)
 
 
-@dataclass(frozen=True)
-class CharTable:
-    """Irreducible character values per (row, class), with power maps."""
+class CharTable(NamedTuple):
+    """Irreducible characters with their classes and power maps: row i at
+    class c is (a[i][c] + b[i][c] sqrt(radicand)) / den, den the lcm of the
+    entries' reduced denominators, so that equal tables compare equal."""
 
     radicand: int | None
     class_names: tuple[str, ...]
     class_sizes: tuple[int, ...]
     power2: tuple[int, ...]
     power3: tuple[int, ...]
-    rows: tuple[tuple[QuadValue, ...], ...]
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
     def num_classes(self) -> int:
@@ -158,10 +83,10 @@ class CharTable:
 
     @property
     def irrep_dims(self) -> tuple[int, ...]:
-        return tuple(row[0].as_int() for row in self.rows)
-
-    def value(self, i: int, c: int) -> QuadValue:
-        return self.rows[i][c]
+        """The first column; ValueError unless it holds integers."""
+        if any(row[0] for row in self.b) or any(row[0] % self.den for row in self.a):
+            raise ValueError("the first column must hold integer degrees")
+        return tuple(row[0] // self.den for row in self.a)
 
     def _check_shape(self) -> None:
         """Check the block lengths, the class sizes and the power maps: the
@@ -169,39 +94,22 @@ class CharTable:
         k = self.num_classes
         if k == 0:
             raise ParseError("table has no classes")
-        if not (len(self.rows) == len(self.class_names) == len(self.power2) == len(self.power3) == k):
+        if not (len(self.a) == len(self.b) == len(self.class_names) == len(self.power2)
+                == len(self.power3) == k):
             raise ParseError("table blocks disagree on the number of classes")
-        if any(len(row) != k for row in self.rows):
+        if any(len(row) != k for row in self.a + self.b):
             raise ParseError("character rows must be square with the class count")
         if any(s < 1 for s in self.class_sizes):
             raise ParseError("class sizes must be positive")
         if any(not (0 <= c < k) for c in self.power2 + self.power3):
             raise ParseError("power maps must be class indices")
 
-    @functools.cached_property
-    def _integral(self) -> _Integral:
-        """The rows over one common denominator, computed once per table."""
-        values = [v for row in self.rows for v in row]
-        for v in values:
-            if v.b and v.d != self.radicand:
-                raise MixedRadicand(f"entry {v!r} is not in the field of radicand {self.radicand}")
-        den = math.lcm(*{v.a.denominator for v in values}, *{v.b.denominator for v in values})
-
-        def scaled(part: str) -> list[list[int]]:
-            return [
-                [getattr(v, part).numerator * (den // getattr(v, part).denominator) for v in row]
-                for row in self.rows
-            ]
-
-        rad = self.radicand if any(v.b for v in values) else 0
-        return _Integral(scaled("a"), scaled("b"), den, rad)
-
     def validate(self) -> None:
         """Check shape, the trivial first row, integer degrees, exact row
-        orthogonality, the power maps, in Gram products of the rows over one
-        denominator (`_gram`), and last that every degree is positive: a
-        negated faithful row keeps orthogonality and the power-map
-        multiplicities, so only its degree refuses it.
+        orthogonality, the power maps, in Gram products of the integer rows
+        (`_gram`), and last that every degree is positive: a negated faithful
+        row keeps orthogonality and the power-map multiplicities, so only its
+        degree refuses it.
 
         The square map must give nonnegative integer multiplicities
         <(chi_i^2 +- chi_i o p_2) / 2, chi_j>, those of chi_j in Sym^2 chi_i and
@@ -217,28 +125,29 @@ class CharTable:
         top the largest integer entry (at least den, from the trivial row); a
         table past that bound is refused with TooLarge before any array is formed."""
         self._check_shape()
-        if any(v != 1 for v in self.rows[0]):
+        den = self.den
+        if any(v != den for v in self.a[0]) or any(self.b[0]):
             raise ParseError("first row must be the trivial character")
         order = self.order
         try:
             dims = self.irrep_dims
-        except ValueError:
-            raise ParseError("the first column must hold integer degrees") from None
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         if sum(d * d for d in dims) != order:
             raise ParseError("sum of squared dimensions must equal the group order")
-        form = self._integral
-        k, den, rad, most = self.num_classes, form.den, form.rad, max(self.class_sizes)
-        top = max(abs(v) for part in (form.a, form.b) for row in part for v in row)
+        k, most = self.num_classes, max(self.class_sizes)
+        rad = self.radicand if any(map(any, self.b)) else 0
+        top = max(abs(v) for part in (self.a, self.b) for row in part for v in row)
         if 2 * k * most * (1 + 2 * rad) * top**3 >= oracle._FLOAT64_EXACT_LIMIT:
             raise TooLarge(f"entries up to {top} over {den} and class sizes up to {most} "
                            "may take the validation products past 2^53")
-        a, b = x = np.array([form.a, form.b], dtype=np.int64)
+        a, b = x = np.array([self.a, self.b], dtype=np.int64)
         sizes, scale = self.class_sizes, order * den**2
         # <chi_i, chi_j> times n den^2
         rational, irrational = _gram(x, x, sizes, rad)
         bad = np.triu((rational != scale * np.eye(k, dtype=np.int64)) | (irrational != 0))
         for i, j in np.argwhere(bad)[:1].tolist():  # the first, in row-major order
-            got = form.value(int(rational[i, j]), int(irrational[i, j]), den**2)
+            got = _shown(int(rational[i, j]), int(irrational[i, j]), den**2, self.radicand)
             raise OrthogonalityViolation(f"rows ({i}, {j}): got {got}, expected {order * (i == j)}")
         # <chi_i^2, chi_j> times n den^3, and <chi_i o p_2, chi_j> times n den^2;
         # their sum and difference, on the last axis, over 2 n den^3
@@ -248,37 +157,18 @@ class CharTable:
                                 for s, p in zip(square, power2))
         bad = (irrational != 0) | (rational % (2 * scale * den) != 0) | (rational < 0)
         for i, j, s in np.argwhere(bad)[:1].tolist():
-            raise PowerMapViolation(
-                f"power2 map: <(chi_{i}^2 {'+-'[s]} chi_{i}(g^2))/2, chi_{j}> = "
-                f"{form.value(int(rational[i, j, s]), int(irrational[i, j, s]), 2 * scale * den)}"
-                " is not a nonnegative integer"
-            )
+            got = _shown(int(rational[i, j, s]), int(irrational[i, j, s]), 2 * scale * den,
+                         self.radicand)
+            raise PowerMapViolation(f"power2 map: <(chi_{i}^2 {'+-'[s]} chi_{i}(g^2))/2, "
+                                    f"chi_{j}> = {got} is not a nonnegative integer")
         rational, irrational = _gram(x[..., self.power3], x, sizes, rad)
         for i, j in np.argwhere((rational % scale != 0) | (irrational != 0))[:1].tolist():
-            raise PowerMapViolation(
-                f"power3 map: <chi_{i}(g^3), chi_{j}> = "
-                f"{form.value(int(rational[i, j]), int(irrational[i, j]), scale)} is not an integer"
-            )
+            got = _shown(int(rational[i, j]), int(irrational[i, j]), scale, self.radicand)
+            raise PowerMapViolation(f"power3 map: <chi_{i}(g^3), chi_{j}> = {got} is not an integer")
         # last, so that a table the checks above refuse keeps its message
         for i, d in enumerate(dims):
             if d <= 0:
                 raise ParseError(f"the first column must hold positive degrees, row {i} has {d}")
-
-
-class _Integral(NamedTuple):
-    """A table X as integer rows over one denominator, X = (a + b sqrt(rad)) / den;
-    rad is 0 where b is all zeros."""
-
-    a: list[list[int]]
-    b: list[list[int]]
-    den: int
-    rad: int
-
-    def value(self, a: int, b: int, den: int):
-        """(a + b sqrt(rad)) / den: an int or a Fraction if b is 0, else a QuadValue."""
-        if b:
-            return QuadValue(Fraction(a, den), Fraction(b, den), self.rad)
-        return _quotient(a, den)
 
 
 def _gram(x, y, weights, rad: int):
@@ -296,25 +186,30 @@ def _gram(x, y, weights, rad: int):
     return rational, irrational
 
 
-def _sl2f5_values():
-    half = Fraction(1, 2)
-    phi = QuadValue(half, half, 5)
-    phis = QuadValue(half, -half, 5)  # the conjugate (1 - sqrt(5)) / 2
-
-    def q(x):
-        return QuadValue.of(x, 5)
-
-    return [
-        [q(1), q(1), q(1), q(1), q(1), q(1), q(1), q(1), q(1)],
-        [q(2), q(-2), q(0), q(-1), q(1), -phis, -phi, phis, phi],
-        [q(2), q(-2), q(0), q(-1), q(1), -phi, -phis, phi, phis],
-        [q(3), q(3), q(-1), q(0), q(0), phi, phis, phi, phis],
-        [q(3), q(3), q(-1), q(0), q(0), phis, phi, phis, phi],
-        [q(4), q(4), q(0), q(1), q(1), q(-1), q(-1), q(-1), q(-1)],
-        [q(4), q(-4), q(0), q(1), q(-1), q(-1), q(-1), q(1), q(1)],
-        [q(5), q(5), q(1), q(-1), q(-1), q(0), q(0), q(0), q(0)],
-        [q(6), q(-6), q(0), q(0), q(0), q(1), q(1), q(-1), q(-1)],
-    ]
+# SL2(F5)'s characters as (A + B sqrt(5)) / 2: the last four classes hold
+# +-phi and +-phi*, phi = (1 + sqrt(5)) / 2 and its conjugate phi* = (1 - sqrt(5)) / 2
+_SL2F5_A = (
+    (2, 2, 2, 2, 2, 2, 2, 2, 2),
+    (4, -4, 0, -2, 2, -1, -1, 1, 1),
+    (4, -4, 0, -2, 2, -1, -1, 1, 1),
+    (6, 6, -2, 0, 0, 1, 1, 1, 1),
+    (6, 6, -2, 0, 0, 1, 1, 1, 1),
+    (8, 8, 0, 2, 2, -2, -2, -2, -2),
+    (8, -8, 0, 2, -2, -2, -2, 2, 2),
+    (10, 10, 2, -2, -2, 0, 0, 0, 0),
+    (12, -12, 0, 0, 0, 2, 2, -2, -2),
+)
+_SL2F5_B = (
+    (0,) * 9,
+    (0, 0, 0, 0, 0, 1, -1, -1, 1),
+    (0, 0, 0, 0, 0, -1, 1, 1, -1),
+    (0, 0, 0, 0, 0, 1, -1, 1, -1),
+    (0, 0, 0, 0, 0, -1, 1, -1, 1),
+    (0,) * 9,
+    (0,) * 9,
+    (0,) * 9,
+    (0,) * 9,
+)
 
 
 @functools.cache
@@ -325,14 +220,7 @@ def builtin_sl2f5_table() -> CharTable:
     sizes = (1, 1, 30, 20, 20, 12, 12, 12, 12)
     power2 = (0, 0, 1, 3, 3, 6, 5, 6, 5)
     power3 = (0, 1, 2, 0, 1, 6, 5, 8, 7)
-    return CharTable(
-        radicand=5,
-        class_names=names,
-        class_sizes=sizes,
-        power2=power2,
-        power3=power3,
-        rows=tuple(tuple(row) for row in _sl2f5_values()),
-    )
+    return CharTable(5, names, sizes, power2, power3, _SL2F5_A, _SL2F5_B, 2)
 
 
 def fs_indicators(t: CharTable) -> tuple[int, ...]:
@@ -340,40 +228,45 @@ def fs_indicators(t: CharTable) -> tuple[int, ...]:
     there it is +-1. validate makes (<chi_i^2, 1> +- nu_i) / 2 nonnegative
     integers with no irrational part, and <chi_i^2, 1> = <chi_i, chi_i> = 1 by
     row orthogonality of a real table."""
-    form = t._integral
     # weights[c]: the size of the classes whose square lies in class c
     weights = [0] * t.num_classes
     for c, size in zip(t.power2, t.class_sizes):
         weights[c] += size
-    return tuple(sum(map(mul, weights, row)) // (form.den * t.order) for row in form.a)
+    return tuple(sum(map(mul, weights, row)) // (t.den * t.order) for row in t.a)
 
 
 def fs_indicator(t: CharTable, i: int) -> int:
     return fs_indicators(t)[i]
 
 
-def diagonal_part(t: CharTable, module: str, parity: str) -> Fraction:
-    """Average of the cube character over the doubled group alone: `perm`'s
-    untwisted class sum on the table's class sizes and power maps."""
+def diagonal_part(t: CharTable, module: str, parity: str):
+    """Average of the cube character over the doubled group alone, an int or
+    a Fraction: `perm`'s untwisted class sum on the table's class sizes and
+    power maps."""
     untwisted, _ = _class_sums(t.class_sizes, t.power2, t.power3, *_shift_sign(module, parity))
-    return Fraction(untwisted, 6 * t.order**2)
+    return _quotient(untwisted, 6 * t.order**2)
 
 
 def _coset_roots(t: CharTable, convention: str) -> list:
     """sum_i nu_i X_ic for each class c, on a table that has passed validate:
-    an int or a Fraction, or a QuadValue where irrational. Under "inversion"
-    nu_i is the squared-power indicator, and by Frobenius–Schur the sum counts
-    the square roots of an element of c; under "flip" every nu_i is 1."""
+    an int, or a Fraction where inexact; a ValueError names the first that is
+    irrational. Under "inversion" nu_i is the squared-power indicator, and by
+    Frobenius–Schur the sum counts the square roots of an element of c; under
+    "flip" every nu_i is 1."""
     nu = fs_indicators(t) if convention == INVERSION else (1,) * t.num_classes
-    form = t._integral
-    return [form.value(sum(map(mul, nu, a)), sum(map(mul, nu, b)), form.den)
-            for a, b in zip(zip(*form.a), zip(*form.b))]
+    roots = []
+    for a, b in zip(zip(*t.a), zip(*t.b)):
+        a, b = sum(map(mul, nu, a)), sum(map(mul, nu, b))
+        if b:
+            raise ValueError(f"{_shown(a, b, t.den, t.radicand)} is not rational")
+        roots.append(_quotient(a, t.den))
+    return roots
 
 
-def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> Fraction:
-    """Average of the cube character over the twisted coset, on a table that
-    has passed validate: `perm`'s twisted class sum, with the sums of
-    `_coset_roots` in place of the square-root counts.
+def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP):
+    """Average of the cube character over the twisted coset, an int or a
+    Fraction, on a table that has passed validate: `perm`'s twisted class
+    sum, with the sums of `_coset_roots` in place of the square-root counts.
 
     With the "flip" convention the involution swaps the two tensor factors on
     each isotypic block, so its trace weights every row by +1. With the
@@ -382,16 +275,15 @@ def tau_part(t: CharTable, module: str, parity: str, convention: str = FLIP) -> 
     the odd powers of the coset element; the even power lands back in the
     doubled group and stays unweighted.
     """
-    return _parts(t, module, parity, convention)[1]
+    return _quotient(_parts(t, module, parity, convention)[1], 6 * t.order**2)
 
 
-def _parts(t: CharTable, module: str, parity: str, convention: str) -> tuple[Fraction, ...]:
-    """The diagonal and twisted-coset parts, from one `_class_sums` call."""
+def _parts(t: CharTable, module: str, parity: str, convention: str) -> tuple:
+    """The untwisted and twisted coset sums, 6 n^2 times the diagonal and
+    twisted-coset parts, from one `_class_sums` call."""
     shift, sign = _shift_sign(module, parity)
     _check_choice(convention, CONVENTIONS, "convention")
-    sums = _class_sums(t.class_sizes, t.power2, t.power3, shift, sign, _coset_roots(t, convention))
-    return tuple(Fraction(s.as_fraction() if isinstance(s, QuadValue) else s, 6 * t.order**2)
-                 for s in sums)
+    return _class_sums(t.class_sizes, t.power2, t.power3, shift, sign, _coset_roots(t, convention))
 
 
 def dim_invariants_chartab(
@@ -403,19 +295,11 @@ def dim_invariants_chartab(
     if symmetry == PI_PI:
         return _as_dimension(diagonal_part(t, module, parity),
                              module=module, parity=parity, symmetry=symmetry)
-    dim = sum(_parts(t, module, parity, convention)) / 2
-    return _as_dimension(dim, module=module, parity=parity, convention=convention)
+    return _as_dimension(sum(_parts(t, module, parity, convention)), 12 * t.order**2,
+                         module=module, parity=parity, convention=convention)
 
 
 # -- file format ----------------------------------------------------------------
-
-
-def _fraction_from(rec, num_key, den_key) -> Fraction:
-    num = limits._json_int(rec[num_key], num_key)
-    den = limits._json_int(rec[den_key], den_key)
-    if den == 0:
-        raise NonRealValue(f"zero denominator in {rec!r}")
-    return Fraction(num, den)
 
 
 def load_char_table(path: str | Path) -> CharTable:
@@ -430,6 +314,23 @@ def load_char_table(path: str | Path) -> CharTable:
     return limits.read_input(
         path, "character table", lambda text: _char_table_of(json.loads(text)), build
     )
+
+
+def _entry(rec, radicand: int | None) -> tuple[int, int, int, int]:
+    """The (a_num, a_den, b_num, b_den) of one character value rec."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"a character value must be a JSON object, got {rec!r:.40}")
+    entry = []
+    for num_key, den_key in (("a_num", "a_den"), ("b_num", "b_den")):
+        entry += limits._json_int(rec[num_key], num_key), limits._json_int(rec[den_key], den_key)
+        if entry[-1] == 0:
+            raise NonRealValue(f"zero denominator in {rec!r}")
+    if entry[2]:
+        if radicand is None:
+            raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
+        if radicand < 2 or math.isqrt(radicand) ** 2 == radicand:
+            raise NonRealValue(f"radicand must be a non-square >= 2 or None, got {radicand}")
+    return tuple(entry)
 
 
 def _char_table_of(raw: dict) -> CharTable:
@@ -454,27 +355,25 @@ def _char_table_of(raw: dict) -> CharTable:
     for raw_row in limits._json_list(raw["rows"], "'rows'"):
         if not isinstance(raw_row, list):
             raise ParseError(f"a character row must be a list of objects, got {raw_row!r:.40}")
-        row = []
-        for rec in raw_row:
-            if not isinstance(rec, dict):
-                raise ParseError(f"a character value must be a JSON object, got {rec!r:.40}")
-            a = _fraction_from(rec, "a_num", "a_den")
-            b = _fraction_from(rec, "b_num", "b_den")
-            if b != 0 and radicand is None:
-                raise NonRealValue(f"entry {rec!r} declares a radical part with no radicand")
-            row.append(QuadValue(a, b, radicand if b != 0 else None))
-        rows.append(tuple(row))
-    return CharTable(radicand, names, sizes, power2, power3, tuple(rows))
+        rows.append([_entry(rec, radicand) for rec in raw_row])
+    # the lcm of the reduced denominators, which each numerator scales to: one
+    # of 2^53 or more, whose validation validate would refuse, is refused
+    # before it grows with every coprime denominator and scales every entry
+    den = 1
+    for d in {d // math.gcd(n, d) for row in rows for e in row for n, d in (e[:2], e[2:])}:
+        den = math.lcm(den, d)
+        if den >= oracle._FLOAT64_EXACT_LIMIT:
+            raise TooLarge("the entries' denominators have an lcm of 2^53 or more, "
+                           "which would take the validation products past 2^53")
+    a = tuple(tuple(e[0] * den // e[1] for e in row) for row in rows)
+    b = tuple(tuple(e[2] * den // e[3] for e in row) for row in rows)
+    return CharTable(radicand, names, sizes, power2, power3, a, b, den)
 
 
 def char_table_to_dict(t: CharTable) -> dict:
-    def enc(v: QuadValue) -> dict:
-        return {
-            "a_num": v.a.numerator,
-            "a_den": v.a.denominator,
-            "b_num": v.b.numerator,
-            "b_den": v.b.denominator,
-        }
+    def enc(a: int, b: int) -> dict:
+        ga, gb = math.gcd(a, t.den), math.gcd(b, t.den)
+        return {"a_num": a // ga, "a_den": t.den // ga, "b_num": b // gb, "b_den": t.den // gb}
 
     return {
         "radicand": t.radicand,
@@ -482,7 +381,7 @@ def char_table_to_dict(t: CharTable) -> dict:
         "class_sizes": list(t.class_sizes),
         "power2": list(t.power2),
         "power3": list(t.power3),
-        "rows": [[enc(v) for v in row] for row in t.rows],
+        "rows": [[enc(*v) for v in zip(*rows)] for rows in zip(t.a, t.b)],
     }
 
 

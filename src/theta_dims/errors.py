@@ -25,10 +25,6 @@ class NonIntegralDimension(ThetaDimsError):
     """
 
 
-class MixedRadicand(InputError):
-    """Arithmetic attempted between quadratic values over different radicands."""
-
-
 class ParseError(InputError):
     """A data file is malformed."""
 

@@ -43,8 +43,9 @@ LENS_TABLE_MAX_N = 100_000
 # layout of dump_char_table. Its validation is one BLAS product per Gram part;
 # reading the file takes most of a query. The largest product of the test
 # tables under the cap, 2I x 2I x Z2^2 (324 classes over Q(sqrt(5)), 7.5 MiB),
-# takes 0.75-0.82 s and 78 MB max RSS to read and validate in one process on a
-# 2-core box, of which validate is 0.13 s; Z2^9 (512 classes) is 18.6 MiB
+# takes 0.54-0.61 s and 57 MB max RSS to read and validate in one process on a
+# 2-core box, of which json.loads is 0.14 s, reading the integer rows 0.21 s
+# and validate 0.25 s; Z2^9 (512 classes) is 18.6 MiB
 CHAR_TABLE_FILE_LIMIT = 1 << 24
 # the longest element fixture file read: about four times a fixture of
 # SL2(F_13), the largest group make_sl2 builds, in the packaged layout

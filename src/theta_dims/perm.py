@@ -66,7 +66,7 @@ def _shift_sign(module: str, parity: str) -> tuple[int, int]:
 def _cube_sum(terms, shift: int, sign: int):
     """Sum of w * (t1^3 + 3 sign t2 t1 + 2 t3) over the (w, t1, t2, t3) in terms,
     each trace lowered by shift first: six times the weighted sum of cube
-    characters. Exact on int and on QuadValue traces."""
+    characters."""
     total = 0
     for w, t1, t2, t3 in terms:
         t1, t2, t3 = t1 - shift, t2 - shift, t3 - shift

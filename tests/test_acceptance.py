@@ -137,14 +137,18 @@ def test_criterion_04_group_structure():
 
 def test_criterion_05_char_table_health():
     with _criterion(5, "all 45 orthogonality sums equal 120*delta exactly"):
+        # entries (A + B sqrt(5)) / D: the sum over classes of |c| X_ic X_jc is
+        # (sum |c| (A_ic A_jc + 5 B_ic B_jc) + sum |c| (A_ic B_jc + B_ic A_jc) sqrt(5)) / D^2
         t = chartab.builtin_sl2f5_table()
+        assert t.radicand == 5
         checked = 0
         for i in range(9):
             for j in range(i, 9):
-                total = chartab.QuadValue.of(0, 5)
-                for cidx in range(9):
-                    total = total + t.class_sizes[cidx] * t.value(i, cidx) * t.value(j, cidx)
-                assert total == (120 if i == j else 0)
+                rational = irrational = 0
+                for c, size in enumerate(t.class_sizes):
+                    rational += size * (t.a[i][c] * t.a[j][c] + 5 * t.b[i][c] * t.b[j][c])
+                    irrational += size * (t.a[i][c] * t.b[j][c] + t.b[i][c] * t.a[j][c])
+                assert (rational, irrational) == ((120 if i == j else 0) * t.den**2, 0)
                 checked += 1
         assert checked == 45
 

@@ -1,26 +1,121 @@
-import dataclasses
 import functools
 import itertools
 import json
+import math
 import re
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from theta_dims import chartab, groups, lens, perm
-from theta_dims.chartab import FLIP, INVERSION, CharTable, QuadValue
+from theta_dims.chartab import FLIP, INVERSION, CharTable
 from theta_dims.errors import (
     InputError,
-    MixedRadicand,
     NonRealValue,
     OrthogonalityViolation,
     ParseError,
     PowerMapViolation,
     TooLarge,
 )
+
+
+@dataclass(frozen=True)
+class QuadValue:
+    """A value a + b*sqrt(d) with exact rational a, b; d=None means plain Q.
+    The naive reference arithmetic the tests compare the integer rows against."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+    d: int | None = None
+
+    def __post_init__(self):
+        if self.d is not None and (self.d < 2 or math.isqrt(self.d) ** 2 == self.d):
+            raise ValueError(f"radicand must be a non-square >= 2 or None, got {self.d}")
+        if self.b != 0 and self.d is None:
+            raise ValueError("irrational part requires a radicand")
+
+    @staticmethod
+    def of(x, d: int | None = None) -> "QuadValue":
+        if isinstance(x, QuadValue):
+            return x
+        return QuadValue(Fraction(x), Fraction(0), d)
+
+    def _join(self, other: "QuadValue") -> int | None:
+        if self.d is None:
+            return other.d
+        if other.d is None or other.d == self.d:
+            return self.d
+        raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+
+    def __add__(self, other) -> "QuadValue":
+        other = QuadValue.of(other)
+        return QuadValue(self.a + other.a, self.b + other.b, self._join(other))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadValue":
+        return QuadValue(-self.a, -self.b, self.d)
+
+    def __sub__(self, other) -> "QuadValue":
+        return self + (-QuadValue.of(other))
+
+    def __rsub__(self, other) -> "QuadValue":
+        return QuadValue.of(other) + (-self)
+
+    def __mul__(self, other) -> "QuadValue":
+        other = QuadValue.of(other)
+        d = self._join(other)
+        rad = d if d is not None else 0
+        return QuadValue(
+            self.a * other.a + self.b * other.b * rad,
+            self.a * other.b + self.b * other.a,
+            d,
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = QuadValue.of(other)
+        if not isinstance(other, QuadValue):
+            return NotImplemented
+        if self.a != other.a or self.b != other.b:
+            return False
+        return self.b == 0 or self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d if self.b else None))
+
+    def __repr__(self):
+        if self.b == 0:
+            return f"QuadValue({self.a})"
+        return f"QuadValue({self.a} + {self.b}*sqrt({self.d}))"
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError(f"{self!r} is not rational")
+        return self.a
+
+    def as_int(self) -> int:
+        q = self.as_fraction()
+        if q.denominator != 1:
+            raise ValueError(f"{self!r} is not an integer")
+        return int(q)
+
+
+def entries(t):
+    """The entries of t as QuadValues, row by row."""
+    return tuple(
+        tuple(QuadValue(Fraction(a, t.den), Fraction(b, t.den), t.radicand if b else None)
+              for a, b in zip(ra, rb))
+        for ra, rb in zip(t.a, t.b)
+    )
+
 
 def char_table_from_dict(raw):
     table = chartab._char_table_of(raw)
@@ -41,14 +136,14 @@ def test_quad_arithmetic_identities():
 
 
 def test_quad_errors_and_coercions():
-    with pytest.raises(MixedRadicand):
+    with pytest.raises(ValueError, match="cannot mix"):
         QuadValue(Fraction(0), Fraction(1), 2) + QuadValue(Fraction(0), Fraction(1), 5)
-    with pytest.raises(NonRealValue):
+    with pytest.raises(ValueError, match="requires a radicand"):
         QuadValue(Fraction(1), Fraction(1), None)
-    with pytest.raises(NonRealValue):
+    with pytest.raises(ValueError, match="non-square"):
         QuadValue(Fraction(1), Fraction(1), -5)
     # Q[x]/(x^2 - 4) is no field: 2 - sqrt(4) would be a nonzero zero divisor
-    with pytest.raises(NonRealValue, match="non-square"):
+    with pytest.raises(ValueError, match="non-square"):
         QuadValue(Fraction(2), Fraction(-1), 4)
     assert QuadValue.of(3, 5) == QuadValue.of(3)
     # comparing across radicands is an inequality, not an arithmetic error
@@ -66,18 +161,20 @@ def test_builtin_table_entries():
     assert t.order == 120 and t.num_classes == 9
     assert t.irrep_dims == (1, 2, 2, 3, 3, 4, 4, 5, 6)
     gamma = t.class_names.index("c")
-    assert t.value(1, gamma) == -PHI_STAR
-    assert t.value(7, 0) == 5
+    rows = entries(t)
+    assert rows[1][gamma] == -PHI_STAR
+    assert rows[7][0] == 5
 
 
 def test_builtin_table_orthogonality_all_pairs():
     t = chartab.builtin_sl2f5_table()
+    rows = entries(t)
     checked = 0
     for i in range(9):
         for j in range(i, 9):
             total = QuadValue.of(0, 5)
             for c in range(9):
-                total = total + t.class_sizes[c] * t.value(i, c) * t.value(j, c)
+                total = total + t.class_sizes[c] * rows[i][c] * rows[j][c]
             assert total == (120 if i == j else 0)
             checked += 1
     assert checked == 45
@@ -86,8 +183,9 @@ def test_builtin_table_orthogonality_all_pairs():
 def test_row_4_5_orthogonality_exact_sum():
     # direct expansion over the 9 classes as an independent route
     t = chartab.builtin_sl2f5_table()
+    rows = entries(t)
     total = sum(
-        (t.class_sizes[c] * t.value(3, c) * t.value(4, c) for c in range(9)),
+        (t.class_sizes[c] * rows[3][c] * rows[4][c] for c in range(9)),
         QuadValue.of(0, 5),
     )
     assert total == 0
@@ -99,6 +197,51 @@ def test_round_trip(tmp_path):
     chartab.dump_char_table(t, path)
     assert chartab.load_char_table(path) == t
     assert path.read_text() == SL2F5_TEXT
+
+
+def _scaled(value, k):
+    """value with each part written over k times its denominator."""
+    return {key: v * k for key, v in value.items()}
+
+
+def _over_six(value):
+    """value with each part written over the denominator 6."""
+    return {"a_num": value["a_num"] * 6 // value["a_den"], "a_den": 6,
+            "b_num": value["b_num"] * 6 // value["b_den"], "b_den": 6}
+
+
+# the builtin table's entries, each written unreduced in some way
+UNREDUCED = {
+    "doubled": lambda value: _scaled(value, 2),  # 1/2 as 2/4, 0/1 as 0/2
+    "negated": lambda value: _scaled(value, -1),  # 1/2 as -1/-2
+    "over-6": _over_six,
+}
+
+
+@pytest.mark.parametrize("case", UNREDUCED)
+def test_a_table_loads_over_its_canonical_denominator(tmp_path, case):
+    # the denominator is the lcm of the reduced ones, so the table loads
+    # equal to the builtin one and dumps to the same bytes
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    raw["rows"] = [[UNREDUCED[case](value) for value in row] for row in raw["rows"]]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    table = chartab.load_char_table(path)
+    assert table == chartab.builtin_sl2f5_table() and table.den == 2
+    chartab.dump_char_table(table, path)
+    assert path.read_text() == SL2F5_TEXT
+
+
+def test_an_irrational_column_sum_is_not_rational():
+    # the builtin table with row 2's radical parts cleared, which validate
+    # refuses: its flip column sums in the last four classes are irrational,
+    # and the first of them is refused before any class sum is formed
+    builtin = chartab.builtin_sl2f5_table()
+    table = builtin._replace(b=(*builtin.b[:2], (0,) * 9, *builtin.b[3:]))
+    with pytest.raises(ValueError, match=re.escape("QuadValue(0 + 1/2*sqrt(5)) is not rational")):
+        chartab.tau_part(table, perm.GROUP_ALGEBRA, perm.ODD, FLIP)
+    with pytest.raises(ValueError, match="is not rational"):
+        chartab.dim_invariants_chartab(table, perm.GROUP_ALGEBRA, perm.ODD, FLIP)
 
 
 def test_sign_flip_is_caught(tmp_path):
@@ -143,9 +286,9 @@ def _shown(v):
 def _orthogonality_failure(t):
     """The message of validate's first failing row pair, from naive QuadValue
     sums over i <= j in row-major order; None if every pair holds."""
-    n = t.order
+    n, rows = t.order, entries(t)
     for i, j in itertools.combinations_with_replacement(range(t.num_classes), 2):
-        total = _pairing(t.rows, t.class_sizes, lambda c: t.rows[i][c], j)
+        total = _pairing(rows, t.class_sizes, lambda c: rows[i][c], j)
         if total != n * (i == j):
             return f"rows ({i}, {j}): got {_shown(total)}, expected {n * (i == j)}"
     return None
@@ -171,11 +314,12 @@ def _square_map_failure(rows, sizes, power2):
 def _power_map_failure(t):
     """The message of validate's first failing power-map check: the square
     map's, then the cube map's, row-major; None if every check holds."""
-    failure = _square_map_failure(t.rows, t.class_sizes, t.power2)
+    rows = entries(t)
+    failure = _square_map_failure(rows, t.class_sizes, t.power2)
     if failure:
         return failure
     for i, j in itertools.product(range(t.num_classes), repeat=2):
-        m = _pairing(t.rows, t.class_sizes, lambda c: t.rows[i][t.power3[c]], j)
+        m = _pairing(rows, t.class_sizes, lambda c: rows[i][t.power3[c]], j)
         m = m * Fraction(1, t.order)
         if m.b or m.a.denominator != 1:
             return f"power3 map: <chi_{i}(g^3), chi_{j}> = {_shown(m)} is not an integer"
@@ -195,7 +339,7 @@ def test_each_sign_flip_names_the_first_failing_pair(tmp_path):
         raw["rows"][i][c]["a_num"] *= -1
         raw["rows"][i][c]["b_num"] *= -1
         path.write_text(json.dumps(raw))
-        if builtin.value(i, c) == 0:
+        if builtin.a[i][c] == builtin.b[i][c] == 0:
             assert chartab.load_char_table(path) == builtin
             continue
         if i == 0:
@@ -210,6 +354,13 @@ def test_each_sign_flip_names_the_first_failing_pair(tmp_path):
     assert named == {f"rows (0, {i})" for i in range(1, builtin.num_classes)}
 
 
+def _swapped(rows, i, c, d):
+    """rows with the entries at columns c and d of row i swapped."""
+    row = list(rows[i])
+    row[c], row[d] = row[d], row[c]
+    return (*rows[:i], tuple(row), *rows[i + 1:])
+
+
 def test_a_swap_in_a_row_names_the_first_failing_pair():
     # two entries of row i swapped between classes of size 12 keep its sum
     # and its square sum, so row 0 and the diagonal still hold: the first
@@ -218,10 +369,7 @@ def test_a_swap_in_a_row_names_the_first_failing_pair():
     named = set()
     for i in range(1, builtin.num_classes):
         for c, d in itertools.combinations(range(5, 9), 2):
-            row = list(builtin.rows[i])
-            row[c], row[d] = row[d], row[c]
-            table = dataclasses.replace(builtin, rows=(*builtin.rows[:i], tuple(row),
-                                                       *builtin.rows[i + 1:]))
+            table = builtin._replace(a=_swapped(builtin.a, i, c, d), b=_swapped(builtin.b, i, c, d))
             expected = _orthogonality_failure(table) or _power_map_failure(table)
             try:
                 table.validate()
@@ -241,15 +389,16 @@ def test_each_power_map_edit_names_the_first_failing_multiplicity():
     # refusal, or none, is the naive scan's
     builtin = chartab.builtin_sl2f5_table()
     assert _orthogonality_failure(builtin) is None
-    rows = builtin.rows
-    tables = [builtin, dataclasses.replace(builtin, rows=(rows[0], rows[3], *rows[1:3], *rows[4:]),
-                                           power2=(0,) * 9)]
+    def moved(rows):
+        return rows[0], rows[3], *rows[1:3], *rows[4:]
+
+    tables = [builtin, builtin._replace(a=moved(builtin.a), b=moved(builtin.b), power2=(0,) * 9)]
     for field in ("power2", "power3"):
         for c, target in itertools.product(range(builtin.num_classes), repeat=2):
             edited = list(getattr(builtin, field))
             if edited[c] != target:
                 edited[c] = target
-                tables.append(dataclasses.replace(builtin, **{field: tuple(edited)}))
+                tables.append(builtin._replace(**{field: tuple(edited)}))
     kinds = set()
     for table in tables:
         expected = _power_map_failure(table)
@@ -290,6 +439,19 @@ def test_a_table_beyond_the_exact_range_is_too_large(tmp_path, case):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(BEYOND_EXACT_RANGE[case]()))
     with pytest.raises(TooLarge, match=f"^character table {re.escape(repr(str(path)))}: "):
+        chartab.load_char_table(path)
+
+
+def test_coprime_denominators_past_the_exact_range_are_too_large(tmp_path):
+    # sixteen entries over the odd primes 3..59, whose product passes 2^53:
+    # refused as the reader meets it, before the entries are scaled to the lcm
+    raw = chartab.char_table_to_dict(chartab.builtin_sl2f5_table())
+    primes = [p for p in range(3, 60) if all(p % q for q in range(2, p))]
+    for (i, c), p in zip(itertools.product((5, 6), range(1, 9)), primes, strict=True):
+        raw["rows"][i][c].update(a_num=1, a_den=p)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TooLarge, match="denominators have an lcm of 2\\^53 or more"):
         chartab.load_char_table(path)
 
 
@@ -350,7 +512,7 @@ def test_load_char_table_survives_one_byte_edits(tmp_path, text):
     original = chartab.builtin_sl2f5_table()
     free = {"class_names": original.class_names, "power2": original.power2,
             "power3": original.power3}
-    assert dataclasses.replace(got, **free) == original
+    assert got._replace(**free) == original
 
 
 def test_trivial_table_valid():
@@ -360,7 +522,9 @@ def test_trivial_table_valid():
         class_sizes=(1,),
         power2=(0,),
         power3=(0,),
-        rows=((QuadValue.of(1),),),
+        a=((1,),),
+        b=((0,),),
+        den=1,
     )
     t.validate()
     assert chartab.dim_invariants_chartab(t, perm.GROUP_ALGEBRA, perm.ODD) == 1
@@ -422,7 +586,8 @@ def test_diagonal_part_matches_independent_expansion():
     # X^T X summed from the characters, not read off the class sizes
     for t in _two_tables().values():
         k, zero = t.num_classes, QuadValue.of(0, 5)
-        xtx = [[sum((t.value(i, c) * t.value(i, d) for i in range(k)), zero) for d in range(k)]
+        rows = entries(t)
+        xtx = [[sum((rows[i][c] * rows[i][d] for i in range(k)), zero) for d in range(k)]
                for c in range(k)]
         for (module, shift), (parity, sign) in itertools.product(
             ((perm.GROUP_ALGEBRA, 0), (perm.AUG_KERNEL, 1)), ((perm.EVEN, -1), (perm.ODD, 1))
@@ -523,7 +688,7 @@ def test_power_map_check_refuses_edited_maps():
                 if edited[c] == target:
                     continue
                 edited[c] = target
-                table = dataclasses.replace(t, **{field: tuple(edited)})
+                table = t._replace(**{field: tuple(edited)})
                 if _size_signature(table) != _size_signature(t):
                     continue
                 try:
@@ -540,25 +705,35 @@ def _sign_table(r):
     k = 1 << r
     return CharTable(
         None, tuple(f"c{x}" for x in range(k)), (1,) * k, (0,) * k, tuple(range(k)),
-        tuple(tuple(QuadValue.of((-1) ** (s & x).bit_count()) for x in range(k))
-              for s in range(k)),
+        tuple(tuple((-1) ** (s & x).bit_count() for x in range(k)) for s in range(k)),
+        ((0,) * k,) * k, 1,
     )
 
 
 def _product_table(t, u):
-    """The character table of the direct product, class (a, b) at a * k_u + b."""
+    """The character table of the direct product, class (a, b) at a * k_u + b
+    and row (i, j) at i * k_u + j: the Kronecker products of the integer rows,
+    (A + B r)(A' + B' r) = AA' + d BB' + (AB' + BA') r with r = sqrt(d), over
+    the product of the denominators, reduced to the lcm of the reduced ones."""
     ku = u.num_classes
+    d = t.radicand or u.radicand
+    assert {t.radicand, u.radicand} <= {None, d}
 
     def pairs(f):
         return tuple(f(a, b) for a in range(t.num_classes) for b in range(ku))
 
+    (ta, tb), (ua, ub) = (np.array([x.a, x.b], dtype=np.int64) for x in (t, u))
+    a = np.kron(ta, ua) + (d or 0) * np.kron(tb, ub)
+    b = np.kron(ta, ub) + np.kron(tb, ua)
+    g = math.gcd(t.den * u.den, int(np.gcd.reduce(np.stack([a, b]), axis=None)))
     return CharTable(
-        t.radicand or u.radicand,
+        d,
         pairs(lambda a, b: f"{t.class_names[a]}.{u.class_names[b]}"),
         pairs(lambda a, b: t.class_sizes[a] * u.class_sizes[b]),
         pairs(lambda a, b: t.power2[a] * ku + u.power2[b]),
         pairs(lambda a, b: t.power3[a] * ku + u.power3[b]),
-        tuple(pairs(lambda a, b: ti[a] * ui[b]) for ti in t.rows for ui in u.rows),
+        *(tuple(map(tuple, (x // g).tolist())) for x in (a, b)),
+        t.den * u.den // g,
     )
 
 
@@ -581,7 +756,7 @@ def test_fs_indicators_of_validated_tables_are_signs():
         t.validate()
         nus = chartab.fs_indicators(t)
         assert set(nus) <= {1, -1}, name
-        for row, nu in zip(t.rows, nus):
+        for row, nu in zip(entries(t), nus):
             total = sum((size * row[c2] for size, c2 in zip(t.class_sizes, t.power2)),
                         QuadValue.of(0))
             assert total * Fraction(1, t.order) == nu, name
