@@ -27,17 +27,15 @@ _EXPORTS = {
         "load_char_table",
         "tau_part",
     ),
+    "classdata": ("ConjugacyData", "cyclic_class_data", "sl2_class_data"),
     "groups": (
-        "ConjugacyData",
         "GroupTable",
         "battery_groups",
         "conjugacy_classes",
-        "cyclic_class_data",
         "make_cyclic",
         "make_from_cayley",
         "make_semidirect_product",
         "make_sl2",
-        "sl2_class_data",
         "validate_group",
     ),
     "lens": ("LensDims", "lens_dims", "p3_closed", "p3_dp", "weight_map", "weight_rank"),

@@ -5,9 +5,10 @@ takes longer than most queries that need no array at all (`closed-form`,
 `lens-table`, and `perm` on cyclic:N and sl2:P), and with no valid cached
 bytecode each sibling module is compiled from source. So the layers bind
 `np` from here, `cli` binds the modules of the verbs and methods it does not
-always run (`cayley`, `chartab`, `lens`, `oracle`, `verify`) through
-`_lazy_import`, and `lens` and `chartab` bind `oracle` the same way; a query
-executes only the modules it touches. The same holds for the standard library:
+always run (`cayley`, `chartab`, `groups`, `lens`, `oracle`, `verify`) through
+`_lazy_import`, `perm` binds `groups`, whose tables a query on class data
+alone never builds, and `lens` and `chartab` bind `oracle` the same way; a
+query executes only the modules it touches. The same holds for the standard library:
 `perm` binds `fractions` (which imports `decimal`) here, since only its
 refusals and the direct twisted averages that `verify` and the tests read
 form a Fraction, `cli` binds `json` and `csv` for the output

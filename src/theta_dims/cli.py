@@ -8,13 +8,14 @@ import os
 import sys
 import time
 
-from . import groups, limits, perm
+from . import classdata, limits, perm
 from ._lazy import _lazy_import
 from .errors import InputError, ThetaDimsError
 
 # the modules that only some verbs and methods run execute on first use
 cayley = _lazy_import(f"{__package__}.cayley")
 chartab = _lazy_import(f"{__package__}.chartab")
+groups = _lazy_import(f"{__package__}.groups")
 lens = _lazy_import(f"{__package__}.lens")
 oracle = _lazy_import(f"{__package__}.oracle")
 verify = _lazy_import(f"{__package__}.verify")
@@ -28,9 +29,9 @@ METHODS = ("perm", "chartab", "orbit", "reynolds", "closed-form")
 SUITES = ("all", "fixtures", "cross-methods", "conventions")
 
 # each group-spec kind: the module and the name of the function that builds
-# its table, and the groups function that builds its class data by arithmetic
-# with no table, or None where the class data comes from the table; by name,
-# so that a wrapper or patch on the module attribute is seen
+# its table, and the classdata function that builds its class data by
+# arithmetic with no table, or None where the class data comes from the table;
+# by name, so that a wrapper or patch on the module attribute is seen
 _Kind = collections.namedtuple("_Kind", "module table class_data")
 _KINDS = {
     "cyclic": _Kind(groups, "make_cyclic", "cyclic_class_data"),
@@ -89,13 +90,13 @@ def parse_group_spec(spec: str) -> groups.GroupTable:
     return getattr(_KINDS[kind].module, _KINDS[kind].table)(arg)
 
 
-def _class_data(spec: str) -> groups.ConjugacyData:
+def _class_data(spec: str) -> classdata.ConjugacyData:
     """The class data of the group of spec: by arithmetic, with no table, for
     cyclic:N and sl2:P, and from the table of cayley:FILE."""
     kind, arg = _split_group_spec(spec)
     if _KINDS[kind].class_data is None:
         return groups.conjugacy_classes(parse_group_spec(spec))
-    return getattr(groups, _KINDS[kind].class_data)(arg)
+    return getattr(classdata, _KINDS[kind].class_data)(arg)
 
 
 def _resolve_convention(method: str, convention: str | None) -> str:

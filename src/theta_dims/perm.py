@@ -21,9 +21,11 @@ import itertools
 from collections import Counter
 
 from ._lazy import _lazy_import, np
+from .classdata import ConjugacyData
 from .errors import NonIntegralDimension
-from .groups import ConjugacyData, GroupTable, _row_chunks, conjugacy_classes
 
+# the tables, which a query that passes class data never builds, load on first use
+groups = _lazy_import(f"{__package__}.groups")
 # only refusals, direct twisted averages and inexact table quotients form Fractions
 fractions = _lazy_import("fractions")
 
@@ -90,19 +92,19 @@ def _quotient(a: int, b: int):
     return a // b if a % b == 0 else fractions.Fraction(a, b)
 
 
-def _coset_terms(G: GroupTable, twisted: bool) -> list[tuple[int, int, int, int]]:
+def _coset_terms(G: groups.GroupTable, twisted: bool) -> list[tuple[int, int, int, int]]:
     """Reference for the class-data sums: the `_cube_sum` terms (w, t1, t2, t3)
     of one coset, directly, in O(n^3), w the number of pairs (g, h) whose
     permutation, square and cube fix t1, t2 and t3 points. The powers are
-    formed by explicit composition a chunk of rows h at a time (`_row_chunks`).
-    Only `twisted_coset_average` and the tests call it."""
+    formed by explicit composition a chunk of rows h at a time
+    (`groups._row_chunks`). Only `twisted_coset_average` and the tests call it."""
     n = G.order
     mul, inv = G.mul_table, G.inv_table
     idx = np.arange(n, dtype=mul.dtype)
     tally: Counter[tuple[int, int, int]] = Counter()
     for g in range(n):
         inv_gx = inv[mul[g]]
-        for rows in _row_chunks(n, n):
+        for rows in groups._row_chunks(n, n):
             p1 = np.take(mul[rows], inv_gx, axis=1)  # x -> h (g x)^-1
             if not twisted:
                 p1 = np.take(inv, p1)  # x -> (h (g x)^-1)^-1 = g x h^-1
@@ -161,7 +163,7 @@ def _class_sums(sizes, power2, power3, shift: int, sign: int, roots2=None) -> tu
 
 
 def dim_invariants_perm(
-    G: GroupTable | ConjugacyData,
+    G: groups.GroupTable | ConjugacyData,
     module: str = GROUP_ALGEBRA,
     parity: str = EVEN,
     symmetry: str = FULL,
@@ -172,11 +174,11 @@ def dim_invariants_perm(
     (symmetry "pi-pi") or over the doubled group extended by the inversion
     involution (symmetry "full"), with fixed points counted by the
     orbit–stabilizer lemma from class sizes and power maps (`_class_sums`).
-    G is the group's table or its class data, such as `sl2_class_data`.
+    G is the group's table or its class data, such as `classdata.sl2_class_data`.
     """
     shift, sign = _shift_sign(module, parity)
     _check_choice(symmetry, SYMMETRIES, "symmetry")
-    cd = G if isinstance(G, ConjugacyData) else conjugacy_classes(G)
+    cd = G if isinstance(G, ConjugacyData) else groups.conjugacy_classes(G)
     n = cd.order
     untwisted, twisted = _class_sums(cd.sizes, cd.power2, cd.power3, shift, sign)
     total, group_size = untwisted, n * n
@@ -185,7 +187,7 @@ def dim_invariants_perm(
     return _as_dimension(total, 6 * group_size, module=module, parity=parity, symmetry=symmetry)
 
 
-def twisted_coset_average(G: GroupTable) -> dict[tuple[str, str], fractions.Fraction]:
+def twisted_coset_average(G: groups.GroupTable) -> dict[tuple[str, str], fractions.Fraction]:
     """Average of the cube character over the twisted coset only, by (module,
     parity), directly over all pairs (g, h) from one `_coset_terms` tally.
 

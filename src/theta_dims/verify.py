@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from . import chartab, groups, lens, limits, oracle, perm
+from . import chartab, classdata, groups, lens, limits, oracle, perm
 from .cli import SUITES
 from .errors import FixtureMismatch, ParseError
 
@@ -57,7 +57,7 @@ class FixtureReport:
 
     mismatches: tuple[str, ...] = ()
     label_class: dict[str, int] = dataclasses.field(default_factory=dict)  # by majority vote
-    classes: groups.ConjugacyData | None = None  # the group's, as computed for the vote
+    classes: classdata.ConjugacyData | None = None  # the group's, as computed for the vote
 
     @property
     def ok(self) -> bool:
@@ -115,7 +115,7 @@ def verify_sl2f5_fixture(G: groups.GroupTable, fx: Sl2Fixture) -> FixtureReport:
         if (a * d - b * c) % p != 1:
             raise FixtureMismatch(f"{name} has determinant != 1 mod {p}")
     index = {label: i for i, label in enumerate(G.labels)}
-    listed = [groups._sl2_label(m) for m in fx.matrices]
+    listed = [classdata._sl2_label(m) for m in fx.matrices]
     present = set(listed)
     missing = [label for label in G.labels if label not in present]
     if missing:
@@ -147,7 +147,7 @@ class _Sl2f5(NamedTuple):
     """SL2(F5) and the references the fixtures and conventions suites read."""
 
     G: groups.GroupTable
-    cd: groups.ConjugacyData
+    cd: classdata.ConjugacyData
     table: chartab.CharTable
     to_computed: list[int]  # the computed class index of each table class
 

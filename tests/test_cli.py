@@ -16,7 +16,7 @@ from test_chartab import BEYOND_EXACT_RANGE
 from test_perm import REFERENCE_GROUPS
 
 import theta_dims
-from theta_dims import chartab, cli, groups, lens, limits, oracle, perm, verify
+from theta_dims import chartab, classdata, cli, groups, lens, limits, oracle, perm, verify
 from theta_dims.errors import InputError, ThetaDimsError
 
 REFERENCE_ROWS = {
@@ -237,9 +237,10 @@ def test_json_and_csv_load_only_for_their_format(executed_modules, query, loads)
 
 
 # the modules every query executes: the package, the command line, and what
-# parsing the arguments needs
-ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims.errors",
-                 "theta_dims.groups", "theta_dims.limits", "theta_dims.perm"]
+# parsing the arguments needs; the tables of groups load only where a query
+# builds one
+ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.classdata", "theta_dims.cli",
+                 "theta_dims.errors", "theta_dims.limits", "theta_dims.perm"]
 
 
 @pytest.mark.parametrize("query,also", by_query(
@@ -250,7 +251,9 @@ ENTRY_MODULES = ["theta_dims", "theta_dims._lazy", "theta_dims.cli", "theta_dims
     ("closed-form", ["theta_dims.lens"]),
     ("lens-table", ["theta_dims.lens"]),
     ("chartab-sl2", ["theta_dims.chartab"]),
-    ("classes-cayley", ["theta_dims.cayley"]),
+    ("classes-sl2", ["theta_dims.groups"]),
+    ("orbit-sl2", ["theta_dims.groups", "theta_dims.oracle"]),
+    ("classes-cayley", ["theta_dims.cayley", "theta_dims.groups"]),
 ))
 def test_a_query_executes_only_the_modules_it_runs(executed_modules, query, also):
     package = [name for name in executed_modules(query) if name.partition(".")[0] == "theta_dims"]
@@ -1276,7 +1279,7 @@ def test_cross_methods_computes_each_value_once(monkeypatch):
     # the calls inside perm included; orbit for 4 symmetry-parity pairs on the
     # battery and 2 on Z13..Z15; reynolds for 4 module-parity pairs on the 16
     # battery groups of order <= 12
-    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
+    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"),
                         (oracle, "dim_invariants_orbit"), (oracle, "dim_invariants_reynolds"))
     verify.verify_cross_methods()
     assert calls["conjugacy_classes"] <= 20
@@ -1287,8 +1290,7 @@ def test_cross_methods_computes_each_value_once(monkeypatch):
 def test_conventions_counts_each_coset_once(monkeypatch):
     # one direct pass over the twisted coset of SL2(F5) for all four
     # module-parity pairs: one `_row_chunks` call per element g
-    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (perm, "conjugacy_classes"),
-                        (perm, "_row_chunks"))
+    calls = count_calls(monkeypatch, (groups, "conjugacy_classes"), (groups, "_row_chunks"))
     verify.verify_conventions(True)
     assert calls["conjugacy_classes"] == 1
     assert calls["_row_chunks"] == 120
@@ -1301,10 +1303,9 @@ def test_verify_all_builds_one_sl2f5_reference(capsys, monkeypatch):
     sl2_primes, class_orders = collections.Counter(), collections.Counter()
     make_sl2 = groups.make_sl2
     monkeypatch.setattr(groups, "make_sl2", lambda p: sl2_primes.update([p]) or make_sl2(p))
-    for module in (groups, perm):
-        classes = module.conjugacy_classes
-        monkeypatch.setattr(module, "conjugacy_classes",
-                            lambda G, classes=classes: class_orders.update([G.order]) or classes(G))
+    classes = groups.conjugacy_classes
+    monkeypatch.setattr(groups, "conjugacy_classes",
+                        lambda G: class_orders.update([G.order]) or classes(G))
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
     assert code == 0 and out.endswith("ok\n")
     assert (calls["load_sl2_fixture"], sl2_primes[5], class_orders[120]) == (1, 1, 1)
@@ -1324,8 +1325,8 @@ def test_verify_all_enumerates_each_sl2_once(capsys, monkeypatch):
     # make_sl2 lists the matrices; the fixture check reads them off the
     # table's labels, and the battery's Q8 is a subgroup of its own SL2(F3)
     primes = collections.Counter()
-    sl2_matrices = groups.sl2_matrices
-    monkeypatch.setattr(groups, "sl2_matrices", lambda p: primes.update([p]) or sl2_matrices(p))
+    sl2_matrices = classdata.sl2_matrices
+    monkeypatch.setattr(classdata, "sl2_matrices", lambda p: primes.update([p]) or sl2_matrices(p))
     code, out, _ = run_cli(capsys, "verify", "all", "--with-orbit-check")
     assert code == 0 and out.endswith("ok\n")
     assert primes == {5: 1, 3: 1}
@@ -1376,7 +1377,7 @@ def test_dims_chartab_pi_pi_equals_perm(capsys):
 
 def test_dims_chartab_builtin_computes_no_class_data(capsys, monkeypatch):
     # the builtin table is fixed data for sl2:5, checked by verify fixtures
-    monkeypatch.setattr(groups, "sl2_class_data", lambda p: pytest.fail("computed class data"))
+    monkeypatch.setattr(classdata, "sl2_class_data", lambda p: pytest.fail("computed class data"))
     monkeypatch.setattr(groups, "conjugacy_classes", lambda G: pytest.fail("computed classes"))
     code, out, err = run_cli(
         capsys, "dims", "--group", "sl2:5", "--parity", "odd", "--method", "chartab"

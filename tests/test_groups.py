@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from theta_dims import cayley, cli, groups, lens, limits, perm, verify
+from theta_dims import cayley, classdata, cli, groups, lens, limits, perm, verify
 from theta_dims.errors import FixtureMismatch, NotAGroup, ParseError, TooLarge
 
 # latin square with identity 0 and two-sided inverses that is not associative:
@@ -83,8 +83,8 @@ def test_make_sl2_order_matches_brute_enumeration(p):
 
 def test_make_sl2_traps_a_wrong_element_count(monkeypatch):
     # a bug trap, not bad input, so it raises under python -O too and exits 1
-    every_matrix = groups.sl2_matrices
-    monkeypatch.setattr(groups, "sl2_matrices", lambda p: every_matrix(p)[:-1])
+    every_matrix = classdata.sl2_matrices
+    monkeypatch.setattr(classdata, "sl2_matrices", lambda p: every_matrix(p)[:-1])
     with pytest.raises(FixtureMismatch, match=r"enumerated 23 matrices of SL2\(F_3\), not 24"):
         groups.make_sl2(3)
 
@@ -103,7 +103,7 @@ def test_make_sl2_larger_primes(p):
     assert groups.conjugacy_classes(G).num_classes == p + 4
     if p == 7:
         groups.validate_group(G)
-    mats = groups.sl2_matrices(p)
+    mats = classdata.sl2_matrices(p)
     rng = random.Random(p)
     for _ in range(200):
         x, y = rng.randrange(G.order), rng.randrange(G.order)
@@ -114,12 +114,12 @@ def test_make_sl2_larger_primes(p):
     assert mats[G.identity] == (1, 0, 0, 1)
 
 
-@pytest.mark.parametrize("p", groups._SMALL_PRIMES)
+@pytest.mark.parametrize("p", classdata._SMALL_PRIMES)
 def test_sl2_matrices_match_brute_filter(p):
     # one determinant mask over all p^4 matrices, in numpy
     a, b, c, d = np.indices((p,) * 4)
     mask = np.argwhere((a * d - b * c) % p == 1)
-    assert groups.sl2_matrices(p) == list(map(tuple, mask.tolist()))
+    assert classdata.sl2_matrices(p) == list(map(tuple, mask.tolist()))
 
 
 def test_quaternion8_is_a_subgroup_of_sl2f3():
@@ -187,6 +187,34 @@ def test_associativity_checks_every_generator():
         groups.make_from_cayley(rows)
     x, a, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(exc.value)).groups())
     assert rows[rows[x][a]][y] != rows[x][rows[a][y]]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4, 15])
+def test_associativity_witness_is_the_first_failure_across_chunks(monkeypatch, chunk_rows):
+    # Z3 x NONASSOC_LOOP with (h, l) at index 3*l + h: the greedy generators
+    # are 1, which spans Z3 = {0, 1, 2} and is associative, then 3, whose
+    # first failure lies in row 3: in the fourth chunk of 1 row, at offset 1
+    # in the second chunk of 2 rows, and inside the first chunk of 4 rows or
+    # of the whole table
+    n = 15
+    rows = [
+        [3 * NONASSOC_LOOP[l1][l2] + (h1 + h2) % 3 for l2 in range(5) for h2 in range(3)]
+        for l1 in range(5)
+        for h1 in range(3)
+    ]
+    failures = [
+        (x, a, y)
+        for a in (1, 3)
+        for x in range(n)
+        for y in range(n)
+        if rows[rows[x][a]][y] != rows[x][rows[a][y]]
+    ]
+    x, a, y = failures[0]
+    assert (x, a) == (3, 3)
+    monkeypatch.setattr(groups, "_CHUNK_ENTRIES", chunk_rows * n)
+    with pytest.raises(NotAGroup) as exc:
+        groups.make_from_cayley(rows)
+    assert str(exc.value) == f"associativity fails at witness triple ({x}, {a}, {y})"
 
 
 def test_direct_product_small():
@@ -257,7 +285,7 @@ def test_pow():
     assert power(G6, 5, 3) == 3
     assert power(G6, G6.identity, 12345) == G6.identity
     G = groups.make_sl2(5)
-    mats = groups.sl2_matrices(5)
+    mats = classdata.sl2_matrices(5)
     alpha = mats.index((2, 0, 0, 3))
     minus_i = mats.index((4, 0, 0, 4))
     cd = groups.conjugacy_classes(G)
@@ -365,7 +393,7 @@ def test_table_records_compare_by_identity():
 
 @pytest.mark.parametrize("record", [
     groups.make_cyclic(3),
-    groups.cyclic_class_data(3),
+    classdata.cyclic_class_data(3),
     lens.lens_dims(6),
     lens.WeightVector(3, perm.ODD, ()),
 ], ids=lambda record: type(record).__name__)
@@ -381,7 +409,7 @@ CYCLIC_ORDERS = [*range(1, 131), 336, 4096]
 
 def assert_same_class_data(arithmetic, table, order):
     """Every field and property of two ConjugacyData records agree."""
-    for name in groups.ConjugacyData._fields:
+    for name in classdata.ConjugacyData._fields:
         a, t = getattr(arithmetic, name), getattr(table, name)
         if name == "class_of":
             a, t = list(a), t.tolist()
@@ -393,7 +421,7 @@ def assert_same_class_data(arithmetic, table, order):
 def test_cyclic_class_data_equals_table_route():
     for n in CYCLIC_ORDERS:
         table = groups.conjugacy_classes(groups.make_cyclic(n))
-        assert_same_class_data(groups.cyclic_class_data(n), table, n)
+        assert_same_class_data(classdata.cyclic_class_data(n), table, n)
 
 
 @pytest.mark.parametrize("n", [0, -3, 16385])
@@ -401,13 +429,13 @@ def test_cyclic_class_data_refuses_what_make_cyclic_refuses(n):
     with pytest.raises((ValueError, TooLarge)) as table_route:
         groups.make_cyclic(n)
     with pytest.raises(type(table_route.value), match=f"^{re.escape(str(table_route.value))}$"):
-        groups.cyclic_class_data(n)
+        classdata.cyclic_class_data(n)
 
 
 def test_sl2_class_data_equals_table_route():
-    for p in groups._SMALL_PRIMES:
+    for p in classdata._SMALL_PRIMES:
         table = groups.conjugacy_classes(groups.make_sl2(p))
-        assert_same_class_data(groups.sl2_class_data(p), table, p * (p * p - 1))
+        assert_same_class_data(classdata.sl2_class_data(p), table, p * (p * p - 1))
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 17])
@@ -415,7 +443,7 @@ def test_sl2_class_data_refuses_what_make_sl2_refuses(p):
     with pytest.raises(ValueError) as table_route:
         groups.make_sl2(p)
     with pytest.raises(type(table_route.value), match=f"^{re.escape(str(table_route.value))}$"):
-        groups.sl2_class_data(p)
+        classdata.sl2_class_data(p)
 
 
 def test_inversion_consistent_with_elements():

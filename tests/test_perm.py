@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_dims import groups, oracle, perm
+from theta_dims import classdata, groups, oracle, perm
 from theta_dims.perm import AUG_KERNEL, EVEN, FULL, GROUP_ALGEBRA, ODD, PI_PI
 
 
@@ -204,7 +204,7 @@ def test_dim_invariants_perm_cyclic_examples(n, module, parity, expected):
 def test_dim_invariants_perm_on_cyclic_class_data():
     # both routes for every order below 131, the order of sl2:7 and 4096
     for n in [*range(1, 131), 336, 4096]:
-        arithmetic, table = groups.cyclic_class_data(n), groups.make_cyclic(n)
+        arithmetic, table = classdata.cyclic_class_data(n), groups.make_cyclic(n)
         for case in itertools.product(perm.MODULES, perm.PARITIES, perm.SYMMETRIES):
             assert perm.dim_invariants_perm(arithmetic, *case) == (
                 perm.dim_invariants_perm(table, *case)
@@ -213,7 +213,7 @@ def test_dim_invariants_perm_on_cyclic_class_data():
 
 def test_dim_invariants_perm_on_sl2_class_data():
     for p in (2, 3, 5, 7):
-        arithmetic, table = groups.sl2_class_data(p), groups.make_sl2(p)
+        arithmetic, table = classdata.sl2_class_data(p), groups.make_sl2(p)
         for case in itertools.product(perm.MODULES, perm.PARITIES, perm.SYMMETRIES):
             assert perm.dim_invariants_perm(arithmetic, *case) == (
                 perm.dim_invariants_perm(table, *case)
